@@ -94,12 +94,12 @@ def check_exponent_calculus() -> CheckResult:
     """Energy-space exponents come out as the exact rationals 2, 3, 3/2."""
     g = one_d_growth_params("l2_eps", eps=0)
     s = Setting(_H2, F(2), F(0))
+    start = time.perf_counter()
     rho_star_and_x_exponents(g, s)  # warm call so the timing excludes imports
     t0 = time.perf_counter()
     terms = rho_star_and_x_exponents(g, s)
     per_call = time.perf_counter() - t0
 
-    start = time.perf_counter()
     failures: List[str] = []
     term = terms[0]
     expected = {
@@ -311,12 +311,12 @@ def check_interpolation_estimate() -> CheckResult:
 def check_bootstrap_chain() -> CheckResult:
     """The energy-start chain reproduces the frozen step parameters."""
     eps = F(1, 5)
+    start = time.perf_counter()
     full_chain_1d("L2_start", eps=eps)  # warm call
     t0 = time.perf_counter()
     chain = full_chain_1d("L2_start", eps=eps)
     per_call = time.perf_counter() - t0
 
-    start = time.perf_counter()
     failures: List[str] = []
     s1, s2, s3, s4 = chain.steps
     if s1.rule != "weight_insertion" or s1.params["r"] != 6 \
@@ -362,12 +362,12 @@ def check_bootstrap_chain() -> CheckResult:
 def check_heat_exactness() -> CheckResult:
     """The heat preset tracks e^{-t} cos x to 1e-12 in L^2."""
     cfg = heat()
+    start = time.perf_counter()
     simulate_path(cfg)  # warm call
     t0 = time.perf_counter()
     traj = simulate_path(cfg)
     per_call = time.perf_counter() - t0
 
-    start = time.perf_counter()
     failures: List[str] = []
     x = cfg.grid.x
     exact = math.exp(-cfg.t_end) * np.cos(x)

@@ -368,7 +368,7 @@ def _cmd_montecarlo(args) -> int:
         n_save=n_save,
     )
     stats = mc_run(ens)
-    print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(stats), indent=2, sort_keys=True))
     print(f"survival {stats.survival}, outputs -> "
           f"{outdir / ens.experiment}", file=sys.stderr)
     return 0
@@ -403,7 +403,7 @@ def _add_sim_flags(sub) -> None:
     sub.add_argument("--scheme", choices=("exp_euler", "semi_implicit"),
                      help="time stepping scheme")
     sub.add_argument("--blowup-cap", type=_positive_float,
-                     help="L2 threshold treated as blow-up")
+                     help="sup-norm threshold treated as blow-up")
     sub.add_argument("--grid-n", type=_positive_int,
                      help="collocation points (power of two)")
     sub.add_argument("--noise-lam", type=_positive_float,

@@ -155,9 +155,6 @@ class GrowthSpec:
 
     f_terms: tuple[GrowthTerm, ...] = ()
     g_terms: tuple[GrowthTerm, ...] = ()
-    has_trace_part_f: bool = False
-    has_trace_part_g: bool = False
-    sublinearity_constant: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "f_terms", tuple(self.f_terms))
@@ -816,14 +813,7 @@ def growth_spec_to_dict(g: GrowthSpec) -> dict:
             for t in ts
         ]
 
-    d = {"f_terms": enc(g.f_terms), "g_terms": enc(g.g_terms)}
-    if g.has_trace_part_f:
-        d["has_trace_part_f"] = True
-    if g.has_trace_part_g:
-        d["has_trace_part_g"] = True
-    if g.sublinearity_constant is not None:
-        d["sublinearity_constant"] = g.sublinearity_constant
-    return d
+    return {"f_terms": enc(g.f_terms), "g_terms": enc(g.g_terms)}
 
 
 def growth_spec_from_dict(d: dict) -> GrowthSpec:
@@ -841,9 +831,6 @@ def growth_spec_from_dict(d: dict) -> GrowthSpec:
         return GrowthSpec(
             f_terms=dec(d.get("f_terms", [])),
             g_terms=dec(d.get("g_terms", [])),
-            has_trace_part_f=bool(d.get("has_trace_part_f", False)),
-            has_trace_part_g=bool(d.get("has_trace_part_g", False)),
-            sublinearity_constant=d.get("sublinearity_constant"),
         )
     except (KeyError, TypeError) as e:
         raise ParameterError(f"malformed growth spec: {e}") from e

@@ -11,16 +11,15 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exponents import ParameterError
 from .monitors import HoelderFit, hoelder_estimate
 from .sim import (
-    NonlinearitySpec,
     SimConfig,
     Trajectory,
     coarsen_increments,
@@ -72,19 +71,6 @@ class EnsembleStats:
     survival: float
     ci_mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "seeds": list(self.seeds),
-            "survival": self.survival,
-            "ci_mode": self.ci_mode,
-            "functionals": {
-                name: {"mean": fs.mean, "var": fs.var,
-                       "ci_low": fs.ci_low, "ci_high": fs.ci_high}
-                for name, fs in self.functionals.items()
-            },
-        }
-
 
 # --- persistence ------------------------------------------------------------
 
@@ -108,15 +94,14 @@ def write_summary(directory: Path, payload: dict) -> Path:
     return out
 
 
+def _write_experiment_summary(cfg: EnsembleConfig, fields: dict) -> None:
+    """summary.json of an experiment run: its name and the report's fields."""
+    if cfg.outdir is not None:
+        write_summary(Path(cfg.outdir) / cfg.experiment,
+                      {"experiment": cfg.experiment, **fields})
+
+
 # --- ensemble core ------------------------------------------------------------
-
-
-def _run_indexed(cfg: EnsembleConfig, worker: Callable[[int], object]) -> list:
-    """Map worker over path indices; output order is always index order."""
-    if cfg.parallelism == 1:
-        return [worker(i) for i in range(cfg.n_paths)]
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        return list(pool.map(worker, range(cfg.n_paths)))
 
 
 def run_ensemble(cfg: EnsembleConfig) -> List[Trajectory]:
@@ -126,7 +111,11 @@ def run_ensemble(cfg: EnsembleConfig) -> List[Trajectory]:
         seed = mix_seed(cfg.base.seed, i)
         return simulate_path(replace(cfg.base, seed=seed), n_save=cfg.n_save)
 
-    trajs = _run_indexed(cfg, worker)
+    if cfg.parallelism == 1:
+        trajs = [worker(i) for i in range(cfg.n_paths)]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+            trajs = list(pool.map(worker, range(cfg.n_paths)))
     if cfg.outdir is not None:
         directory = Path(cfg.outdir) / cfg.experiment
         directory.mkdir(parents=True, exist_ok=True)
@@ -166,9 +155,7 @@ def _reduce_stats(cfg: EnsembleConfig,
 def mc_run(cfg: EnsembleConfig) -> EnsembleStats:
     trajs = run_ensemble(cfg)
     stats = _reduce_stats(cfg, trajs)
-    if cfg.outdir is not None:
-        write_summary(Path(cfg.outdir) / cfg.experiment,
-                      {"experiment": cfg.experiment, **stats.to_dict()})
+    _write_experiment_summary(cfg, asdict(stats))
     return stats
 
 
@@ -185,12 +172,6 @@ class EnergyReport:
     stats: EnsembleStats
     stats_refined: EnsembleStats
 
-    def to_dict(self) -> dict:
-        return {"c_hat": self.c_hat, "c_hat_refined": self.c_hat_refined,
-                "drift": self.drift, "growth_rate": self.growth_rate,
-                "blew_up": self.blew_up, "stats": self.stats.to_dict(),
-                "stats_refined": self.stats_refined.to_dict()}
-
 
 def _energy_constant(stats: EnsembleStats) -> float:
     lhs = stats.functionals["sup_l2_sq"].mean \
@@ -198,16 +179,13 @@ def _energy_constant(stats: EnsembleStats) -> float:
     return lhs / (1.0 + stats.functionals["initial_l2_sq"].mean)
 
 
-def experiment_energy(cfg: EnsembleConfig,
-                      c_g: Optional[float] = None) -> EnergyReport:
+def experiment_energy(cfg: EnsembleConfig) -> EnergyReport:
     """Estimate the constant in the a-priori energy bound and its stability.
 
     The bound says E sup ||u||^2 + E int ||grad u||^2 <= C (1 + E||u0||^2)
-    whenever the noise coefficient grows at most linearly; c_g documents the
-    declared linear-growth constant (metadata only, never enforced).  Any
-    path blow-up flags the report as invalid for the bound.
+    whenever the noise coefficient grows at most linearly.  Any path blow-up
+    flags the report as invalid for the bound.
     """
-    del c_g
     stats = mc_run(cfg)
     refined_base = replace(cfg.base, dt=cfg.base.dt / 2.0)
     refined_cfg = replace(cfg, base=refined_base, outdir=None)
@@ -218,9 +196,7 @@ def experiment_energy(cfg: EnsembleConfig,
     rate = math.log(max(c_hat, 1.0)) / cfg.base.t_end
     report = EnergyReport(c_hat, c_ref, drift, rate,
                           stats.survival < 1.0, stats, stats_refined)
-    if cfg.outdir is not None:
-        write_summary(Path(cfg.outdir) / cfg.experiment,
-                      {"experiment": cfg.experiment, **report.to_dict()})
+    _write_experiment_summary(cfg, asdict(report))
     return report
 
 
@@ -230,10 +206,6 @@ class SurvivalReport:
     noise_scale: float
     survival: float
     stats: EnsembleStats
-
-    def to_dict(self) -> dict:
-        return {"h": self.h, "noise_scale": self.noise_scale,
-                "survival": self.survival, "stats": self.stats.to_dict()}
 
 
 def experiment_global(h: float, cfg: EnsembleConfig,
@@ -245,18 +217,13 @@ def experiment_global(h: float, cfg: EnsembleConfig,
     """
     if not 1.0 <= h < 3.0:
         raise ParameterError("noise growth power must lie in [1, 3)")
-    nl = cfg.base.nonlinearity
-    wired = NonlinearitySpec(
-        f=nl.f, g=lambda y: noise_scale * np.abs(y) ** h, nu=nl.nu,
-        f_x_independent=nl.f_x_independent, growth=nl.growth,
-        sublinear_noise_bound=nl.sublinear_noise_bound)
+    wired = replace(cfg.base.nonlinearity,
+                    g=lambda y: noise_scale * np.abs(y) ** h)
     run_cfg = replace(cfg, base=replace(cfg.base, nonlinearity=wired))
     stats = mc_run(run_cfg)
     report = SurvivalReport(float(h), float(noise_scale), stats.survival,
                             stats)
-    if cfg.outdir is not None:
-        write_summary(Path(cfg.outdir) / cfg.experiment,
-                      {"experiment": cfg.experiment, **report.to_dict()})
+    _write_experiment_summary(cfg, asdict(report))
     return report
 
 
@@ -270,28 +237,13 @@ class RegularityReport:
     n_completed: int
     fits: Tuple[HoelderFit, ...]
 
-    def to_dict(self) -> dict:
-        return {"median_theta_time": self.median_theta_time,
-                "median_theta_space": self.median_theta_space,
-                "median_r2_time": self.median_r2_time,
-                "median_r2_space": self.median_r2_space,
-                "n_paths": self.n_paths, "n_completed": self.n_completed}
-
 
 def experiment_regularity(cfg: EnsembleConfig,
                           t0: Optional[float] = None) -> RegularityReport:
     """Aggregate empirical Hoelder exponents over an ensemble."""
     save = cfg.n_save if cfg.n_save is not None else 257
-
-    def worker(i: int):
-        seed = mix_seed(cfg.base.seed, i)
-        traj = simulate_path(replace(cfg.base, seed=seed), n_save=save)
-        if not traj.completed:
-            return None
-        return hoelder_estimate(traj, t0=t0)
-
-    results = _run_indexed(cfg, worker)
-    fits = tuple(f for f in results if f is not None)
+    trajs = run_ensemble(replace(cfg, n_save=save, outdir=None))
+    fits = tuple(hoelder_estimate(t, t0=t0) for t in trajs if t.completed)
     if not fits:
         raise ParameterError("no completed paths to fit")
     report = RegularityReport(
@@ -300,9 +252,9 @@ def experiment_regularity(cfg: EnsembleConfig,
         float(np.median([f.r2_time for f in fits])),
         float(np.median([f.r2_space for f in fits])),
         cfg.n_paths, len(fits), fits)
-    if cfg.outdir is not None:
-        write_summary(Path(cfg.outdir) / cfg.experiment,
-                      {"experiment": cfg.experiment, **report.to_dict()})
+    summary = asdict(report)
+    del summary["fits"]  # the per-path fits are returned, not written
+    _write_experiment_summary(cfg, summary)
     return report
 
 
@@ -314,14 +266,6 @@ class ConvergenceReport:
     spatial_errors: Tuple[float, ...]
     spatial_ratios: Tuple[float, ...]
     spatial_exact: bool
-
-    def to_dict(self) -> dict:
-        return {"temporal_errors": list(self.temporal_errors),
-                "temporal_order": self.temporal_order,
-                "temporal_exact": self.temporal_exact,
-                "spatial_errors": list(self.spatial_errors),
-                "spatial_ratios": list(self.spatial_ratios),
-                "spatial_exact": self.spatial_exact}
 
 
 def convergence_study(cfg: EnsembleConfig, levels: int = 3) -> ConvergenceReport:
@@ -370,9 +314,7 @@ def convergence_study(cfg: EnsembleConfig, levels: int = 3) -> ConvergenceReport
                   if a > 0]
         temporal_order = float(np.mean(orders)) if orders else None
 
-    det_nl = NonlinearitySpec(f=base.nonlinearity.f, g=None,
-                              nu=base.nonlinearity.nu,
-                              f_x_independent=base.nonlinearity.f_x_independent)
+    det_nl = replace(base.nonlinearity, g=None)
     grids = []
     n = base.grid.n
     for _ in range(levels):
@@ -394,7 +336,5 @@ def convergence_study(cfg: EnsembleConfig, levels: int = 3) -> ConvergenceReport
     report = ConvergenceReport(tuple(temporal_errors), temporal_order,
                                temporal_exact, tuple(spatial_errors), ratios,
                                spatial_exact)
-    if cfg.outdir is not None:
-        write_summary(Path(cfg.outdir) / cfg.experiment,
-                      {"experiment": cfg.experiment, **report.to_dict()})
+    _write_experiment_summary(cfg, asdict(report))
     return report

@@ -10,17 +10,17 @@ snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .exponents import CriticalityReport, ParameterError, Setting
 from .sim import (
     NoiseSpec,
-    SimConfig,
     SpectralStepper,
-    TorusState,
     Trajectory,
+    dealiased,
+    grad_norm_sq_spectral,
     l2_norm_sq_spectral,
     simulate_path,
     spectral_weights,
@@ -64,15 +64,6 @@ class HoelderFit:
             raise ParameterError("fit window must stay away from t = 0")
 
 
-FieldLike = Union[np.ndarray, TorusState]
-
-
-def _field_values(u: FieldLike) -> np.ndarray:
-    if isinstance(u, TorusState):
-        return u.values
-    return np.asarray(u, dtype=float)
-
-
 def _coefficient_values(g, values: np.ndarray) -> np.ndarray:
     if g is None:
         return np.zeros_like(values)
@@ -81,22 +72,19 @@ def _coefficient_values(g, values: np.ndarray) -> np.ndarray:
     return np.full_like(values, float(g))
 
 
-def hs_norm_G(u: FieldLike, g, noise: NoiseSpec) -> float:
+def hs_norm_G(u: np.ndarray, g, noise: NoiseSpec) -> float:
     """Hilbert-Schmidt norm of v -> g(u) * v over the truncated noise basis.
 
-    Equals (sum_k sigma_k^2 ||g(u) e_k||_{L2}^2)^{1/2}; the paired cos/sin
-    basis makes sum_k sigma_k^2 e_k(x)^2 a constant in x, but the quadrature
-    below stays literal about the mode sum.
+    Equals (sum_k sigma_k^2 ||g(u) e_k||_{L2}^2)^{1/2} for the sample vector
+    u.  The paired cos/sin basis makes sum_k sigma_k^2 e_k(x)^2 the constant
+    sigma_0^2/(2 pi) + sum_{k>=1} sigma_k^2/pi, so the norm is
+    (2 pi * density * mean g(u)^2)^{1/2}.
     """
-    values = _field_values(u)
-    n = values.size
-    x = TWO_PI * np.arange(n) / n
+    values = np.asarray(u, dtype=float)
     sigma = noise.amplitudes()
-    density = np.full(n, sigma[0] ** 2 / TWO_PI)
-    for k in range(1, sigma.size):
-        density += sigma[k] ** 2 * (np.cos(k * x) ** 2 + np.sin(k * x) ** 2) / np.pi
+    density = sigma[0] ** 2 / TWO_PI + np.sum(sigma[1:] ** 2) / np.pi
     gu = _coefficient_values(g, values)
-    return float(np.sqrt(TWO_PI * np.mean(gu ** 2 * density)))
+    return float(np.sqrt(TWO_PI * density * np.mean(gu ** 2)))
 
 
 def spatial_norm(values: np.ndarray, smoothness: float, q: float = 2.0) -> float:
@@ -127,7 +115,7 @@ def h_minus1_flux_norm(values: np.ndarray, f) -> float:
     fu = np.asarray(f(values), dtype=float)
     f_hat = np.fft.rfft(fu) / n
     k = np.arange(n // 2 + 1, dtype=float)
-    f_hat[np.arange(n // 2 + 1) > n // 3] = 0.0
+    f_hat[~dealiased(n)] = 0.0
     w = spectral_weights(n)
     mode_sq = (k * k / (1.0 + k * k)) * (f_hat.real ** 2 + f_hat.imag ** 2)
     return float(np.sqrt(TWO_PI * float(w @ mode_sq)))
@@ -232,6 +220,9 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     cfg = traj.config
     stepper = SpectralStepper(cfg)
     x_indep = cfg.nonlinearity.f_x_independent
+    k2 = stepper.k.astype(float) ** 2
+    decay = 0.5 * (1.0 - np.exp(-2.0 * k2 * stepper.dt))
+    w_decay = stepper.weights * decay
     records: List[Tuple[float, float]] = []
 
     def watch(i, t, before, f_hat, g_hat, after):
@@ -241,13 +232,11 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
         if g_hat is not None:
             plus = plus + g_hat
         if cfg.scheme == "exp_euler":
-            k2 = stepper.k.astype(float) ** 2
-            decay = 0.5 * (1.0 - np.exp(-2.0 * k2 * stepper.dt))
             mode_sq = plus.real ** 2 + plus.imag ** 2
-            grad_inc = TWO_PI * float((stepper.weights * decay) @ mode_sq)
+            grad_inc = TWO_PI * float(w_decay @ mode_sq)
         else:
-            g0 = grad_sq(before)
-            g1 = grad_sq(after)
+            g0 = grad_norm_sq_spectral(before, stepper.k, stepper.weights)
+            g1 = grad_norm_sq_spectral(after, stepper.k, stepper.weights)
             grad_inc = 0.5 * stepper.dt * (g0 + g1)
         term_i = 0.0
         if cfg.nonlinearity.f is not None and not x_indep:
@@ -264,11 +253,6 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
         res = (l2_after - l2_before) + 2.0 * grad_inc \
             - (term_i + term_ii + term_iii)
         records.append(((i + 1) * stepper.dt, res))
-
-    def grad_sq(u_hat):
-        k2 = stepper.k.astype(float) ** 2
-        return TWO_PI * float(
-            (stepper.weights * k2) @ (u_hat.real ** 2 + u_hat.imag ** 2))
 
     replay = simulate_path(cfg, n_save=2, observer=watch)
     if replay.status != traj.status or replay.sigma_hat != traj.sigma_hat:

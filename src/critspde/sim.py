@@ -93,8 +93,8 @@ class NonlinearitySpec:
     f and g act on sample values (vectorized y -> f(y)); g may instead be a
     plain float for a state-independent coefficient, or None for no noise.
     nu is the derivative-loss split carried as metadata for the exponent
-    calculus; growth metadata feeds the monitors, it is never enforced on
-    the maps themselves.
+    calculus; growth and sublinear_noise_bound are metadata that no code
+    reads or enforces.
     """
 
     f: Optional[PointwiseMap] = None
@@ -113,30 +113,6 @@ class NonlinearitySpec:
     @property
     def has_noise(self) -> bool:
         return self.g is not None
-
-
-@dataclass(frozen=True)
-class TorusState:
-    """Real field sampled on the collocation grid at one time."""
-
-    t: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 8:
-            raise ParameterError("state values must be a 1-d sample vector")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "t", float(self.t))
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """rfft coefficients normalized so u(x) = sum_k u_hat_k e^{ikx}."""
-        return np.fft.rfft(self.values) / self.values.size
-
-    @classmethod
-    def from_spectrum(cls, t: float, u_hat: np.ndarray, n: int) -> "TorusState":
-        return cls(t, np.fft.irfft(u_hat * n, n=n))
 
 
 InitialData = Union[None, float, Sequence[float], np.ndarray,
@@ -212,6 +188,11 @@ def l2_norm_sq(values: np.ndarray) -> float:
     return TWO_PI * float(values @ values) / values.size
 
 
+def dealiased(n: int) -> np.ndarray:
+    """rfft bins kept by the 2/3 rule: k <= n/3."""
+    return np.arange(n // 2 + 1) <= n // 3
+
+
 def grad_norm_sq_spectral(u_hat: np.ndarray, k: np.ndarray,
                           weights: np.ndarray) -> float:
     k2 = k.astype(float) ** 2
@@ -234,55 +215,7 @@ def basis_coefficient(values: np.ndarray, k: int, kind: str = "cos") -> float:
     return float(values @ phi) * TWO_PI / n
 
 
-# --- noise synthesis ------------------------------------------------------
-
-def _noise_spectrum(sigma: np.ndarray, sqrt_dt: float, xi: np.ndarray,
-                    n: int) -> np.ndarray:
-    """rfft/n spectrum of the increment field from one Gaussian draw.
-
-    Draw layout: [xi_0, xi_1^cos .. xi_K^cos, xi_1^sin .. xi_K^sin].
-    """
-    kmax = sigma.size - 1
-    w_hat = np.zeros(n // 2 + 1, dtype=complex)
-    w_hat[0] = sigma[0] * sqrt_dt * xi[0] / np.sqrt(TWO_PI)
-    if kmax:
-        xc = xi[1:kmax + 1]
-        xs = xi[kmax + 1:2 * kmax + 1]
-        w_hat[1:kmax + 1] = (sigma[1:] * sqrt_dt * (xc - 1j * xs)
-                             / (2.0 * np.sqrt(np.pi)))
-    return w_hat
-
-
-def noise_increment(spec: NoiseSpec, grid: TorusGrid, dt: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """One Brownian increment field, sampled on the collocation grid."""
-    if dt <= 0:
-        raise ParameterError("time step must be positive")
-    if spec.modes > grid.n // 3:
-        raise ParameterError("noise cutoff must stay in the dealiased band")
-    xi = rng.standard_normal(2 * spec.modes + 1)
-    w_hat = _noise_spectrum(spec.amplitudes(), np.sqrt(dt), xi, grid.n)
-    return np.fft.irfft(w_hat * grid.n, n=grid.n)
-
-
 # --- drift ----------------------------------------------------------------
-
-def nonlinearity_drift(state: TorusState, f: Optional[PointwiseMap]) -> np.ndarray:
-    """d/dx f(u) by the pseudospectral route with 2/3 dealiasing."""
-    n = state.values.size
-    if f is None:
-        return np.zeros(n)
-    fu = np.asarray(f(state.values), dtype=float)
-    if fu.shape != (n,):
-        raise ParameterError("f must map sample vectors to sample vectors")
-    if not np.all(np.isfinite(fu)):
-        raise BlowUpSignal(state.t)
-    f_hat = np.fft.rfft(fu) / n
-    k = np.arange(n // 2 + 1)
-    d_hat = 1j * k * f_hat
-    d_hat[k > n // 3] = 0.0
-    return np.fft.irfft(d_hat * n, n=n)
-
 
 def drift_pairing(values: np.ndarray, f: PointwiseMap) -> float:
     """Quadrature of integral f(u) u_x dx; zero for x-independent f.
@@ -304,7 +237,12 @@ def drift_pairing(values: np.ndarray, f: PointwiseMap) -> float:
 # --- stepping -------------------------------------------------------------
 
 class SpectralStepper:
-    """One-step map with all mode tables precomputed for a fixed config."""
+    """One-step map with all mode tables precomputed for a fixed config.
+
+    The only code that knows the step's maths: the 2/3 dealiasing band, the
+    derivative multiplier, the layout of one step's Gaussian draw and the
+    blow-up tests.
+    """
 
     def __init__(self, cfg: SimConfig):
         n = cfg.grid.n
@@ -319,7 +257,7 @@ class SpectralStepper:
         else:
             self.linear = 1.0 / (1.0 + k2 * self.dt)
         self.deriv = 1j * self.k.astype(float)
-        self.keep = self.k <= n // 3
+        self.keep = dealiased(n)
         self.f = cfg.nonlinearity.f
         g = cfg.nonlinearity.g
         self.g_map = g if callable(g) else None
@@ -331,10 +269,15 @@ class SpectralStepper:
             self.draws = 2 * cfg.noise.modes + 1
         self.cap = float(cfg.blowup_cap)
 
+    def blown_up(self, values: np.ndarray) -> bool:
+        """True when the state is non-finite or its sup-norm passes the cap."""
+        return not np.all(np.isfinite(values)) or \
+            np.abs(values).max() > self.cap
+
     def drift_hat(self, values: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros(self.n // 2 + 1, dtype=complex)
+        """rfft/n spectrum of d/dx f(u), dealiased."""
         if self.f is None:
-            return out
+            return np.zeros(self.n // 2 + 1, dtype=complex)
         fu = np.asarray(self.f(values), dtype=float)
         if not np.all(np.isfinite(fu)):
             raise BlowUpSignal(t)
@@ -345,9 +288,20 @@ class SpectralStepper:
 
     def noise_hat(self, values: np.ndarray, xi: Optional[np.ndarray],
                   t: float) -> Optional[np.ndarray]:
+        """rfft/n spectrum of g(u) dW from one unit Gaussian draw xi.
+
+        Draw layout: [xi_0, xi_1^cos .. xi_K^cos, xi_1^sin .. xi_K^sin].
+        """
         if self.draws == 0:
             return None
-        w_hat = _noise_spectrum(self.sigma, self.sqrt_dt, xi, self.n)
+        sigma, kmax = self.sigma, self.sigma.size - 1
+        w_hat = np.zeros(self.n // 2 + 1, dtype=complex)
+        w_hat[0] = sigma[0] * self.sqrt_dt * xi[0] / np.sqrt(TWO_PI)
+        if kmax:
+            xc = xi[1:kmax + 1]
+            xs = xi[kmax + 1:2 * kmax + 1]
+            w_hat[1:kmax + 1] = (sigma[1:] * self.sqrt_dt * (xc - 1j * xs)
+                                 / (2.0 * np.sqrt(np.pi)))
         if self.g_const is not None:
             return self.g_const * w_hat
         gu = np.asarray(self.g_map(values), dtype=float)
@@ -367,21 +321,6 @@ class SpectralStepper:
         if g_hat is not None:
             incr = incr + g_hat
         return self.linear * incr, f_hat, g_hat
-
-
-def step(state: TorusState, cfg: SimConfig,
-         rng: np.random.Generator) -> TorusState:
-    """Advance a single state by one time step of the configured scheme."""
-    stepper = SpectralStepper(cfg)
-    xi = rng.standard_normal(stepper.draws) if stepper.draws else None
-    u_hat = state.spectrum
-    new_hat, _, _ = stepper.advance(u_hat, state.values, xi, state.t)
-    new_values = np.fft.irfft(new_hat * stepper.n, n=stepper.n)
-    t_next = state.t + cfg.dt
-    if not np.all(np.isfinite(new_values)) or \
-            np.max(np.abs(new_values)) > stepper.cap:
-        raise BlowUpSignal(t_next)
-    return TorusState(t_next, new_values)
 
 
 # --- whole-path integration -------------------------------------------------
@@ -465,8 +404,7 @@ def simulate_path(cfg: SimConfig, n_save: Optional[int] = None,
     stats.sup_l2_sq = l2
     stats.final_l2_sq = l2
 
-    if not np.all(np.isfinite(values)) or \
-            np.max(np.abs(values), initial=0.0) > stepper.cap:
+    if stepper.blown_up(values):
         return Trajectory(np.zeros(1), values[None, :].copy(), stats,
                           "blew_up", 0.0, cfg)
 
@@ -507,8 +445,7 @@ def simulate_path(cfg: SimConfig, n_save: Optional[int] = None,
             observer(i, t, u_hat, f_hat, g_hat, new_hat)
         new_values = np.fft.irfft(new_hat * n, n=n)
         t_next = (i + 1) * cfg.dt
-        if not np.all(np.isfinite(new_values)) or \
-                np.max(np.abs(new_values)) > stepper.cap:
+        if stepper.blown_up(new_values):
             status, sigma_hat, kept = "blew_up", t_next, i
             break
         u_hat, values = new_hat, new_values

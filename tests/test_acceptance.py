@@ -1,5 +1,7 @@
 """One test per numbered acceptance check, with a printed PASS/FAIL line."""
 
+import pytest
+
 from critspde import acceptance
 
 
@@ -70,3 +72,18 @@ def test_failures_are_reported_not_raised():
     results = acceptance.run_checks([12])
     assert len(results) == 1 and results[0][0] == 12
     assert results[0][1].passed
+
+
+@pytest.mark.parametrize("num", [1, 5, 6])
+def test_elapsed_spans_the_timed_call(num, monkeypatch):
+    # a fake clock that ticks once per reading: elapsed must run from the
+    # check's first reading to its last, so it covers the warm and timed calls
+    reads = []
+
+    def tick():
+        reads.append(float(len(reads)))
+        return reads[-1]
+
+    monkeypatch.setattr(acceptance.time, "perf_counter", tick)
+    res = acceptance.CHECKS[num]()
+    assert res.elapsed == reads[-1] - reads[0]

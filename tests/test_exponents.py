@@ -487,6 +487,10 @@ def test_setting_round_trip():
 def test_growth_spec_round_trip():
     g = one_d_growth_params("rough", s=F(1, 5), q=F(5, 2))
     assert growth_spec_from_dict(growth_spec_to_dict(g)) == g
+    # keys of the dropped metadata fields are ignored on input
+    legacy = dict(growth_spec_to_dict(g), has_trace_part_f=True,
+                  has_trace_part_g=True, sublinearity_constant=1.0)
+    assert growth_spec_from_dict(legacy) == g
 
 
 def test_full_report_shape():

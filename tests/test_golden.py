@@ -28,7 +28,7 @@ from critspde.harness import (
     experiment_global,
     experiment_regularity,
 )
-from critspde.presets import linear_noise, regularity_ensemble, sublinear_global
+from critspde.presets import regularity_ensemble, sublinear_global
 
 GOLDEN = Path(__file__).parent / "golden"
 

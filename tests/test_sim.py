@@ -9,7 +9,6 @@ from critspde.sim import (
     SimConfig,
     SpectralStepper,
     TorusGrid,
-    TorusState,
     basis_coefficient,
     coarsen_increments,
     draw_increments,
@@ -17,11 +16,8 @@ from critspde.sim import (
     initial_values,
     l2_norm_sq,
     l2_norm_sq_spectral,
-    noise_increment,
-    nonlinearity_drift,
     simulate_path,
     spectral_weights,
-    step,
 )
 
 GRID = TorusGrid(64)
@@ -38,6 +34,19 @@ def ou_cfg(dt=5e-3, seed=0, modes=21, n=64):
     return SimConfig(grid=TorusGrid(n), nonlinearity=NonlinearitySpec(g=1.0),
                      noise=NoiseSpec(lam=0.75, modes=modes), t_end=1.0,
                      dt=dt, seed=seed, u0=None)
+
+
+def noise_field(stepper, rng):
+    """One Brownian increment field on the grid, from the stepper's draw."""
+    xi = rng.standard_normal(stepper.draws)
+    w_hat = stepper.noise_hat(np.zeros(stepper.n), xi, 0.0)
+    return np.fft.irfft(w_hat * stepper.n, n=stepper.n)
+
+
+def drift_field(values, f):
+    """d/dx f(u) on the grid, by the stepper's dealiased derivative."""
+    st = SpectralStepper(heat_cfg(nonlinearity=NonlinearitySpec(f=f)))
+    return np.fft.irfft(st.drift_hat(values, 0.0) * st.n, n=st.n)
 
 
 # --- validation ------------------------------------------------------------
@@ -104,19 +113,20 @@ def test_parseval_consistency():
     full = np.zeros(33, dtype=complex)
     full[:11] = u_hat_band
     full[0] = full[0].real
-    state = TorusState.from_spectrum(0.0, full, 64)
+    values = np.fft.irfft(full * 64, n=64)
     w = spectral_weights(64)
-    a = l2_norm_sq(state.values)
-    b = l2_norm_sq_spectral(state.spectrum, w)
+    a = l2_norm_sq(values)
+    b = l2_norm_sq_spectral(np.fft.rfft(values) / 64, w)
     assert a == pytest.approx(b, rel=1e-10)
 
 
 def test_state_round_trip():
+    # the rfft/n convention: u(x) = sum_k u_hat_k e^{ikx}
     x = GRID.x
-    state = TorusState(0.5, np.cos(3 * x) + 0.25)
-    back = TorusState.from_spectrum(state.t, state.spectrum, 64)
-    assert np.allclose(back.values, state.values, atol=1e-13)
-    spec = state.spectrum
+    values = np.cos(3 * x) + 0.25
+    spec = np.fft.rfft(values) / 64
+    back = np.fft.irfft(spec * 64, n=64)
+    assert np.allclose(back, values, atol=1e-13)
     assert spec[0] == pytest.approx(0.25)
     assert spec[3] == pytest.approx(0.5)
 
@@ -132,63 +142,67 @@ def test_basis_coefficient_recovers_modes():
 # --- noise ------------------------------------------------------------------
 
 def test_noise_constant_mode_only():
-    spec = NoiseSpec(lam=0.75, modes=0)
+    stepper = SpectralStepper(ou_cfg(dt=0.01, modes=0))
     rng = np.random.default_rng(3)
-    field = noise_increment(spec, GRID, 0.01, rng)
+    field = noise_field(stepper, rng)
     assert np.ptp(field) == pytest.approx(0.0, abs=1e-15)
-    draws = np.array([basis_coefficient(
-        noise_increment(spec, GRID, 0.01, rng), 0) for _ in range(10000)])
+    draws = np.array([basis_coefficient(noise_field(stepper, rng), 0)
+                      for _ in range(10000)])
     assert draws.var() == pytest.approx(0.01, rel=0.05)
     assert abs(draws.mean()) < 3 * 0.1 / np.sqrt(10000)
 
 
 def test_noise_per_mode_variance():
-    spec = NoiseSpec(lam=0.75, modes=8)
-    rng = np.random.default_rng(5)
     dt = 0.02
-    fields = np.array([noise_increment(spec, GRID, dt, rng)
-                       for _ in range(10000)])
-    sig = spec.amplitudes()
+    stepper = SpectralStepper(ou_cfg(dt=dt, modes=8))
+    rng = np.random.default_rng(5)
+    fields = np.array([noise_field(stepper, rng) for _ in range(10000)])
+    sig = NoiseSpec(lam=0.75, modes=8).amplitudes()
     for k, kind in [(1, "cos"), (1, "sin"), (4, "cos"), (8, "sin")]:
         coef = np.array([basis_coefficient(f, k, kind) for f in fields])
         assert coef.var() == pytest.approx(sig[k] ** 2 * dt, rel=0.05)
 
 
 def test_noise_determinism():
-    spec = NoiseSpec(modes=5)
-    a = noise_increment(spec, GRID, 0.1, np.random.default_rng(42))
-    b = noise_increment(spec, GRID, 0.1, np.random.default_rng(42))
+    stepper = SpectralStepper(ou_cfg(dt=0.1, modes=5))
+    a = noise_field(stepper, np.random.default_rng(42))
+    b = noise_field(stepper, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
 def test_noise_rejects_wide_band():
-    with pytest.raises(ParameterError):
-        noise_increment(NoiseSpec(modes=22), GRID, 0.1,
-                        np.random.default_rng(0))
+    # the cutoff may reach the edge of the dealiased band, K = n // 3
+    for n in (32, 64, 128):
+        ok = SimConfig(grid=TorusGrid(n), nonlinearity=NonlinearitySpec(g=1.0),
+                       noise=NoiseSpec(modes=n // 3), t_end=0.1, dt=0.1)
+        assert SpectralStepper(ok).draws == 2 * (n // 3) + 1
+        with pytest.raises(ParameterError):
+            SimConfig(grid=TorusGrid(n), nonlinearity=NonlinearitySpec(g=1.0),
+                      noise=NoiseSpec(modes=n // 3 + 1), t_end=0.1, dt=0.1)
 
 
 # --- drift --------------------------------------------------------------------
 
 def test_drift_cubic_flux_oracle():
     x = GRID.x
-    state = TorusState(0.0, np.cos(x))
-    got = nonlinearity_drift(state, lambda y: y ** 3)
+    got = drift_field(np.cos(x), lambda y: y ** 3)
     want = -3.0 * np.cos(x) ** 2 * np.sin(x)
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
 def test_drift_zero_and_linear():
     x = GRID.x
-    state = TorusState(0.0, np.cos(5 * x))
-    assert np.all(nonlinearity_drift(state, None) == 0.0)
-    got = nonlinearity_drift(state, lambda y: y)
+    u = np.cos(5 * x)
+    assert np.all(SpectralStepper(heat_cfg()).drift_hat(u, 0.0) == 0.0)
+    got = drift_field(u, lambda y: y)
     assert np.allclose(got, -5.0 * np.sin(5 * x), atol=1e-12)
 
 
 def test_drift_overflow_flags_blowup():
-    state = TorusState(0.75, np.full(64, 1e200))
+    st = SpectralStepper(heat_cfg(
+        nonlinearity=NonlinearitySpec(f=lambda y: y ** 3)))
     with np.errstate(over="ignore"), pytest.raises(BlowUpSignal) as ei:
-        nonlinearity_drift(state, lambda y: y ** 3)
+        st.drift_hat(np.full(64, 1e200), 0.75)
     assert ei.value.t == 0.75
 
 
@@ -208,18 +222,17 @@ def test_drift_pairing_vanishes():
 # --- stepping -------------------------------------------------------------------
 
 def test_single_heat_step_exact():
-    cfg = heat_cfg(dt=0.05)
-    state = TorusState(0.0, np.cos(GRID.x))
-    out = step(state, cfg, np.random.default_rng(0))
-    assert out.t == pytest.approx(0.05)
-    assert np.allclose(out.values, np.exp(-0.05) * np.cos(GRID.x), atol=1e-14)
+    traj = simulate_path(heat_cfg(dt=0.05, t_end=0.05))
+    assert traj.times[-1] == pytest.approx(0.05)
+    assert traj.stats.steps_taken == 1
+    assert np.allclose(traj.states[-1], np.exp(-0.05) * np.cos(GRID.x),
+                       atol=1e-14)
 
 
 def test_semi_implicit_multiplier():
-    cfg = heat_cfg(dt=0.1, scheme="semi_implicit")
-    state = TorusState(0.0, np.cos(GRID.x))
-    out = step(state, cfg, np.random.default_rng(0))
-    assert np.allclose(out.values, np.cos(GRID.x) / 1.1, atol=1e-14)
+    traj = simulate_path(heat_cfg(dt=0.1, t_end=0.1, scheme="semi_implicit"))
+    assert traj.stats.steps_taken == 1
+    assert np.allclose(traj.states[-1], np.cos(GRID.x) / 1.1, atol=1e-14)
 
 
 def test_heat_path_exactness_any_partition():
@@ -257,6 +270,19 @@ def test_blowup_cap_at_start():
     assert traj.status == "blew_up"
     assert traj.sigma_hat == 0.0
     assert traj.times.shape == (1,)
+
+
+def test_blowup_cap_is_on_the_sup_norm():
+    # a one-point spike: sup |u| = 2 > cap = 1 > ||u||_L2 = (4 pi/32)^(1/2)
+    spike = np.zeros(64)
+    spike[5] = 2.0
+    assert np.sqrt(l2_norm_sq(spike)) < 1.0
+    traj = simulate_path(heat_cfg(u0=spike, blowup_cap=1.0))
+    assert traj.status == "blew_up" and traj.sigma_hat == 0.0
+    # a constant: ||u||_L2 = 0.5 (2 pi)^(1/2) > cap = 1 > sup |u| = 0.5
+    assert np.sqrt(l2_norm_sq(np.full(64, 0.5))) > 1.0
+    traj = simulate_path(heat_cfg(u0=0.5, blowup_cap=1.0))
+    assert traj.completed and traj.sigma_hat == 1.0
 
 
 def test_blowup_mid_path_truncates():
