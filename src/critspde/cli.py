@@ -28,7 +28,6 @@ from .exponents import (
     GrowthWindowError,
     ParameterError,
     Setting,
-    SobolevScale,
     fraction_from_json,
     fraction_to_json,
     full_report,
@@ -466,7 +465,8 @@ def build_parser() -> _Parser:
     _add_sim_flags(mc)
     mc.add_argument("--n-paths", type=_positive_int, help="ensemble size")
     mc.add_argument("--parallelism", type=_positive_int,
-                    help="worker threads")
+                    help="accepted and ignored: every path runs in one "
+                    "batch, and outputs are the same at any batch width")
     mc.add_argument("--experiment", help="output subdirectory name")
     mc.set_defaults(func=_cmd_montecarlo)
 

@@ -1,16 +1,15 @@
-"""Monte Carlo experiment orchestration with deterministic parallelism.
+"""Monte Carlo experiment orchestration.
 
 Per-path seeds come from a splittable-style 64-bit mix of (master seed,
-path index), so an ensemble is reproducible path by path regardless of how
-many workers execute it.  Reduction always folds results in path-index
-order; the worker pool only changes wall-clock time, never bytes.
+path index), and the batched kernel steps each path on its own stream, so
+an ensemble is reproducible path by path whatever its size.  Reduction
+always folds results in path-index order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,6 +25,7 @@ from .sim import (
     draw_increments,
     l2_norm_sq,
     simulate_path,
+    simulate_paths,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -43,6 +43,8 @@ def mix_seed(master: int, index: int) -> int:
 class EnsembleConfig:
     base: SimConfig
     n_paths: int = 8
+    # accepted and validated for old configs; the kernel steps every path
+    # in one batch and outputs are the same at any batch width
     parallelism: int = 1
     experiment: str = "ensemble"
     outdir: Optional[str] = None
@@ -106,16 +108,8 @@ def _write_experiment_summary(cfg: EnsembleConfig, fields: dict) -> None:
 
 def run_ensemble(cfg: EnsembleConfig) -> List[Trajectory]:
     """All trajectories of the ensemble, in path-index order."""
-
-    def worker(i: int) -> Trajectory:
-        seed = mix_seed(cfg.base.seed, i)
-        return simulate_path(replace(cfg.base, seed=seed), n_save=cfg.n_save)
-
-    if cfg.parallelism == 1:
-        trajs = [worker(i) for i in range(cfg.n_paths)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            trajs = list(pool.map(worker, range(cfg.n_paths)))
+    seeds = [mix_seed(cfg.base.seed, i) for i in range(cfg.n_paths)]
+    trajs = simulate_paths(cfg.base, seeds, n_save=cfg.n_save)
     if cfg.outdir is not None:
         directory = Path(cfg.outdir) / cfg.experiment
         directory.mkdir(parents=True, exist_ok=True)

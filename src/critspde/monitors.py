@@ -20,7 +20,6 @@ from .sim import (
     SpectralStepper,
     Trajectory,
     dealiased,
-    grad_norm_sq_spectral,
     l2_norm_sq_spectral,
     simulate_path,
     spectral_weights,
@@ -80,10 +79,17 @@ def hs_norm_G(u: np.ndarray, g, noise: NoiseSpec) -> float:
     sigma_0^2/(2 pi) + sum_{k>=1} sigma_k^2/pi, so the norm is
     (2 pi * density * mean g(u)^2)^{1/2}.
     """
-    values = np.asarray(u, dtype=float)
+    return _hs_norm(u, g, _hs_density(noise))
+
+
+def _hs_density(noise: NoiseSpec) -> float:
+    """The constant sum_k sigma_k^2 e_k(x)^2 of the truncated noise basis."""
     sigma = noise.amplitudes()
-    density = sigma[0] ** 2 / TWO_PI + np.sum(sigma[1:] ** 2) / np.pi
-    gu = _coefficient_values(g, values)
+    return sigma[0] ** 2 / TWO_PI + np.sum(sigma[1:] ** 2) / np.pi
+
+
+def _hs_norm(u: np.ndarray, g, density: float) -> float:
+    gu = _coefficient_values(g, np.asarray(u, dtype=float))
     return float(np.sqrt(TWO_PI * density * np.mean(gu ** 2)))
 
 
@@ -223,6 +229,7 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     k2 = stepper.k.astype(float) ** 2
     decay = 0.5 * (1.0 - np.exp(-2.0 * k2 * stepper.dt))
     w_decay = stepper.weights * decay
+    density = _hs_density(cfg.noise) if cfg.nonlinearity.has_noise else None
     records: List[Tuple[float, float]] = []
 
     def watch(i, t, before, f_hat, g_hat, after):
@@ -235,8 +242,8 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
             mode_sq = plus.real ** 2 + plus.imag ** 2
             grad_inc = TWO_PI * float(w_decay @ mode_sq)
         else:
-            g0 = grad_norm_sq_spectral(before, stepper.k, stepper.weights)
-            g1 = grad_norm_sq_spectral(after, stepper.k, stepper.weights)
+            g0 = l2_norm_sq_spectral(before, stepper.grad_weights)
+            g1 = l2_norm_sq_spectral(after, stepper.grad_weights)
             grad_inc = 0.5 * stepper.dt * (g0 + g1)
         term_i = 0.0
         if cfg.nonlinearity.f is not None and not x_indep:
@@ -246,7 +253,7 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
         term_iii = 0.0
         if g_hat is not None:
             values = np.fft.irfft(before * stepper.n, n=stepper.n)
-            hs = hs_norm_G(values, cfg.nonlinearity.g, cfg.noise)
+            hs = _hs_norm(values, cfg.nonlinearity.g, density)
             term_ii = stepper.dt * hs * hs
             term_iii = 2.0 * TWO_PI * float(
                 stepper.weights @ (before * np.conj(g_hat)).real)

@@ -16,28 +16,18 @@ collocation grid; the linear part is integrated exactly in Fourier space
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .exponents import GrowthSpec, ParameterError
 
 TWO_PI = 2.0 * np.pi
+_ROOT_TWO_PI = np.sqrt(TWO_PI)
+_TWO_ROOT_PI = 2.0 * np.sqrt(np.pi)
 
 PointwiseMap = Callable[[np.ndarray], np.ndarray]
-
-
-class BlowUpSignal(Exception):
-    """Raised when a state leaves the configured sup-norm cap.
-
-    Carries the time at which integration stopped; simulate_path converts
-    it into a terminal trajectory status rather than an error.
-    """
-
-    def __init__(self, t: float):
-        super().__init__(f"state exceeded blow-up cap at t={t:.6g}")
-        self.t = float(t)
 
 
 @dataclass(frozen=True)
@@ -193,12 +183,6 @@ def dealiased(n: int) -> np.ndarray:
     return np.arange(n // 2 + 1) <= n // 3
 
 
-def grad_norm_sq_spectral(u_hat: np.ndarray, k: np.ndarray,
-                          weights: np.ndarray) -> float:
-    k2 = k.astype(float) ** 2
-    return TWO_PI * float((weights * k2) @ (u_hat.real ** 2 + u_hat.imag ** 2))
-
-
 def basis_coefficient(values: np.ndarray, k: int, kind: str = "cos") -> float:
     """Coefficient against the orthonormal basis, by exact quadrature."""
     values = np.asarray(values, dtype=float)
@@ -241,7 +225,10 @@ class SpectralStepper:
 
     The only code that knows the step's maths: the 2/3 dealiasing band, the
     derivative multiplier, the layout of one step's Gaussian draw and the
-    blow-up tests.
+    blow-up tests.  Every method acts along the last axis, so one call takes
+    a single (n,) state or a (P, n) ensemble of them, row by row.  The time
+    argument t of the public step methods is the step's start; the equation
+    is autonomous, so the maths does not read it.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -252,75 +239,117 @@ class SpectralStepper:
         self.k = np.arange(n // 2 + 1)
         self.weights = spectral_weights(n)
         k2 = self.k.astype(float) ** 2
+        # ||grad u||^2 = 2 pi * grad_weights @ |u_hat|^2
+        self.grad_weights = self.weights * k2
         if cfg.scheme == "exp_euler":
             self.linear = np.exp(-k2 * self.dt)
         else:
             self.linear = 1.0 / (1.0 + k2 * self.dt)
         self.deriv = 1j * self.k.astype(float)
-        self.keep = dealiased(n)
+        self.band = int(np.count_nonzero(dealiased(n)))  # bins kept
         self.f = cfg.nonlinearity.f
         g = cfg.nonlinearity.g
         self.g_map = g if callable(g) else None
         self.g_const = None if (g is None or callable(g)) else float(g)
         self.draws = 0
-        self.sigma = None
         if cfg.nonlinearity.has_noise:
-            self.sigma = cfg.noise.amplitudes()
+            sigma = cfg.noise.amplitudes()
             self.draws = 2 * cfg.noise.modes + 1
+            # sigma_k * sqrt(dt), the leading factor of each mode's increment
+            self.amp0 = sigma[0] * self.sqrt_dt
+            self.amp = sigma[1:] * self.sqrt_dt
         self.cap = float(cfg.blowup_cap)
 
-    def blown_up(self, values: np.ndarray) -> bool:
-        """True when the state is non-finite or its sup-norm passes the cap."""
-        return not np.all(np.isfinite(values)) or \
-            np.abs(values).max() > self.cap
+    def blown_up(self, values: np.ndarray):
+        """Per row: the state is non-finite or its sup-norm passes the cap."""
+        # a NaN fails the comparison, so one reduction makes both tests
+        return ~(np.abs(values).max(axis=-1) <= self.cap)
+
+    def coefficients(self, values: np.ndarray):
+        """(f(u), g(u), ok) on the grid.
+
+        f(u) is None without a flux and g(u) None unless g is a map; ok
+        tells per row whether both are finite.  A row where one is not has
+        blown up at the start of the step.
+        """
+        fu = gu = None
+        ok = np.True_
+        if self.f is not None:
+            fu = np.asarray(self.f(values), dtype=float)
+            ok = np.isfinite(fu).all(axis=-1)
+        if self.g_map is not None:
+            gu = np.asarray(self.g_map(values), dtype=float)
+            ok = ok & np.isfinite(gu).all(axis=-1)
+        return fu, gu, ok
+
+    def _drift(self, fu: Optional[np.ndarray], shape) -> np.ndarray:
+        if fu is None:
+            return np.zeros(shape, dtype=complex)
+        f_hat = np.fft.rfft(fu) / self.n
+        out = self.deriv * f_hat
+        out[..., self.band:] = 0.0
+        return out
+
+    def noise_increments(self, xi: np.ndarray) -> np.ndarray:
+        """What unit Gaussian draws xi (..., 2K+1) add to a step.
+
+        Draw layout: [xi_0, xi_1^cos .. xi_K^cos, xi_1^sin .. xi_K^sin].
+        For a constant g this is the rfft/n spectrum of g dW; for a map g it
+        is the field dW on the grid, which the step multiplies by g(u).
+        """
+        kmax = self.amp.size
+        w_hat = np.zeros(xi.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
+        w_hat[..., 0] = self.amp0 * xi[..., 0] / _ROOT_TWO_PI
+        if kmax:
+            xc = xi[..., 1:kmax + 1]
+            xs = xi[..., kmax + 1:2 * kmax + 1]
+            w_hat[..., 1:kmax + 1] = self.amp * (xc - 1j * xs) / _TWO_ROOT_PI
+        if self.g_map is None:
+            return self.g_const * w_hat
+        return np.fft.irfft(w_hat * self.n, n=self.n)
+
+    def _noise(self, gu: Optional[np.ndarray],
+               dw: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        if gu is None:
+            return dw
+        prod_hat = np.fft.rfft(gu * dw) / self.n
+        prod_hat[..., self.band:] = 0.0
+        return prod_hat
 
     def drift_hat(self, values: np.ndarray, t: float) -> np.ndarray:
         """rfft/n spectrum of d/dx f(u), dealiased."""
-        if self.f is None:
-            return np.zeros(self.n // 2 + 1, dtype=complex)
-        fu = np.asarray(self.f(values), dtype=float)
-        if not np.all(np.isfinite(fu)):
-            raise BlowUpSignal(t)
-        f_hat = np.fft.rfft(fu) / self.n
-        out = self.deriv * f_hat
-        out[~self.keep] = 0.0
-        return out
+        fu = None if self.f is None else np.asarray(self.f(values), dtype=float)
+        return self._drift(fu, np.shape(values)[:-1] + (self.n // 2 + 1,))
 
     def noise_hat(self, values: np.ndarray, xi: Optional[np.ndarray],
                   t: float) -> Optional[np.ndarray]:
-        """rfft/n spectrum of g(u) dW from one unit Gaussian draw xi.
-
-        Draw layout: [xi_0, xi_1^cos .. xi_K^cos, xi_1^sin .. xi_K^sin].
-        """
+        """rfft/n spectrum of g(u) dW from one unit Gaussian draw xi per row
+        (layout as in noise_increments); None without noise."""
         if self.draws == 0:
             return None
-        sigma, kmax = self.sigma, self.sigma.size - 1
-        w_hat = np.zeros(self.n // 2 + 1, dtype=complex)
-        w_hat[0] = sigma[0] * self.sqrt_dt * xi[0] / np.sqrt(TWO_PI)
-        if kmax:
-            xc = xi[1:kmax + 1]
-            xs = xi[kmax + 1:2 * kmax + 1]
-            w_hat[1:kmax + 1] = (sigma[1:] * self.sqrt_dt * (xc - 1j * xs)
-                                 / (2.0 * np.sqrt(np.pi)))
-        if self.g_const is not None:
-            return self.g_const * w_hat
-        gu = np.asarray(self.g_map(values), dtype=float)
-        if not np.all(np.isfinite(gu)):
-            raise BlowUpSignal(t)
-        w = np.fft.irfft(w_hat * self.n, n=self.n)
-        prod_hat = np.fft.rfft(gu * w) / self.n
-        prod_hat[~self.keep] = 0.0
-        return prod_hat
+        gu = None
+        if self.g_map is not None:
+            gu = np.asarray(self.g_map(values), dtype=float)
+        return self._noise(gu, self.noise_increments(xi))
+
+    def update(self, u_hat: np.ndarray, fu: Optional[np.ndarray],
+               gu: Optional[np.ndarray], dw: Optional[np.ndarray]):
+        """(next u_hat, drift spectrum, noise spectrum) from coefficients()
+        and noise_increments()."""
+        f_hat = self._drift(fu, u_hat.shape)
+        g_hat = self._noise(gu, dw)
+        incr = u_hat + self.dt * f_hat
+        if g_hat is not None:
+            incr += g_hat
+        incr *= self.linear
+        return incr, f_hat, g_hat
 
     def advance(self, u_hat: np.ndarray, values: np.ndarray,
                 xi: Optional[np.ndarray], t: float):
         """Returns (next u_hat, drift spectrum, noise spectrum)."""
-        f_hat = self.drift_hat(values, t)
-        g_hat = self.noise_hat(values, xi, t)
-        incr = u_hat + self.dt * f_hat
-        if g_hat is not None:
-            incr = incr + g_hat
-        return self.linear * incr, f_hat, g_hat
+        fu, gu, _ = self.coefficients(values)
+        dw = None if self.draws == 0 else self.noise_increments(xi)
+        return self.update(u_hat, fu, gu, dw)
 
 
 # --- whole-path integration -------------------------------------------------
@@ -350,6 +379,13 @@ class Trajectory:
 
 StepObserver = Callable[[int, float, np.ndarray, np.ndarray,
                          Optional[np.ndarray], np.ndarray], None]
+
+# Steps of Gaussian draws a path takes from its stream at a time, turned
+# into noise increments together, so the tables hold P x RNG_BLOCK steps
+# where whole paths' would hold P x n_steps.  At 16 an 18-path ensemble
+# peaks at the memory of one path at a time (64 added 3 MB); blocks of 8 to
+# 64 steps run about as fast.
+RNG_BLOCK = 16
 
 
 def _save_indices(n_steps: int, n_save: Optional[int]) -> np.ndarray:
@@ -383,6 +419,143 @@ def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:
     return grouped.sum(axis=1) / np.sqrt(factor)
 
 
+def _take(keep: np.ndarray, *arrays):
+    return [None if a is None else a[keep] for a in arrays]
+
+
+def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
+               increments: Optional[np.ndarray] = None,
+               observer: Optional[StepObserver] = None) -> List[Trajectory]:
+    """Step the paths of configs differing only in their seeds as the rows
+    of one (P, n) state.
+
+    Each row draws from its own PCG64(seed) stream, RNG_BLOCK steps at a
+    time, which consumes the stream as one draw per step would.  Each
+    reduction over a row is that row's own dot product (np.vecdot; a
+    matrix-vector product sums in another order).  So a row's bits do not
+    depend on its neighbours or on P.  A row that blows up leaves the
+    active set and is stepped no further.  increments replaces the stream
+    and observer sees row 0's steps; both serve one-path runs.
+    """
+    cfg = cfgs[0]
+    n_steps = cfg.n_steps
+    n = cfg.grid.n
+    stepper = SpectralStepper(cfg)
+    values = initial_values(cfg)
+    u_hat = np.fft.rfft(values) / n
+    l2_0 = l2_norm_sq_spectral(u_hat, stepper.weights)
+
+    if stepper.blown_up(values):
+        return [Trajectory(np.zeros(1), values[None, :].copy(),
+                           PathStats(l2_0, l2_0, 0.0, l2_0, 0), "blew_up",
+                           0.0, c)
+                for c in cfgs]
+
+    n_paths = len(cfgs)
+    save_idx = _save_indices(n_steps, n_save)
+    save_pos = {int(s): i for i, s in enumerate(save_idx)}
+    saved = np.empty((n_paths, save_idx.size, n))
+    saved[:, 0] = values
+
+    table, rngs, block = None, None, n_steps
+    if increments is not None:
+        increments = np.asarray(increments, dtype=float)
+        if increments.shape != (n_steps, stepper.draws):
+            raise ParameterError("increment table shape must be "
+                                 "(n_steps, 2K+1)")
+        table = stepper.noise_increments(increments)[None]
+    elif stepper.draws:
+        rngs = [np.random.default_rng(np.random.PCG64(c.seed)) for c in cfgs]
+        block = RNG_BLOCK
+        draws = np.empty((n_paths, block, stepper.draws))
+
+    # per active row: state, spectrum, 2 pi (|u|^2, |grad u|^2) and stats
+    norm_weights = np.stack([stepper.weights, stepper.grad_weights])
+    values = np.repeat(values[None], n_paths, axis=0)
+    u_hat = np.repeat(u_hat[None], n_paths, axis=0)
+    norms = TWO_PI * np.vecdot((u_hat.real ** 2 + u_hat.imag ** 2)[:, None],
+                               norm_weights)
+    grad = np.zeros(n_paths)
+    sup = np.full(n_paths, l2_0)
+    final = sup.copy()
+    rows = np.arange(n_paths)  # path index of each active row
+    live = slice(None)         # rows, or every path while none has blown up
+
+    status = ["completed"] * n_paths
+    sigma_hat = [c.t_end for c in cfgs]
+    kept = [n_steps] * n_paths
+    ends = [None] * n_paths    # (grad, sup, final) of each path
+
+    def retire(dead: np.ndarray, t_dead: float, i: int) -> None:
+        for r in np.flatnonzero(dead):
+            p = rows[r]
+            status[p], sigma_hat[p], kept[p] = "blew_up", t_dead, i
+            ends[p] = grad[r], sup[r], final[r]
+
+    for i in range(n_steps):
+        t = i * cfg.dt
+        if rngs is not None and i % block == 0:
+            m = min(block, n_steps - i)
+            for r, p in enumerate(rows):
+                rngs[p].standard_normal(out=draws[r, :m])
+            table = stepper.noise_increments(draws[:rows.size, :m])
+        grad += cfg.dt * norms[:, 1]
+        fu, gu, ok = stepper.coefficients(values)
+        if not ok.all():
+            retire(~ok, t, i)
+            u_hat, values, fu, gu, table, rows, grad, sup, final = _take(
+                ok, u_hat, values, fu, gu, table, rows, grad, sup, final)
+            live = rows
+            if not rows.size:
+                break
+        dw = None if table is None else table[:, i % block]
+        new_hat, f_hat, g_hat = stepper.update(u_hat, fu, gu, dw)
+        if observer is not None:
+            observer(i, t, u_hat[0], f_hat[0],
+                     None if g_hat is None else g_hat[0], new_hat[0])
+        new_values = np.fft.irfft(new_hat * n, n=n)
+        bad = stepper.blown_up(new_values)
+        if bad.any():
+            retire(bad, (i + 1) * cfg.dt, i)
+            ok = ~bad
+            new_hat, new_values, table, rows, grad, sup, final = _take(
+                ok, new_hat, new_values, table, rows, grad, sup, final)
+            live = rows
+            if not rows.size:
+                break
+        u_hat, values = new_hat, new_values
+        norms = TWO_PI * np.vecdot(
+            (u_hat.real ** 2 + u_hat.imag ** 2)[:, None], norm_weights)
+        final = norms[:, 0]
+        np.maximum(sup, final, out=sup)
+        if (i + 1) in save_pos:
+            saved[live, save_pos[i + 1]] = values
+
+    for r, p in enumerate(rows):
+        ends[p] = grad[r], sup[r], final[r]
+    trajs = []
+    for p, c in enumerate(cfgs):
+        mask = save_idx <= kept[p]
+        g, s, f = (float(x) for x in ends[p])
+        stats = PathStats(initial_l2_sq=l2_0, sup_l2_sq=s, grad_integral=g,
+                          final_l2_sq=f, steps_taken=kept[p])
+        trajs.append(Trajectory(save_idx[mask] * cfg.dt, saved[p][mask],
+                                stats, status[p], sigma_hat[p], c))
+    return trajs
+
+
+def simulate_paths(cfg: SimConfig, seeds: Sequence[int],
+                   n_save: Optional[int] = None) -> List[Trajectory]:
+    """One trajectory per seed, of cfg with that seed, stepped together.
+
+    Path i is bit for bit simulate_path(replace(cfg, seed=seeds[i])),
+    whatever the number of seeds.  Blow-up is a terminal status of its
+    path, not an exception.
+    """
+    cfgs = [replace(cfg, seed=seed) for seed in seeds]
+    return _integrate(cfgs, n_save) if cfgs else []
+
+
 def simulate_path(cfg: SimConfig, n_save: Optional[int] = None,
                   increments: Optional[np.ndarray] = None,
                   observer: Optional[StepObserver] = None) -> Trajectory:
@@ -390,75 +563,8 @@ def simulate_path(cfg: SimConfig, n_save: Optional[int] = None,
 
     increments, when given, is a (n_steps, 2K+1) table of unit-variance
     draws replacing the internal stream (for common-noise refinement
-    studies).  Blow-up is a terminal status, not an exception.
+    studies).  observer, when given, is called after every step with
+    (i, t, u_hat before, drift spectrum, noise spectrum, u_hat after).
+    Blow-up is a terminal status, not an exception.
     """
-    n_steps = cfg.n_steps
-    n = cfg.grid.n
-    stepper = SpectralStepper(cfg)
-    values = initial_values(cfg)
-
-    stats = PathStats()
-    u_hat = np.fft.rfft(values) / n
-    l2 = l2_norm_sq_spectral(u_hat, stepper.weights)
-    stats.initial_l2_sq = l2
-    stats.sup_l2_sq = l2
-    stats.final_l2_sq = l2
-
-    if stepper.blown_up(values):
-        return Trajectory(np.zeros(1), values[None, :].copy(), stats,
-                          "blew_up", 0.0, cfg)
-
-    save_idx = _save_indices(n_steps, n_save)
-    saved = np.empty((save_idx.size, n))
-    saved_times = save_idx * cfg.dt
-    save_pos = {int(s): i for i, s in enumerate(save_idx)}
-    if 0 in save_pos:
-        saved[save_pos[0]] = values
-
-    rng = None
-    if stepper.draws and increments is None:
-        rng = np.random.default_rng(np.random.PCG64(cfg.seed))
-    if increments is not None:
-        increments = np.asarray(increments, dtype=float)
-        if increments.shape != (n_steps, stepper.draws):
-            raise ParameterError("increment table shape must be "
-                                 "(n_steps, 2K+1)")
-
-    status = "completed"
-    sigma_hat = cfg.t_end
-    kept = n_steps
-    for i in range(n_steps):
-        t = i * cfg.dt
-        stats.grad_integral += cfg.dt * grad_norm_sq_spectral(
-            u_hat, stepper.k, stepper.weights)
-        if stepper.draws:
-            xi = increments[i] if increments is not None \
-                else rng.standard_normal(stepper.draws)
-        else:
-            xi = None
-        try:
-            new_hat, f_hat, g_hat = stepper.advance(u_hat, values, xi, t)
-        except BlowUpSignal as sig:
-            status, sigma_hat, kept = "blew_up", sig.t, i
-            break
-        if observer is not None:
-            observer(i, t, u_hat, f_hat, g_hat, new_hat)
-        new_values = np.fft.irfft(new_hat * n, n=n)
-        t_next = (i + 1) * cfg.dt
-        if stepper.blown_up(new_values):
-            status, sigma_hat, kept = "blew_up", t_next, i
-            break
-        u_hat, values = new_hat, new_values
-        l2 = l2_norm_sq_spectral(u_hat, stepper.weights)
-        stats.sup_l2_sq = max(stats.sup_l2_sq, l2)
-        stats.final_l2_sq = l2
-        stats.steps_taken = i + 1
-        if (i + 1) in save_pos:
-            saved[save_pos[i + 1]] = values
-
-    if status == "blew_up":
-        keep_mask = save_idx <= kept
-        saved = saved[keep_mask]
-        saved_times = saved_times[keep_mask]
-
-    return Trajectory(saved_times, saved, stats, status, sigma_hat, cfg)
+    return _integrate([cfg], n_save, increments, observer)[0]

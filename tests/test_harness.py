@@ -20,7 +20,12 @@ from critspde.harness import (
     save_trajectory_csv,
     write_summary,
 )
-from critspde.presets import cubic_conservative, heat, linear_noise
+from critspde.presets import (
+    cubic_conservative,
+    heat,
+    linear_noise,
+    sublinear_global,
+)
 from critspde.sim import (
     NoiseSpec,
     NonlinearitySpec,
@@ -85,6 +90,23 @@ def test_parallelism_bitwise_identical(tmp_path):
     for i in range(8):
         assert (out1 / "det" / f"path_{i}.csv").read_bytes() == \
             (out8 / "det" / f"path_{i}.csv").read_bytes()
+
+
+def test_mid_batch_blowup_leaves_neighbours_alone():
+    # experiment_global's h=2, scale=3 coefficient on the sublinear base:
+    # some paths blow up early, and every path, blown up or not, is bit
+    # for bit its lone run
+    base = sublinear_global()
+    wired = replace(base.nonlinearity, g=lambda y: 3.0 * np.abs(y) ** 2)
+    base = replace(base, nonlinearity=wired, t_end=0.25, seed=3)
+    trajs = run_ensemble(EnsembleConfig(base=base, n_paths=18, n_save=5))
+    assert 0 < sum(not t.completed for t in trajs) < 18
+    for i, traj in enumerate(trajs):
+        lone = simulate_path(replace(base, seed=mix_seed(3, i)), n_save=5)
+        assert (traj.status, traj.sigma_hat) == (lone.status, lone.sigma_hat)
+        assert traj.stats == lone.stats
+        assert np.array_equal(traj.times, lone.times)
+        assert np.array_equal(traj.states, lone.states)
 
 
 def test_ci_normal_at_thirty_paths():

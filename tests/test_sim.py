@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from critspde.exponents import ParameterError
+from critspde.harness import save_trajectory_csv
 from critspde.sim import (
-    BlowUpSignal,
     NoiseSpec,
     NonlinearitySpec,
     SimConfig,
@@ -17,6 +19,7 @@ from critspde.sim import (
     l2_norm_sq,
     l2_norm_sq_spectral,
     simulate_path,
+    simulate_paths,
     spectral_weights,
 )
 
@@ -201,9 +204,20 @@ def test_drift_zero_and_linear():
 def test_drift_overflow_flags_blowup():
     st = SpectralStepper(heat_cfg(
         nonlinearity=NonlinearitySpec(f=lambda y: y ** 3)))
-    with np.errstate(over="ignore"), pytest.raises(BlowUpSignal) as ei:
-        st.drift_hat(np.full(64, 1e200), 0.75)
-    assert ei.value.t == 0.75
+    rows = np.stack([np.full(64, 1e200), np.full(64, 0.5)])
+    with np.errstate(over="ignore"):
+        ok = st.coefficients(rows)[2]
+    assert ok.tolist() == [False, True]
+    # a flux that overflows on its 16th call, the step that starts at 0.75
+    calls = []
+
+    def flux(y):
+        calls.append(None)
+        return np.full_like(y, np.inf if len(calls) == 16 else 0.0)
+
+    traj = simulate_path(heat_cfg(nonlinearity=NonlinearitySpec(f=flux)))
+    assert traj.status == "blew_up" and traj.sigma_hat == 0.75
+    assert traj.stats.steps_taken == 15 and traj.times[-1] == 0.75
 
 
 def test_drift_pairing_vanishes():
@@ -372,6 +386,67 @@ def test_stepper_mode_tables():
     st = SpectralStepper(heat_cfg(dt=0.1))
     assert st.linear[0] == 1.0
     assert st.linear[2] == pytest.approx(np.exp(-0.4))
-    assert not st.keep[22]
-    assert st.keep[21]
+    assert st.band == 22  # bins 0..21 = 64 // 3 survive the 2/3 rule
     assert st.deriv[-1] == 1j * 32.0
+
+
+# --- the batched kernel -----------------------------------------------------------
+
+
+def csv_bytes(traj, path):
+    save_trajectory_csv(traj, path)
+    return path.read_bytes()
+
+
+def test_batch_width_invariance(tmp_path):
+    # path i has the same CSV bytes and stats alone, among 17 and among 200;
+    # the cap and g = 3|y|^2 make about a fifth of the paths blow up
+    cfg = SimConfig(grid=TorusGrid(32),
+                    nonlinearity=NonlinearitySpec(
+                        f=lambda y: y ** 3, g=lambda y: 3 * np.abs(y) ** 2),
+                    noise=NoiseSpec(lam=0.75, modes=5), t_end=0.5,
+                    dt=1 / 64, u0=np.cos, blowup_cap=50.0)
+    seeds = [1000 + 7 * i for i in range(200)]
+    wide = simulate_paths(cfg, seeds)
+    narrow = simulate_paths(cfg, seeds[:17])
+    assert 0 < sum(not t.completed for t in wide) < 200
+    assert sum(not t.completed for t in narrow) > 0
+    for i, seed in enumerate(seeds):
+        lone = simulate_path(replace(cfg, seed=seed))
+        want = csv_bytes(lone, tmp_path / "lone.csv")
+        runs = [wide[i]] + ([narrow[i]] if i < 17 else [])
+        for traj in runs:
+            assert traj.config.seed == seed
+            assert csv_bytes(traj, tmp_path / "batch.csv") == want
+            assert traj.stats == lone.stats
+            assert (traj.status, traj.sigma_hat) == \
+                (lone.status, lone.sigma_hat)
+
+
+def test_blowup_sites_set_sigma_hat():
+    # the same noise paths, stopped by a flux that is not finite past 0.5
+    # (start of the step: sigma_hat = t, the state at t is kept) or by a cap
+    # of 0.5 (end of the step: sigma_hat = t + dt, the state is dropped)
+    dt = 0.01
+    flux = SimConfig(grid=TorusGrid(32), nonlinearity=NonlinearitySpec(
+        f=lambda y: np.where(np.abs(y) > 0.5, np.inf, 0.0), g=1.0),
+        noise=NoiseSpec(lam=0.75, modes=5), t_end=0.5, dt=dt, u0=None)
+    capped = replace(flux, nonlinearity=NonlinearitySpec(g=1.0),
+                     blowup_cap=0.5)
+    at_flux = simulate_paths(flux, range(24))
+    at_cap = simulate_paths(capped, range(24))
+    blown = [i for i, t in enumerate(at_flux) if not t.completed]
+    assert 0 < len(blown) < 24
+    for i, (a, b) in enumerate(zip(at_flux, at_cap)):
+        assert a.status == b.status
+        if a.completed:
+            continue
+        steps = a.stats.steps_taken
+        assert a.sigma_hat == steps * dt == a.times[-1]
+        assert np.abs(a.states[-1]).max() > 0.5
+        assert np.abs(a.states[:-1]).max() <= 0.5
+        assert b.stats.steps_taken == steps - 1
+        assert b.sigma_hat == (b.stats.steps_taken + 1) * dt
+        assert b.sigma_hat == a.sigma_hat
+        assert b.times[-1] == b.stats.steps_taken * dt
+        assert np.array_equal(b.states, a.states[:-1])
