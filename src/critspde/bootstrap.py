@@ -600,6 +600,15 @@ _CLAIM = TerminalClaim(
 )
 
 
+# fixed inputs of the 1d chains: the H^{-1,1}_2 and H^{-1,1}_4 scales, the
+# L2 energy setting, and the growth terms at eps = 0 and at zeta = 4
+_H2 = SobolevScale(Fraction(-1), Fraction(1), Fraction(2))
+_H4 = SobolevScale(Fraction(-1), Fraction(1), Fraction(4))
+_ENERGY = Setting(_H2, Fraction(2), Fraction(0))
+_G_L2 = one_d_growth_params("l2_eps", eps=Fraction(0))
+_G_L4 = one_d_growth_params("lzeta", zeta=Fraction(4))
+
+
 def full_chain_1d(
     variant: str,
     eps: Rational = Fraction(1, 5),
@@ -620,23 +629,17 @@ def full_chain_1d(
         eps = as_fraction(eps)
         if not 0 < eps < Fraction(1, 3):
             raise ParameterError("eps must lie in (0, 1/3)")
-        scale = SobolevScale(Fraction(-1), Fraction(1), Fraction(2))
-        base = Setting(scale, Fraction(2), Fraction(0))
-        g0 = one_d_growth_params("l2_eps", eps=Fraction(0))
         g_eps = one_d_growth_params("l2_eps", eps=eps)
 
-        s1 = plan_weight_insertion(base, Fraction(6), eps / 2, g0)
+        s1 = plan_weight_insertion(_ENERGY, Fraction(6), eps / 2, _G_L2)
         s2 = plan_time_bootstrap(s1.to_setting, Fraction(12), g_eps)
         r_hat = s2.to_setting.p
-        recover = Setting(scale, r_hat, r_hat * eps / 2)
-        s3 = plan_space_bootstrap(s2.to_setting, recover, g0)
+        recover = Setting(_H2, r_hat, r_hat * eps / 2)
+        s3 = plan_space_bootstrap(s2.to_setting, recover, _G_L2)
         alpha4 = (r_hat / 4 + (r_hat / 2 - 1)) / 2
-        from4 = Setting(scale, r_hat, alpha4)
-        zeta = Fraction(4)
-        to4 = Setting(
-            SobolevScale(Fraction(-1), Fraction(1), zeta), r_hat, r_hat / 4
-        )
-        s4 = plan_space_bootstrap(from4, to4, one_d_growth_params("lzeta", zeta=zeta))
+        from4 = Setting(_H2, r_hat, alpha4)
+        to4 = Setting(_H4, r_hat, r_hat / 4)
+        s4 = plan_space_bootstrap(from4, to4, _G_L4)
         return BootstrapChain(steps=(s1, s2, s3, s4), claim=_CLAIM)
 
     if variant == "rough":
@@ -687,11 +690,7 @@ def full_chain_1d(
         )
         steps.append(step_z)
 
-        energy = Setting(
-            SobolevScale(Fraction(-1), Fraction(1), Fraction(2)),
-            Fraction(2), Fraction(0),
-        )
-        rep = check_extrapolation(energy, to_z, base)
+        rep = check_extrapolation(_ENERGY, to_z, base)
         if not rep.ok:
             raise BootstrapError("extrapolation conditions failed", rep.checks)
         steps.append(

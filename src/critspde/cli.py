@@ -119,7 +119,6 @@ def _resolve_outdir(args, cfg: dict) -> Path:
 
 
 _GROWTH_FLAGS = ("variant", "eps", "zeta", "s", "q", "nu")
-_SETTING_FLAGS = ("p", "kappa", "scale_low", "scale_high", "scale_q")
 
 
 def _build_growth(section: dict):

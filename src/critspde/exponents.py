@@ -84,8 +84,14 @@ class SobolevScale:
         return self.high - self.low
 
     def smoothness_at(self, theta: Rational) -> Fraction:
+        # low + theta*gap is (1-theta)*low + theta*high with fewer Fraction
+        # operations; the endpoints need none
         theta = as_fraction(theta)
-        return (1 - theta) * self.low + theta * self.high
+        if theta == 0:
+            return self.low
+        if theta == 1:
+            return self.high
+        return self.low + theta * self.gap
 
 
 @dataclass(frozen=True)
@@ -322,9 +328,14 @@ def critical_weight(g: GrowthSpec, p: Rational) -> Optional[Fraction]:
 def critical_weight_binding(g: GrowthSpec, p: Rational) -> tuple[tuple[str, int], ...]:
     """Indices of the terms achieving the critical weight (may be several)."""
     kappa = critical_weight(g, p)
+    return _binding_terms(g, as_fraction(p), kappa)
+
+
+def _binding_terms(
+    g: GrowthSpec, p: Fraction, kappa: Optional[Fraction]
+) -> tuple[tuple[str, int], ...]:
     if kappa is None:
         return ()
-    p = as_fraction(p)
     out = []
     for part, i, t in g.terms():
         thr = threshold_weight_index(t)
@@ -333,20 +344,30 @@ def critical_weight_binding(g: GrowthSpec, p: Rational) -> tuple[tuple[str, int]
     return tuple(out)
 
 
-def _require_windows(g: GrowthSpec, s: Setting) -> None:
+def _admissible_weight_index(g: GrowthSpec, s: Setting) -> Fraction:
+    """Weight index c = (1+kappa)/p of a setting every term is admissible at.
+
+    One pass over the terms.  Windows come first: if any term lies outside
+    its window, the GrowthWindowError names all of them; otherwise the
+    first supercritical term raises a ParameterError.
+    """
     c = s.weight_index
-    bad = [(part, i) for part, i, t in g.terms() if not t.window_ok(c)]
+    bad = []
+    supercritical = None
+    for part, i, t in g.terms():
+        if not t.window_ok(c):
+            bad.append((part, i))
+        elif (not bad and supercritical is None
+              and t.rho * (t.phi - 1 + c) + t.beta > 1):
+            supercritical = (part, i)
     if bad:
         raise GrowthWindowError(
             f"terms outside the (1-(1+kappa)/p, 1) window at weight index {c}: {bad}"
         )
-
-
-def _require_subcritical(g: GrowthSpec, s: Setting) -> None:
-    c = s.weight_index
-    for part, i, t in g.terms():
-        if t.rho * (t.phi - 1 + c) + t.beta > 1:
-            raise ParameterError(f"term ({part},{i}) is supercritical at this setting")
+    if supercritical is not None:
+        part, i = supercritical
+        raise ParameterError(f"term ({part},{i}) is supercritical at this setting")
+    return c
 
 
 def rho_star_and_x_exponents(g: GrowthSpec, s: Setting) -> tuple[TermExponents, ...]:
@@ -356,15 +377,17 @@ def rho_star_and_x_exponents(g: GrowthSpec, s: Setting) -> tuple[TermExponents, 
     c = (1+kappa)/p; conjugacy 1/r + 1/r' = 1 is exact.  The two mixed-norm
     entries are (p*r at scale parameter beta) and (rho*p*r' at phi).
     """
-    _require_windows(g, s)
-    _require_subcritical(g, s)
-    c = s.weight_index
+    return _x_exponents(g, s, _admissible_weight_index(g, s))
+
+
+def _x_exponents(g: GrowthSpec, s: Setting, c: Fraction) -> tuple[TermExponents, ...]:
+    """rho_star_and_x_exponents after the admissibility checks."""
     out = []
     for part, i, t in g.terms():
-        denom = t.phi - 1 + c  # > 0 inside the window
-        rho_star = (1 - t.beta) / denom
-        r_conj = c / (1 - t.beta)
-        r = c / (t.beta - 1 + c)
+        one_minus_beta = 1 - t.beta
+        rho_star = one_minus_beta / (t.phi - 1 + c)  # > 0 inside the window
+        r_conj = c / one_minus_beta
+        r = c / (c - one_minus_beta)
         entries = (
             XEntry(
                 time_exponent=s.p * r,
@@ -423,42 +446,45 @@ def star_params_term(
         raise GrowthWindowError(f"phi={phi} must be below 1")
     if rho * (phi - 1 + c) + beta > 1:
         raise ParameterError("supercritical term has no starred exponents")
+    if rho <= 0 and not phi > 1 - c:
+        raise GrowthWindowError(
+            f"rho=0 term needs phi={phi} above 1-(1+kappa)/p={1 - c}"
+        )
+    return _star_row("", -1, rho, phi, kappa, c)
+
+
+def _star_row(
+    part: str, index: int, rho: Fraction, phi: Fraction, kappa: Fraction,
+    c: Fraction,
+) -> StarParams:
+    """Starred exponents of one term, unchecked: the caller has made sure
+    that phi < 1, that the term is subcritical at c, and that phi > 1-c
+    when rho <= 0."""
+    d = phi - 1 + c
     if rho > 0:
         rho_eff, eps = rho, None
     else:
-        if not phi > 1 - c:
-            raise GrowthWindowError(
-                f"rho=0 term needs phi={phi} above 1-(1+kappa)/p={1 - c}"
-            )
-        eps = min(kappa + 1, (1 - phi) / (phi - 1 + c)) / 2
+        eps = min(kappa + 1, (1 - phi) / d) / 2
         rho_eff = eps
-    if rho_eff * (phi - 1 + c) + phi >= 1:
-        case_id = 1
-        phi_star = phi
-        beta_star = 1 - rho_eff * (phi - 1 + c)
-    else:
-        case_id = 2
-        phi_star = beta_star = 1 - rho_eff / (rho_eff + 1) * c
-    return StarParams(
-        part="", index=-1, rho_eff=rho_eff, phi_star=phi_star,
-        beta_star=beta_star, case_id=case_id, epsilon=eps,
-    )
+    lift = rho_eff * d
+    if lift + phi >= 1:
+        return StarParams(part=part, index=index, rho_eff=rho_eff,
+                          phi_star=phi, beta_star=1 - lift, case_id=1,
+                          epsilon=eps)
+    phi_star = 1 - rho_eff / (rho_eff + 1) * c
+    return StarParams(part=part, index=index, rho_eff=rho_eff,
+                      phi_star=phi_star, beta_star=phi_star, case_id=2,
+                      epsilon=eps)
+
+
+def _star_rows(g: GrowthSpec, s: Setting, c: Fraction) -> Iterator[StarParams]:
+    for part, i, t in g.terms():
+        yield _star_row(part, i, t.rho, t.phi, s.kappa, c)
 
 
 def star_params(g: GrowthSpec, s: Setting) -> tuple[StarParams, ...]:
     """Starred exponents for every term of a GrowthSpec at a Setting."""
-    _require_windows(g, s)
-    _require_subcritical(g, s)
-    out = []
-    for part, i, t in g.terms():
-        sp = star_params_term(t.rho, t.phi, t.beta, s.p, s.kappa)
-        out.append(
-            StarParams(
-                part=part, index=i, rho_eff=sp.rho_eff, phi_star=sp.phi_star,
-                beta_star=sp.beta_star, case_id=sp.case_id, epsilon=sp.epsilon,
-            )
-        )
-    return tuple(out)
+    return tuple(_star_rows(g, s, _admissible_weight_index(g, s)))
 
 
 @dataclass(frozen=True)
@@ -474,15 +500,15 @@ def xi_exponents(g: GrowthSpec, s: Setting) -> tuple[XiExponents, ...]:
     """Conjugate time exponents built on the starred parameters.
 
     1/xi' = rho_eff*(phi*-1+c)/c and 1/xi = (beta*-1+c)/c; the star identity
-    makes 1/xi + 1/xi' = 1 exact.  For a critical term (xi, xi') reduce to
-    (r, r').
+    makes 1/xi' = (1-beta*)/c, so 1/xi + 1/xi' = 1 is exact.  For a critical
+    term (xi, xi') reduce to (r, r').
     """
-    c = s.weight_index
+    c = _admissible_weight_index(g, s)
     out = []
-    for sp in star_params(g, s):
-        inv_conj = sp.rho_eff * (sp.phi_star - 1 + c) / c
-        xi_conj = 1 / inv_conj
-        xi = c / (sp.beta_star - 1 + c)
+    for sp in _star_rows(g, s, c):
+        one_minus_beta = 1 - sp.beta_star
+        xi_conj = c / one_minus_beta
+        xi = c / (c - one_minus_beta)
         entries = (
             XEntry(
                 time_exponent=s.p * xi,
@@ -743,10 +769,10 @@ def full_report(g: GrowthSpec, s: Setting) -> CriticalityReport:
     """Criticality report with the critical weight and exponent tables filled."""
     base = subcriticality(g, s)
     kappa = critical_weight(g, s.p)
-    binding = critical_weight_binding(g, s.p)
+    binding = _binding_terms(g, s.p, kappa)
     exps = None
     if base.all_windows_ok and base.all_subcritical:
-        exps = rho_star_and_x_exponents(g, s)
+        exps = _x_exponents(g, s, s.weight_index)
     return CriticalityReport(
         terms=base.terms,
         is_critical=base.is_critical,

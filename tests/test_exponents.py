@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -173,16 +174,45 @@ def test_l2_exponents_exact():
     assert e1.time_exponent == 6 and e1.smoothness == F(1, 3)
 
 
-def test_exponents_reject_bad_window():
-    g = GrowthSpec(f_terms=(GrowthTerm(F(1), F(1, 4), F(1, 4)),))
+SPEC_LEVEL = pytest.mark.parametrize(
+    "fn", [rho_star_and_x_exponents, xi_exponents, star_params],
+    ids=lambda fn: fn.__name__)
+OUT_OF_WINDOW = GrowthTerm(F(1), F(1, 4), F(1, 4))   # phi below 1-c = 1/2
+SUPERCRITICAL = GrowthTerm(F(4), F(9, 10), F(9, 10))
+
+
+@SPEC_LEVEL
+def test_exponents_reject_bad_window(fn):
+    g = GrowthSpec(f_terms=(OUT_OF_WINDOW,))
     with pytest.raises(GrowthWindowError):
-        rho_star_and_x_exponents(g, L2_SETTING)
+        fn(g, L2_SETTING)
 
 
-def test_exponents_reject_supercritical():
-    g = GrowthSpec(f_terms=(GrowthTerm(F(4), F(9, 10), F(9, 10)),))
-    with pytest.raises(ParameterError):
-        rho_star_and_x_exponents(g, L2_SETTING)
+@SPEC_LEVEL
+def test_exponents_reject_supercritical(fn):
+    g = GrowthSpec(f_terms=(SUPERCRITICAL,))
+    with pytest.raises(ParameterError, match=r"term \(f,0\) is supercritical"):
+        fn(g, L2_SETTING)
+    # all windows hold: the first of several supercritical terms is named
+    in_window = l2_growth().f_terms[0]
+    g = GrowthSpec(f_terms=(in_window,), g_terms=(SUPERCRITICAL, SUPERCRITICAL))
+    with pytest.raises(ParameterError) as err:
+        fn(g, L2_SETTING)
+    assert type(err.value) is ParameterError
+    assert str(err.value) == "term (g,0) is supercritical at this setting"
+
+
+@SPEC_LEVEL
+def test_exponents_check_windows_before_subcriticality(fn):
+    # the supercritical term comes first, yet the window error wins and
+    # names every out-of-window term
+    g = GrowthSpec(f_terms=(SUPERCRITICAL, OUT_OF_WINDOW),
+                   g_terms=(OUT_OF_WINDOW,))
+    with pytest.raises(GrowthWindowError) as err:
+        fn(g, L2_SETTING)
+    assert str(err.value) == (
+        "terms outside the (1-(1+kappa)/p, 1) window at weight index 1/2: "
+        "[('f', 1), ('g', 0)]")
 
 
 # --- starred exponents ------------------------------------------------------
@@ -428,6 +458,14 @@ def test_property_conjugacy_and_slack(params):
         ex = rho_star_and_x_exponents(g, s)[0]
         assert 1 / ex.r + 1 / ex.r_conj == 1
         assert ex.rho_star * (phi - 1 + c) == 1 - beta
+        # the raw-parameter formulas are the reference
+        assert (ex.rho_star, ex.r, ex.r_conj) == (
+            (1 - beta) / (phi - 1 + c), c / (beta - 1 + c), c / (1 - beta))
+        e0, e1 = ex.x_entries
+        assert e0.time_exponent == p * ex.r
+        assert e1.time_exponent == ex.rho_star * p * ex.r_conj
+        assert e0.smoothness == (1 - beta) * scale.low + beta * scale.high
+        assert e1.smoothness == (1 - phi) * scale.low + phi * scale.high
 
 
 @given(admissible_setting_and_term())
@@ -440,9 +478,52 @@ def test_property_star_identity(params):
     assert 1 - c < sp.phi_star < 1
     assert 1 - c < sp.beta_star <= 1
     g = GrowthSpec(f_terms=(GrowthTerm(rho, phi, beta),))
-    s = Setting(SobolevScale(F(-1), F(1), F(2)), p, kappa)
+    scale = SobolevScale(F(-1), F(1), F(2))
+    s = Setting(scale, p, kappa)
     xi = xi_exponents(g, s)[0]
     assert 1 / xi.xi + 1 / xi.xi_conj == 1
+    # the raw-parameter formulas are the reference
+    assert xi.xi == c / (sp.beta_star - 1 + c)
+    assert xi.xi_conj == 1 / (sp.rho_eff * (sp.phi_star - 1 + c) / c)
+    e0, e1 = xi.x_entries
+    assert e0.time_exponent == p * xi.xi
+    assert e1.time_exponent == sp.rho_eff * p * xi.xi_conj
+    assert e0.smoothness == (1 - sp.beta_star) * scale.low + sp.beta_star * scale.high
+    assert e1.smoothness == (1 - sp.phi_star) * scale.low + sp.phi_star * scale.high
+
+
+@given(admissible_setting_and_term(), admissible_setting_and_term())
+@settings(max_examples=200)
+def test_property_spec_star_rows_match_raw_terms(first, second):
+    # the second draw contributes its term only, at the first draw's setting
+    rho, phi, beta, p, kappa = first
+    s = Setting(SobolevScale(F(-1), F(1), F(2)), p, kappa)
+    c = s.weight_index
+    terms = [GrowthTerm(rho, phi, beta)]
+    rho2, phi2, beta2 = second[:3]
+    t2 = GrowthTerm(rho2, phi2, beta2)
+    if t2.window_ok(c) and rho2 * (phi2 - 1 + c) + beta2 <= 1:
+        terms.append(t2)
+    g = GrowthSpec(f_terms=tuple(terms[:1]), g_terms=tuple(terms[1:]))
+    rows = star_params(g, s)
+    assert [(r.part, r.index) for r in rows] == [(part, i) for part, i, _ in g.terms()]
+    for row, (_, _, t) in zip(rows, g.terms()):
+        raw = star_params_term(t.rho, t.phi, t.beta, p, kappa)
+        assert replace(row, part="", index=-1) == raw
+
+
+@given(
+    st.fractions(min_value=F(-3), max_value=F(1), max_denominator=12),
+    st.fractions(min_value=F(1, 12), max_value=F(4), max_denominator=12),
+    st.one_of(
+        st.sampled_from([0, 1, F(0), F(1), -2, 3]),
+        st.fractions(min_value=F(-2), max_value=F(3), max_denominator=64),
+    ),
+)
+@settings(max_examples=300)
+def test_property_smoothness_at_interpolates(low, width, theta):
+    scale = SobolevScale(low, low + width, F(2))
+    assert scale.smoothness_at(theta) == (1 - theta) * scale.low + theta * scale.high
 
 
 @given(

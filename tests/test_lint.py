@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports or keeps private is used.
 
 No linter is a dependency, so this parses the sources with ast: a name
 bound by an import must be read somewhere in the module, or be listed in
-its __all__ (the package's re-exports).
+its __all__ (the package's re-exports); a module-level private name
+(`_x` function, class or constant, dunders aside) must be read somewhere
+in the package.
 """
 
 import ast
@@ -34,6 +36,49 @@ def unused_imports(tree: ast.Module):
                   if name not in used)
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def private_definitions(tree: ast.Module):
+    """(line, name) of every private function, class or constant the
+    module defines at its top level."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        out += [(node.lineno, n) for n in names if _is_private(n)]
+    return out
+
+
+def names_read(tree: ast.Module) -> set:
+    """Names the module reads, bare or as an attribute of something."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def unread_private_names(trees: dict):
+    """(module, line, name) of private module-level names nothing reads."""
+    read = set().union(*(names_read(t) for t in trees.values()))
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for line, name in private_definitions(tree)
+                  if name not in read)
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -48,3 +93,22 @@ def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom typing import List, Optional\n"
                      "x: Optional[int] = None\n")
     assert unused_imports(tree) == [(1, "os"), (2, "List")]
+
+
+def test_no_unread_private_names():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES}
+    assert unread_private_names(trees) == []
+
+
+def test_unread_private_name_is_reported():
+    trees = {
+        "a.py": ast.parse("_USED = 1\n_DEAD = 2\n__version__ = '1'\n"
+                          "def _helper():\n    return _USED\n"
+                          "class _Gone:\n    pass\n"
+                          "_ANNOTATED: int = 3\n"),
+        "b.py": ast.parse("from . import a\nx = a._helper()\n"
+                          "y = _ANNOTATED\n"),
+    }
+    assert unread_private_names(trees) == [("a.py", 2, "_DEAD"),
+                                           ("a.py", 6, "_Gone")]
