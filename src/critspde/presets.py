@@ -13,7 +13,8 @@ from .sim import NoiseSpec, NonlinearitySpec, SimConfig, TorusGrid
 
 
 def cubic_flux(y: np.ndarray) -> np.ndarray:
-    return y ** 3
+    # y ** 3 goes through pow, about 30x slower on a (P, 64) state
+    return y * y * y
 
 
 def one_plus_abs(y: np.ndarray) -> np.ndarray:
