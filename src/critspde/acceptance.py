@@ -13,12 +13,13 @@ from __future__ import annotations
 import filecmp
 import math
 import random
+import statistics
 import tempfile
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -41,10 +42,15 @@ from .harness import (
     EnsembleConfig,
     experiment_energy,
     experiment_regularity,
-    mc_run,
     run_ensemble,
 )
-from .presets import heat, linear_noise, regularity_ensemble, sublinear_global
+from .presets import (
+    cubic_flux,
+    heat,
+    linear_noise,
+    regularity_ensemble,
+    sublinear_global,
+)
 from .sim import TorusGrid, basis_coefficient, drift_pairing, simulate_path
 from .weights import (
     PowerWeight,
@@ -86,6 +92,25 @@ def _result(name: str, start: float, failures: List[str],
 
 _H2 = SobolevScale(F(-1), F(1), F(2))
 
+_TIMED_CALLS = 7
+
+
+def _timed(fn: Callable[[], Any]) -> Tuple[Any, float, float]:
+    """(result, median, slowest) of _TIMED_CALLS calls of fn, in seconds,
+    after one warm call so the timings exclude imports.
+
+    The median is what a check prints; its budget applies to the slowest
+    call, so a gate over several calls is no looser than one over a single
+    call.
+    """
+    fn()
+    times = []
+    for _ in range(_TIMED_CALLS):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return result, statistics.median(times), max(times)
+
 
 # --- 1: exponent calculus on the energy-space instance --------------------------
 
@@ -95,10 +120,7 @@ def check_exponent_calculus() -> CheckResult:
     g = one_d_growth_params("l2_eps", eps=0)
     s = Setting(_H2, F(2), F(0))
     start = time.perf_counter()
-    rho_star_and_x_exponents(g, s)  # warm call so the timing excludes imports
-    t0 = time.perf_counter()
-    terms = rho_star_and_x_exponents(g, s)
-    per_call = time.perf_counter() - t0
+    terms, per_call, slowest = _timed(lambda: rho_star_and_x_exponents(g, s))
 
     failures: List[str] = []
     term = terms[0]
@@ -119,10 +141,11 @@ def check_exponent_calculus() -> CheckResult:
                 f"(H^{entry.smoothness}) != L^6(H^(1/3))")
         if not isinstance(entry.smoothness, Fraction):
             failures.append("entry smoothness is not an exact rational")
-    if per_call >= 1e-3:
-        failures.append(f"call took {per_call * 1e6:.0f} us (budget 1 ms)")
+    if slowest >= 1e-3:
+        failures.append(f"slowest of {_TIMED_CALLS} calls took "
+                        f"{slowest * 1e6:.0f} us (budget 1 ms)")
     detail = (f"rho*=2, r=3, r'=3/2, X=L^6(H^(1/3)) exact, "
-              f"{per_call * 1e6:.0f} us per call")
+              f"{per_call * 1e6:.0f} us per call (median of {_TIMED_CALLS})")
     return _result("exponent-calculus", start, failures, detail)
 
 
@@ -312,10 +335,8 @@ def check_bootstrap_chain() -> CheckResult:
     """The energy-start chain reproduces the frozen step parameters."""
     eps = F(1, 5)
     start = time.perf_counter()
-    full_chain_1d("L2_start", eps=eps)  # warm call
-    t0 = time.perf_counter()
-    chain = full_chain_1d("L2_start", eps=eps)
-    per_call = time.perf_counter() - t0
+    chain, per_call, slowest = _timed(lambda: full_chain_1d("L2_start",
+                                                            eps=eps))
 
     failures: List[str] = []
     s1, s2, s3, s4 = chain.steps
@@ -347,12 +368,13 @@ def check_bootstrap_chain() -> CheckResult:
         failures.append("some emitted check did not pass")
     if not chain_composition_ok(chain):
         failures.append("consecutive steps do not compose")
-    if per_call >= 0.01:
-        failures.append(f"chain took {per_call * 1e3:.1f} ms (budget 10 ms)")
+    if slowest >= 0.01:
+        failures.append(f"slowest of {_TIMED_CALLS} chains took "
+                        f"{slowest * 1e3:.1f} ms (budget 10 ms)")
     detail = (f"steps (r=6, delta=1/10, alpha=7/5) -> r_hat=12 -> case-4 "
               f"recovery -> weight p/4={target.kappa} with 2k/p+1/zeta="
               f"{2 * target.kappa / target.p + F(1, 1) / zeta}, "
-              f"{per_call * 1e3:.2f} ms per call")
+              f"{per_call * 1e3:.2f} ms per call (median of {_TIMED_CALLS})")
     return _result("bootstrap-chain", start, failures, detail)
 
 
@@ -461,7 +483,7 @@ def check_drift_conservation() -> CheckResult:
         for k in range(32):
             a, b = rng.standard_normal(2) * scale / (1 + k)
             u += a * np.cos(k * x) + b * np.sin(k * x)
-        val = abs(drift_pairing(u, lambda y: y ** 3))
+        val = abs(drift_pairing(u, cubic_flux))
         bound = 1e-8 * (1 + 2 * math.pi * float(np.mean(u ** 4)))
         worst = max(worst, val / bound)
         if val > bound:
@@ -496,34 +518,33 @@ def check_regularity_bands() -> CheckResult:
     return _result("regularity-bands", start, failures, detail)
 
 
-# --- 11: determinism across parallelism ----------------------------------------------
+# --- 11: determinism across batch widths --------------------------------------------
 
 
 def check_determinism() -> CheckResult:
-    """Summaries and per-path files agree bitwise at parallelism 1 and 8."""
+    """A path's CSV is bitwise the same in a 16- and a 17-path ensemble."""
     start = time.perf_counter()
     failures: List[str] = []
-    base = replace(linear_noise(), t_end=0.25, seed=77)
+    names = [f"path_{i}.csv" for i in range(16)]
+    n_files = 0
     with tempfile.TemporaryDirectory() as tmp:
-        dirs = []
-        for workers in (1, 8):
-            out = Path(tmp) / f"par{workers}"
-            cfg = EnsembleConfig(base=base, n_paths=16, parallelism=workers,
-                                 experiment="determinism", outdir=str(out),
-                                 n_save=9)
-            mc_run(cfg)
-            dirs.append(out / "determinism")
-        names = sorted(p.name for p in dirs[0].iterdir())
-        if names != sorted(p.name for p in dirs[1].iterdir()):
-            failures.append("output file sets differ")
-        agree, differ, funny = filecmp.cmpfiles(dirs[0], dirs[1], names,
-                                                shallow=False)
-        if differ or funny:
-            failures.append(f"files differ between parallelism 1 and 8: "
-                            f"{differ + funny}")
-        n_files = len(agree)
-    detail = (f"{n_files} output files (summary + paths) bitwise identical "
-              "at parallelism 1 and 8")
+        for preset in (linear_noise, sublinear_global):
+            base = replace(preset(), t_end=0.25, seed=77)
+            dirs = []
+            for width in (16, 17):
+                out = Path(tmp) / f"{preset.__name__}{width}"
+                run_ensemble(EnsembleConfig(base=base, n_paths=width,
+                                            experiment="determinism",
+                                            outdir=str(out), n_save=9))
+                dirs.append(out / "determinism")
+            agree, differ, funny = filecmp.cmpfiles(dirs[0], dirs[1], names,
+                                                    shallow=False)
+            if differ or funny:
+                failures.append(f"{preset.__name__}: path files differ "
+                                f"between 16 and 17 paths: {differ + funny}")
+            n_files += len(agree)
+    detail = (f"{n_files} path files (linear-noise, sublinear-global) "
+              "bitwise identical in 16- and 17-path ensembles")
     return _result("determinism", start, failures, detail)
 
 

@@ -1,8 +1,12 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from critspde import presets
 from critspde.exponents import ParameterError
 from critspde.harness import save_trajectory_csv
 from critspde.sim import (
@@ -191,6 +195,20 @@ def test_drift_cubic_flux_oracle():
     got = drift_field(np.cos(x), lambda y: y ** 3)
     want = -3.0 * np.cos(x) ** 2 * np.sin(x)
     assert np.max(np.abs(got - want)) <= 1e-8
+
+
+# unit roundoff of float64: fl(x op y) = (x op y)(1 + d) with |d| <= U
+_U = Fraction(1, 2 ** 53)
+
+
+@given(st.one_of(st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)))
+@settings(max_examples=500)
+def test_property_cubic_flux_rounding_bound(y):
+    # (y*y)*y rounds twice, so it is y^3 (1+d1)(1+d2); the range keeps y^2
+    # and y^3 normal and finite
+    got = presets.cubic_flux(np.array([y]))[0]
+    exact = Fraction(y) ** 3
+    assert abs(Fraction(float(got)) - exact) <= (2 * _U + _U ** 2) * abs(exact)
 
 
 def test_drift_zero_and_linear():
@@ -398,12 +416,14 @@ def csv_bytes(traj, path):
     return path.read_bytes()
 
 
-def test_batch_width_invariance(tmp_path):
+@pytest.mark.parametrize("flux", [lambda y: y ** 3, presets.cubic_flux],
+                         ids=["pow", "cubic_flux"])
+def test_batch_width_invariance(flux, tmp_path):
     # path i has the same CSV bytes and stats alone, among 17 and among 200;
     # the cap and g = 3|y|^2 make about a fifth of the paths blow up
     cfg = SimConfig(grid=TorusGrid(32),
                     nonlinearity=NonlinearitySpec(
-                        f=lambda y: y ** 3, g=lambda y: 3 * np.abs(y) ** 2),
+                        f=flux, g=lambda y: 3 * np.abs(y) ** 2),
                     noise=NoiseSpec(lam=0.75, modes=5), t_end=0.5,
                     dt=1 / 64, u0=np.cos, blowup_cap=50.0)
     seeds = [1000 + 7 * i for i in range(200)]
