@@ -97,11 +97,8 @@ _TIMED_CALLS = 7
 
 def _timed(fn: Callable[[], Any]) -> Tuple[Any, float, float]:
     """(result, median, slowest) of _TIMED_CALLS calls of fn, in seconds,
-    after one warm call so the timings exclude imports.
-
-    The median is what a check prints; its budget applies to the slowest
-    call, so a gate over several calls is no looser than one over a single
-    call.
+    after one warm call so the timings exclude imports.  Checks print the
+    median and gate the slowest, so the gate is no looser than one call.
     """
     fn()
     times = []

@@ -13,7 +13,7 @@ from .sim import NoiseSpec, NonlinearitySpec, SimConfig, TorusGrid
 
 
 def cubic_flux(y: np.ndarray) -> np.ndarray:
-    # y ** 3 goes through pow, about 30x slower on a (P, 64) state
+    # numpy sends y ** 3 through pow: 30 to 60 times slower on (P, 64) states
     return y * y * y
 
 
