@@ -410,7 +410,7 @@ def check_noise_calibration() -> CheckResult:
     start = time.perf_counter()
     failures: List[str] = []
     cfg = linear_noise()
-    ens = EnsembleConfig(base=cfg, n_paths=400, parallelism=8,
+    ens = EnsembleConfig(base=cfg, n_paths=400,
                          experiment="noise-calibration", n_save=2)
     t0 = time.perf_counter()
     trajs = run_ensemble(ens)
@@ -440,7 +440,7 @@ def check_energy_bound() -> CheckResult:
     """Sublinear-noise cubic problem survives and its energy ratio is stable."""
     start = time.perf_counter()
     failures: List[str] = []
-    ens = EnsembleConfig(base=sublinear_global(), n_paths=200, parallelism=8,
+    ens = EnsembleConfig(base=sublinear_global(), n_paths=200,
                          experiment="energy-bound", n_save=2)
     t0 = time.perf_counter()
     rep = experiment_energy(ens)
@@ -499,7 +499,7 @@ def check_regularity_bands() -> CheckResult:
     """Ensemble Hoelder fits land in the theorem-shaped exponent bands."""
     start = time.perf_counter()
     failures: List[str] = []
-    cfg = replace(regularity_ensemble(24), parallelism=8)
+    cfg = regularity_ensemble(24)
     rep = experiment_regularity(cfg)
     if rep.n_completed != cfg.n_paths:
         failures.append(f"only {rep.n_completed}/{cfg.n_paths} paths usable")

@@ -359,8 +359,6 @@ def _cmd_montecarlo(args) -> int:
         base=sim_cfg,
         n_paths=args.n_paths if args.n_paths is not None
         else int(cfg.get("n_paths", 8)),
-        parallelism=args.parallelism if args.parallelism is not None
-        else int(cfg.get("parallelism", 1)),
         experiment=args.experiment or cfg.get("experiment", "montecarlo"),
         outdir=str(outdir),
         n_save=n_save,
@@ -463,9 +461,6 @@ def build_parser() -> _Parser:
     mc.add_argument("--config", "-c", help="JSON ensemble config")
     _add_sim_flags(mc)
     mc.add_argument("--n-paths", type=_positive_int, help="ensemble size")
-    mc.add_argument("--parallelism", type=_positive_int,
-                    help="accepted and ignored: every path runs in one "
-                    "batch, and outputs are the same at any batch width")
     mc.add_argument("--experiment", help="output subdirectory name")
     mc.set_defaults(func=_cmd_montecarlo)
 

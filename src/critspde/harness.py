@@ -30,6 +30,10 @@ from .sim import (
 
 _MASK64 = (1 << 64) - 1
 
+# an error below this is roundoff: errors all below it mean exact agreement,
+# and a ratio against one is noise
+_ROUNDOFF = 1e-13
+
 
 def mix_seed(master: int, index: int) -> int:
     """Splittable 64-bit hash of (master, index); documented bit-exactly."""
@@ -43,9 +47,6 @@ def mix_seed(master: int, index: int) -> int:
 class EnsembleConfig:
     base: SimConfig
     n_paths: int = 8
-    # accepted and validated for old configs; the kernel steps every path
-    # in one batch and outputs are the same at any batch width
-    parallelism: int = 1
     experiment: str = "ensemble"
     outdir: Optional[str] = None
     n_save: Optional[int] = None
@@ -53,8 +54,6 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ParameterError("need at least one path")
-        if self.parallelism < 1:
-            raise ParameterError("parallelism degree must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -297,7 +296,7 @@ def convergence_study(cfg: EnsembleConfig, levels: int = 3) -> ConvergenceReport
             traj = simulate_path(replace(base, dt=base.dt * 2 ** m), n_save=2)
             temporal_errors.append(float(
                 np.sqrt(l2_norm_sq(traj.states[-1] - ref.states[-1]))))
-    if all(e < 1e-13 for e in temporal_errors):
+    if all(e < _ROUNDOFF for e in temporal_errors):
         temporal_exact = True
         temporal_order = None
     else:
@@ -323,9 +322,9 @@ def convergence_study(cfg: EnsembleConfig, levels: int = 3) -> ConvergenceReport
     for coarse, fine in zip(runs, runs[1:]):
         restricted = fine[::2]
         spatial_errors.append(float(np.sqrt(l2_norm_sq(coarse - restricted))))
-    spatial_exact = all(e < 1e-13 for e in spatial_errors)
-    ratios = tuple(
-        a / b for a, b in zip(spatial_errors, spatial_errors[1:]) if b > 0)
+    spatial_exact = all(e < _ROUNDOFF for e in spatial_errors)
+    ratios = tuple(a / b for a, b in zip(spatial_errors, spatial_errors[1:])
+                   if b >= _ROUNDOFF)
 
     report = ConvergenceReport(tuple(temporal_errors), temporal_order,
                                temporal_exact, tuple(spatial_errors), ratios,

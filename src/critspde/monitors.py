@@ -4,7 +4,9 @@ Covers the energy bookkeeping the discrete scheme should respect (an Ito
 identity residual), the weighted space-time norms whose finiteness governs
 continuation past a candidate blow-up time, Hilbert-Schmidt norms of the
 noise coefficient, and empirical Hoelder exponents estimated from saved
-snapshots.
+snapshots.  Like the stepper, the norms act along the last axis: a (T, n)
+block of snapshots gives, bit for bit, the values of its rows one by one,
+and a single (n,) state gives a float.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import numpy as np
 
 from .exponents import CriticalityReport, ParameterError, Setting
 from .sim import (
+    RNG_BLOCK,
     NoiseSpec,
     SpectralStepper,
     Trajectory,
     dealiased,
-    l2_norm_sq_spectral,
+    draw_increments,
     simulate_path,
     spectral_weights,
 )
@@ -63,15 +66,12 @@ class HoelderFit:
             raise ParameterError("fit window must stay away from t = 0")
 
 
-def _coefficient_values(g, values: np.ndarray) -> np.ndarray:
-    if g is None:
-        return np.zeros_like(values)
-    if callable(g):
-        return np.asarray(g(values), dtype=float)
-    return np.full_like(values, float(g))
+def _rows(x: np.ndarray):
+    """A reduction's result: a float for one state, else one value per row."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def hs_norm_G(u: np.ndarray, g, noise: NoiseSpec) -> float:
+def hs_norm_G(u: np.ndarray, g, noise: NoiseSpec):
     """Hilbert-Schmidt norm of v -> g(u) * v over the truncated noise basis.
 
     Equals (sum_k sigma_k^2 ||g(u) e_k||_{L2}^2)^{1/2} for the sample vector
@@ -79,21 +79,19 @@ def hs_norm_G(u: np.ndarray, g, noise: NoiseSpec) -> float:
     sigma_0^2/(2 pi) + sum_{k>=1} sigma_k^2/pi, so the norm is
     (2 pi * density * mean g(u)^2)^{1/2}.
     """
-    return _hs_norm(u, g, _hs_density(noise))
-
-
-def _hs_density(noise: NoiseSpec) -> float:
-    """The constant sum_k sigma_k^2 e_k(x)^2 of the truncated noise basis."""
+    u = np.asarray(u, dtype=float)
+    if g is None:
+        gu = np.zeros_like(u)
+    elif callable(g):
+        gu = np.asarray(g(u), dtype=float)
+    else:
+        gu = np.full_like(u, float(g))
     sigma = noise.amplitudes()
-    return sigma[0] ** 2 / TWO_PI + np.sum(sigma[1:] ** 2) / np.pi
+    density = sigma[0] ** 2 / TWO_PI + np.sum(sigma[1:] ** 2) / np.pi
+    return _rows(np.sqrt(TWO_PI * density * np.mean(gu ** 2, axis=-1)))
 
 
-def _hs_norm(u: np.ndarray, g, density: float) -> float:
-    gu = _coefficient_values(g, np.asarray(u, dtype=float))
-    return float(np.sqrt(TWO_PI * density * np.mean(gu ** 2)))
-
-
-def spatial_norm(values: np.ndarray, smoothness: float, q: float = 2.0) -> float:
+def spatial_norm(values: np.ndarray, smoothness: float, q: float = 2.0):
     """Fractional Sobolev norm via the Bessel multiplier (1+k^2)^{s/2}.
 
     Exact on band-limited fields.  For q = 2 the mode sum is used directly;
@@ -101,30 +99,33 @@ def spatial_norm(values: np.ndarray, smoothness: float, q: float = 2.0) -> float
     L^q norm taken by quadrature.
     """
     values = np.asarray(values, dtype=float)
-    n = values.size
+    n = values.shape[-1]
     u_hat = np.fft.rfft(values) / n
     k = np.arange(n // 2 + 1, dtype=float)
     mult = (1.0 + k * k) ** (smoothness / 2.0)
     if q == 2.0:
-        w = spectral_weights(n)
-        return float(np.sqrt(l2_norm_sq_spectral(mult * u_hat, w)))
+        m_hat = mult * u_hat
+        mode_sq = m_hat.real ** 2 + m_hat.imag ** 2
+        return _rows(np.sqrt(TWO_PI * np.vecdot(mode_sq, spectral_weights(n))))
     shifted = np.fft.irfft(mult * u_hat * n, n=n)
-    return float((TWO_PI * np.mean(np.abs(shifted) ** q)) ** (1.0 / q))
+    # keepdims: a one-state call takes the array root, as a block's rows do
+    # (numpy's scalar power can round it differently)
+    power = TWO_PI * np.mean(np.abs(shifted) ** q, axis=-1, keepdims=True)
+    return _rows((power ** (1.0 / q))[..., 0])
 
 
-def h_minus1_flux_norm(values: np.ndarray, f) -> float:
+def h_minus1_flux_norm(values: np.ndarray, f):
     """H^{-1} norm of d/dx f(u), with the simulator's dealiased derivative."""
     values = np.asarray(values, dtype=float)
-    n = values.size
+    n = values.shape[-1]
     if f is None:
-        return 0.0
+        return _rows(np.zeros(values.shape[:-1]))
     fu = np.asarray(f(values), dtype=float)
     f_hat = np.fft.rfft(fu) / n
     k = np.arange(n // 2 + 1, dtype=float)
-    f_hat[~dealiased(n)] = 0.0
-    w = spectral_weights(n)
+    f_hat[..., ~dealiased(n)] = 0.0
     mode_sq = (k * k / (1.0 + k * k)) * (f_hat.real ** 2 + f_hat.imag ** 2)
-    return float(np.sqrt(TWO_PI * float(w @ mode_sq)))
+    return _rows(np.sqrt(TWO_PI * np.vecdot(mode_sq, spectral_weights(n))))
 
 
 def _window_grid(traj: Trajectory, window: Tuple[float, float]) -> TimeGrid:
@@ -159,11 +160,10 @@ def blowup_functional(traj: Trajectory, setting: Setting,
     nl = traj.config.nonlinearity
     p = float(setting.p)
     w = PowerWeight(float(setting.kappa), offset=grid.a)
-    drift_series = np.array([h_minus1_flux_norm(s, nl.f) for s in states])
+    drift_series = h_minus1_flux_norm(states, nl.f)
     total = weighted_lp_norm(SampledFunction(grid, drift_series), p, w)
     if nl.has_noise:
-        hs_series = np.array([
-            hs_norm_G(s, nl.g, traj.config.noise) for s in states])
+        hs_series = hs_norm_G(states, nl.g, traj.config.noise)
         total += weighted_lp_norm(SampledFunction(grid, hs_series), p, w)
     return float(total)
 
@@ -195,9 +195,8 @@ def x_space_norm(traj: Trajectory, report: CriticalityReport,
     out: List[XNormValue] = []
     for term in report.exponents:
         for slot, entry in zip(("trace", "interp"), term.x_entries):
-            series = np.array([
-                spatial_norm(s, float(entry.smoothness), float(entry.space_q))
-                for s in states])
+            series = spatial_norm(states, float(entry.smoothness),
+                                  float(entry.space_q))
             p_time = float(entry.time_exponent)
             val = weighted_lp_norm(SampledFunction(grid, series), p_time, w)
             out.append(XNormValue(term.part, term.index, slot, p_time,
@@ -213,7 +212,9 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     """Cumulative defect of the discrete L^2 energy identity.
 
     Replays the trajectory from its config (the path is deterministic given
-    the seed) and accumulates, step by step,
+    the seed), keeping every state, and re-takes its steps from the kept
+    states RNG_BLOCK at a time on the path's own draws.  Per step it
+    accumulates
 
         d||u||^2 + 2 ||grad u||^2 dt - (I + II + III)
 
@@ -221,47 +222,12 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     x-independent), II the Ito correction dt * ||g(u)||_HS^2, and III the
     realized martingale increment 2 <u, g(u) dW>.  For the pure heat flow the
     residual is roundoff; with noise it is the (mean-zero) quadratic
-    variation mismatch, shrinking like sqrt(dt) at fixed horizon.
+    variation mismatch, shrinking like sqrt(dt) at fixed horizon.  The
+    series ends at the last kept state, so a path that blew up has one
+    entry per step it kept.
     """
     cfg = traj.config
-    stepper = SpectralStepper(cfg)
-    x_indep = cfg.nonlinearity.f_x_independent
-    k2 = stepper.k.astype(float) ** 2
-    decay = 0.5 * (1.0 - np.exp(-2.0 * k2 * stepper.dt))
-    w_decay = stepper.weights * decay
-    density = _hs_density(cfg.noise) if cfg.nonlinearity.has_noise else None
-    records: List[Tuple[float, float]] = []
-
-    def watch(i, t, before, f_hat, g_hat, after):
-        l2_before = l2_norm_sq_spectral(before, stepper.weights)
-        l2_after = l2_norm_sq_spectral(after, stepper.weights)
-        plus = before + stepper.dt * f_hat
-        if g_hat is not None:
-            plus = plus + g_hat
-        if cfg.scheme == "exp_euler":
-            mode_sq = plus.real ** 2 + plus.imag ** 2
-            grad_inc = TWO_PI * float(w_decay @ mode_sq)
-        else:
-            g0 = l2_norm_sq_spectral(before, stepper.grad_weights)
-            g1 = l2_norm_sq_spectral(after, stepper.grad_weights)
-            grad_inc = 0.5 * stepper.dt * (g0 + g1)
-        term_i = 0.0
-        if cfg.nonlinearity.f is not None and not x_indep:
-            term_i = 2.0 * stepper.dt * TWO_PI * float(
-                stepper.weights @ (before * np.conj(f_hat)).real)
-        term_ii = 0.0
-        term_iii = 0.0
-        if g_hat is not None:
-            values = np.fft.irfft(before * stepper.n, n=stepper.n)
-            hs = _hs_norm(values, cfg.nonlinearity.g, density)
-            term_ii = stepper.dt * hs * hs
-            term_iii = 2.0 * TWO_PI * float(
-                stepper.weights @ (before * np.conj(g_hat)).real)
-        res = (l2_after - l2_before) + 2.0 * grad_inc \
-            - (term_i + term_ii + term_iii)
-        records.append(((i + 1) * stepper.dt, res))
-
-    replay = simulate_path(cfg, n_save=2, observer=watch)
+    replay = simulate_path(cfg)
     if replay.status != traj.status or replay.sigma_hat != traj.sigma_hat:
         raise ParameterError("trajectory does not replay from its config")
     if traj.completed and traj.states.size:
@@ -269,9 +235,51 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
                            rtol=1e-10, atol=1e-12):
             raise ParameterError("trajectory does not replay from its config")
 
-    times = np.array([t for t, _ in records])
-    resid = np.cumsum([r for _, r in records])
-    return MonitorSeries(times, {"residual": resid})
+    stepper = SpectralStepper(cfg)
+    nl = cfg.nonlinearity
+    k2 = stepper.k.astype(float) ** 2
+    decay = 0.5 * (1.0 - np.exp(-2.0 * k2 * stepper.dt))
+    w_decay = stepper.weights * decay
+    xi = draw_increments(cfg) if stepper.draws else None
+
+    def energy(spec: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return TWO_PI * np.vecdot(spec.real ** 2 + spec.imag ** 2, weights)
+
+    def pairing(spec: np.ndarray, other: np.ndarray) -> np.ndarray:
+        return TWO_PI * np.vecdot((spec * np.conj(other)).real,
+                                  stepper.weights)
+
+    steps = replay.stats.steps_taken
+    per_step = np.empty(steps)
+    for i in range(0, steps, RNG_BLOCK):
+        j = min(i + RNG_BLOCK, steps)
+        values = replay.states[i:j]
+        before = np.fft.rfft(values, norm="forward")
+        fu, gu, _ = stepper.coefficients(values)
+        dw = None if xi is None else stepper.noise_increments(xi[i:j])
+        after, f_hat, g_hat = stepper.update(before, fu, gu, dw)
+        if cfg.scheme == "exp_euler":
+            plus = before + stepper.dt * f_hat
+            if g_hat is not None:
+                plus += g_hat
+            grad_inc = energy(plus, w_decay)
+        else:
+            grad_inc = 0.5 * stepper.dt * (
+                energy(before, stepper.grad_weights)
+                + energy(after, stepper.grad_weights))
+        term_i = term_ii = term_iii = 0.0
+        if nl.f is not None and not nl.f_x_independent:
+            term_i = 2.0 * stepper.dt * pairing(before, f_hat)
+        if g_hat is not None:
+            hs = hs_norm_G(values, nl.g, cfg.noise)
+            term_ii = stepper.dt * hs * hs
+            term_iii = 2.0 * pairing(before, g_hat)
+        per_step[i:j] = (energy(after, stepper.weights)
+                         - energy(before, stepper.weights)) \
+            + 2.0 * grad_inc - (term_i + term_ii + term_iii)
+
+    times = np.arange(1, steps + 1) * stepper.dt
+    return MonitorSeries(times, {"residual": np.cumsum(per_step)})
 
 
 # --- empirical Hoelder exponents ---------------------------------------------

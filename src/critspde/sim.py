@@ -379,9 +379,6 @@ class Trajectory:
         return self.status == "completed"
 
 
-StepObserver = Callable[[int, float, np.ndarray, np.ndarray,
-                         Optional[np.ndarray], np.ndarray], None]
-
 # Steps of Gaussian draws a path takes from its stream at a time, turned
 # into noise increments together, so the tables hold P x RNG_BLOCK steps
 # where whole paths' would hold P x n_steps.  At 16 an 18-path ensemble
@@ -426,8 +423,7 @@ def _take(keep: np.ndarray, *arrays):
 
 
 def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
-               increments: Optional[np.ndarray] = None,
-               observer: Optional[StepObserver] = None) -> List[Trajectory]:
+               increments: Optional[np.ndarray] = None) -> List[Trajectory]:
     """Step the paths of configs differing only in their seeds as the rows
     of one (P, n) state.
 
@@ -437,7 +433,7 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     matrix-vector product sums in another order).  So a row's bits do not
     depend on its neighbours or on P.  A row that blows up leaves the
     active set and is stepped no further.  increments replaces the stream
-    and observer sees row 0's steps; both serve one-path runs.
+    of a one-path run.
     """
     cfg = cfgs[0]
     n_steps = cfg.n_steps
@@ -495,7 +491,6 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
             ends[p] = grad[r], sup[r], final[r]
 
     for i in range(n_steps):
-        t = i * cfg.dt
         if rngs is not None and i % block == 0:
             m = min(block, n_steps - i)
             for r, p in enumerate(rows):
@@ -504,17 +499,14 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
         grad += cfg.dt * norms[:, 1]
         fu, gu, ok = stepper.coefficients(values)
         if not ok.all():
-            retire(~ok, t, i)
+            retire(~ok, i * cfg.dt, i)
             u_hat, values, fu, gu, table, rows, grad, sup, final = _take(
                 ok, u_hat, values, fu, gu, table, rows, grad, sup, final)
             live = rows
             if not rows.size:
                 break
         dw = None if table is None else table[:, i % block]
-        new_hat, f_hat, g_hat = stepper.update(u_hat, fu, gu, dw)
-        if observer is not None:
-            observer(i, t, u_hat[0], f_hat[0],
-                     None if g_hat is None else g_hat[0], new_hat[0])
+        new_hat = stepper.update(u_hat, fu, gu, dw)[0]
         new_values = np.fft.irfft(new_hat, n=n, norm="forward")
         bad = stepper.blown_up(new_values)
         if bad.any():
@@ -559,14 +551,11 @@ def simulate_paths(cfg: SimConfig, seeds: Sequence[int],
 
 
 def simulate_path(cfg: SimConfig, n_save: Optional[int] = None,
-                  increments: Optional[np.ndarray] = None,
-                  observer: Optional[StepObserver] = None) -> Trajectory:
+                  increments: Optional[np.ndarray] = None) -> Trajectory:
     """Integrate one path; deterministic given cfg.seed.
 
     increments, when given, is a (n_steps, 2K+1) table of unit-variance
     draws replacing the internal stream (for common-noise refinement
-    studies).  observer, when given, is called after every step with
-    (i, t, u_hat before, drift spectrum, noise spectrum, u_hat after).
-    Blow-up is a terminal status, not an exception.
+    studies).  Blow-up is a terminal status, not an exception.
     """
-    return _integrate([cfg], n_save, increments, observer)[0]
+    return _integrate([cfg], n_save, increments)[0]

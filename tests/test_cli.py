@@ -155,7 +155,7 @@ def test_simulate_requires_preset(capsys):
 def test_montecarlo_summary(tmp_path, capsys):
     code, out, err = invoke(
         ["montecarlo", "--preset", "linear-noise", "--t-end", "0.25",
-         "--n-paths", "4", "--parallelism", "2", "--n-save", "3",
+         "--n-paths", "4", "--n-save", "3",
          "--outdir", str(tmp_path)], capsys)
     assert code == 0
     stats = json.loads(out)

@@ -75,23 +75,6 @@ def test_deterministic_ensemble_zero_variance():
     assert stats.functionals["final_l2_sq"].var <= 1e-30
 
 
-def test_parallelism_bitwise_identical(tmp_path):
-    base = small_noise_cfg(dt=0.01, t_end=0.2)
-    out1 = tmp_path / "p1"
-    out8 = tmp_path / "p8"
-    s1 = mc_run(EnsembleConfig(base=base, n_paths=8, parallelism=1,
-                               experiment="det", outdir=str(out1), n_save=5))
-    s8 = mc_run(EnsembleConfig(base=base, n_paths=8, parallelism=8,
-                               experiment="det", outdir=str(out8), n_save=5))
-    assert s1 == s8
-    b1 = (out1 / "det" / "summary.json").read_bytes()
-    b8 = (out8 / "det" / "summary.json").read_bytes()
-    assert b1 == b8
-    for i in range(8):
-        assert (out1 / "det" / f"path_{i}.csv").read_bytes() == \
-            (out8 / "det" / f"path_{i}.csv").read_bytes()
-
-
 def test_mid_batch_blowup_leaves_neighbours_alone():
     # experiment_global's h=2, scale=3 coefficient on the sublinear base:
     # some paths blow up early, and every path, blown up or not, is bit
@@ -111,7 +94,7 @@ def test_mid_batch_blowup_leaves_neighbours_alone():
 
 def test_ci_normal_at_thirty_paths():
     stats = mc_run(EnsembleConfig(base=small_noise_cfg(dt=0.01, t_end=0.1),
-                                  n_paths=30, parallelism=4))
+                                  n_paths=30))
     assert stats.ci_mode == "normal"
     fs = stats.functionals["final_l2_sq"]
     assert fs.ci_low is not None and fs.ci_low <= fs.mean <= fs.ci_high
@@ -150,8 +133,7 @@ def test_energy_pure_decay_constant():
 
 
 def test_energy_additive_noise_stable():
-    cfg = EnsembleConfig(base=small_noise_cfg(dt=2e-3, t_end=1.0), n_paths=32,
-                         parallelism=4)
+    cfg = EnsembleConfig(base=small_noise_cfg(dt=2e-3, t_end=1.0), n_paths=32)
     report = experiment_energy(cfg)
     assert not report.blew_up
     assert np.isfinite(report.c_hat) and report.c_hat > 0
@@ -163,8 +145,8 @@ def test_energy_monotone_in_noise_bound():
     def run(scale):
         g = lambda y: scale * (1.0 + np.abs(y))
         base = small_noise_cfg(dt=4e-3, t_end=0.5, g=g)
-        return experiment_energy(EnsembleConfig(base=base, n_paths=16,
-                                                parallelism=4)).c_hat
+        return experiment_energy(EnsembleConfig(base=base,
+                                                n_paths=16)).c_hat
 
     assert run(2.0) >= run(1.0)
 
@@ -178,8 +160,7 @@ def test_energy_flags_blowup():
 # --- global survival --------------------------------------------------------------------
 
 def test_global_linear_noise_survives():
-    cfg = EnsembleConfig(base=small_noise_cfg(dt=2e-3, t_end=1.0), n_paths=20,
-                         parallelism=4)
+    cfg = EnsembleConfig(base=small_noise_cfg(dt=2e-3, t_end=1.0), n_paths=20)
     report = experiment_global(1.0, cfg)
     assert report.survival == 1.0
 
@@ -256,8 +237,6 @@ def test_convergence_needs_levels():
 def test_ensemble_config_validation():
     with pytest.raises(ParameterError):
         EnsembleConfig(base=heat(), n_paths=0)
-    with pytest.raises(ParameterError):
-        EnsembleConfig(base=heat(), n_paths=1, parallelism=0)
 
 
 def test_write_summary_sorted(tmp_path):
@@ -269,8 +248,7 @@ def test_write_summary_sorted(tmp_path):
 
 
 def test_run_ensemble_order_and_seeds():
-    cfg = EnsembleConfig(base=small_noise_cfg(dt=0.01, t_end=0.1), n_paths=4,
-                         parallelism=2)
+    cfg = EnsembleConfig(base=small_noise_cfg(dt=0.01, t_end=0.1), n_paths=4)
     trajs = run_ensemble(cfg)
     for i, traj in enumerate(trajs):
         assert traj.config.seed == mix_seed(0, i)

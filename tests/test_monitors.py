@@ -1,7 +1,10 @@
-import numpy as np
-import pytest
+from dataclasses import replace
 from fractions import Fraction as F
 
+import numpy as np
+import pytest
+
+from critspde import presets
 from critspde.exponents import (
     ParameterError,
     Setting,
@@ -9,6 +12,7 @@ from critspde.exponents import (
     full_report,
     one_d_growth_params,
 )
+from critspde.harness import mix_seed
 from critspde.monitors import (
     HoelderFit,
     MonitorSeries,
@@ -106,6 +110,32 @@ def test_spatial_norm_lq_constant():
     u = np.full(64, 2.0)
     want = 2.0 * (2 * np.pi) ** 0.25
     assert spatial_norm(u, 0.0, q=4.0) == pytest.approx(want, rel=1e-12)
+
+
+BLOCK_NORMS = {
+    "spatial_q2": lambda u: spatial_norm(u, 1.0 / 3.0),
+    "spatial_q6": lambda u: spatial_norm(u, 0.25, q=6.0),
+    "flux_cubic": lambda u: h_minus1_flux_norm(u, presets.cubic_flux),
+    "flux_none": lambda u: h_minus1_flux_norm(u, None),
+    "hs_map": lambda u: hs_norm_G(u, presets.one_plus_abs, NoiseSpec()),
+    "hs_const": lambda u: hs_norm_G(u, 2.0, NoiseSpec()),
+}
+
+
+@pytest.mark.parametrize("n", [64, 48])
+@pytest.mark.parametrize("name", sorted(BLOCK_NORMS))
+def test_norms_batch_invariance(name, n):
+    # a (T, n) block gives the stacked one-state calls bit for bit, and one
+    # state still gives a float
+    norm = BLOCK_NORMS[name]
+    rng = np.random.default_rng(29)
+    block = rng.standard_normal((17, n)) * np.logspace(-2, 1, 17)[:, None]
+    block[3] = 0.0
+    rows = [norm(u) for u in block]
+    assert all(isinstance(r, float) for r in rows)
+    batch = norm(block)
+    assert batch.shape == (17,)
+    assert np.array_equal(batch, rows)
 
 
 def test_flux_norm_linear_oracle():
@@ -259,6 +289,80 @@ def test_ito_residual_rms_scales_like_sqrt_dt():
     coarse = rms_at(4e-3)
     fine = rms_at(1e-3)
     assert coarse / fine == pytest.approx(2.0, abs=0.9)
+
+
+# Residual series recorded before the residual was computed in blocks.  Each
+# path runs 24 steps, so the batched pass crosses an RNG_BLOCK boundary.
+PINNED_RESIDUALS = {
+    "semi_implicit": [
+        -0.040469417180324485, -0.10206696921515923, -0.09045470320157448,
+        -0.13554924465833487, -0.14105870222828468, -0.1563184077632613,
+        -0.20027093330396753, -0.22666088889141692, -0.2152436342510934,
+        -0.22919826082295044, -0.1826628937873541, -0.21018397657302523,
+        -0.24271384890490233, -0.26596967783272046, -0.26861546116841223,
+        -0.2961422689372328, -0.3242386973826341, -0.3566044066151014,
+        -0.3683296236973508, -0.4090385265199028, -0.4263000120208465,
+        -0.4182329814334229, -0.4237417062449463, -0.4386513924165139,
+    ],
+    "callable_g": [
+        -0.000250388956387515, -0.002165121089109906, -0.010499307669819935,
+        -0.00877357901603637, -0.01348477548018931, 0.0089485839337696,
+        0.007057041969176985, 0.01216289742143704, 0.002778563025732008,
+        0.008974740342427009, 0.016949010357333007, 0.014961752979221834,
+        0.01314520561848331, 0.015697050063829165, 0.010357145257443665,
+        0.008547760932698264, 0.02195970172773767, 0.018433848900019662,
+        0.016293939632056453, 0.011998065139542257, 0.013978860880459036,
+        0.010786243450992073, 0.017699856754173023, 0.0248444913124408,
+    ],
+    "drift_pairing": [
+        0.03864005396880743, 0.04654388760177018, 0.07302959677873737,
+        0.06883969204257089, 0.05590572038213969, 0.05163005159501416,
+        0.06760805656166646, 0.05720620406089988, 0.057808705327242596,
+        0.06356777564919282, 0.06049347911136953, 0.07250795417351584,
+        0.06643335717791228, 0.05580558839696406, 0.07870224119644009,
+        0.08623325622983335, 0.09850036141573354, 0.09903787627691703,
+        0.09732818280807658, 0.11246527653890386, 0.11227726341508378,
+        0.10829984707735353, 0.09764375893095906, 0.12650133905561484,
+    ],
+}
+
+
+def branch_cfg(branch):
+    grid = TorusGrid(32)
+    noise = NoiseSpec(lam=0.75, modes=5)
+    common = dict(grid=grid, noise=noise, t_end=0.5, dt=1 / 48)
+    if branch == "semi_implicit":
+        return SimConfig(nonlinearity=NonlinearitySpec(f=presets.cubic_flux,
+                                                       g=1.0),
+                         scheme="semi_implicit", seed=11, u0=np.cos, **common)
+    if branch == "callable_g":
+        return SimConfig(nonlinearity=NonlinearitySpec(
+            g=lambda y: 0.5 * y + 0.25), seed=12, u0=np.cos, **common)
+    return SimConfig(nonlinearity=NonlinearitySpec(
+        f=np.sin, g=0.5, f_x_independent=False), seed=13,
+        u0=lambda x: np.cos(x) + 0.5 * np.sin(2 * x), **common)
+
+
+@pytest.mark.parametrize("branch", sorted(PINNED_RESIDUALS))
+def test_ito_residual_pinned_branches(branch):
+    series = ito_energy_residual(simulate_path(branch_cfg(branch)))
+    assert np.allclose(series.times, np.arange(1, 25) / 48)
+    assert np.allclose(series.values["residual"], PINNED_RESIDUALS[branch],
+                       rtol=0.0, atol=1e-12)
+
+
+def test_ito_residual_stops_at_last_kept_state():
+    # this path's state after step 43 passes the cap and is dropped; the
+    # series ends at the last kept state, one entry per kept step
+    base = presets.sublinear_global()
+    wired = replace(base.nonlinearity, g=lambda y: 3.0 * np.abs(y) ** 2)
+    cfg = replace(base, nonlinearity=wired, t_end=0.25, seed=mix_seed(3, 2))
+    traj = simulate_path(cfg)
+    assert traj.status == "blew_up"
+    series = ito_energy_residual(traj)
+    assert series.times.size == traj.stats.steps_taken
+    assert series.times[-1] == pytest.approx(traj.times[-1])
+    assert np.all(np.isfinite(series.values["residual"]))
 
 
 def test_ito_residual_rejects_foreign_states():

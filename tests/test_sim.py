@@ -370,19 +370,6 @@ def test_common_noise_refinement_agrees():
     assert errs[0] / errs[1] > 1.3
 
 
-def test_observer_sees_every_step():
-    seen = []
-
-    def watch(i, t, before, f_hat, g_hat, after):
-        seen.append((i, t, g_hat is None))
-        assert before.shape == (33,) and after.shape == (33,)
-        assert f_hat.shape == (33,)
-
-    simulate_path(heat_cfg(dt=0.25), observer=watch)
-    assert [s[0] for s in seen] == [0, 1, 2, 3]
-    assert all(s[2] for s in seen)
-
-
 def test_save_schedule():
     traj = simulate_path(heat_cfg(dt=0.05), n_save=5)
     assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
