@@ -291,8 +291,9 @@ def test_ito_residual_rms_scales_like_sqrt_dt():
     assert coarse / fine == pytest.approx(2.0, abs=0.9)
 
 
-# Residual series recorded before the residual was computed in blocks.  Each
-# path runs 24 steps, so the batched pass crosses an RNG_BLOCK boundary.
+# Reference series of the one-step-at-a-time residual; the block pass
+# differs by roundoff only.  Each path runs 24 steps, so the pass crosses an
+# RNG_BLOCK boundary.
 PINNED_RESIDUALS = {
     "semi_implicit": [
         -0.040469417180324485, -0.10206696921515923, -0.09045470320157448,
