@@ -399,7 +399,8 @@ def _add_sim_flags(sub) -> None:
     sub.add_argument("--scheme", choices=("exp_euler", "semi_implicit"),
                      help="time stepping scheme")
     sub.add_argument("--blowup-cap", type=_positive_float,
-                     help="sup-norm threshold treated as blow-up")
+                     help="sup-norm threshold treated as blow-up, at most "
+                          "1e50 so the squared norms stay finite")
     sub.add_argument("--grid-n", type=_positive_int,
                      help="collocation points (power of two)")
     sub.add_argument("--noise-lam", type=_positive_float,

@@ -259,9 +259,9 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
         dw = None if xi is None else stepper.noise_increments(xi[i:j])
         after, f_hat, g_hat = stepper.update(before, fu, gu, dw)
         if cfg.scheme == "exp_euler":
-            plus = before + stepper.dt * f_hat
+            plus = before if f_hat is None else before + stepper.dt * f_hat
             if g_hat is not None:
-                plus += g_hat
+                plus = plus + g_hat
             grad_inc = energy(plus, w_decay)
         else:
             grad_inc = 0.5 * stepper.dt * (

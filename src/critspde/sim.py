@@ -29,6 +29,12 @@ _TWO_ROOT_PI = 2.0 * np.sqrt(np.pi)
 
 PointwiseMap = Callable[[np.ndarray], np.ndarray]
 
+# A path's stats square its state (||grad u||^2 <= 2 pi (n/2)^2 cap^2) and an
+# ensemble's variance squares them again.  With cap <= 1e50 both stay finite
+# for any n that fits in memory, so a blow-up ends in a status, not in inf;
+# at 1e100 the variance of three paths, one blown up, already overflows.
+MAX_BLOWUP_CAP = 1e50
+
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -126,8 +132,10 @@ class SimConfig:
             raise ParameterError("time step and horizon must be positive")
         if self.scheme not in ("exp_euler", "semi_implicit"):
             raise ParameterError("scheme must be exp_euler or semi_implicit")
-        if self.blowup_cap <= 0:
-            raise ParameterError("blow-up cap must be positive")
+        if not 0 < self.blowup_cap <= MAX_BLOWUP_CAP:
+            raise ParameterError("blow-up cap must lie in (0, 1e50]: past it a "
+                                 "state under the cap can overflow the squared "
+                                 "norms and their ensemble variance")
         if self.nonlinearity.has_noise:
             if self.noise is None:
                 raise ParameterError("noise spec required when g is present")
@@ -262,35 +270,58 @@ class SpectralStepper:
             self.amp = sigma[1:] * self.sqrt_dt
         self.cap = float(cfg.blowup_cap)
 
-    def blown_up(self, values: np.ndarray):
-        """Per row: the state is non-finite or its sup-norm passes the cap."""
-        # a NaN fails the comparison, so one reduction makes both tests
+    def blown_up(self, values: np.ndarray) -> Optional[np.ndarray]:
+        """Per row: the state is non-finite or its sup-norm passes the cap;
+        None when no row is."""
+        # a NaN fails the comparison, so one reduction makes both tests, and
+        # one over the whole array settles the usual case of no row at all
+        if np.abs(values).max() <= self.cap:
+            return None
         return ~(np.abs(values).max(axis=-1) <= self.cap)
 
     def coefficients(self, values: np.ndarray):
         """(f(u), g(u), ok) on the grid.
 
         f(u) is None without a flux and g(u) None unless g is a map; ok
-        tells per row whether both are finite.  A row where one is not has
-        blown up at the start of the step.
+        tells per row whether both are finite, and is None when every row
+        is.  A row where one is not has blown up at the start of the step.
         """
         fu = gu = None
-        ok = np.True_
         if self.f is not None:
             fu = np.asarray(self.f(values), dtype=float)
-            ok = np.isfinite(fu).all(axis=-1)
         if self.g_map is not None:
             gu = np.asarray(self.g_map(values), dtype=float)
-            ok = ok & np.isfinite(gu).all(axis=-1)
+        ok = None
+        for grid in (fu, gu):
+            # the per-row mask is built only for a map with a non-finite value
+            if grid is not None and not np.isfinite(grid).all():
+                row_ok = np.isfinite(grid).all(axis=-1)
+                ok = row_ok if ok is None else ok & row_ok
         return fu, gu, ok
 
-    def _drift(self, fu: Optional[np.ndarray], shape) -> np.ndarray:
-        if fu is None:
-            return np.zeros(shape, dtype=complex)
-        out = np.fft.rfft(fu, norm="forward")
-        out *= self.deriv
-        out[..., self.band:] = 0.0
-        return out
+    def _spectra(self, fu: Optional[np.ndarray], gu: Optional[np.ndarray],
+                 dw: Optional[np.ndarray]):
+        """Dealiased rfft/n spectra of d/dx f(u) and of g(u) dW; either is
+        None without its term.  With a flux and a map g, one rfft takes the
+        two grids stacked, row for row the bits of one rfft each."""
+        if fu is not None and gu is not None:
+            grids = np.empty((2,) + fu.shape)
+            grids[0] = fu
+            np.multiply(gu, dw, out=grids[1])
+            both = np.fft.rfft(grids, norm="forward")
+            f_hat, g_hat = both
+            f_hat *= self.deriv
+            both[..., self.band:] = 0.0
+            return f_hat, g_hat
+        f_hat, g_hat = None, dw
+        if fu is not None:
+            f_hat = np.fft.rfft(fu, norm="forward")
+            f_hat *= self.deriv
+            f_hat[..., self.band:] = 0.0
+        if gu is not None:
+            g_hat = np.fft.rfft(gu * dw, norm="forward")
+            g_hat[..., self.band:] = 0.0
+        return f_hat, g_hat
 
     def noise_increments(self, xi: np.ndarray) -> np.ndarray:
         """What unit Gaussian draws xi (..., 2K+1) add to a step.
@@ -310,18 +341,13 @@ class SpectralStepper:
             return self.g_const * w_hat
         return np.fft.irfft(w_hat, n=self.n, norm="forward")
 
-    def _noise(self, gu: Optional[np.ndarray],
-               dw: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        if gu is None:
-            return dw
-        prod_hat = np.fft.rfft(gu * dw, norm="forward")
-        prod_hat[..., self.band:] = 0.0
-        return prod_hat
-
     def drift_hat(self, values: np.ndarray, t: float) -> np.ndarray:
-        """rfft/n spectrum of d/dx f(u), dealiased."""
-        fu = None if self.f is None else np.asarray(self.f(values), dtype=float)
-        return self._drift(fu, np.shape(values)[:-1] + (self.n // 2 + 1,))
+        """rfft/n spectrum of d/dx f(u), dealiased; zeros without a flux."""
+        if self.f is None:
+            return np.zeros(np.shape(values)[:-1] + (self.n // 2 + 1,),
+                            dtype=complex)
+        fu = np.asarray(self.f(values), dtype=float)
+        return self._spectra(fu, None, None)[0]
 
     def noise_hat(self, values: np.ndarray, xi: Optional[np.ndarray],
                   t: float) -> Optional[np.ndarray]:
@@ -332,23 +358,22 @@ class SpectralStepper:
         gu = None
         if self.g_map is not None:
             gu = np.asarray(self.g_map(values), dtype=float)
-        return self._noise(gu, self.noise_increments(xi))
+        return self._spectra(None, gu, self.noise_increments(xi))[1]
 
     def update(self, u_hat: np.ndarray, fu: Optional[np.ndarray],
                gu: Optional[np.ndarray], dw: Optional[np.ndarray]):
         """(next u_hat, drift spectrum, noise spectrum) from coefficients()
-        and noise_increments()."""
-        f_hat = self._drift(fu, u_hat.shape)
-        g_hat = self._noise(gu, dw)
-        incr = u_hat + self.dt * f_hat
+        and noise_increments(); the drift spectrum is None without a flux
+        and the noise spectrum None without noise."""
+        f_hat, g_hat = self._spectra(fu, gu, dw)
+        incr = u_hat if f_hat is None else u_hat + self.dt * f_hat
         if g_hat is not None:
-            incr += g_hat
-        incr *= self.linear
-        return incr, f_hat, g_hat
+            incr = incr + g_hat
+        return incr * self.linear, f_hat, g_hat
 
     def advance(self, u_hat: np.ndarray, values: np.ndarray,
                 xi: Optional[np.ndarray], t: float):
-        """Returns (next u_hat, drift spectrum, noise spectrum)."""
+        """Returns (next u_hat, drift spectrum, noise spectrum) as update()."""
         fu, gu, _ = self.coefficients(values)
         dw = None if self.draws == 0 else self.noise_increments(xi)
         return self.update(u_hat, fu, gu, dw)
@@ -383,7 +408,8 @@ class Trajectory:
 # into noise increments together, so the tables hold P x RNG_BLOCK steps
 # where whole paths' would hold P x n_steps.  At 16 an 18-path ensemble
 # peaks at the memory of one path at a time (64 added 3 MB); blocks of 8 to
-# 64 steps run about as fast.
+# 64 steps run about as fast.  It is also how many accepted spectra the
+# kernel keeps before it folds them into the path stats.
 RNG_BLOCK = 16
 
 
@@ -431,9 +457,13 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     time, which consumes the stream as one draw per step would.  Each
     reduction over a row is that row's own dot product (np.vecdot; a
     matrix-vector product sums in another order).  So a row's bits do not
-    depend on its neighbours or on P.  A row that blows up leaves the
-    active set and is stepped no further.  increments replaces the stream
-    of a one-path run.
+    depend on its neighbours or on P.  A step takes one rfft for the drift
+    and the noise together.  The accepted spectra are kept and folded into
+    the stats once per RNG_BLOCK steps and before the active set shrinks:
+    one vecdot gives their norms, and a cumsum along the steps adds the
+    dt * ||grad u||^2 terms in step order, the sums of one step at a time.
+    A row that blows up leaves the active set and is stepped no further.
+    increments replaces the stream of a one-path run.
     """
     cfg = cfgs[0]
     n_steps = cfg.n_steps
@@ -443,7 +473,7 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     u_hat = np.fft.rfft(values) / n
     l2_0 = l2_norm_sq_spectral(u_hat, stepper.weights)
 
-    if stepper.blown_up(values):
+    if stepper.blown_up(values) is not None:
         return [Trajectory(np.zeros(1), values[None, :].copy(),
                            PathStats(l2_0, l2_0, 0.0, l2_0, 0), "blew_up",
                            0.0, c)
@@ -467,15 +497,25 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
         block = RNG_BLOCK
         draws = np.empty((n_paths, block, stepper.draws))
 
-    # per active row: state, spectrum, 2 pi (|u|^2, |grad u|^2) and stats
     norm_weights = np.stack([stepper.weights, stepper.grad_weights])
+
+    def norms(spec: np.ndarray) -> np.ndarray:
+        """2 pi (||u||^2, ||grad u||^2) of each spectrum on the last axis."""
+        return TWO_PI * np.vecdot(
+            (spec.real ** 2 + spec.imag ** 2)[..., None, :], norm_weights)
+
+    # per active row: state, spectrum and stats; grad sums the
+    # dt * ||grad u||^2 terms of the folded states but the last, whose
+    # ||grad u||^2 is head; spec[j] holds the rows' j-th spectrum accepted
+    # since the fold, one contiguous slab per step
     values = np.repeat(values[None], n_paths, axis=0)
     u_hat = np.repeat(u_hat[None], n_paths, axis=0)
-    norms = TWO_PI * np.vecdot((u_hat.real ** 2 + u_hat.imag ** 2)[:, None],
-                               norm_weights)
     grad = np.zeros(n_paths)
+    head = norms(u_hat)[:, 1]
     sup = np.full(n_paths, l2_0)
     final = sup.copy()
+    spec = np.empty((RNG_BLOCK, n_paths, n // 2 + 1), dtype=complex)
+    filled = 0
     rows = np.arange(n_paths)  # path index of each active row
     live = slice(None)         # rows, or every path while none has blown up
 
@@ -484,11 +524,29 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     kept = [n_steps] * n_paths
     ends = [None] * n_paths    # (grad, sup, final) of each path
 
+    def fold() -> None:
+        nonlocal grad, head, sup, final, filled
+        if not filled:
+            return
+        nrm = norms(spec[:filled, :rows.size])
+        terms = np.empty((filled + 1, rows.size))
+        terms[0] = grad
+        terms[1] = head
+        terms[2:] = nrm[:-1, :, 1]
+        terms[1:] *= cfg.dt
+        grad = np.cumsum(terms, axis=0)[-1]
+        head = nrm[-1, :, 1]
+        final = nrm[-1, :, 0]
+        sup = np.maximum(sup, nrm[:, :, 0].max(axis=0))
+        filled = 0
+
     def retire(dead: np.ndarray, t_dead: float, i: int) -> None:
+        # the last kept state is the last folded one: its term ends grad
+        fold()
         for r in np.flatnonzero(dead):
             p = rows[r]
             status[p], sigma_hat[p], kept[p] = "blew_up", t_dead, i
-            ends[p] = grad[r], sup[r], final[r]
+            ends[p] = grad[r] + cfg.dt * head[r], sup[r], final[r]
 
     for i in range(n_steps):
         if rngs is not None and i % block == 0:
@@ -496,12 +554,11 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
             for r, p in enumerate(rows):
                 rngs[p].standard_normal(out=draws[r, :m])
             table = stepper.noise_increments(draws[:rows.size, :m])
-        grad += cfg.dt * norms[:, 1]
         fu, gu, ok = stepper.coefficients(values)
-        if not ok.all():
+        if ok is not None:
             retire(~ok, i * cfg.dt, i)
-            u_hat, values, fu, gu, table, rows, grad, sup, final = _take(
-                ok, u_hat, values, fu, gu, table, rows, grad, sup, final)
+            u_hat, values, fu, gu, table, rows, grad, head, sup, final = _take(
+                ok, u_hat, values, fu, gu, table, rows, grad, head, sup, final)
             live = rows
             if not rows.size:
                 break
@@ -509,22 +566,23 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
         new_hat = stepper.update(u_hat, fu, gu, dw)[0]
         new_values = np.fft.irfft(new_hat, n=n, norm="forward")
         bad = stepper.blown_up(new_values)
-        if bad.any():
+        if bad is not None:
             retire(bad, (i + 1) * cfg.dt, i)
             ok = ~bad
-            new_hat, new_values, table, rows, grad, sup, final = _take(
-                ok, new_hat, new_values, table, rows, grad, sup, final)
+            new_hat, new_values, table, rows, grad, head, sup, final = _take(
+                ok, new_hat, new_values, table, rows, grad, head, sup, final)
             live = rows
             if not rows.size:
                 break
         u_hat, values = new_hat, new_values
-        norms = TWO_PI * np.vecdot(
-            (u_hat.real ** 2 + u_hat.imag ** 2)[:, None], norm_weights)
-        final = norms[:, 0]
-        np.maximum(sup, final, out=sup)
+        spec[filled, :rows.size] = u_hat
+        filled += 1
+        if filled == RNG_BLOCK:
+            fold()
         if (i + 1) in save_pos:
             saved[live, save_pos[i + 1]] = values
 
+    fold()
     for r, p in enumerate(rows):
         ends[p] = grad[r], sup[r], final[r]
     trajs = []

@@ -164,6 +164,15 @@ def test_montecarlo_summary(tmp_path, capsys):
     assert (tmp_path / "montecarlo" / "summary.json").exists()
 
 
+def test_montecarlo_cap_past_its_limit_exit_2(tmp_path, capsys):
+    code, out, err = invoke(
+        ["montecarlo", "--preset", "heat", "--blowup-cap", "1e300",
+         "--n-paths", "2", "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "blow-up cap must lie in (0, 1e50]" in err
+    assert not (tmp_path / "montecarlo").exists()
+
+
 def test_montecarlo_config_file_fields(tmp_path, capsys):
     cfg = {"preset": "heat", "n_paths": 3, "n_save": 2,
            "outdir": str(tmp_path / "fromfile")}

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from critspde.harness import (
     save_trajectory_csv,
     write_summary,
 )
+from critspde.monitors import ito_energy_residual
 from critspde.presets import (
     cubic_conservative,
     heat,
@@ -90,6 +91,32 @@ def test_mid_batch_blowup_leaves_neighbours_alone():
         assert traj.stats == lone.stats
         assert np.array_equal(traj.times, lone.times)
         assert np.array_equal(traj.states, lone.states)
+
+
+def test_cap_at_its_limit_keeps_stats_finite(tmp_path):
+    # path 2 of this ensemble blows up at step 45 under the largest cap;
+    # its stats, its Ito residual and the ensemble summary stay finite
+    base = sublinear_global()
+    wired = replace(base.nonlinearity, g=lambda y: 3.0 * np.abs(y) ** 2)
+    base = replace(base, nonlinearity=wired, t_end=0.25, seed=3,
+                   blowup_cap=1e50)
+    with np.errstate(over="raise", invalid="raise"):
+        traj = simulate_path(replace(base, seed=mix_seed(3, 2)))
+        residual = ito_energy_residual(traj).values["residual"]
+        mc_run(EnsembleConfig(base=base, n_paths=3, outdir=str(tmp_path)))
+    assert traj.status == "blew_up" and traj.stats.steps_taken == 45
+    assert np.isfinite(astuple(traj.stats)).all()
+    assert residual.size == 45 and np.isfinite(residual).all()
+
+    def no_constant(name):
+        raise ValueError(f"summary.json holds {name}")
+
+    text = (tmp_path / "ensemble" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=no_constant)
+    assert summary["survival"] < 1.0
+    assert summary["functionals"]["sup_l2_sq"]["mean"] > 1e60
+    with pytest.raises(ParameterError, match="1e50"):
+        replace(base, blowup_cap=1e300)
 
 
 def test_ci_normal_at_thirty_paths():

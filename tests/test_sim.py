@@ -99,6 +99,11 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         heat_cfg(dt=0.3).n_steps
     assert heat_cfg(dt=0.05).n_steps == 20
+    # past 1e50 a state under the cap can overflow its squared norms
+    for cap in (0.0, -1.0, float("nan"), 1e51, 1e100, 1e300):
+        with pytest.raises(ParameterError, match="overflow"):
+            heat_cfg(blowup_cap=cap)
+    assert heat_cfg(blowup_cap=1e50).blowup_cap == 1e50
 
 
 def test_initial_values_forms():
@@ -395,6 +400,64 @@ def test_stepper_mode_tables():
     assert st.deriv[-1] == 1j * 32.0
 
 
+@pytest.mark.parametrize("f", [None, presets.cubic_flux], ids=["no_f", "cubic"])
+@pytest.mark.parametrize("g", [None, 1.5, presets.one_plus_abs],
+                         ids=["no_g", "const_g", "map_g"])
+def test_update_spectra_match_drift_and_noise_hat(f, g):
+    # the spectra update() returns, one rfft for both terms when f and a map
+    # g are present, are the bits of drift_hat and noise_hat
+    noise = None if g is None else NoiseSpec(lam=0.75, modes=7)
+    st = SpectralStepper(heat_cfg(nonlinearity=NonlinearitySpec(f=f, g=g),
+                                  noise=noise))
+    rng = np.random.default_rng(5)
+    x = GRID.x
+    values = np.stack([np.cos(x) + 0.3 * a * np.sin(3 * x)
+                       for a in rng.standard_normal(5)])
+    xi = rng.standard_normal((5, st.draws))
+    for v, draw in ((values, xi), (values[2], xi[2])):
+        u_hat = np.fft.rfft(v, norm="forward")
+        fu, gu, ok = st.coefficients(v)
+        assert ok is None
+        dw = None if g is None else st.noise_increments(draw)
+        _, f_hat, g_hat = st.update(u_hat, fu, gu, dw)
+        drift = st.drift_hat(v, 0.0)
+        if f is None:
+            assert f_hat is None and not drift.any()
+        else:
+            assert f_hat.tobytes() == drift.tobytes()
+        noise_hat = st.noise_hat(v, draw, 0.0)
+        if g is None:
+            assert g_hat is None and noise_hat is None
+        else:
+            assert g_hat.tobytes() == noise_hat.tobytes()
+
+
+@pytest.mark.parametrize("name, rfft, irfft", [
+    ("sublinear-global", lambda s: 1 + s, lambda s: s + -(-s // 16)),
+    ("linear-noise", lambda s: 1, lambda s: s),
+    ("cubic-conservative", lambda s: 1 + s, lambda s: s),
+    ("heat", lambda s: 1, lambda s: s),
+], ids=["sublinear-global", "linear-noise", "cubic-conservative", "heat"])
+def test_fft_calls_per_step(name, rfft, irfft, monkeypatch):
+    # per step: one rfft takes f(u) and g(u) dW together and one irfft
+    # gives the new state; a map g adds one irfft per block of 16 steps
+    calls = {"rfft": 0, "irfft": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+    cfg = presets.SIM_PRESETS[name]()
+    steps = 40
+    traj = simulate_path(replace(cfg, t_end=steps * cfg.dt), n_save=2)
+    assert traj.completed and traj.stats.steps_taken == steps
+    assert calls == {"rfft": rfft(steps), "irfft": irfft(steps)}
+
+
 # --- the batched kernel -----------------------------------------------------------
 
 
@@ -457,3 +520,70 @@ def test_blowup_sites_set_sigma_hat():
         assert b.sigma_hat == a.sigma_hat
         assert b.times[-1] == b.stats.steps_taken * dt
         assert np.array_equal(b.states, a.states[:-1])
+
+
+def edge_flux(y):
+    return np.where(np.abs(y) > 0.6, np.inf, 0.5 * y * y * y)
+
+
+def half_cubic(y):
+    return 0.5 * y * y * y
+
+
+EDGE_SEEDS = [12, 48, 68, 16, 36, 273, 203, 0, 7]
+# (seed, steps_taken, sigma_hat, sup_l2_sq, grad_integral, final_l2_sq),
+# recorded with a kernel that folds the stats into them after every step
+EDGE_AT_FLUX = [
+    (12, 15, 0.15, 0.6957970308602283, 0.05669399077298969, 0.6957970308602283),
+    (48, 16, 0.16, 0.6590653073623912, 0.10195985702330548, 0.6590653073623912),
+    (68, 17, 0.17, 0.7007410242473652, 0.07674332184706191, 0.7007410242473652),
+    (16, 18, 0.18, 0.8048046194821312, 0.13343678325052927, 0.8048046194821312),
+    (36, 31, 0.31, 0.807654719671461, 0.20390871962816853, 0.807654719671461),
+    (273, 32, 0.32, 0.7002461929569085, 0.29068430416528757, 0.3785946159280991),
+    (203, 33, 0.33, 0.8060916697989122, 0.23341385254326463, 0.5333040870142185),
+    (0, 40, 0.4, 0.6551698042313109, 0.23029035429224895, 0.0865458430062021),
+    (7, 40, 0.4, 0.5730445886249678, 0.41573402835374906, 0.45409962314201174),
+]
+EDGE_AT_CAP = [
+    (12, 14, 0.15, 0.5750845748345712, 0.04977801205883538, 0.5750845748345712),
+    (48, 15, 0.16, 0.4146179679272289, 0.08535278691195354, 0.3908504606423651),
+    (68, 16, 0.17, 0.5792351446333911, 0.07084345006967095, 0.5792351446333911),
+    (16, 17, 0.18, 0.5158451574248509, 0.124634794637975, 0.4064548422320137),
+    (36, 30, 0.31, 0.6289598232642518, 0.19138924423305056, 0.6289598232642518),
+    (273, 31, 0.32, 0.7002461929569085, 0.28265428315313396, 0.3165874757998349),
+    (203, 32, 0.33, 0.8060916697989122, 0.21685795704013525, 0.5102306650041628),
+    (0, 40, 0.4, 0.6551698042313109, 0.23029035429224895, 0.0865458430062021),
+    (7, 40, 0.4, 0.5730445886249678, 0.41573402835374906, 0.45409962314201174),
+]
+
+
+@pytest.mark.parametrize("site", ["flux", "cap"])
+def test_path_stats_at_block_edges(site):
+    # rows blow up at steps 15, 16, 17, 31 and 32, on both sides of the
+    # 16-step blocks in which the kernel folds its stats, by a flux that is
+    # not finite past 0.6 (start of the step) or by a cap of 0.6 (end of
+    # the step); two rows complete the 40 steps
+    base = dict(grid=TorusGrid(32), noise=NoiseSpec(lam=0.75, modes=5),
+                t_end=0.4, dt=0.01, u0=None)
+    if site == "flux":
+        cfg = SimConfig(nonlinearity=NonlinearitySpec(
+            f=edge_flux, g=presets.one_plus_abs), **base)
+        want = EDGE_AT_FLUX
+    else:
+        cfg = SimConfig(nonlinearity=NonlinearitySpec(
+            f=half_cubic, g=presets.one_plus_abs), blowup_cap=0.6, **base)
+        want = EDGE_AT_CAP
+    trajs = simulate_paths(cfg, EDGE_SEEDS)
+    assert {15, 16, 17, 31, 32} <= {t.stats.steps_taken for t in trajs}
+    for traj, (seed, steps, sigma_hat, sup, grad, final) in zip(trajs, want):
+        st = traj.stats
+        assert traj.config.seed == seed
+        assert traj.completed == (steps == 40)
+        assert (st.steps_taken, traj.sigma_hat) == (steps, sigma_hat)
+        assert (st.sup_l2_sq, st.grad_integral, st.final_l2_sq) == \
+            (sup, grad, final)
+        lone = simulate_path(replace(cfg, seed=seed))
+        assert traj.stats == lone.stats
+        assert (traj.status, traj.sigma_hat) == (lone.status, lone.sigma_hat)
+        assert np.array_equal(traj.times, lone.times)
+        assert np.array_equal(traj.states, lone.states)
