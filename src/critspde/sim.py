@@ -270,6 +270,12 @@ class SpectralStepper:
             self.amp = sigma[1:] * self.sqrt_dt
         self.cap = float(cfg.blowup_cap)
 
+    @property
+    def reads_grid(self) -> bool:
+        """Whether a step evaluates f or g on the grid.  Without a flux and
+        with g constant or absent, a step only scales spectra."""
+        return self.f is not None or self.g_map is not None
+
     def blown_up(self, values: np.ndarray) -> Optional[np.ndarray]:
         """Per row: the state is non-finite or its sup-norm passes the cap;
         None when no row is."""
@@ -371,6 +377,28 @@ class SpectralStepper:
             incr = incr + g_hat
         return incr * self.linear, f_hat, g_hat
 
+    def advance_spectra(self, u_hat: np.ndarray, dw: Optional[np.ndarray],
+                        out: np.ndarray) -> np.ndarray:
+        """Take len(out) steps of a config that does not read the grid.
+
+        out[j] is the spectrum after step j, (out[j-1] + dw[..., j, :]) *
+        linear with u_hat in place of out[-1] at j = 0: the arithmetic of
+        update(), so each spectrum has the bits of one update() at a time.
+        dw holds the steps' noise spectra from noise_increments() on the
+        second-to-last axis, or is None without noise.
+        """
+        if self.reads_grid:
+            raise ParameterError("a step of this config reads the grid")
+        prev = u_hat
+        for j, step in enumerate(out):
+            if dw is None:
+                np.multiply(prev, self.linear, out=step)
+            else:
+                np.add(prev, dw[..., j, :], out=step)
+                step *= self.linear
+            prev = step
+        return out
+
     def advance(self, u_hat: np.ndarray, values: np.ndarray,
                 xi: Optional[np.ndarray], t: float):
         """Returns (next u_hat, drift spectrum, noise spectrum) as update()."""
@@ -409,7 +437,8 @@ class Trajectory:
 # where whole paths' would hold P x n_steps.  At 16 an 18-path ensemble
 # peaks at the memory of one path at a time (64 added 3 MB); blocks of 8 to
 # 64 steps run about as fast.  It is also how many accepted spectra the
-# kernel keeps before it folds them into the path stats.
+# kernel keeps before it folds them into the path stats, and how many steps
+# a config that does not read the grid takes per irfft and cap check.
 RNG_BLOCK = 16
 
 
@@ -464,6 +493,12 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     dt * ||grad u||^2 terms in step order, the sums of one step at a time.
     A row that blows up leaves the active set and is stepped no further.
     increments replaces the stream of a one-path run.
+
+    A config whose steps do not read the grid (no flux, g constant or
+    absent) takes each RNG_BLOCK block in spectral space, then one irfft and
+    one cap check for the whole block.  If a row passes the cap in it, the
+    block is taken again one step at a time on the same noise, which retires
+    the row at its step as the other configs do.
     """
     cfg = cfgs[0]
     n_steps = cfg.n_steps
@@ -485,17 +520,17 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     saved = np.empty((n_paths, save_idx.size, n))
     saved[:, 0] = values
 
-    table, rngs, block = None, None, n_steps
+    # table holds the current block's noise, one (rows, steps, .) slab
+    table, given, rngs = None, None, None
     if increments is not None:
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_steps, stepper.draws):
             raise ParameterError("increment table shape must be "
                                  "(n_steps, 2K+1)")
-        table = stepper.noise_increments(increments)[None]
+        given = stepper.noise_increments(increments)[None]
     elif stepper.draws:
         rngs = [np.random.default_rng(np.random.PCG64(c.seed)) for c in cfgs]
-        block = RNG_BLOCK
-        draws = np.empty((n_paths, block, stepper.draws))
+        draws = np.empty((n_paths, RNG_BLOCK, stepper.draws))
 
     norm_weights = np.stack([stepper.weights, stepper.grad_weights])
 
@@ -548,39 +583,57 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
             status[p], sigma_hat[p], kept[p] = "blew_up", t_dead, i
             ends[p] = grad[r] + cfg.dt * head[r], sup[r], final[r]
 
-    for i in range(n_steps):
-        if rngs is not None and i % block == 0:
-            m = min(block, n_steps - i)
+    for start in range(0, n_steps, RNG_BLOCK):
+        m = min(RNG_BLOCK, n_steps - start)
+        if rngs is not None:
             for r, p in enumerate(rows):
                 rngs[p].standard_normal(out=draws[r, :m])
             table = stepper.noise_increments(draws[:rows.size, :m])
-        fu, gu, ok = stepper.coefficients(values)
-        if ok is not None:
-            retire(~ok, i * cfg.dt, i)
-            u_hat, values, fu, gu, table, rows, grad, head, sup, final = _take(
-                ok, u_hat, values, fu, gu, table, rows, grad, head, sup, final)
-            live = rows
-            if not rows.size:
-                break
-        dw = None if table is None else table[:, i % block]
-        new_hat = stepper.update(u_hat, fu, gu, dw)[0]
-        new_values = np.fft.irfft(new_hat, n=n, norm="forward")
-        bad = stepper.blown_up(new_values)
-        if bad is not None:
-            retire(bad, (i + 1) * cfg.dt, i)
-            ok = ~bad
-            new_hat, new_values, table, rows, grad, head, sup, final = _take(
-                ok, new_hat, new_values, table, rows, grad, head, sup, final)
-            live = rows
-            if not rows.size:
-                break
-        u_hat, values = new_hat, new_values
-        spec[filled, :rows.size] = u_hat
-        filled += 1
-        if filled == RNG_BLOCK:
+        elif given is not None:
+            table = given[:, start:start + m]
+        if not stepper.reads_grid:
+            # a retire in an earlier block may have left spectra unfolded
             fold()
-        if (i + 1) in save_pos:
-            saved[live, save_pos[i + 1]] = values
+            block = stepper.advance_spectra(u_hat, table, spec[:m, :rows.size])
+            grids = np.fft.irfft(block, n=n, norm="forward")
+            if stepper.blown_up(grids) is None:
+                u_hat, values, filled = block[-1].copy(), grids[-1], m
+                for j in range(m):
+                    if start + j + 1 in save_pos:
+                        saved[live, save_pos[start + j + 1]] = grids[j]
+                continue
+        for i in range(start, start + m):
+            fu, gu, ok = stepper.coefficients(values)
+            if ok is not None:
+                retire(~ok, i * cfg.dt, i)
+                u_hat, values, fu, gu, table, rows, grad, head, sup, final = \
+                    _take(ok, u_hat, values, fu, gu, table, rows, grad, head,
+                          sup, final)
+                live = rows
+                if not rows.size:
+                    break
+            dw = None if table is None else table[:, i - start]
+            new_hat = stepper.update(u_hat, fu, gu, dw)[0]
+            new_values = np.fft.irfft(new_hat, n=n, norm="forward")
+            bad = stepper.blown_up(new_values)
+            if bad is not None:
+                retire(bad, (i + 1) * cfg.dt, i)
+                ok = ~bad
+                new_hat, new_values, table, rows, grad, head, sup, final = \
+                    _take(ok, new_hat, new_values, table, rows, grad, head,
+                          sup, final)
+                live = rows
+                if not rows.size:
+                    break
+            u_hat, values = new_hat, new_values
+            spec[filled, :rows.size] = u_hat
+            filled += 1
+            if filled == RNG_BLOCK:
+                fold()
+            if (i + 1) in save_pos:
+                saved[live, save_pos[i + 1]] = values
+        if not rows.size:
+            break
 
     fold()
     for r, p in enumerate(rows):

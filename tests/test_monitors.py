@@ -293,8 +293,20 @@ def test_ito_residual_rms_scales_like_sqrt_dt():
 
 # Reference series of the one-step-at-a-time residual; the block pass
 # differs by roundoff only.  Each path runs 24 steps, so the pass crosses an
-# RNG_BLOCK boundary.
+# RNG_BLOCK boundary.  The additive series, whose replay steps a block at a
+# time, was recorded with the block pass and a kernel stepping one step at a
+# time.
 PINNED_RESIDUALS = {
+    "additive": [
+        0.004581477049440008, 0.011913970810507615, -0.0013175873614304223,
+        -0.0030635571547279195, -0.011808482321829836, -0.016676092764899147,
+        -0.029856236667838, -0.024310803453998317, -0.027516881946296062,
+        -0.03467605459258158, -0.039633980817206343, -0.04267260976179941,
+        -0.04354225376197813, -0.04361513455522129, -0.04098642790690752,
+        -0.04303413333877953, -0.047925059943943894, -0.03546639389919868,
+        -0.02122545302216767, -0.02185250417170958, -0.03446646111680202,
+        -0.045561556965038906, -0.047713964137934155, -0.05003918253878333,
+    ],
     "semi_implicit": [
         -0.040469417180324485, -0.10206696921515923, -0.09045470320157448,
         -0.13554924465833487, -0.14105870222828468, -0.1563184077632613,
@@ -339,6 +351,11 @@ def branch_cfg(branch):
     if branch == "callable_g":
         return SimConfig(nonlinearity=NonlinearitySpec(
             g=lambda y: 0.5 * y + 0.25), seed=12, u0=np.cos, **common)
+    if branch == "additive":
+        # no flux and a constant g: the replay steps a block at a time
+        return SimConfig(nonlinearity=NonlinearitySpec(g=0.5), seed=14,
+                         u0=lambda x: np.cos(x) + 0.5 * np.sin(2 * x),
+                         **common)
     return SimConfig(nonlinearity=NonlinearitySpec(
         f=np.sin, g=0.5, f_x_independent=False), seed=13,
         u0=lambda x: np.cos(x) + 0.5 * np.sin(2 * x), **common)

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -434,13 +435,15 @@ def test_update_spectra_match_drift_and_noise_hat(f, g):
 
 @pytest.mark.parametrize("name, rfft, irfft", [
     ("sublinear-global", lambda s: 1 + s, lambda s: s + -(-s // 16)),
-    ("linear-noise", lambda s: 1, lambda s: s),
+    ("linear-noise", lambda s: 1, lambda s: -(-s // 16)),
     ("cubic-conservative", lambda s: 1 + s, lambda s: s),
-    ("heat", lambda s: 1, lambda s: s),
+    ("heat", lambda s: 1, lambda s: -(-s // 16)),
 ], ids=["sublinear-global", "linear-noise", "cubic-conservative", "heat"])
 def test_fft_calls_per_step(name, rfft, irfft, monkeypatch):
     # per step: one rfft takes f(u) and g(u) dW together and one irfft
-    # gives the new state; a map g adds one irfft per block of 16 steps
+    # gives the new state; a map g adds one irfft per block of 16 steps;
+    # without a flux and with g constant or absent a step reads no grid,
+    # and one irfft gives the states of a whole block of 16 steps
     calls = {"rfft": 0, "irfft": 0}
 
     def counted(fn):
@@ -587,3 +590,93 @@ def test_path_stats_at_block_edges(site):
         assert (traj.status, traj.sigma_hat) == (lone.status, lone.sigma_hat)
         assert np.array_equal(traj.times, lone.times)
         assert np.array_equal(traj.states, lone.states)
+
+
+def test_reads_grid_follows_the_config():
+    reads = {name: SpectralStepper(make()).reads_grid
+             for name, make in presets.SIM_PRESETS.items()}
+    assert reads == {"heat": False, "linear-noise": False,
+                     "cubic-conservative": True, "sublinear-global": True}
+    assert not SpectralStepper(presets.regularity_ensemble().base).reads_grid
+    st = SpectralStepper(presets.sublinear_global())
+    with pytest.raises(ParameterError):
+        st.advance_spectra(np.zeros(33, dtype=complex), None,
+                           np.empty((1, 33), dtype=complex))
+
+
+def digest(states):
+    return hashlib.sha256(states.tobytes()).hexdigest()[:16]
+
+
+# a constant g steps in spectral space a block of 16 steps at a time; the cap
+# of 0.6 trips rows at steps 15, 16, 17, 31, 32 and 37 (in the short last
+# block of 8 steps) and two rows complete the 40 steps.  (seed, status,
+# steps_taken, sigma_hat, sup_l2_sq, grad_integral, final_l2_sq, digest of
+# the states), recorded with a kernel that takes one step at a time
+GRID_FREE_CAP = [
+    (13, "blew_up", 15, 0.16, 0.4519335938447589, 0.07242289506717121,
+     0.4519335938447589, "5452fdeae40c8f68"),
+    (74, "blew_up", 16, 0.17, 0.727262081193799, 0.07384668348073087,
+     0.727262081193799, "ead69930bef9c2ed"),
+    (6, "blew_up", 17, 0.18, 0.41562802764658374, 0.07874369798319268,
+     0.41562802764658374, "66de30f5d226a8e5"),
+    (73, "blew_up", 31, 0.32, 0.9543308414769193, 0.16754640002086194,
+     0.9543308414769193, "ee9257da562009a7"),
+    (163, "blew_up", 32, 0.33, 0.8377400632105889, 0.14142195116422468,
+     0.4248498625819616, "1475dcc6826a4f7c"),
+    (87, "blew_up", 37, 0.38, 0.43660555700964376, 0.2442596190678169,
+     0.4166354159865134, "b395eb64af4af048"),
+    (0, "completed", 40, 0.4, 0.5520421313243217, 0.2052957083049619,
+     0.1349435631855125, "5a11e1928e45c009"),
+    (5, "completed", 40, 0.4, 0.7238619821521041, 0.15262764971382436,
+     0.29473995399081676, "ac3d5add856cca44"),
+]
+# one-row runs on the table default_rng(seed).standard_normal((40, 11))
+GRID_FREE_TABLE = [
+    (904, "blew_up", 17, 0.18, 0.502955472468207, 0.08039428812360873,
+     0.4071242977862022, "38420ec08dcc59c4"),
+    (906, "completed", 40, 0.4, 0.5100394634844364, 0.11492225914078985,
+     0.2215022433162714, "d4109d993ae508b7"),
+]
+
+
+def grid_free_capped():
+    return SimConfig(grid=TorusGrid(32), nonlinearity=NonlinearitySpec(g=1.0),
+                     noise=NoiseSpec(lam=0.75, modes=5), t_end=0.4, dt=0.01,
+                     u0=None, blowup_cap=0.6)
+
+
+def pinned(traj):
+    st = traj.stats
+    return (traj.status, st.steps_taken, traj.sigma_hat, st.sup_l2_sq,
+            st.grad_integral, st.final_l2_sq, digest(traj.states))
+
+
+def test_grid_free_blowup_at_block_edges():
+    # each row has the pinned bytes alone, among 17 and among 200 paths,
+    # whichever blocks of its neighbours are taken again step by step
+    cfg = grid_free_capped()
+    assert not SpectralStepper(cfg).reads_grid
+    first = [row[0] for row in GRID_FREE_CAP]
+    seeds = first + [s for s in range(300) if s not in first][:200 - 8]
+    wide = simulate_paths(cfg, seeds)
+    narrow = simulate_paths(cfg, seeds[:17])
+    assert 0 < sum(not t.completed for t in narrow) < 17
+    for i, seed in enumerate(seeds):
+        lone = simulate_path(replace(cfg, seed=seed))
+        if i < len(GRID_FREE_CAP):
+            assert (seed,) + pinned(lone) == GRID_FREE_CAP[i]
+        assert np.array_equal(lone.times,
+                              np.arange(lone.stats.steps_taken + 1) * cfg.dt)
+        for traj in [wide[i]] + ([narrow[i]] if i < 17 else []):
+            assert traj.config.seed == seed
+            assert pinned(traj) == pinned(lone)
+            assert traj.times.tobytes() == lone.times.tobytes()
+
+
+@pytest.mark.parametrize("row", GRID_FREE_TABLE, ids=lambda row: str(row[0]))
+def test_grid_free_increment_table(row):
+    cfg = grid_free_capped()
+    table = np.random.default_rng(row[0]).standard_normal((40, 11))
+    traj = simulate_path(cfg, increments=table)
+    assert (row[0],) + pinned(traj) == row
