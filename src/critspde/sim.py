@@ -550,6 +550,9 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     sup = np.full(n_paths, l2_0)
     final = sup.copy()
     spec = np.empty((RNG_BLOCK, n_paths, n // 2 + 1), dtype=complex)
+    # the states of a block of a config that does not read the grid; one
+    # buffer for every block spares the page faults of a fresh one at P=200
+    grids = None if stepper.reads_grid else np.empty((RNG_BLOCK, n_paths, n))
     filled = 0
     rows = np.arange(n_paths)  # path index of each active row
     live = slice(None)         # rows, or every path while none has blown up
@@ -595,12 +598,13 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
             # a retire in an earlier block may have left spectra unfolded
             fold()
             block = stepper.advance_spectra(u_hat, table, spec[:m, :rows.size])
-            grids = np.fft.irfft(block, n=n, norm="forward")
-            if stepper.blown_up(grids) is None:
-                u_hat, values, filled = block[-1].copy(), grids[-1], m
+            states = np.fft.irfft(block, n=n, norm="forward",
+                                  out=grids[:m, :rows.size])
+            if stepper.blown_up(states) is None:
+                u_hat, values, filled = block[-1].copy(), states[-1].copy(), m
                 for j in range(m):
                     if start + j + 1 in save_pos:
-                        saved[live, save_pos[start + j + 1]] = grids[j]
+                        saved[live, save_pos[start + j + 1]] = states[j]
                 continue
         for i in range(start, start + m):
             fu, gu, ok = stepper.coefficients(values)
