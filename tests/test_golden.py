@@ -14,6 +14,7 @@ and PCG64 bits, so another numpy may legitimately differ in the last digits.
 
 import contextlib
 import io
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -44,6 +45,19 @@ def _cli_stdout(argv):
 def _calc(out: Path):
     return {"stdout.txt": _cli_stdout(["calc", "--variant", "l2_eps",
                                        "--eps", "0"])}
+
+
+def _calc_config(out: Path):
+    # theta differs from beta and phi in every mixed-norm entry here, so a
+    # swap of the two scale parameters changes the bytes
+    config = out / "calc.json"
+    config.write_text(json.dumps({
+        "growth": {"f_terms": [{"rho": "1", "phi": "7/8", "beta": "3/4"}],
+                   "g_terms": [{"rho": "0", "phi": "3/4", "beta": "3/4"}]},
+        "setting": {"scale": {"low": "-1", "high": "1", "q": "2"},
+                    "p": "4", "kappa": "1/2"},
+    }))
+    return {"stdout.txt": _cli_stdout(["calc", "--config", str(config)])}
 
 
 def _plan_l2(out: Path):
@@ -103,6 +117,7 @@ def _convergence(out: Path):
 
 CASES = {
     "calc_l2_eps": _calc,
+    "calc_config_critical": _calc_config,
     "plan_l2_start": _plan_l2,
     "plan_rough_data_chain": _plan_rough,
     "montecarlo_linear_noise": _montecarlo,
