@@ -13,7 +13,7 @@ comparison at equal indices (secondary index ordering decides there).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -25,9 +25,9 @@ from .exponents import (
     Rational,
     Setting,
     SobolevScale,
+    _jsonable,
     as_fraction,
     critical_weight,
-    fraction_to_json,
     one_d_growth_params,
     setting_to_dict,
     threshold_weight_index,
@@ -154,13 +154,30 @@ class BootstrapChain:
     claim: TerminalClaim
 
 
-def _emit(rule, from_setting, to_setting, checks, params) -> BootstrapStep:
+def _passed(rule: str, checks) -> tuple[BootstrapCheck, ...]:
+    """The checks as a tuple; a BootstrapError naming the failed ones
+    unless every check passed."""
     checks = tuple(checks)
     failed = [c for c in checks if not c.passed]
     if failed:
         names = ", ".join(c.name for c in failed)
         raise BootstrapError(f"{rule} step rejected: {names}", checks)
-    return BootstrapStep(rule, from_setting, to_setting, checks, params)
+    return checks
+
+
+def _emit(rule, from_setting, to_setting, checks, params) -> BootstrapStep:
+    return BootstrapStep(rule, from_setting, to_setting,
+                         _passed(rule, checks), params)
+
+
+def _embedding_check(name: str, src: SpaceDescriptor, dst: SpaceDescriptor,
+                     **witness) -> BootstrapCheck:
+    """The check that src embeds in dst, witnessed by both labels and any
+    further witness entries."""
+    src_label, dst_label = src.label(), dst.label()
+    return BootstrapCheck(name, f"{src_label} embeds in {dst_label}",
+                          embeds(src, dst),
+                          {"src": src_label, "dst": dst_label, **witness})
 
 
 def _growth_checks(g: GrowthSpec, p: Fraction, kappa: Fraction,
@@ -169,7 +186,7 @@ def _growth_checks(g: GrowthSpec, p: Fraction, kappa: Fraction,
     c = (1 + kappa) / p
     out = []
     for part, i, t in g.terms():
-        lhs = t.rho * (t.phi - 1 + c) + t.beta
+        lhs = t.lhs(c)
         ok_window = t.window_ok(c)
         ok_slack = lhs < 1 if strict else lhs <= 1
         out.append(
@@ -249,16 +266,9 @@ def plan_weight_insertion(
     params = {"r": r, "delta": delta, "alpha": alpha}
     # validate checks before constructing the target Setting so a window
     # failure reports the inequality, not a constructor error
-    step_checks = tuple(checks)
-    failed = [c for c in step_checks if not c.passed]
-    if failed:
-        raise BootstrapError(
-            "weight_insertion step rejected: " + ", ".join(c.name for c in failed),
-            step_checks,
-        )
-    to_setting = Setting(to_scale, r, alpha)
-    return BootstrapStep("weight_insertion", from_setting, to_setting,
-                         step_checks, params)
+    checks = _passed("weight_insertion", checks)
+    return BootstrapStep("weight_insertion", from_setting,
+                         Setting(to_scale, r, alpha), checks, params)
 
 
 def plan_time_bootstrap(
@@ -315,15 +325,8 @@ def plan_time_bootstrap(
     # growth at the intermediate weighted setting: windows survive the
     # small decrease of the weight index, and the slack turns strictly
     # positive there
-    checks.extend(
-        BootstrapCheck(
-            name=ch.name + "@intermediate",
-            condition=ch.condition,
-            passed=ch.passed,
-            witness=ch.witness,
-        )
-        for ch in _growth_checks(g, r_hat, alpha_hat, strict=True)
-    )
+    checks.extend(replace(ch, name=ch.name + "@intermediate")
+                  for ch in _growth_checks(g, r_hat, alpha_hat, strict=True))
     case = emb_condition(r, alpha, r_hat, alpha_hat, None)
     checks.append(
         BootstrapCheck(
@@ -411,33 +414,19 @@ def plan_space_bootstrap(
                        same_gap, {"from_gap": fs.scale.gap, "to_gap": ts.scale.gap})
     )
     if not same_gap:
-        raise BootstrapError("space_bootstrap step rejected: scale_gap",
-                             tuple(checks))
+        _passed("space_bootstrap", checks)  # raises on the failed scale_gap
 
-    for i, (th_to, th_from) in enumerate(((0, 0), (1, 1))):
-        src = bessel_at(ts.scale, th_to)
-        dst = bessel_at(fs.scale, th_from)
-        checks.append(
-            BootstrapCheck(
-                f"scale_component[{i}]",
-                f"{src.label()} embeds in {dst.label()}",
-                embeds(src, dst),
-                {"src": src.label(), "dst": dst.label()},
-            )
-        )
+    for i in (0, 1):
+        checks.append(_embedding_check(f"scale_component[{i}]",
+                                       bessel_at(ts.scale, i),
+                                       bessel_at(fs.scale, i)))
 
     tr_src = unweighted_trace(fs)
     tr_dst = weighted_trace(ts)
-    checks.append(
-        BootstrapCheck(
-            "trace_embedding",
-            f"{tr_src.label()} embeds in {tr_dst.label()}",
-            embeds(tr_src, tr_dst),
-            {"src": tr_src.label(), "dst": tr_dst.label(),
-             "src_index": tr_src.smoothness - 1 / tr_src.q,
-             "dst_index": tr_dst.smoothness - 1 / tr_dst.q},
-        )
-    )
+    checks.append(_embedding_check(
+        "trace_embedding", tr_src, tr_dst,
+        src_index=tr_src.smoothness - 1 / tr_src.q,
+        dst_index=tr_dst.smoothness - 1 / tr_dst.q))
 
     shift = (ts.scale.low - fs.scale.low) / fs.scale.gap
     eps_emb = shift if shift > 0 else None
@@ -453,30 +442,18 @@ def plan_space_bootstrap(
     params["eps_emb"] = eps_emb
     if case in (3, 4):
         # provisos of the shifted-scale cases
-        p1_src = bessel_at(ts.scale, 1 - eps_emb)
-        p1_dst = bessel_at(fs.scale, 1)
-        p2_src = bessel_at(ts.scale, 0)
-        p2_dst = bessel_at(fs.scale, eps_emb)
-        checks.append(
-            BootstrapCheck(
-                "shift_proviso_high",
-                f"{p1_src.label()} embeds in {p1_dst.label()}",
-                embeds(p1_src, p1_dst), {"src": p1_src.label(), "dst": p1_dst.label()},
-            )
-        )
-        checks.append(
-            BootstrapCheck(
-                "shift_proviso_low",
-                f"{p2_src.label()} embeds in {p2_dst.label()}",
-                embeds(p2_src, p2_dst), {"src": p2_src.label(), "dst": p2_dst.label()},
-            )
-        )
+        checks.append(_embedding_check("shift_proviso_high",
+                                       bessel_at(ts.scale, 1 - eps_emb),
+                                       bessel_at(fs.scale, 1)))
+        checks.append(_embedding_check("shift_proviso_low",
+                                       bessel_at(ts.scale, 0),
+                                       bessel_at(fs.scale, eps_emb)))
 
     c_to = ts.weight_index
     lifted = []
     for part, i, t in g.terms():
         if t.window_ok(c_to):
-            lhs = t.rho * (t.phi - 1 + c_to) + t.beta
+            lhs = t.lhs(c_to)
             checks.append(
                 BootstrapCheck(
                     f"target_growth[{part}{i}]",
@@ -496,7 +473,7 @@ def plan_space_bootstrap(
             )
             continue
         lifted.append((part, i, mid))
-        slack = 1 - (t.rho * (mid - 1 + c_to) + mid)
+        slack = 1 - replace(t, phi=mid, beta=mid).lhs(c_to)
         checks.append(
             BootstrapCheck(
                 f"target_growth[{part}{i}]",
@@ -548,37 +525,16 @@ def check_extrapolation(
             {"r_hat": r_hat, "r": from_Y.p, "p": base_X.p},
         )
     )
-    tr_via = weighted_trace(via_setting)
-    tr_base = weighted_trace(base_X)
-    checks.append(
-        BootstrapCheck(
-            "trace_embedding",
-            f"{tr_via.label()} embeds in {tr_base.label()}",
-            embeds(tr_via, tr_base),
-            {"src": tr_via.label(), "dst": tr_base.label()},
-        )
-    )
-    top_via = bessel_at(via_setting.scale, 1)
-    theta = 1 - base_X.kappa / base_X.p
-    lp_base = bessel_at(base_X.scale, theta)
-    checks.append(
-        BootstrapCheck(
-            "top_space_embedding",
-            f"{top_via.label()} embeds in {lp_base.label()}",
-            embeds(top_via, lp_base),
-            {"src": top_via.label(), "dst": lp_base.label()},
-        )
-    )
+    checks.append(_embedding_check("trace_embedding",
+                                   weighted_trace(via_setting),
+                                   weighted_trace(base_X)))
+    checks.append(_embedding_check(
+        "top_space_embedding", bessel_at(via_setting.scale, 1),
+        bessel_at(base_X.scale, 1 - base_X.kappa / base_X.p)))
     for i in (0, 1):
-        src = bessel_at(via_setting.scale, i)
-        dst = bessel_at(from_Y.scale, i)
-        checks.append(
-            BootstrapCheck(
-                f"energy_component[{i}]",
-                f"{src.label()} embeds in {dst.label()}",
-                embeds(src, dst), {"src": src.label(), "dst": dst.label()},
-            )
-        )
+        checks.append(_embedding_check(f"energy_component[{i}]",
+                                       bessel_at(via_setting.scale, i),
+                                       bessel_at(from_Y.scale, i)))
     if from_Y.p == 2:
         note = ("energy branch r = 2: continuity into the midpoint space and "
                 "a local L2 bound at the top of the scale are the inputs")
@@ -719,39 +675,16 @@ def chain_composition_ok(chain: BootstrapChain) -> bool:
 
 # --- JSON rendering ---------------------------------------------------------
 
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return fraction_to_json(v)
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    return v
-
-
 def step_to_dict(step: BootstrapStep) -> dict:
     return {
         "rule": step.rule,
         "from": setting_to_dict(step.from_setting),
         "to": setting_to_dict(step.to_setting),
-        "params": {k: _jsonable(v) for k, v in step.params.items()},
-        "checks": [
-            {
-                "name": c.name,
-                "condition": c.condition,
-                "passed": c.passed,
-                "witness": {k: _jsonable(v) for k, v in c.witness.items()},
-            }
-            for c in step.checks
-        ],
+        "params": _jsonable(step.params),
+        "checks": _jsonable(step.checks),
     }
 
 
 def chain_to_dict(chain: BootstrapChain) -> dict:
-    return {
-        "steps": [step_to_dict(s) for s in chain.steps],
-        "claim": {
-            "theta_sup": fraction_to_json(chain.claim.theta_sup),
-            "time_exponent": chain.claim.time_exponent,
-            "smoothness": chain.claim.smoothness,
-            "note": chain.claim.note,
-        },
-    }
+    return {"steps": [step_to_dict(s) for s in chain.steps],
+            "claim": _jsonable(chain.claim)}

@@ -9,7 +9,7 @@ float inputs are snapped to nearby rationals and flagged `inexact`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -154,6 +154,11 @@ class GrowthTerm:
         lo = 1 - weight_index
         return lo < self.phi < 1 and lo < self.beta <= self.phi
 
+    def lhs(self, weight_index: Fraction) -> Fraction:
+        """rho*(phi-1+c) + beta at c = (1+kappa)/p; the term is subcritical
+        when this is at most 1 and critical when it equals 1."""
+        return self.rho * (self.phi - 1 + weight_index) + self.beta
+
 
 @dataclass(frozen=True)
 class GrowthSpec:
@@ -181,10 +186,6 @@ class GrowthSpec:
     @property
     def max_phi(self) -> Fraction:
         return max(t.phi for _, _, t in self.terms())
-
-    @property
-    def max_rho(self) -> Fraction:
-        return max(t.rho for _, _, t in self.terms())
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,7 @@ def subcriticality(g: GrowthSpec, s: Setting) -> CriticalityReport:
     c = s.weight_index
     rows = []
     for part, i, t in g.terms():
-        lhs = t.rho * (t.phi - 1 + c) + t.beta
+        lhs = t.lhs(c)
         slack = 1 - lhs
         thr = threshold_weight_index(t)
         margin = None if thr is None else thr - c
@@ -307,41 +308,35 @@ def critical_weight(g: GrowthSpec, p: Rational) -> Optional[Fraction]:
     lies in the admissible weight range for p (kappa = 0 is the only
     admissible value at p = 2), otherwise None.
     """
-    p = as_fraction(p)
-    if p < 2:
-        raise ParameterError("time integrability p must be >= 2")
-    candidates = []
-    for _, _, t in g.terms():
-        thr = threshold_weight_index(t)
-        if thr is not None:
-            candidates.append(p * thr - 1)
-    if not candidates:
-        return None
-    kappa = min(candidates)
-    if kappa == 0:
-        return kappa
-    if p > 2 and 0 <= kappa < p / 2 - 1:
-        return kappa
-    return None
+    return _critical_weight(g, p)[0]
 
 
 def critical_weight_binding(g: GrowthSpec, p: Rational) -> tuple[tuple[str, int], ...]:
     """Indices of the terms achieving the critical weight (may be several)."""
-    kappa = critical_weight(g, p)
-    return _binding_terms(g, as_fraction(p), kappa)
+    return _critical_weight(g, p)[1]
 
 
-def _binding_terms(
-    g: GrowthSpec, p: Fraction, kappa: Optional[Fraction]
-) -> tuple[tuple[str, int], ...]:
-    if kappa is None:
-        return ()
-    out = []
+def _critical_weight(
+    g: GrowthSpec, p: Rational
+) -> tuple[Optional[Fraction], tuple[tuple[str, int], ...]]:
+    """(critical weight, binding terms) from one pass over the thresholds;
+    (None, ()) when no term binds at an admissible weight."""
+    p = as_fraction(p)
+    if p < 2:
+        raise ParameterError("time integrability p must be >= 2")
+    kappa, binding = None, []
     for part, i, t in g.terms():
         thr = threshold_weight_index(t)
-        if thr is not None and p * thr - 1 == kappa:
-            out.append((part, i))
-    return tuple(out)
+        if thr is None:
+            continue
+        k = p * thr - 1
+        if kappa is None or k < kappa:
+            kappa, binding = k, [(part, i)]
+        elif k == kappa:
+            binding.append((part, i))
+    if kappa is not None and (kappa == 0 or (p > 2 and 0 <= kappa < p / 2 - 1)):
+        return kappa, tuple(binding)
+    return None, ()
 
 
 def _admissible_weight_index(g: GrowthSpec, s: Setting) -> Fraction:
@@ -357,8 +352,7 @@ def _admissible_weight_index(g: GrowthSpec, s: Setting) -> Fraction:
     for part, i, t in g.terms():
         if not t.window_ok(c):
             bad.append((part, i))
-        elif (not bad and supercritical is None
-              and t.rho * (t.phi - 1 + c) + t.beta > 1):
+        elif not bad and supercritical is None and t.lhs(c) > 1:
             supercritical = (part, i)
     if bad:
         raise GrowthWindowError(
@@ -384,24 +378,8 @@ def _x_exponents(g: GrowthSpec, s: Setting, c: Fraction) -> tuple[TermExponents,
     """rho_star_and_x_exponents after the admissibility checks."""
     out = []
     for part, i, t in g.terms():
-        one_minus_beta = 1 - t.beta
-        rho_star = one_minus_beta / (t.phi - 1 + c)  # > 0 inside the window
-        r_conj = c / one_minus_beta
-        r = c / (c - one_minus_beta)
-        entries = (
-            XEntry(
-                time_exponent=s.p * r,
-                theta=t.beta,
-                smoothness=s.scale.smoothness_at(t.beta),
-                space_q=s.scale.q,
-            ),
-            XEntry(
-                time_exponent=rho_star * s.p * r_conj,
-                theta=t.phi,
-                smoothness=s.scale.smoothness_at(t.phi),
-                space_q=s.scale.q,
-            ),
-        )
+        rho_star = (1 - t.beta) / (t.phi - 1 + c)  # > 0 inside the window
+        r, r_conj, entries = _mixed_norm(s, c, rho_star, t.phi, t.beta)
         out.append(
             TermExponents(
                 part=part, index=i, rho_star=rho_star, r=r, r_conj=r_conj,
@@ -409,6 +387,32 @@ def _x_exponents(g: GrowthSpec, s: Setting, c: Fraction) -> tuple[TermExponents,
             )
         )
     return tuple(out)
+
+
+def _mixed_norm(
+    s: Setting, c: Fraction, rho: Fraction, phi: Fraction, beta: Fraction
+) -> tuple[Fraction, Fraction, tuple[XEntry, XEntry]]:
+    """(r, r', entries) of one term: the conjugate pair r' = c/(1-beta),
+    r = c/(beta-1+c) and the mixed-norm entries L^{p*r} at scale parameter
+    beta and L^{rho*p*r'} at phi."""
+    one_minus_beta = 1 - beta
+    r_conj = c / one_minus_beta
+    r = c / (c - one_minus_beta)
+    entries = (
+        XEntry(
+            time_exponent=s.p * r,
+            theta=beta,
+            smoothness=s.scale.smoothness_at(beta),
+            space_q=s.scale.q,
+        ),
+        XEntry(
+            time_exponent=rho * s.p * r_conj,
+            theta=phi,
+            smoothness=s.scale.smoothness_at(phi),
+            space_q=s.scale.q,
+        ),
+    )
+    return r, r_conj, entries
 
 
 @dataclass(frozen=True)
@@ -506,23 +510,8 @@ def xi_exponents(g: GrowthSpec, s: Setting) -> tuple[XiExponents, ...]:
     c = _admissible_weight_index(g, s)
     out = []
     for sp in _star_rows(g, s, c):
-        one_minus_beta = 1 - sp.beta_star
-        xi_conj = c / one_minus_beta
-        xi = c / (c - one_minus_beta)
-        entries = (
-            XEntry(
-                time_exponent=s.p * xi,
-                theta=sp.beta_star,
-                smoothness=s.scale.smoothness_at(sp.beta_star),
-                space_q=s.scale.q,
-            ),
-            XEntry(
-                time_exponent=sp.rho_eff * s.p * xi_conj,
-                theta=sp.phi_star,
-                smoothness=s.scale.smoothness_at(sp.phi_star),
-                space_q=s.scale.q,
-            ),
-        )
+        xi, xi_conj, entries = _mixed_norm(s, c, sp.rho_eff, sp.phi_star,
+                                           sp.beta_star)
         out.append(
             XiExponents(part=sp.part, index=sp.index, xi=xi, xi_conj=xi_conj,
                         x_entries=entries)
@@ -768,8 +757,7 @@ def one_d_growth_params(
 def full_report(g: GrowthSpec, s: Setting) -> CriticalityReport:
     """Criticality report with the critical weight and exponent tables filled."""
     base = subcriticality(g, s)
-    kappa = critical_weight(g, s.p)
-    binding = _binding_terms(g, s.p, kappa)
+    kappa, binding = _critical_weight(g, s.p)
     exps = None
     if base.all_windows_ok and base.all_subcritical:
         exps = _x_exponents(g, s, s.weight_index)
@@ -803,6 +791,25 @@ def fraction_from_json(v) -> Fraction:
     return as_fraction(v)
 
 
+def _jsonable(v):
+    """JSON form of a Fraction, or of a tuple, dict or dataclass of them:
+    tuples become lists and dataclasses dicts by field."""
+    if isinstance(v, Fraction):
+        return fraction_to_json(v)
+    if isinstance(v, tuple):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if is_dataclass(v):
+        return {f.name: _jsonable(getattr(v, f.name)) for f in fields(v)}
+    return v
+
+
+def _term_to_dict(t: GrowthTerm) -> dict:
+    return {"rho": fraction_to_json(t.rho), "phi": fraction_to_json(t.phi),
+            "beta": fraction_to_json(t.beta)}
+
+
 def setting_to_dict(s: Setting) -> dict:
     return {
         "scale": {
@@ -829,17 +836,8 @@ def setting_from_dict(d: dict) -> Setting:
 
 
 def growth_spec_to_dict(g: GrowthSpec) -> dict:
-    def enc(ts):
-        return [
-            {
-                "rho": fraction_to_json(t.rho),
-                "phi": fraction_to_json(t.phi),
-                "beta": fraction_to_json(t.beta),
-            }
-            for t in ts
-        ]
-
-    return {"f_terms": enc(g.f_terms), "g_terms": enc(g.g_terms)}
+    return {"f_terms": [_term_to_dict(t) for t in g.f_terms],
+            "g_terms": [_term_to_dict(t) for t in g.g_terms]}
 
 
 def growth_spec_from_dict(d: dict) -> GrowthSpec:
@@ -863,50 +861,27 @@ def growth_spec_from_dict(d: dict) -> GrowthSpec:
 
 
 def report_to_dict(rep: CriticalityReport) -> dict:
-    def frac(x):
-        return None if x is None else fraction_to_json(x)
-
     out = {
         "is_critical": rep.is_critical,
         "all_subcritical": rep.all_subcritical,
         "all_windows_ok": rep.all_windows_ok,
-        "kappa_crit": frac(rep.kappa_crit),
-        "binding_terms": [list(b) for b in rep.binding_terms],
+        "kappa_crit": _jsonable(rep.kappa_crit),
+        "binding_terms": _jsonable(rep.binding_terms),
         "inexact": rep.inexact,
         "terms": [
             {
                 "part": r.part,
                 "index": r.index,
-                "rho": fraction_to_json(r.term.rho),
-                "phi": fraction_to_json(r.term.phi),
-                "beta": fraction_to_json(r.term.beta),
+                **_term_to_dict(r.term),
                 "window_ok": r.window_ok,
                 "lhs": fraction_to_json(r.lhs),
                 "slack": fraction_to_json(r.slack),
-                "weight_margin": frac(r.weight_margin),
+                "weight_margin": _jsonable(r.weight_margin),
                 "critical": r.critical,
             }
             for r in rep.terms
         ],
     }
     if rep.exponents is not None:
-        out["exponents"] = [
-            {
-                "part": e.part,
-                "index": e.index,
-                "rho_star": fraction_to_json(e.rho_star),
-                "r": fraction_to_json(e.r),
-                "r_conj": fraction_to_json(e.r_conj),
-                "x_entries": [
-                    {
-                        "time_exponent": fraction_to_json(x.time_exponent),
-                        "theta": fraction_to_json(x.theta),
-                        "smoothness": fraction_to_json(x.smoothness),
-                        "space_q": fraction_to_json(x.space_q),
-                    }
-                    for x in e.x_entries
-                ],
-            }
-            for e in rep.exponents
-        ]
+        out["exponents"] = _jsonable(rep.exponents)
     return out

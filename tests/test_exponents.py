@@ -462,6 +462,7 @@ def test_property_conjugacy_and_slack(params):
         assert (ex.rho_star, ex.r, ex.r_conj) == (
             (1 - beta) / (phi - 1 + c), c / (beta - 1 + c), c / (1 - beta))
         e0, e1 = ex.x_entries
+        assert (e0.theta, e1.theta) == (beta, phi)
         assert e0.time_exponent == p * ex.r
         assert e1.time_exponent == ex.rho_star * p * ex.r_conj
         assert e0.smoothness == (1 - beta) * scale.low + beta * scale.high
@@ -486,6 +487,7 @@ def test_property_star_identity(params):
     assert xi.xi == c / (sp.beta_star - 1 + c)
     assert xi.xi_conj == 1 / (sp.rho_eff * (sp.phi_star - 1 + c) / c)
     e0, e1 = xi.x_entries
+    assert (e0.theta, e1.theta) == (sp.beta_star, sp.phi_star)
     assert e0.time_exponent == p * xi.xi
     assert e1.time_exponent == sp.rho_eff * p * xi.xi_conj
     assert e0.smoothness == (1 - sp.beta_star) * scale.low + sp.beta_star * scale.high

@@ -4,7 +4,9 @@ No linter is a dependency, so this parses the sources with ast: a name
 bound by an import must be read somewhere in the module, or be listed in
 its __all__ (the package's re-exports); a module-level private name
 (`_x` function, class or constant, dunders aside) must be read somewhere
-in the package.  On the stepping hot path (sim.py, presets.py) no `**`
+in the package; every function or method the package defines (dunders
+aside) must be referenced somewhere in src/, tests/ or bench/.  On the
+stepping hot path (sim.py, presets.py) no `**`
 takes an integer literal above 2: numpy sends those through pow, some 30
 times slower than multiplying, while `** 2` takes its square fast path.
 """
@@ -14,8 +16,11 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "critspde")
-                 .glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "critspde").glob("*.py"))
+# every Python file that may call into the package
+CALLERS = sorted(p for d in ("src", "tests", "bench")
+                 for p in (ROOT / d).rglob("*.py"))
 HOT_PATH = [p for p in SOURCES if p.name in ("sim.py", "presets.py")]
 
 
@@ -82,6 +87,19 @@ def unread_private_names(trees: dict):
                   if name not in read)
 
 
+def unreferenced_functions(trees: dict, callers: list):
+    """(module, line, name) of every function or method, dunders aside,
+    that the modules in trees define and no tree in callers reads."""
+    read = set().union(*(names_read(t) for t in callers))
+    return sorted((module, node.lineno, node.name)
+                  for module, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__"))
+                  and node.name not in read)
+
+
 def slow_powers(tree: ast.Module):
     """(line, exponent) of every `x ** k` with k an int literal above 2."""
     return sorted((node.lineno, node.right.value) for node in ast.walk(tree)
@@ -126,6 +144,26 @@ def test_unread_private_name_is_reported():
     }
     assert unread_private_names(trees) == [("a.py", 2, "_DEAD"),
                                            ("a.py", 6, "_Gone")]
+
+
+def test_every_function_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES}
+    callers = [ast.parse(path.read_text(), filename=str(path))
+               for path in CALLERS]
+    assert unreferenced_functions(trees, callers) == []
+
+
+def test_unreferenced_function_is_reported():
+    tree = ast.parse("def used():\n    pass\n"
+                     "def dead():\n    pass\n"
+                     "class C:\n"
+                     "    def __init__(self):\n        pass\n"
+                     "    @property\n    def size(self):\n        return 1\n"
+                     "    def unread(self):\n        pass\n")
+    caller = ast.parse("from a import used, C\nused()\nC().size\n")
+    assert unreferenced_functions({"a.py": tree}, [tree, caller]) == [
+        ("a.py", 3, "dead"), ("a.py", 11, "unread")]
 
 
 @pytest.mark.parametrize("path", HOT_PATH, ids=lambda p: p.name)
