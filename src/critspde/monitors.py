@@ -211,9 +211,10 @@ def x_space_norm(traj: Trajectory, report: CriticalityReport,
 def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     """Cumulative defect of the discrete L^2 energy identity.
 
-    Replays the trajectory from its config (the path is deterministic given
-    the seed), keeping every state, and re-takes its steps from the kept
-    states RNG_BLOCK at a time on the path's own draws.  Per step it
+    Draws the path's stream once, replays the trajectory from its config on
+    that table (the path is deterministic given the seed), keeping every
+    state, and re-takes its steps from the kept states RNG_BLOCK at a time
+    on the same draws.  Per step it
     accumulates
 
         d||u||^2 + 2 ||grad u||^2 dt - (I + II + III)
@@ -227,7 +228,9 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     entry per step it kept.
     """
     cfg = traj.config
-    replay = simulate_path(cfg)
+    stepper = SpectralStepper(cfg)
+    xi = draw_increments(cfg) if stepper.draws else None
+    replay = simulate_path(cfg, increments=xi)
     if replay.status != traj.status or replay.sigma_hat != traj.sigma_hat:
         raise ParameterError("trajectory does not replay from its config")
     if traj.completed and traj.states.size:
@@ -235,12 +238,10 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
                            rtol=1e-10, atol=1e-12):
             raise ParameterError("trajectory does not replay from its config")
 
-    stepper = SpectralStepper(cfg)
     nl = cfg.nonlinearity
     k2 = stepper.k.astype(float) ** 2
     decay = 0.5 * (1.0 - np.exp(-2.0 * k2 * stepper.dt))
     w_decay = stepper.weights * decay
-    xi = draw_increments(cfg) if stepper.draws else None
 
     def energy(spec: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return TWO_PI * np.vecdot(spec.real ** 2 + spec.imag ** 2, weights)

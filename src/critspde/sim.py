@@ -492,7 +492,8 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     one vecdot gives their norms, and a cumsum along the steps adds the
     dt * ||grad u||^2 terms in step order, the sums of one step at a time.
     A row that blows up leaves the active set and is stepped no further.
-    increments replaces the stream of a one-path run.
+    increments replaces the stream of a one-path run: its rows fill the
+    same block of draws the stream would.
 
     A config whose steps do not read the grid (no flux, g constant or
     absent) takes each RNG_BLOCK block in spectral space, then one irfft and
@@ -520,17 +521,19 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     saved = np.empty((n_paths, save_idx.size, n))
     saved[:, 0] = values
 
-    # table holds the current block's noise, one (rows, steps, .) slab
-    table, given, rngs = None, None, None
+    # draws holds the current block's unit draws and table their noise,
+    # one (rows, steps, .) slab each
+    table = None
     if increments is not None:
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_steps, stepper.draws):
             raise ParameterError("increment table shape must be "
                                  "(n_steps, 2K+1)")
-        given = stepper.noise_increments(increments)[None]
-    elif stepper.draws:
-        rngs = [np.random.default_rng(np.random.PCG64(c.seed)) for c in cfgs]
+    if stepper.draws:
         draws = np.empty((n_paths, RNG_BLOCK, stepper.draws))
+        if increments is None:
+            rngs = [np.random.default_rng(np.random.PCG64(c.seed))
+                    for c in cfgs]
 
     norm_weights = np.stack([stepper.weights, stepper.grad_weights])
 
@@ -588,12 +591,13 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
 
     for start in range(0, n_steps, RNG_BLOCK):
         m = min(RNG_BLOCK, n_steps - start)
-        if rngs is not None:
-            for r, p in enumerate(rows):
-                rngs[p].standard_normal(out=draws[r, :m])
+        if stepper.draws:
+            if increments is None:
+                for r, p in enumerate(rows):
+                    rngs[p].standard_normal(out=draws[r, :m])
+            else:
+                draws[0, :m] = increments[start:start + m]
             table = stepper.noise_increments(draws[:rows.size, :m])
-        elif given is not None:
-            table = given[:, start:start + m]
         if not stepper.reads_grid:
             # a retire in an earlier block may have left spectra unfolded
             fold()

@@ -335,13 +335,19 @@ def test_blowup_mid_path_truncates():
 
 
 def test_path_determinism_and_table_equivalence():
-    cfg = ou_cfg(dt=0.01, seed=9)
-    a = simulate_path(cfg)
-    b = simulate_path(cfg)
-    assert np.array_equal(a.states, b.states)
-    table = draw_increments(cfg)
-    c = simulate_path(cfg, increments=table)
-    assert np.array_equal(a.states[-1], c.states[-1])
+    # a run on the table of its own stream is the stream run bit for bit:
+    # every state and the stats.  Both horizons end in a partial block, and
+    # with a map g (sublinear-global) each block's noise takes its own irfft
+    for cfg in (ou_cfg(dt=0.01, seed=9),
+                replace(presets.sublinear_global(), t_end=0.25, seed=9)):
+        a = simulate_path(cfg)
+        b = simulate_path(cfg)
+        assert np.array_equal(a.states, b.states)
+        c = simulate_path(cfg, increments=draw_increments(cfg))
+        assert c.completed
+        assert np.array_equal(a.times, c.times)
+        assert np.array_equal(a.states, c.states)
+        assert a.stats == c.stats
 
 
 def test_increment_table_shape_enforced():
