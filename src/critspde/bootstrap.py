@@ -165,11 +165,6 @@ def _passed(rule: str, checks) -> tuple[BootstrapCheck, ...]:
     return checks
 
 
-def _emit(rule, from_setting, to_setting, checks, params) -> BootstrapStep:
-    return BootstrapStep(rule, from_setting, to_setting,
-                         _passed(rule, checks), params)
-
-
 def _embedding_check(name: str, src: SpaceDescriptor, dst: SpaceDescriptor,
                      **witness) -> BootstrapCheck:
     """The check that src embeds in dst, witnessed by both labels and any
@@ -337,7 +332,8 @@ def plan_time_bootstrap(
     to_setting = Setting(from_setting.scale, r_hat, Fraction(0))
     params = {"r_hat": r_hat, "alpha_hat": alpha_hat, "eps": eps,
               "c_mid": c_mid, "emb_case": case}
-    return _emit("time_bootstrap", from_setting, to_setting, checks, params)
+    return BootstrapStep("time_bootstrap", from_setting, to_setting,
+                         _passed("time_bootstrap", checks), params)
 
 
 def emb_condition(
@@ -495,7 +491,8 @@ def plan_space_bootstrap(
             )
         )
 
-    return _emit("space_bootstrap", fs, ts, checks, params)
+    return BootstrapStep("space_bootstrap", fs, ts,
+                         _passed("space_bootstrap", checks), params)
 
 
 @dataclass(frozen=True)
