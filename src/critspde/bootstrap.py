@@ -469,7 +469,7 @@ def plan_space_bootstrap(
             )
             continue
         lifted.append((part, i, mid))
-        slack = 1 - replace(t, phi=mid, beta=mid).lhs(c_to)
+        slack = 1 - (t.rho * (mid - 1 + c_to) + mid)
         checks.append(
             BootstrapCheck(
                 f"target_growth[{part}{i}]",
