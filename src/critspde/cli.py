@@ -23,9 +23,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import acceptance
-from .bootstrap import BootstrapError, chain_to_dict, full_chain_1d
+from .bootstrap import chain_to_dict, full_chain_1d
 from .exponents import (
-    GrowthWindowError,
     ParameterError,
     Setting,
     fraction_from_json,
@@ -42,7 +41,6 @@ from .exponents import (
 from .harness import EnsembleConfig, mc_run, save_trajectory_csv, write_summary
 from .presets import CHAIN_PRESETS, SIM_PRESETS
 from .sim import NoiseSpec, TorusGrid, simulate_path
-from .weights import LimitingCaseError
 
 __all__ = ["main"]
 
@@ -483,8 +481,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (ParameterError, GrowthWindowError, BootstrapError,
-            LimitingCaseError) as e:
+    except ParameterError as e:
         print(f"check failure: {e}", file=sys.stderr)
         return 2
     except OSError as e:

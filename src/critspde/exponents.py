@@ -311,11 +311,6 @@ def critical_weight(g: GrowthSpec, p: Rational) -> Optional[Fraction]:
     return _critical_weight(g, p)[0]
 
 
-def critical_weight_binding(g: GrowthSpec, p: Rational) -> tuple[tuple[str, int], ...]:
-    """Indices of the terms achieving the critical weight (may be several)."""
-    return _critical_weight(g, p)[1]
-
-
 def _critical_weight(
     g: GrowthSpec, p: Rational
 ) -> tuple[Optional[Fraction], tuple[tuple[str, int], ...]]:

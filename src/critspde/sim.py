@@ -51,14 +51,6 @@ class TorusGrid:
     def x(self) -> np.ndarray:
         return TWO_PI * np.arange(self.n) / self.n
 
-    @property
-    def nyquist(self) -> int:
-        return self.n // 2
-
-    @property
-    def modes(self) -> np.ndarray:
-        return np.arange(self.n // 2 + 1)
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -88,9 +80,9 @@ class NonlinearitySpec:
 
     f and g act on sample values (vectorized y -> f(y)); g may instead be a
     plain float for a state-independent coefficient, or None for no noise.
-    nu is the derivative-loss split carried as metadata for the exponent
-    calculus; growth and sublinear_noise_bound are metadata that no code
-    reads or enforces.
+    nu, growth and sublinear_noise_bound are metadata that no code reads:
+    nu is only range-checked here, and the exponent calculus takes its own
+    nu in one_d_growth_params.
     """
 
     f: Optional[PointwiseMap] = None
@@ -648,11 +640,12 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
         ends[p] = grad[r], sup[r], final[r]
     trajs = []
     for p, c in enumerate(cfgs):
-        mask = save_idx <= kept[p]
+        # save_idx is sorted, so the states kept are a prefix: a view, no copy
+        count = int(np.searchsorted(save_idx, kept[p], side="right"))
         g, s, f = (float(x) for x in ends[p])
         stats = PathStats(initial_l2_sq=l2_0, sup_l2_sq=s, grad_integral=g,
                           final_l2_sq=f, steps_taken=kept[p])
-        trajs.append(Trajectory(save_idx[mask] * cfg.dt, saved[p][mask],
+        trajs.append(Trajectory(save_idx[:count] * cfg.dt, saved[p, :count],
                                 stats, status[p], sigma_hat[p], c))
     return trajs
 

@@ -15,7 +15,6 @@ from critspde.exponents import (
     as_fraction,
     criterion_select,
     critical_weight,
-    critical_weight_binding,
     fraction_from_json,
     fraction_to_json,
     full_report,
@@ -153,9 +152,10 @@ def test_critical_weight_rough_formula():
 
 def test_critical_weight_binding_term_is_drift():
     g = one_d_growth_params("l2_eps", eps=F(1, 5))
-    assert critical_weight_binding(g, F(2)) == ()  # kappa would be negative
+    # kappa would be negative
+    assert full_report(g, L2_SETTING).binding_terms == ()
     g0 = l2_growth()
-    assert critical_weight_binding(g0, F(2)) == (("f", 0),)
+    assert full_report(g0, L2_SETTING).binding_terms == (("f", 0),)
 
 
 def test_critical_weight_rho_zero_never_binds():

@@ -4,8 +4,9 @@ No linter is a dependency, so this parses the sources with ast: a name
 bound by an import must be read somewhere in the module, or be listed in
 its __all__ (the package's re-exports); a module-level private name
 (`_x` function, class or constant, dunders aside) must be read somewhere
-in the package; every function or method the package defines (dunders
-aside) must be referenced somewhere in src/, tests/ or bench/.  On the
+in the package; every function, method or class the package defines
+(dunders aside) must be referenced from src/ or bench/, or be listed in
+an __all__: a name that only tests reach is not shipped.  On the
 stepping hot path (sim.py, presets.py) no `**`
 takes an integer literal above 2: numpy sends those through pow, some 30
 times slower than multiplying, while `** 2` takes its square fast path.
@@ -18,10 +19,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "critspde").glob("*.py"))
-# every Python file that may call into the package
-CALLERS = sorted(p for d in ("src", "tests", "bench")
-                 for p in (ROOT / d).rglob("*.py"))
 HOT_PATH = [p for p in SOURCES if p.name in ("sim.py", "presets.py")]
+
+
+def caller_paths(root: Path) -> list:
+    """Every Python file whose references keep a package name alive: the
+    package and the bench, not the tests."""
+    return sorted(p for d in ("src", "bench") for p in (root / d).rglob("*.py"))
 
 
 def unused_imports(tree: ast.Module):
@@ -35,13 +39,20 @@ def unused_imports(tree: ast.Module):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= exported(tree)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def exported(tree: ast.Module) -> set:
+    """Names the module lists in its __all__."""
+    out = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
-            used |= {elt.value for elt in node.value.elts}
-    return sorted((line, name) for name, line in imported.items()
-                  if name not in used)
+            out |= {elt.value for elt in node.value.elts}
+    return out
 
 
 def _is_private(name: str) -> bool:
@@ -87,14 +98,17 @@ def unread_private_names(trees: dict):
                   if name not in read)
 
 
-def unreferenced_functions(trees: dict, callers: list):
-    """(module, line, name) of every function or method, dunders aside,
-    that the modules in trees define and no tree in callers reads."""
-    read = set().union(*(names_read(t) for t in callers))
+def unreferenced_definitions(trees: dict, callers: list):
+    """(module, line, name) of every function, method or class, dunders
+    aside, that the modules in trees define, no tree in callers reads and
+    no __all__ in trees lists."""
+    read = set().union(*(names_read(t) for t in callers),
+                       *(exported(t) for t in trees.values()))
     return sorted((module, node.lineno, node.name)
                   for module, tree in trees.items()
                   for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
                   and not (node.name.startswith("__")
                            and node.name.endswith("__"))
                   and node.name not in read)
@@ -150,8 +164,8 @@ def test_every_function_is_referenced():
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in SOURCES}
     callers = [ast.parse(path.read_text(), filename=str(path))
-               for path in CALLERS]
-    assert unreferenced_functions(trees, callers) == []
+               for path in caller_paths(ROOT)]
+    assert unreferenced_definitions(trees, callers) == []
 
 
 def test_unreferenced_function_is_reported():
@@ -160,10 +174,35 @@ def test_unreferenced_function_is_reported():
                      "class C:\n"
                      "    def __init__(self):\n        pass\n"
                      "    @property\n    def size(self):\n        return 1\n"
-                     "    def unread(self):\n        pass\n")
+                     "    def unread(self):\n        pass\n"
+                     "class Gone:\n    pass\n")
     caller = ast.parse("from a import used, C\nused()\nC().size\n")
-    assert unreferenced_functions({"a.py": tree}, [tree, caller]) == [
-        ("a.py", 3, "dead"), ("a.py", 11, "unread")]
+    assert unreferenced_definitions({"a.py": tree}, [tree, caller]) == [
+        ("a.py", 3, "dead"), ("a.py", 11, "unread"), ("a.py", 13, "Gone")]
+
+
+def test_test_only_reference_is_reported(tmp_path):
+    # a name reached from tests/ alone is reported; one reached from bench/
+    # or listed in __all__ is not, whatever reads it
+    files = {
+        "src/pkg/a.py": ("__all__ = ['public']\n"
+                         "def public():\n    pass\n"
+                         "def benched():\n    pass\n"
+                         "def tested():\n    pass\n"
+                         "class Probe:\n    pass\n"),
+        "bench/b.py": "from pkg.a import benched\nbenched()\n",
+        "tests/test_a.py": ("from pkg.a import tested, Probe\n"
+                            "tested()\nProbe()\n"),
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    paths = caller_paths(tmp_path)
+    assert paths == [tmp_path / "bench/b.py", tmp_path / "src/pkg/a.py"]
+    trees = {"a.py": ast.parse(files["src/pkg/a.py"])}
+    callers = [ast.parse(path.read_text()) for path in paths]
+    assert unreferenced_definitions(trees, callers) == [
+        ("a.py", 6, "tested"), ("a.py", 8, "Probe")]
 
 
 @pytest.mark.parametrize("path", HOT_PATH, ids=lambda p: p.name)

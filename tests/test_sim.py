@@ -64,7 +64,9 @@ def test_grid_validation():
         TorusGrid(12)
     with pytest.raises(ParameterError):
         TorusGrid(4)
-    assert TorusGrid(8).nyquist == 4
+    g = TorusGrid(8)
+    assert g.n == 8
+    assert np.array_equal(g.x, 2 * np.pi * np.arange(8) / 8)
 
 
 def test_noise_spec_validation():
@@ -529,6 +531,25 @@ def test_blowup_sites_set_sigma_hat():
         assert b.sigma_hat == a.sigma_hat
         assert b.times[-1] == b.stats.steps_taken * dt
         assert np.array_equal(b.states, a.states[:-1])
+
+
+def test_paths_share_no_state_memory():
+    # a batch's states are never shared between paths, also where a path
+    # blew up and keeps only a prefix of the snapshots: overwriting one
+    # path's states leaves every other path's as it was
+    cfg = SimConfig(grid=TorusGrid(32), nonlinearity=NonlinearitySpec(g=1.0),
+                    noise=NoiseSpec(lam=0.75, modes=5), t_end=0.5, dt=0.01,
+                    u0=None, blowup_cap=0.5)
+    trajs = simulate_paths(cfg, range(8))
+    assert {t.status for t in trajs} == {"completed", "blew_up"}
+    for i, a in enumerate(trajs):
+        assert a.states.shape == (a.times.size, 32)
+        for b in trajs[i + 1:]:
+            assert not np.shares_memory(a.states, b.states)
+    before = [t.states.copy() for t in trajs]
+    trajs[0].states[:] = np.nan
+    for t, want in zip(trajs[1:], before[1:]):
+        assert np.array_equal(t.states, want)
 
 
 def edge_flux(y):
