@@ -30,7 +30,6 @@ from .exponents import (
     critical_weight,
     one_d_growth_params,
     setting_to_dict,
-    threshold_weight_index,
     trace_space,
 )
 
@@ -175,14 +174,14 @@ def _embedding_check(name: str, src: SpaceDescriptor, dst: SpaceDescriptor,
                           {"src": src_label, "dst": dst_label, **witness})
 
 
-def _growth_checks(g: GrowthSpec, p: Fraction, kappa: Fraction,
+def _growth_checks(g: GrowthSpec, c: Fraction,
                    strict: bool) -> list[BootstrapCheck]:
-    """Window and subcriticality checks for every term at weight (1+kappa)/p."""
-    c = (1 + kappa) / p
+    """Window and subcriticality checks for every term at weight index c."""
+    lo = 1 - c
     out = []
     for part, i, t in g.terms():
-        lhs = t.lhs(c)
-        ok_window = t.window_ok(c)
+        _, lhs = t.lhs(lo)
+        ok_window = t.window_ok(lo)
         ok_slack = lhs < 1 if strict else lhs <= 1
         out.append(
             BootstrapCheck(
@@ -219,10 +218,11 @@ def plan_weight_insertion(
     if from_setting.kappa != 0:
         raise ParameterError("weight insertion starts from an unweighted setting")
     p = from_setting.p
+    inv_p = from_setting.weight_index  # 1/p at kappa = 0
     max_phi = g.max_phi
-    alpha = r * (1 / p - delta) - 1
+    alpha = r * (inv_p - delta) - 1
 
-    checks = _growth_checks(g, p, Fraction(0), strict=False)
+    checks = _growth_checks(g, inv_p, strict=False)
     checks.append(
         BootstrapCheck(
             "delta_window", "0 <= delta < 1 - max phi_j",
@@ -240,11 +240,11 @@ def plan_weight_insertion(
             "r_range", "r > 2 and r >= p", r > 2 and r >= p, {"r": r, "p": p},
         )
     )
+    inv_r, bound = 1 / r, max_phi - from_setting.window_low
     checks.append(
         BootstrapCheck(
             "time_integrability", "1/r >= max phi_j - 1 + 1/p",
-            1 / r >= max_phi - 1 + 1 / p,
-            {"inv_r": 1 / r, "bound": max_phi - 1 + 1 / p},
+            inv_r >= bound, {"inv_r": inv_r, "bound": bound},
         )
     )
     checks.append(
@@ -283,12 +283,13 @@ def plan_time_bootstrap(
         raise ParameterError("time bootstrap needs a positive weight to trade")
     c_from = from_setting.weight_index
 
-    checks = _growth_checks(g, r, alpha, strict=False)
+    checks = _growth_checks(g, c_from, strict=False)
     checks.append(
         BootstrapCheck("integrability_order", "r_hat >= r", r_hat >= r,
                        {"r_hat": r_hat, "r": r})
     )
-    margin = min(min(t.beta for _, _, t in g.terms()) - 1 + c_from, alpha / r)
+    margin = min(min(t.beta for _, _, t in g.terms()) - from_setting.window_low,
+                 alpha / r)
     checks.append(
         BootstrapCheck(
             "positive_margin",
@@ -317,11 +318,11 @@ def plan_time_bootstrap(
             0 <= alpha_hat < r_hat / 2 - 1, {"alpha_hat": alpha_hat},
         )
     )
-    # growth at the intermediate weighted setting: windows survive the
-    # small decrease of the weight index, and the slack turns strictly
-    # positive there
+    # growth at the intermediate weighted setting, whose weight index
+    # (1+alpha_hat)/r_hat is c_mid exactly: windows survive the small
+    # decrease of the weight index, and the slack turns strictly positive
     checks.extend(replace(ch, name=ch.name + "@intermediate")
-                  for ch in _growth_checks(g, r_hat, alpha_hat, strict=True))
+                  for ch in _growth_checks(g, c_mid, strict=True))
     case = emb_condition(r, alpha, r_hat, alpha_hat, None)
     checks.append(
         BootstrapCheck(
@@ -366,19 +367,18 @@ def emb_condition(
     return None
 
 
-def _lift_term(t: GrowthTerm, c_to: Fraction) -> Optional[Fraction]:
-    """Equalized growth parameters valid at weight index c_to, or None.
+def _lift_term(t: GrowthTerm, lo: Fraction) -> Optional[Fraction]:
+    """Equalized growth parameters valid at window_low lo = 1 - c_to, or None.
 
     Replacing (phi, beta) by a common larger value is always a weaker
     growth hypothesis (the space scale is monotone), so a term with
     phi = beta below the target window can be lifted to the midpoint of
-    (1 - c_to, (1 + rho*(1-c_to))/(rho+1)); the right endpoint is the
-    critical value, so the midpoint is strictly subcritical.
+    (lo, (1 + rho*lo)/(rho+1)); the right endpoint is the critical value,
+    so the midpoint is strictly subcritical.
     """
     if t.phi != t.beta:
         return None
-    lo = 1 - c_to
-    hi = (1 + t.rho * (1 - c_to)) / (t.rho + 1)
+    hi = (1 + t.rho * lo) / (t.rho + 1)
     if not lo < hi:
         return None
     mid = (lo + hi) / 2
@@ -445,11 +445,11 @@ def plan_space_bootstrap(
                                        bessel_at(ts.scale, 0),
                                        bessel_at(fs.scale, eps_emb)))
 
-    c_to = ts.weight_index
+    c_to, lo_to = ts.weight_index, ts.window_low
     lifted = []
     for part, i, t in g.terms():
-        if t.window_ok(c_to):
-            lhs = t.lhs(c_to)
+        if t.window_ok(lo_to):
+            _, lhs = t.lhs(lo_to)
             checks.append(
                 BootstrapCheck(
                     f"target_growth[{part}{i}]",
@@ -458,7 +458,7 @@ def plan_space_bootstrap(
                 )
             )
             continue
-        mid = _lift_term(t, c_to)
+        mid = _lift_term(t, lo_to)
         if mid is None:
             checks.append(
                 BootstrapCheck(
@@ -469,7 +469,7 @@ def plan_space_bootstrap(
             )
             continue
         lifted.append((part, i, mid))
-        slack = 1 - (t.rho * (mid - 1 + c_to) + mid)
+        slack = 1 - (t.rho * (mid - lo_to) + mid)
         checks.append(
             BootstrapCheck(
                 f"target_growth[{part}{i}]",
@@ -480,9 +480,9 @@ def plan_space_bootstrap(
     params["lifted_terms"] = tuple(lifted)
 
     for part, i, t in g.terms():
-        if t.rho == 0:
+        cstar = t.threshold_weight_index
+        if cstar is None:
             continue
-        cstar = threshold_weight_index(t)
         checks.append(
             BootstrapCheck(
                 f"target_noncritical[{part}{i}]",

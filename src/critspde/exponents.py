@@ -60,7 +60,8 @@ class SobolevScale:
     """Interpolation scale of Bessel-potential spaces on the torus.
 
     The space at parameter theta in [0,1] has smoothness
-    (1-theta)*low + theta*high and integrability q.
+    (1-theta)*low + theta*high and integrability q.  gap = high - low is
+    derived at construction as an attribute, not a field.
     """
 
     low: Fraction
@@ -78,20 +79,16 @@ class SobolevScale:
             raise ParameterError("scale needs high > low smoothness")
         if not self.q > 1:
             raise ParameterError("scale integrability must exceed 1")
-
-    @property
-    def gap(self) -> Fraction:
-        return self.high - self.low
+        object.__setattr__(self, "gap", self.high - self.low)
 
     def smoothness_at(self, theta: Rational) -> Fraction:
         # low + theta*gap is (1-theta)*low + theta*high with fewer Fraction
-        # operations; the endpoints need none
-        theta = as_fraction(theta)
+        # operations; the endpoints need none, not even a coercion
         if theta == 0:
             return self.low
         if theta == 1:
             return self.high
-        return self.low + theta * self.gap
+        return self.low + as_fraction(theta) * self.gap
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,10 @@ class Setting:
     """A (scale, p, kappa) configuration for the weighted evolution problem.
 
     Weight admissibility: kappa in [0, p/2-1) for p > 2, and kappa = 0 when
-    p = 2 (the Hilbert-space endpoint admits no weight).
+    p = 2 (the Hilbert-space endpoint admits no weight).  Derived at
+    construction as attributes, not fields (equality, hashing, reprs and
+    JSON see the fields only): weight_index = (1+kappa)/p, the weight's
+    contribution to every exponent window, and window_low = 1-weight_index.
     """
 
     scale: SobolevScale
@@ -121,11 +121,9 @@ class Setting:
             raise ParameterError(
                 f"kappa={self.kappa} outside [0, p/2-1) for p={self.p}"
             )
-
-    @property
-    def weight_index(self) -> Fraction:
-        """(1+kappa)/p, the weight's contribution to every exponent window."""
-        return (1 + self.kappa) / self.p
+        c = (1 + self.kappa) / self.p
+        object.__setattr__(self, "weight_index", c)
+        object.__setattr__(self, "window_low", 1 - c)
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,10 @@ class GrowthTerm:
     """One polynomial-growth term (rho, phi, beta) of the nonlinearity.
 
     Admissibility relative to a Setting: phi in (1-(1+kappa)/p, 1) and
-    beta in (1-(1+kappa)/p, phi].
+    beta in (1-(1+kappa)/p, phi].  Derived at construction as an attribute,
+    not a field: threshold_weight_index = (1-beta)/rho + (1-phi), the c that
+    solves rho*(phi-1+c) + beta = 1, or None when rho = 0 (such a term never
+    binds: its gap 1-beta is positive and weight-independent).
     """
 
     rho: Fraction
@@ -149,15 +150,19 @@ class GrowthTerm:
         object.__setattr__(self, "inexact", bool(self.inexact) or inexact)
         if self.rho < 0:
             raise ParameterError("growth power rho must be >= 0")
+        thr = None if self.rho == 0 else (1 - self.beta) / self.rho + (1 - self.phi)
+        object.__setattr__(self, "threshold_weight_index", thr)
 
-    def window_ok(self, weight_index: Fraction) -> bool:
-        lo = 1 - weight_index
+    def window_ok(self, lo: Fraction) -> bool:
+        """Whether the term lies in its window at window_low lo = 1-c."""
         return lo < self.phi < 1 and lo < self.beta <= self.phi
 
-    def lhs(self, weight_index: Fraction) -> Fraction:
-        """rho*(phi-1+c) + beta at c = (1+kappa)/p; the term is subcritical
-        when this is at most 1 and critical when it equals 1."""
-        return self.rho * (self.phi - 1 + weight_index) + self.beta
+    def lhs(self, lo: Fraction) -> tuple[Fraction, Fraction]:
+        """(d, rho*d + beta) with d = phi - lo = phi-1+c at window_low
+        lo = 1-c, c = (1+kappa)/p; the term is subcritical when rho*d + beta
+        is at most 1 and critical when it equals 1."""
+        d = self.phi - lo
+        return d, self.rho * d + self.beta
 
 
 @dataclass(frozen=True)
@@ -205,17 +210,6 @@ def trace_space(s: Setting) -> BesovDescriptor:
     """
     sm = s.scale.high - s.scale.gap * s.weight_index
     return BesovDescriptor(smoothness=sm, q=s.scale.q, p=s.p)
-
-
-def threshold_weight_index(term: GrowthTerm) -> Optional[Fraction]:
-    """Critical value of (1+kappa)/p for one term; None when rho = 0.
-
-    Solves rho*(phi-1+c) + beta = 1 for c.  Terms with rho = 0 never bind:
-    their subcriticality gap 1-beta is positive and weight-independent.
-    """
-    if term.rho == 0:
-        return None
-    return (1 - term.beta) / term.rho + (1 - term.phi)
 
 
 @dataclass(frozen=True)
@@ -270,22 +264,28 @@ def subcriticality(g: GrowthSpec, s: Setting) -> CriticalityReport:
     none is supercritical.  Window violations never raise here: they are
     reported per term via window_ok (the synthesis ops reject instead).
     """
-    c = s.weight_index
-    rows = []
+    return _subcriticality(g, s)[0]
+
+
+def _subcriticality(g: GrowthSpec,
+                    s: Setting) -> tuple[CriticalityReport, tuple[Fraction, ...]]:
+    """subcriticality and each term's phi-1+c."""
+    c, lo = s.weight_index, s.window_low
+    rows, offsets = [], []
     for part, i, t in g.terms():
-        lhs = t.lhs(c)
+        d, lhs = t.lhs(lo)
+        offsets.append(d)
         slack = 1 - lhs
-        thr = threshold_weight_index(t)
-        margin = None if thr is None else thr - c
+        thr = t.threshold_weight_index
         rows.append(
             TermCriticality(
                 part=part,
                 index=i,
                 term=t,
-                window_ok=t.window_ok(c),
+                window_ok=t.window_ok(lo),
                 lhs=lhs,
                 slack=slack,
-                weight_margin=margin,
+                weight_margin=None if thr is None else thr - c,
                 critical=(slack == 0),
             )
         )
@@ -297,7 +297,7 @@ def subcriticality(g: GrowthSpec, s: Setting) -> CriticalityReport:
         all_subcritical=all_sub,
         all_windows_ok=all(r.window_ok for r in rows),
         inexact=g.inexact or s.inexact,
-    )
+    ), tuple(offsets)
 
 
 def critical_weight(g: GrowthSpec, p: Rational) -> Optional[Fraction]:
@@ -321,7 +321,7 @@ def _critical_weight(
         raise ParameterError("time integrability p must be >= 2")
     kappa, binding = None, []
     for part, i, t in g.terms():
-        thr = threshold_weight_index(t)
+        thr = t.threshold_weight_index
         if thr is None:
             continue
         k = p * thr - 1
@@ -334,20 +334,22 @@ def _critical_weight(
     return None, ()
 
 
-def _admissible_weight_index(g: GrowthSpec, s: Setting) -> Fraction:
-    """Weight index c = (1+kappa)/p of a setting every term is admissible at.
+def _admissible_offsets(g: GrowthSpec, s: Setting) -> tuple[Fraction, ...]:
+    """phi-1+c of every term, c = (1+kappa)/p, once all are admissible.
 
     One pass over the terms.  Windows come first: if any term lies outside
     its window, the GrowthWindowError names all of them; otherwise the
     first supercritical term raises a ParameterError.
     """
-    c = s.weight_index
-    bad = []
+    lo, c = s.window_low, s.weight_index
+    bad, offsets = [], []
     supercritical = None
     for part, i, t in g.terms():
-        if not t.window_ok(c):
+        d, lhs = t.lhs(lo)
+        offsets.append(d)
+        if not t.window_ok(lo):
             bad.append((part, i))
-        elif not bad and supercritical is None and t.lhs(c) > 1:
+        elif not bad and supercritical is None and lhs > 1:
             supercritical = (part, i)
     if bad:
         raise GrowthWindowError(
@@ -356,7 +358,7 @@ def _admissible_weight_index(g: GrowthSpec, s: Setting) -> Fraction:
     if supercritical is not None:
         part, i = supercritical
         raise ParameterError(f"term ({part},{i}) is supercritical at this setting")
-    return c
+    return tuple(offsets)
 
 
 def rho_star_and_x_exponents(g: GrowthSpec, s: Setting) -> tuple[TermExponents, ...]:
@@ -366,15 +368,18 @@ def rho_star_and_x_exponents(g: GrowthSpec, s: Setting) -> tuple[TermExponents, 
     c = (1+kappa)/p; conjugacy 1/r + 1/r' = 1 is exact.  The two mixed-norm
     entries are (p*r at scale parameter beta) and (rho*p*r' at phi).
     """
-    return _x_exponents(g, s, _admissible_weight_index(g, s))
+    return _x_exponents(g, s, _admissible_offsets(g, s))
 
 
-def _x_exponents(g: GrowthSpec, s: Setting, c: Fraction) -> tuple[TermExponents, ...]:
-    """rho_star_and_x_exponents after the admissibility checks."""
+def _x_exponents(g: GrowthSpec, s: Setting,
+                 offsets: tuple[Fraction, ...]) -> tuple[TermExponents, ...]:
+    """rho_star_and_x_exponents after the checks, from each term's phi-1+c."""
     out = []
-    for part, i, t in g.terms():
-        rho_star = (1 - t.beta) / (t.phi - 1 + c)  # > 0 inside the window
-        r, r_conj, entries = _mixed_norm(s, c, rho_star, t.phi, t.beta)
+    for (part, i, t), d in zip(g.terms(), offsets):
+        one_minus_beta = 1 - t.beta
+        rho_star = one_minus_beta / d  # > 0 inside the window
+        r, r_conj, entries = _mixed_norm(s, rho_star, t.phi, t.beta,
+                                         one_minus_beta)
         out.append(
             TermExponents(
                 part=part, index=i, rho_star=rho_star, r=r, r_conj=r_conj,
@@ -385,12 +390,12 @@ def _x_exponents(g: GrowthSpec, s: Setting, c: Fraction) -> tuple[TermExponents,
 
 
 def _mixed_norm(
-    s: Setting, c: Fraction, rho: Fraction, phi: Fraction, beta: Fraction
+    s: Setting, rho: Fraction, phi: Fraction, beta: Fraction, one_minus_beta: Fraction
 ) -> tuple[Fraction, Fraction, tuple[XEntry, XEntry]]:
     """(r, r', entries) of one term: the conjugate pair r' = c/(1-beta),
-    r = c/(beta-1+c) and the mixed-norm entries L^{p*r} at scale parameter
-    beta and L^{rho*p*r'} at phi."""
-    one_minus_beta = 1 - beta
+    r = c/(beta-1+c) at c = (1+kappa)/p and the mixed-norm entries L^{p*r}
+    at scale parameter beta and L^{rho*p*r'} at phi."""
+    c = s.weight_index
     r_conj = c / one_minus_beta
     r = c / (c - one_minus_beta)
     entries = (
@@ -432,34 +437,36 @@ def star_params_term(
     eps = min(kappa+1, (1-phi)/(phi-1+c))/2, which always lands in case 2.
     The identity rho_eff*(phi*-1+c) + beta* = 1 is exact in both cases.
 
-    Only slack >= 0 and phi < 1 are required here (beta enters the
-    construction through the slack alone); the GrowthSpec-level wrapper
+    Only rho >= 0, slack >= 0 and phi < 1 are required here (beta enters
+    the construction through the slack alone); the GrowthSpec-level wrapper
     additionally enforces the admissibility window.
     """
     rho, phi, beta = as_fraction(rho), as_fraction(phi), as_fraction(beta)
     p, kappa = as_fraction(p), as_fraction(kappa)
     if p <= 1 or kappa < 0:
         raise ParameterError("need p > 1 and kappa >= 0")
+    if rho < 0:
+        raise ParameterError("growth power rho must be >= 0")
     c = (1 + kappa) / p
     if not phi < 1:
         raise GrowthWindowError(f"phi={phi} must be below 1")
-    if rho * (phi - 1 + c) + beta > 1:
+    d = phi - 1 + c
+    if rho * d + beta > 1:
         raise ParameterError("supercritical term has no starred exponents")
-    if rho <= 0 and not phi > 1 - c:
+    if rho == 0 and not d > 0:
         raise GrowthWindowError(
             f"rho=0 term needs phi={phi} above 1-(1+kappa)/p={1 - c}"
         )
-    return _star_row("", -1, rho, phi, kappa, c)
+    return _star_row("", -1, rho, phi, kappa, c, d)[0]
 
 
 def _star_row(
     part: str, index: int, rho: Fraction, phi: Fraction, kappa: Fraction,
-    c: Fraction,
-) -> StarParams:
-    """Starred exponents of one term, unchecked: the caller has made sure
-    that phi < 1, that the term is subcritical at c, and that phi > 1-c
-    when rho <= 0."""
-    d = phi - 1 + c
+    c: Fraction, d: Fraction,
+) -> tuple[StarParams, Fraction]:
+    """Starred exponents of one term and their 1-beta*, unchecked, from
+    d = phi-1+c: the caller has made sure that rho >= 0, that phi < 1,
+    that the term is subcritical at c, and that d > 0 when rho = 0."""
     if rho > 0:
         rho_eff, eps = rho, None
     else:
@@ -469,21 +476,23 @@ def _star_row(
     if lift + phi >= 1:
         return StarParams(part=part, index=index, rho_eff=rho_eff,
                           phi_star=phi, beta_star=1 - lift, case_id=1,
-                          epsilon=eps)
-    phi_star = 1 - rho_eff / (rho_eff + 1) * c
+                          epsilon=eps), lift
+    drop = rho_eff / (rho_eff + 1) * c
+    phi_star = 1 - drop
     return StarParams(part=part, index=index, rho_eff=rho_eff,
                       phi_star=phi_star, beta_star=phi_star, case_id=2,
-                      epsilon=eps)
+                      epsilon=eps), drop
 
 
-def _star_rows(g: GrowthSpec, s: Setting, c: Fraction) -> Iterator[StarParams]:
-    for part, i, t in g.terms():
-        yield _star_row(part, i, t.rho, t.phi, s.kappa, c)
+def _star_rows(g: GrowthSpec, s: Setting) -> Iterator[tuple[StarParams, Fraction]]:
+    """_star_row of every term, after the admissibility checks."""
+    for (part, i, t), d in zip(g.terms(), _admissible_offsets(g, s)):
+        yield _star_row(part, i, t.rho, t.phi, s.kappa, s.weight_index, d)
 
 
 def star_params(g: GrowthSpec, s: Setting) -> tuple[StarParams, ...]:
     """Starred exponents for every term of a GrowthSpec at a Setting."""
-    return tuple(_star_rows(g, s, _admissible_weight_index(g, s)))
+    return tuple(sp for sp, _ in _star_rows(g, s))
 
 
 @dataclass(frozen=True)
@@ -502,11 +511,10 @@ def xi_exponents(g: GrowthSpec, s: Setting) -> tuple[XiExponents, ...]:
     makes 1/xi' = (1-beta*)/c, so 1/xi + 1/xi' = 1 is exact.  For a critical
     term (xi, xi') reduce to (r, r').
     """
-    c = _admissible_weight_index(g, s)
     out = []
-    for sp in _star_rows(g, s, c):
-        xi, xi_conj, entries = _mixed_norm(s, c, sp.rho_eff, sp.phi_star,
-                                           sp.beta_star)
+    for sp, one_minus_beta in _star_rows(g, s):
+        xi, xi_conj, entries = _mixed_norm(s, sp.rho_eff, sp.phi_star,
+                                           sp.beta_star, one_minus_beta)
         out.append(
             XiExponents(part=sp.part, index=sp.index, xi=xi, xi_conj=xi_conj,
                         x_entries=entries)
@@ -751,11 +759,11 @@ def one_d_growth_params(
 
 def full_report(g: GrowthSpec, s: Setting) -> CriticalityReport:
     """Criticality report with the critical weight and exponent tables filled."""
-    base = subcriticality(g, s)
+    base, offsets = _subcriticality(g, s)
     kappa, binding = _critical_weight(g, s.p)
     exps = None
     if base.all_windows_ok and base.all_subcritical:
-        exps = _x_exponents(g, s, s.weight_index)
+        exps = _x_exponents(g, s, offsets)
     return CriticalityReport(
         terms=base.terms,
         is_critical=base.is_critical,

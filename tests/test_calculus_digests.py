@@ -1,9 +1,10 @@
-"""The calculus's outputs keep their bytes.
+"""The calculus's outputs keep their bytes, and its work stays counted.
 
 Each group below hashes, with sha256, the reprs and JSON of a seeded batch
 of calculus outputs; the pinned digests were recorded before the calculus
 stored its derived values at construction, so any change to a value, a
-repr, a JSON encoding or an error message shows as a changed digest.
+repr, a JSON encoding or an error message shows as a changed digest.  The
+Fraction operations of a draw and of a chain plan are counted, not timed.
 """
 import hashlib
 import json
@@ -23,6 +24,8 @@ from critspde.bootstrap import (
     plan_weight_insertion,
 )
 from critspde.exponents import (
+    GrowthSpec,
+    GrowthTerm,
     ParameterError,
     Setting,
     SobolevScale,
@@ -185,3 +188,35 @@ GROUPS = {"draws": _draw_lines, "reports": _report_lines,
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_calculus_bytes(group):
     assert _digest(GROUPS[group]()) == PINNED[group]
+
+
+# Fraction's arithmetic operators; Fraction.__new__ is not counted, since
+# Python 3.12 builds results without calling it
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+              "__rmul__", "__truediv__", "__rtruediv__")
+DRAW_G = GrowthSpec(f_terms=(GrowthTerm(F(3, 2), F(4, 5), F(3, 4)),))
+DRAW_S = Setting(SobolevScale(-1, 1, 2), F(6), F(1))
+
+
+# before Setting, SobolevScale and GrowthTerm stored their derived values
+# and the admissibility pass handed on each term's phi-1+c, the counts were
+# 61 (draw), 237 (L2_start) and 256 (rough)
+@pytest.mark.parametrize("call, count", [
+    (lambda: (rho_star_and_x_exponents(DRAW_G, DRAW_S),
+              xi_exponents(DRAW_G, DRAW_S), star_params(DRAW_G, DRAW_S)), 37),
+    (lambda: full_chain_1d("L2_start"), 179),
+    (lambda: full_chain_1d("rough", s=F(1, 5), q=F(5, 2), p=F(4)), 215),
+], ids=["draw", "L2_start", "rough"])
+def test_fraction_operations_per_call(call, count, monkeypatch):
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(F, name, counted(getattr(F, name)))
+    call()
+    assert calls[0] == count

@@ -1,4 +1,6 @@
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import asdict, fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -81,6 +83,68 @@ def test_setting_weight_window():
         Setting(L2_SCALE, F(4), F(1))  # kappa = p/2-1 excluded
     with pytest.raises(ParameterError):
         Setting(L2_SCALE, F(4), F(-1, 4))
+
+
+# --- values derived at construction -----------------------------------------
+
+DERIVED_SCALE = SobolevScale(F(-1), F(1), F(4))
+DERIVED_SETTING = Setting(DERIVED_SCALE, F(6), F(1))
+DERIVED_TERM = GrowthTerm(F(3, 2), F(4, 5), F(3, 4))
+
+
+def test_derived_values_at_construction():
+    assert DERIVED_SCALE.gap == 2
+    assert (DERIVED_SETTING.weight_index, DERIVED_SETTING.window_low) == \
+        (F(1, 3), F(2, 3))
+    # (1-beta)/rho + (1-phi), the c at which rho*(phi-1+c) + beta = 1
+    assert DERIVED_TERM.threshold_weight_index == F(11, 30)
+    assert GrowthTerm(F(0), F(4, 5), F(3, 4)).threshold_weight_index is None
+
+
+def test_derived_values_are_not_fields():
+    assert [f.name for f in fields(SobolevScale)] == ["low", "high", "q", "inexact"]
+    assert [f.name for f in fields(Setting)] == ["scale", "p", "kappa", "inexact"]
+    assert [f.name for f in fields(GrowthTerm)] == ["rho", "phi", "beta", "inexact"]
+    assert asdict(DERIVED_SETTING) == {
+        "scale": {"low": -1, "high": 1, "q": 4, "inexact": False},
+        "p": 6, "kappa": 1, "inexact": False}
+    assert asdict(DERIVED_TERM) == {"rho": F(3, 2), "phi": F(4, 5),
+                                    "beta": F(3, 4), "inexact": False}
+    assert repr(DERIVED_SETTING) == (
+        "Setting(scale=SobolevScale(low=Fraction(-1, 1), high=Fraction(1, 1), "
+        "q=Fraction(4, 1), inexact=False), p=Fraction(6, 1), "
+        "kappa=Fraction(1, 1), inexact=False)")
+    assert repr(DERIVED_TERM) == ("GrowthTerm(rho=Fraction(3, 2), "
+                                  "phi=Fraction(4, 5), beta=Fraction(3, 4), "
+                                  "inexact=False)")
+
+
+@pytest.mark.parametrize("obj, name", [(DERIVED_SCALE, "gap"),
+                                       (DERIVED_SETTING, "weight_index"),
+                                       (DERIVED_SETTING, "window_low"),
+                                       (DERIVED_TERM, "threshold_weight_index")])
+def test_equality_and_hash_ignore_derived_values(obj, name):
+    other = copy.copy(obj)
+    object.__setattr__(other, name, F(-7))
+    assert other == obj and hash(other) == hash(obj)
+    assert repr(other) == repr(obj)
+
+
+def test_replace_recomputes_derived_values():
+    s = replace(DERIVED_SETTING, kappa=F(3, 2))
+    assert (s.weight_index, s.window_low) == (F(5, 12), F(7, 12))
+    assert replace(DERIVED_SCALE, high=F(2)).gap == 3
+    assert replace(DERIVED_TERM, rho=F(0)).threshold_weight_index is None
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_copies_keep_derived_values(clone):
+    s, t = clone(DERIVED_SETTING), clone(DERIVED_TERM)
+    assert s == DERIVED_SETTING and t == DERIVED_TERM
+    assert (s.scale.gap, s.weight_index, s.window_low) == (2, F(1, 3), F(2, 3))
+    assert t.threshold_weight_index == F(11, 30)
 
 
 def test_trace_space_l2():
@@ -244,6 +308,18 @@ def test_star_params_rho_zero_lands_in_case2():
     assert sp.case_id == 2
     assert sp.epsilon is not None and 0 < sp.epsilon
     assert sp.rho_eff == sp.epsilon
+
+
+def test_negative_rho_is_rejected_by_the_raw_term_functions():
+    # GrowthTerm rejects rho < 0; the raw-parameter functions once took
+    # rho = -1 for rho = 0 (epsilon 3/4) and called the term Serrin-ready
+    message = "growth power rho must be >= 0"
+    with pytest.raises(ParameterError, match=message):
+        GrowthTerm(F(-1), F(3, 4), F(3, 4))
+    with pytest.raises(ParameterError, match=message):
+        star_params_term(F(-1), F(3, 4), F(3, 4), F(4), F(1, 2))
+    with pytest.raises(ParameterError, match=message):
+        revised_serrin_term_raw(F(-1), F(3, 4), F(3, 4), F(4), F(1, 2))
 
 
 def test_star_params_spec_wrapper_carries_indices():
@@ -504,7 +580,7 @@ def test_property_spec_star_rows_match_raw_terms(first, second):
     terms = [GrowthTerm(rho, phi, beta)]
     rho2, phi2, beta2 = second[:3]
     t2 = GrowthTerm(rho2, phi2, beta2)
-    if t2.window_ok(c) and rho2 * (phi2 - 1 + c) + beta2 <= 1:
+    if t2.window_ok(s.window_low) and rho2 * (phi2 - 1 + c) + beta2 <= 1:
         terms.append(t2)
     g = GrowthSpec(f_terms=tuple(terms[:1]), g_terms=tuple(terms[1:]))
     rows = star_params(g, s)
