@@ -17,6 +17,7 @@ Rational = Union[int, float, Fraction]
 
 # floats snap to the nearest rational with denominator <= this
 _COERCE_DENOM = 10**12
+_HALF = Fraction(1, 2)
 
 
 class ParameterError(ValueError):
@@ -114,14 +115,14 @@ class Setting:
         object.__setattr__(self, "inexact", bool(self.inexact) or inexact)
         if self.p < 2:
             raise ParameterError("time integrability p must be >= 2")
+        c = (1 + self.kappa) / self.p
         if self.p == 2:
             if self.kappa != 0:
                 raise ParameterError("p = 2 forces kappa = 0")
-        elif not (0 <= self.kappa < self.p / 2 - 1):
+        elif not (0 <= self.kappa and c < _HALF):  # kappa < p/2 - 1
             raise ParameterError(
                 f"kappa={self.kappa} outside [0, p/2-1) for p={self.p}"
             )
-        c = (1 + self.kappa) / self.p
         object.__setattr__(self, "weight_index", c)
         object.__setattr__(self, "window_low", 1 - c)
 

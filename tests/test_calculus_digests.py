@@ -204,8 +204,8 @@ DRAW_S = Setting(SobolevScale(-1, 1, 2), F(6), F(1))
 @pytest.mark.parametrize("call, count", [
     (lambda: (rho_star_and_x_exponents(DRAW_G, DRAW_S),
               xi_exponents(DRAW_G, DRAW_S), star_params(DRAW_G, DRAW_S)), 37),
-    (lambda: full_chain_1d("L2_start"), 179),
-    (lambda: full_chain_1d("rough", s=F(1, 5), q=F(5, 2), p=F(4)), 215),
+    (lambda: full_chain_1d("L2_start"), 169),
+    (lambda: full_chain_1d("rough", s=F(1, 5), q=F(5, 2), p=F(4)), 205),
 ], ids=["draw", "L2_start", "rough"])
 def test_fraction_operations_per_call(call, count, monkeypatch):
     calls = [0]
