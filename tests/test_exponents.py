@@ -110,13 +110,6 @@ def test_derived_values_are_not_fields():
         "p": 6, "kappa": 1, "inexact": False}
     assert asdict(DERIVED_TERM) == {"rho": F(3, 2), "phi": F(4, 5),
                                     "beta": F(3, 4), "inexact": False}
-    assert repr(DERIVED_SETTING) == (
-        "Setting(scale=SobolevScale(low=Fraction(-1, 1), high=Fraction(1, 1), "
-        "q=Fraction(4, 1), inexact=False), p=Fraction(6, 1), "
-        "kappa=Fraction(1, 1), inexact=False)")
-    assert repr(DERIVED_TERM) == ("GrowthTerm(rho=Fraction(3, 2), "
-                                  "phi=Fraction(4, 5), beta=Fraction(3, 4), "
-                                  "inexact=False)")
 
 
 @pytest.mark.parametrize("obj, name", [(DERIVED_SCALE, "gap"),
