@@ -707,3 +707,92 @@ def test_grid_free_increment_table(row):
     table = np.random.default_rng(row[0]).standard_normal((40, 11))
     traj = simulate_path(cfg, increments=table)
     assert (row[0],) + pinned(traj) == row
+
+
+def mixed_flux(y):
+    return np.where(np.abs(y) > 0.6, np.inf, 0.5 * y * y * y)
+
+
+# a flux that is not finite past 0.6 and a cap of 0.75: a row whose state
+# lands in (0.6, 0.75] leaves at the start of its next step (sigma_hat =
+# steps * dt), one that jumps past 0.75 at the cap (sigma_hat = (steps + 1)
+# * dt).  Seeds 2 and 43, 3 and 13, 20 and 26, 44 and 69, 170 and 186 leave
+# at the same step by the two sites, in each of the three blocks; 12 and 48
+# leave by the flux at steps 15 and 16; 0 and 7 complete the 40 steps.
+# (seed, status, steps_taken, sigma_hat, sup_l2_sq, grad_integral,
+# final_l2_sq, digest of the states), recorded with a kernel that wrote out
+# each compaction site by hand.
+MIXED_SITES = [
+    (2, "blew_up", 13, 0.14, 0.3587316460522252, 0.03637033685280263,
+     0.3587316460522252, "e2635065b4e21225"),
+    (43, "blew_up", 13, 0.13, 0.4963055535737241, 0.06408313896223986,
+     0.4569095502013218, "49caae3b9d2f51d3"),
+    (3, "blew_up", 10, 0.11, 0.47186187903611454, 0.053006592750555456,
+     0.47186187903611454, "57c52aa102d4c965"),
+    (13, "blew_up", 10, 0.1, 0.4864166579969615, 0.05285744671834497,
+     0.45170467696933814, "7af893883e3621e2"),
+    (12, "blew_up", 15, 0.15, 0.6957970308602283, 0.05669399077298969,
+     0.6957970308602283, "8e89f93f90fb3ab8"),
+    (48, "blew_up", 16, 0.16, 0.6590653073623912, 0.10195985702330548,
+     0.6590653073623912, "38256d802b328d75"),
+    (20, "blew_up", 27, 0.28, 0.644319572175215, 0.22982542304335465,
+     0.5365140167134135, "530b43de9134e52c"),
+    (26, "blew_up", 27, 0.27, 0.919193489549371, 0.17227697558277022,
+     0.8480850984437236, "d56ccaa864702832"),
+    (21, "blew_up", 19, 0.2, 0.6186143569640816, 0.14079453500007671,
+     0.5658267458940134, "3c311e0cfa1fccd8"),
+    (44, "blew_up", 37, 0.38, 0.542403608856557, 0.2759903970225882,
+     0.38826681015382347, "15a09a05c35e9481"),
+    (69, "blew_up", 37, 0.37, 0.7689487936035861, 0.142850133855125,
+     0.7689487936035861, "191598666f679471"),
+    (170, "blew_up", 34, 0.35000000000000003, 0.5566872310786092,
+     0.14412685690859542, 0.5566872310786092, "043465109a59e41b"),
+    (186, "blew_up", 34, 0.34, 0.9411738122081573, 0.2827871089672792,
+     0.8980026715058809, "5ded80c52d0d478f"),
+    (0, "completed", 40, 0.4, 0.6551698042313109, 0.23029035429224895,
+     0.0865458430062021, "32f208476c9ad347"),
+    (7, "completed", 40, 0.4, 0.5730445886249678, 0.41573402835374906,
+     0.45409962314201174, "a605dabd47e1aad2"),
+]
+
+
+def mixed_sites():
+    return SimConfig(grid=TorusGrid(32), nonlinearity=NonlinearitySpec(
+        f=mixed_flux, g=presets.one_plus_abs),
+        noise=NoiseSpec(lam=0.75, modes=5), t_end=0.4, dt=0.01, u0=None,
+        blowup_cap=0.75)
+
+
+def test_mixed_blowup_sites_in_one_batch():
+    cfg = mixed_sites()
+    seeds = [row[0] for row in MIXED_SITES]
+    trajs = simulate_paths(cfg, seeds)
+    for traj, row in zip(trajs, MIXED_SITES):
+        assert (traj.config.seed,) + pinned(traj) == row
+        # a row that leaves at the start of a step keeps the state on which
+        # the flux is not finite; one that leaves at the cap keeps none
+        at_start = traj.sigma_hat == traj.stats.steps_taken * cfg.dt
+        assert (np.abs(traj.states[-1]).max() > 0.6) == \
+            (at_start and not traj.completed)
+        lone = simulate_path(replace(cfg, seed=row[0]))
+        assert pinned(lone) == pinned(traj)
+        assert lone.stats == traj.stats
+        assert traj.times.tobytes() == lone.times.tobytes()
+    sites = {(t.sigma_hat == t.stats.steps_taken * cfg.dt)
+             for t in trajs if not t.completed}
+    assert sites == {True, False}
+
+
+@pytest.mark.parametrize("make", [mixed_sites, grid_free_capped],
+                         ids=["reads_grid", "grid_free"])
+def test_path_scalars_are_python_numbers(make):
+    # summary.json is written with json.dumps: a path's step count and
+    # sigma_hat must be a Python int and float whether it completed or not
+    trajs = simulate_paths(make(), range(12))
+    assert {t.status for t in trajs} == {"completed", "blew_up"}
+    for traj in trajs:
+        assert type(traj.stats.steps_taken) is int
+        assert type(traj.sigma_hat) is float
+        for name in ("initial_l2_sq", "sup_l2_sq", "grad_integral",
+                     "final_l2_sq"):
+            assert type(getattr(traj.stats, name)) is float
