@@ -99,13 +99,15 @@ def _timed(fn: Callable[[], Any]) -> Tuple[Any, float, float]:
     """(result, median, slowest) of _TIMED_CALLS calls of fn, in seconds,
     after one warm call so the timings exclude imports.  Checks print the
     median and gate the slowest, so the gate is no looser than one call.
+    Each call is timed on the thread's CPU clock: a call that loses its core
+    to another process is not charged for the wait.
     """
     fn()
     times = []
     for _ in range(_TIMED_CALLS):
-        t0 = time.perf_counter()
+        t0 = time.thread_time()
         result = fn()
-        times.append(time.perf_counter() - t0)
+        times.append(time.thread_time() - t0)
     return result, statistics.median(times), max(times)
 
 

@@ -293,6 +293,25 @@ def _cmd_plan(args) -> int:
 # --- simulate / montecarlo --------------------------------------------------------
 
 
+# the config-file fields of simulate and montecarlo, parsed as their flags
+_SIM_FIELDS = {"dt": _positive_float, "t_end": _positive_float, "seed": int,
+               "scheme": str, "blowup_cap": _positive_float,
+               "grid_n": _positive_int, "noise_lam": _positive_float,
+               "noise_modes": _positive_int, "n_save": _positive_int,
+               "n_paths": _positive_int}
+
+
+def _pick(args, cfg: dict, key: str):
+    """The flag's value if given, else the config field's, else None."""
+    value = getattr(args, key)
+    if value is not None or cfg.get(key) is None:
+        return value
+    try:
+        return _SIM_FIELDS[key](str(cfg[key]))
+    except (argparse.ArgumentTypeError, ValueError) as e:
+        raise CliError(f"config field {key!r}: {e}", 1)
+
+
 def _build_sim_config(args, cfg: dict):
     preset = args.preset or cfg.get("preset")
     if preset is None:
@@ -302,31 +321,25 @@ def _build_sim_config(args, cfg: dict):
         raise CliError(f"unknown simulation preset {preset!r}; choose from "
                        f"{sorted(SIM_PRESETS)}", 1)
     sim_cfg = SIM_PRESETS[preset]()
-
-    def pick(flag, key):
-        value = getattr(args, flag)
-        return value if value is not None else cfg.get(key)
-
-    scalars = {}
-    for flag, key in (("dt", "dt"), ("t_end", "t_end"), ("seed", "seed"),
-                      ("scheme", "scheme"), ("blowup_cap", "blowup_cap")):
-        value = pick(flag, key)
+    # one replace, so the config is checked only as a whole
+    fields = {}
+    for key in ("dt", "t_end", "seed", "scheme", "blowup_cap"):
+        value = _pick(args, cfg, key)
         if value is not None:
-            scalars[key] = value
-    if scalars:
-        sim_cfg = replace(sim_cfg, **scalars)
-    grid_n = pick("grid_n", "grid_n")
+            fields[key] = value
+    grid_n = _pick(args, cfg, "grid_n")
     if grid_n is not None:
-        sim_cfg = replace(sim_cfg, grid=TorusGrid(int(grid_n)))
-    lam = pick("noise_lam", "noise_lam")
-    modes = pick("noise_modes", "noise_modes")
+        fields["grid"] = TorusGrid(grid_n)
+    lam = _pick(args, cfg, "noise_lam")
+    modes = _pick(args, cfg, "noise_modes")
     if lam is not None or modes is not None:
         base = sim_cfg.noise or NoiseSpec()
-        sim_cfg = replace(sim_cfg, noise=NoiseSpec(
-            lam=float(lam) if lam is not None else base.lam,
-            modes=int(modes) if modes is not None else base.modes))
-    n_save = pick("n_save", "n_save")
-    return sim_cfg, (int(n_save) if n_save is not None else None)
+        fields["noise"] = NoiseSpec(
+            lam=lam if lam is not None else base.lam,
+            modes=modes if modes is not None else base.modes)
+    if fields:
+        sim_cfg = replace(sim_cfg, **fields)
+    return sim_cfg, _pick(args, cfg, "n_save")
 
 
 def _cmd_simulate(args) -> int:
@@ -355,8 +368,7 @@ def _cmd_montecarlo(args) -> int:
     outdir = _resolve_outdir(args, cfg)
     ens = EnsembleConfig(
         base=sim_cfg,
-        n_paths=args.n_paths if args.n_paths is not None
-        else int(cfg.get("n_paths", 8)),
+        n_paths=_pick(args, cfg, "n_paths") or 8,
         experiment=args.experiment or cfg.get("experiment", "montecarlo"),
         outdir=str(outdir),
         n_save=n_save,

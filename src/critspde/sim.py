@@ -120,8 +120,10 @@ class SimConfig:
     u0: InitialData = None
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ParameterError("time step and horizon must be positive")
+        # a NaN fails both comparisons
+        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
+            raise ParameterError("time step and horizon must be positive "
+                                 "and finite")
         if self.scheme not in ("exp_euler", "semi_implicit"):
             raise ParameterError("scheme must be exp_euler or semi_implicit")
         if not 0 < self.blowup_cap <= MAX_BLOWUP_CAP:
@@ -138,7 +140,7 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         ratio = self.t_end / self.dt
-        n = int(round(ratio))
+        n = int(round(ratio)) if ratio < np.inf else 0
         if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
             raise ParameterError("horizon must be an integer number of steps")
         return n
@@ -231,6 +233,11 @@ class SpectralStepper:
     is autonomous, so the maths does not read it.  Spectra are rfft/n; the
     FFTs scale by 1/n with norm="forward", which for the power-of-two n of
     a TorusGrid is exact and gives the bits of dividing by n by hand.
+
+    update() is the only code that advances a spectrum, in every step of
+    the kernel (with no grids in a block that does not read the grid).  The
+    two blow-up tests, coefficients()'s ok and blown_up(), give the masks of
+    the rows the kernel's drop() retires from its (4, rows) stats array.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -369,28 +376,6 @@ class SpectralStepper:
             incr = incr + g_hat
         return incr * self.linear, f_hat, g_hat
 
-    def advance_spectra(self, u_hat: np.ndarray, dw: Optional[np.ndarray],
-                        out: np.ndarray) -> np.ndarray:
-        """Take len(out) steps of a config that does not read the grid.
-
-        out[j] is the spectrum after step j, (out[j-1] + dw[..., j, :]) *
-        linear with u_hat in place of out[-1] at j = 0: the arithmetic of
-        update(), so each spectrum has the bits of one update() at a time.
-        dw holds the steps' noise spectra from noise_increments() on the
-        second-to-last axis, or is None without noise.
-        """
-        if self.reads_grid:
-            raise ParameterError("a step of this config reads the grid")
-        prev = u_hat
-        for j, step in enumerate(out):
-            if dw is None:
-                np.multiply(prev, self.linear, out=step)
-            else:
-                np.add(prev, dw[..., j, :], out=step)
-                step *= self.linear
-            prev = step
-        return out
-
     def advance(self, u_hat: np.ndarray, values: np.ndarray,
                 xi: Optional[np.ndarray], t: float):
         """Returns (next u_hat, drift spectrum, noise spectrum) as update()."""
@@ -465,10 +450,6 @@ def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:
     return grouped.sum(axis=1) / np.sqrt(factor)
 
 
-def _take(keep: np.ndarray, *arrays):
-    return [None if a is None else a[keep] for a in arrays]
-
-
 def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
                increments: Optional[np.ndarray] = None) -> List[Trajectory]:
     """Step the paths of configs differing only in their seeds as the rows
@@ -478,20 +459,23 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     time, which consumes the stream as one draw per step would.  Each
     reduction over a row is that row's own dot product (np.vecdot; a
     matrix-vector product sums in another order).  So a row's bits do not
-    depend on its neighbours or on P.  A step takes one rfft for the drift
-    and the noise together.  The accepted spectra are kept and folded into
-    the stats once per RNG_BLOCK steps and before the active set shrinks:
-    one vecdot gives their norms, and a cumsum along the steps adds the
-    dt * ||grad u||^2 terms in step order, the sums of one step at a time.
-    A row that blows up leaves the active set and is stepped no further.
-    increments replaces the stream of a one-path run: its rows fill the
-    same block of draws the stream would.
+    depend on its neighbours or on P.  Every step is one stepper.update.
+    The active rows' running stats are one (4, rows) array.  The accepted
+    spectra are kept and folded into it once per RNG_BLOCK steps and before
+    the active set shrinks: one vecdot gives their norms, and a cumsum along
+    the steps adds the dt * ||grad u||^2 terms in step order, the sums of
+    one step at a time.  A row that blows up, at the start of a step (f or
+    g not finite) or at the cap after it, leaves through drop(): it folds
+    the stats, records the row's ends and compacts the rows, the noise
+    table, the stats and the step's arrays.  increments replaces the stream
+    of a one-path run: its rows fill the same block of draws the stream
+    would.
 
     A config whose steps do not read the grid (no flux, g constant or
-    absent) takes each RNG_BLOCK block in spectral space, then one irfft and
-    one cap check for the whole block.  If a row passes the cap in it, the
-    block is taken again one step at a time on the same noise, which retires
-    the row at its step as the other configs do.
+    absent) takes each RNG_BLOCK block in spectral space through update,
+    then one irfft and one cap check for the whole block.  If a row passes
+    the cap in it, the block is taken again one step at a time on the same
+    noise, which retires the row at its step as the other configs do.
     """
     cfg = cfgs[0]
     n_steps = cfg.n_steps
@@ -534,52 +518,56 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
         return TWO_PI * np.vecdot(
             (spec.real ** 2 + spec.imag ** 2)[..., None, :], norm_weights)
 
-    # per active row: state, spectrum and stats; grad sums the
-    # dt * ||grad u||^2 terms of the folded states but the last, whose
-    # ||grad u||^2 is head; spec[j] holds the rows' j-th spectrum accepted
-    # since the fold, one contiguous slab per step
+    # per active row: state, spectrum and stats.  stats holds, in PathStats'
+    # order, sup ||u||^2, grad (the sum of the dt * ||grad u||^2 terms of
+    # the folded states but the last) and final ||u||^2, then head, the last
+    # folded state's ||grad u||^2.  spec[j] holds the rows' j-th spectrum
+    # accepted since the fold, one contiguous slab per step
+    stats = np.repeat([[l2_0], [0.0], [l2_0], [norms(u_hat)[1]]], n_paths, 1)
     values = np.repeat(values[None], n_paths, axis=0)
     u_hat = np.repeat(u_hat[None], n_paths, axis=0)
-    grad = np.zeros(n_paths)
-    head = norms(u_hat)[:, 1]
-    sup = np.full(n_paths, l2_0)
-    final = sup.copy()
     spec = np.empty((RNG_BLOCK, n_paths, n // 2 + 1), dtype=complex)
     # the states of a block of a config that does not read the grid; one
     # buffer for every block spares the page faults of a fresh one at P=200
     grids = None if stepper.reads_grid else np.empty((RNG_BLOCK, n_paths, n))
     filled = 0
     rows = np.arange(n_paths)  # path index of each active row
-    live = slice(None)         # rows, or every path while none has blown up
 
     status = ["completed"] * n_paths
     sigma_hat = [c.t_end for c in cfgs]
     kept = [n_steps] * n_paths
-    ends = [None] * n_paths    # (grad, sup, final) of each path
+    ends = np.empty((3, n_paths))  # sup, grad, final of each path
 
     def fold() -> None:
-        nonlocal grad, head, sup, final, filled
+        nonlocal filled
         if not filled:
             return
         nrm = norms(spec[:filled, :rows.size])
         terms = np.empty((filled + 1, rows.size))
-        terms[0] = grad
-        terms[1] = head
+        terms[0] = stats[1]
+        terms[1] = stats[3]
         terms[2:] = nrm[:-1, :, 1]
         terms[1:] *= cfg.dt
-        grad = np.cumsum(terms, axis=0)[-1]
-        head = nrm[-1, :, 1]
-        final = nrm[-1, :, 0]
-        sup = np.maximum(sup, nrm[:, :, 0].max(axis=0))
+        np.maximum(stats[0], nrm[:, :, 0].max(axis=0), out=stats[0])
+        stats[1] = np.cumsum(terms, axis=0)[-1]
+        stats[2:] = nrm[-1].T
         filled = 0
 
-    def retire(dead: np.ndarray, t_dead: float, i: int) -> None:
+    def drop(dead: np.ndarray, t_dead: float, i: int, *arrays):
+        """Retire the rows in dead at t_dead after i steps; returns arrays
+        without those rows."""
+        nonlocal rows, table, stats
         # the last kept state is the last folded one: its term ends grad
         fold()
-        for r in np.flatnonzero(dead):
-            p = rows[r]
+        gone = rows[dead]
+        for p in gone:
             status[p], sigma_hat[p], kept[p] = "blew_up", t_dead, i
-            ends[p] = grad[r] + cfg.dt * head[r], sup[r], final[r]
+        ends[:, gone] = stats[:3, dead]
+        ends[1, gone] += cfg.dt * stats[3, dead]
+        keep = ~dead
+        rows, stats = rows[keep], stats[:, keep]
+        table = None if table is None else table[keep]
+        return [None if a is None else a[keep] for a in arrays]
 
     for start in range(0, n_steps, RNG_BLOCK):
         m = min(RNG_BLOCK, n_steps - start)
@@ -591,25 +579,26 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
                 draws[0, :m] = increments[start:start + m]
             table = stepper.noise_increments(draws[:rows.size, :m])
         if not stepper.reads_grid:
-            # a retire in an earlier block may have left spectra unfolded
+            # a drop in an earlier block may have left spectra unfolded
             fold()
-            block = stepper.advance_spectra(u_hat, table, spec[:m, :rows.size])
+            block = spec[:m, :rows.size]
+            prev = u_hat
+            for j in range(m):
+                dw = None if table is None else table[:, j]
+                block[j] = prev = stepper.update(prev, None, None, dw)[0]
             states = np.fft.irfft(block, n=n, norm="forward",
                                   out=grids[:m, :rows.size])
             if stepper.blown_up(states) is None:
-                u_hat, values, filled = block[-1].copy(), states[-1].copy(), m
+                u_hat, values, filled = prev, states[-1].copy(), m
                 for j in range(m):
                     if start + j + 1 in save_pos:
-                        saved[live, save_pos[start + j + 1]] = states[j]
+                        saved[rows, save_pos[start + j + 1]] = states[j]
                 continue
         for i in range(start, start + m):
             fu, gu, ok = stepper.coefficients(values)
             if ok is not None:
-                retire(~ok, i * cfg.dt, i)
-                u_hat, values, fu, gu, table, rows, grad, head, sup, final = \
-                    _take(ok, u_hat, values, fu, gu, table, rows, grad, head,
-                          sup, final)
-                live = rows
+                u_hat, values, fu, gu = drop(~ok, i * cfg.dt, i,
+                                             u_hat, values, fu, gu)
                 if not rows.size:
                     break
             dw = None if table is None else table[:, i - start]
@@ -617,12 +606,8 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
             new_values = np.fft.irfft(new_hat, n=n, norm="forward")
             bad = stepper.blown_up(new_values)
             if bad is not None:
-                retire(bad, (i + 1) * cfg.dt, i)
-                ok = ~bad
-                new_hat, new_values, table, rows, grad, head, sup, final = \
-                    _take(ok, new_hat, new_values, table, rows, grad, head,
-                          sup, final)
-                live = rows
+                new_hat, new_values = drop(bad, (i + 1) * cfg.dt, i,
+                                           new_hat, new_values)
                 if not rows.size:
                     break
             u_hat, values = new_hat, new_values
@@ -631,22 +616,19 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
             if filled == RNG_BLOCK:
                 fold()
             if (i + 1) in save_pos:
-                saved[live, save_pos[i + 1]] = values
+                saved[rows, save_pos[i + 1]] = values
         if not rows.size:
             break
 
     fold()
-    for r, p in enumerate(rows):
-        ends[p] = grad[r], sup[r], final[r]
+    ends[:, rows] = stats[:3]
     trajs = []
     for p, c in enumerate(cfgs):
         # save_idx is sorted, so the states kept are a prefix: a view, no copy
         count = int(np.searchsorted(save_idx, kept[p], side="right"))
-        g, s, f = (float(x) for x in ends[p])
-        stats = PathStats(initial_l2_sq=l2_0, sup_l2_sq=s, grad_integral=g,
-                          final_l2_sq=f, steps_taken=kept[p])
+        path_stats = PathStats(l2_0, *ends[:, p].tolist(), kept[p])
         trajs.append(Trajectory(save_idx[:count] * cfg.dt, saved[p, :count],
-                                stats, status[p], sigma_hat[p], c))
+                                path_stats, status[p], sigma_hat[p], c))
     return trajs
 
 

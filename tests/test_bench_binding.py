@@ -1,0 +1,47 @@
+"""The benchmark's traced interface still binds to the program.
+
+A traced run of bench/run.py rebinds module attributes of critspde and
+calls stepper methods by name; a change under src/ that renames one of
+them would otherwise show only when such a run is made.
+"""
+
+import importlib
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module(name)
+
+
+def test_traced_hooks_bind(monkeypatch):
+    layers = bench_module("layers", monkeypatch)
+    tracing = bench_module("tracing", monkeypatch)
+    tracer = tracing.Tracer()
+    layers.install_hooks(tracer)
+    hooked = [(owner, attr) for owner, attr, _ in tracer._hooks]
+    assert hooked
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr in hooked if not hasattr(owner, attr)]
+    assert not missing
+    originals = [getattr(owner, attr) for owner, attr in hooked]
+    with tracer.installed(0):
+        assert all(getattr(owner, attr) is not original
+                   for (owner, attr), original in zip(hooked, originals))
+    assert all(getattr(owner, attr) is original
+               for (owner, attr), original in zip(hooked, originals))
+
+
+def test_stage_probe_runs(monkeypatch):
+    probes = bench_module("probes", monkeypatch)
+    calibration = bench_module("calibration", monkeypatch)
+    from critspde import presets
+
+    stages = probes.stage_probe(presets.sublinear_global(),
+                                calibration.Clock())
+    assert sorted(stages) == sorted(
+        f"sim.stage.{name}_us"
+        for name in ("rng", "drift_hat", "noise_hat", "advance", "irfft"))
+    assert all(us > 0 for us in stages.values())

@@ -184,6 +184,82 @@ def test_montecarlo_config_file_fields(tmp_path, capsys):
     assert (tmp_path / "fromfile" / "montecarlo" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--t-end", "inf"),
+                                         ("--dt", "inf"), ("--t-end", "nan")])
+def test_simulate_non_finite_time_exit_2(flag, value, tmp_path, capsys):
+    code, out, err = invoke(["simulate", "--preset", "heat", flag, value,
+                             "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "time step and horizon must be positive and finite" in err
+    assert not (tmp_path / "simulate").exists()
+
+
+SIM_FIELDS = {"dt": "abc", "t_end": [0.5], "seed": "1.5",
+              "blowup_cap": "big", "grid_n": "abc", "noise_lam": {"x": 1},
+              "noise_modes": "-3", "n_save": "many"}
+
+
+@pytest.mark.parametrize("command, key", [
+    *(("simulate", key) for key in sorted(SIM_FIELDS)),
+    *(("montecarlo", key) for key in sorted(SIM_FIELDS) + ["n_paths"])])
+def test_malformed_config_field_is_usage_error(command, key, tmp_path,
+                                               capsys):
+    # a field of the wrong type ends in exit 1 with a message naming it,
+    # as the module docstring promises for malformed config files
+    cfg = {"preset": "linear-noise", "outdir": str(tmp_path),
+           key: SIM_FIELDS.get(key, "abc")}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = invoke([command, "--config", str(path)], capsys)
+    assert code == 1
+    assert f"error: config field '{key}'" in err
+    assert not (tmp_path / command).exists()
+
+
+def test_malformed_config_prints_no_traceback(tmp_path):
+    for key in ("grid_n", "dt"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"preset": "heat", key: "abc",
+                                    "outdir": str(tmp_path)}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "critspde", "simulate", "--config",
+             str(path)], capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: config field '{key}': not "
+                               f"{'an integer' if key == 'grid_n' else 'a number'}"
+                               f": 'abc'\n")
+
+
+def test_config_fields_match_their_flags(tmp_path, capsys):
+    # the golden montecarlo case run from a config file: the same bytes
+    golden = Path(__file__).parent / "golden" / "montecarlo_linear_noise"
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps({"preset": "linear-noise", "n_paths": 4,
+                                "t_end": 0.05, "seed": 7, "n_save": 6,
+                                "outdir": str(tmp_path)}))
+    code, out, err = invoke(["montecarlo", "--config", str(path)], capsys)
+    assert code == 0
+    assert out.encode() == (golden / "stdout.txt").read_bytes()
+    for name in ("summary.json", "path_2.csv"):
+        assert (tmp_path / "montecarlo" / name).read_bytes() == \
+            (golden / name).read_bytes()
+    # every simulate field given in the file or as flags; grid_n 32 is
+    # valid only with the noise cutoff that comes with it
+    fields = {"dt": 0.002, "t_end": 0.1, "seed": 5, "scheme":
+              "semi_implicit", "blowup_cap": 1e3, "grid_n": 32,
+              "noise_lam": 0.8, "noise_modes": 4, "n_save": 5}
+    path.write_text(json.dumps({"preset": "linear-noise",
+                                "outdir": str(tmp_path / "file"), **fields}))
+    flags = [f"--{key.replace('_', '-')}={value}"
+             for key, value in fields.items()]
+    assert invoke(["simulate", "--config", str(path)], capsys)[0] == 0
+    assert invoke(["simulate", "--preset", "linear-noise", *flags,
+                   "--outdir", str(tmp_path / "flags")], capsys)[0] == 0
+    for name in ("summary.json", "path_0.csv"):
+        assert (tmp_path / "file" / "simulate" / name).read_bytes() == \
+            (tmp_path / "flags" / "simulate" / name).read_bytes()
+
+
 def test_verify_chain_suite_passes(capsys):
     code, out, err = invoke(["verify", "chain"], capsys)
     assert code == 0

@@ -101,6 +101,14 @@ def test_config_validation():
                   t_end=1.0, dt=0.1)
     with pytest.raises(ParameterError):
         heat_cfg(dt=0.3).n_steps
+    # a non-finite step or horizon has no step count
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for field in ("dt", "t_end"):
+            with pytest.raises(ParameterError, match="finite"):
+                heat_cfg(**{field: bad})
+    # finite inputs whose step count overflows a float
+    with pytest.raises(ParameterError, match="integer number of steps"):
+        heat_cfg(dt=1e-300, t_end=1e10).n_steps
     assert heat_cfg(dt=0.05).n_steps == 20
     # past 1e50 a state under the cap can overflow its squared norms
     for cap in (0.0, -1.0, float("nan"), 1e51, 1e100, 1e300):
@@ -625,10 +633,6 @@ def test_reads_grid_follows_the_config():
     assert reads == {"heat": False, "linear-noise": False,
                      "cubic-conservative": True, "sublinear-global": True}
     assert not SpectralStepper(presets.regularity_ensemble().base).reads_grid
-    st = SpectralStepper(presets.sublinear_global())
-    with pytest.raises(ParameterError):
-        st.advance_spectra(np.zeros(33, dtype=complex), None,
-                           np.empty((1, 33), dtype=complex))
 
 
 def digest(states):
