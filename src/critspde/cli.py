@@ -3,12 +3,14 @@
 Subcommands: calc | plan | simulate | montecarlo | verify.  JSON is the
 single config file format; rational parameters are "num/den" strings.
 Precedence, lowest to highest: preset defaults, config file fields, command
-line flags.  The CRITSPDE_OUTDIR environment variable supplies the default
-output directory when --outdir is not given.
+line flags.  Every config field is read as its flag, with the same type and
+choices; a null field counts as absent.  The CRITSPDE_OUTDIR environment
+variable supplies the default output directory when --outdir is not given.
 
 Exit codes: 0 on success, 1 on usage errors (unknown flags, malformed or
-empty config files), 2 on failed domain checks (window violations, rejected
-chains, failed verification suites).
+empty config files, a config field its flag would reject, named in the
+message), 2 on failed domain checks (window violations, rejected chains,
+failed verification suites).
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from .bootstrap import chain_to_dict, full_chain_1d
 from .exponents import (
     ParameterError,
     Setting,
-    fraction_from_json,
+    SobolevScale,
+    as_fraction,
     fraction_to_json,
     full_report,
     growth_spec_from_dict,
     growth_spec_to_dict,
     one_d_growth_params,
     report_to_dict,
-    setting_from_dict,
     setting_to_dict,
     trace_space,
 )
@@ -56,38 +58,66 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 1, not 2."""
+    """argparse parser whose usage errors exit with code 1, not 2, and whose
+    parsed namespace carries the action of each option as `actions`, so that
+    _pick parses a config field with its flag's own type and choices."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        actions = self.get_default("actions") or {}
+        self.set_defaults(actions={**actions, action.dest: action})
+        return action
 
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+# Each type function reads a flag's text and a config field's JSON value
+# alike.  str() of a JSON number is the text its flag would carry, and no
+# number parses the str() of true, a list or an object.
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise argparse.ArgumentTypeError(f"not a string: {value!r}")
     return value
 
 
-def _positive_float(text: str) -> float:
+def _lowercase(value) -> str:
+    return _string(value).lower()
+
+
+def _rational(value) -> Fraction:
+    """A Fraction; a JSON number snaps as in as_fraction, so 0.2 means 1/5."""
     try:
-        value = float(text)
+        return Fraction(value) if isinstance(value, str) else as_fraction(value)
+    except (ValueError, ZeroDivisionError, ParameterError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {value!r}")
+
+
+def _integer(value) -> int:
+    try:
+        return int(str(value))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+
+
+def _positive_int(value) -> int:
+    number = _integer(value)
+    if number <= 0:
         raise argparse.ArgumentTypeError("must be positive")
-    return value
+    return number
+
+
+def _positive_float(value) -> float:
+    try:
+        number = float(str(value))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}")
+    if number <= 0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return number
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -98,51 +128,71 @@ def _load_config(path: Optional[str]) -> dict:
             data = json.load(fh)
     except OSError as e:
         raise CliError(f"cannot read config {path}: {e}", 1)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also bad UTF-8, deep nesting
         raise CliError(f"malformed JSON in {path}: {e}", 1)
     if not isinstance(data, dict):
         raise CliError(f"config {path} must hold a JSON object", 1)
     return data
 
 
-def _resolve_outdir(args, cfg: dict) -> Path:
-    if getattr(args, "outdir", None):
-        return Path(args.outdir)
-    if cfg.get("outdir"):
-        return Path(cfg["outdir"])
-    return Path(os.environ.get(_OUTDIR_ENV, "critspde-out"))
+def _section(cfg: dict, key: str) -> dict:
+    """The JSON object under key; {} when the key is absent or null."""
+    section = cfg.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise CliError(f"config field {key!r}: not a JSON object: "
+                       f"{section!r}", 1)
+    return section
+
+
+def _pick(args, section: dict, key: str, flag: Optional[str] = None):
+    """The flag's value (dest flag, default key) if the user gave it, else
+    section[key] parsed by the flag's own type and choices, else None."""
+    flag = flag or key
+    value = getattr(args, flag)
+    if value is not None or section.get(key) is None:
+        return value
+    action = args.actions[flag]
+    try:
+        value = (action.type or _string)(section[key])
+    except argparse.ArgumentTypeError as e:
+        raise CliError(f"config field {key!r}: {e}", 1)
+    if action.choices is not None and value not in action.choices:
+        raise CliError(f"config field {key!r}: invalid choice: {value!r} "
+                       f"(choose from {', '.join(action.choices)})", 1)
+    return value
+
+
+def _picked(args, section: dict, keys, prefix: str = "") -> dict:
+    """{key: value} of the keys that _pick finds a value for, each with the
+    flag prefix + key."""
+    picked = {key: _pick(args, section, key, prefix + key) for key in keys}
+    return {key: value for key, value in picked.items() if value is not None}
 
 
 # --- calc -----------------------------------------------------------------------
 
 
-_GROWTH_FLAGS = ("variant", "eps", "zeta", "s", "q", "nu")
-
-
-def _build_growth(section: dict):
-    if "variant" in section:
-        kwargs = {}
-        for key in ("eps", "zeta", "s", "q", "nu"):
-            if section.get(key) is not None:
-                kwargs[key] = fraction_from_json(section[key])
-        return one_d_growth_params(section["variant"], **kwargs)
+def _build_growth(args, cfg: dict):
+    section = _section(cfg, "growth")
+    variant = _pick(args, section, "variant")
+    if variant is not None:
+        return one_d_growth_params(variant, **_picked(
+            args, section, ("eps", "zeta", "s", "q", "nu")))
     if section.get("f_terms") or section.get("g_terms"):
         return growth_spec_from_dict(section)
     raise CliError("empty calc config: give a growth variant or explicit "
                    "f_terms/g_terms", 1)
 
 
-def _build_setting(section: dict) -> Setting:
-    merged = {
-        "scale": {"low": "-1", "high": "1", "q": "2"},
-        "p": "2",
-        "kappa": "0",
-    }
-    merged["scale"].update(section.get("scale", {}))
-    for key in ("p", "kappa"):
-        if section.get(key) is not None:
-            merged[key] = section[key]
-    return setting_from_dict(merged)
+def _build_setting(args, cfg: dict) -> Setting:
+    section = _section(cfg, "setting")
+    scale = _picked(args, _section(section, "scale"), ("low", "high", "q"),
+                    "scale_")
+    return Setting(SobolevScale(**{"low": -1, "high": 1, "q": 2, **scale}),
+                   **{"p": 2, "kappa": 0,
+                      **_picked(args, section, ("p", "kappa"))})
 
 
 def _format_setting(s: Setting) -> str:
@@ -203,27 +253,8 @@ def _cmd_calc(args) -> int:
     cfg = _load_config(args.config)
     if args.config is not None and not cfg:
         raise CliError(f"config {args.config} is empty", 1)
-    growth_section = dict(cfg.get("growth", {}))
-    for key in _GROWTH_FLAGS:
-        value = getattr(args, key)
-        if value is not None:
-            growth_section[key] = value if key == "variant" else str(value)
-    setting_section = dict(cfg.get("setting", {}))
-    for key in ("p", "kappa"):
-        value = getattr(args, key)
-        if value is not None:
-            setting_section[key] = str(value)
-    scale_section = dict(setting_section.get("scale", {}))
-    for flag, key in (("scale_low", "low"), ("scale_high", "high"),
-                      ("scale_q", "q")):
-        value = getattr(args, flag)
-        if value is not None:
-            scale_section[key] = str(value)
-    if scale_section:
-        setting_section["scale"] = scale_section
-
-    g = _build_growth(growth_section)
-    s = _build_setting(setting_section)
+    g = _build_growth(args, cfg)
+    s = _build_setting(args, cfg)
     report = full_report(g, s)
     for line in _render_report(report, s):
         print(line)
@@ -253,28 +284,15 @@ _VARIANTS = {"l2_start": "L2_start", "rough": "rough"}
 
 def _cmd_plan(args) -> int:
     cfg = _load_config(args.config)
-    preset = args.preset or cfg.get("preset")
+    preset = _pick(args, cfg, "preset")
     if preset is not None:
-        if preset not in CHAIN_PRESETS:
-            raise CliError(f"unknown chain preset {preset!r}; choose from "
-                           f"{sorted(CHAIN_PRESETS)}", 1)
         chain = CHAIN_PRESETS[preset]()
     else:
-        variant = args.variant or cfg.get("variant")
+        variant = _pick(args, cfg, "variant")
         if variant is None:
             raise CliError("plan needs --preset or --variant", 1)
-        key = str(variant).lower()
-        if key not in _VARIANTS:
-            raise CliError(f"unknown variant {variant!r}; choose from "
-                           f"{sorted(_VARIANTS)}", 1)
-        kwargs = {}
-        for name in ("eps", "s", "q", "p"):
-            value = getattr(args, name)
-            if value is None and cfg.get(name) is not None:
-                value = fraction_from_json(cfg[name])
-            if value is not None:
-                kwargs[name] = value
-        chain = full_chain_1d(_VARIANTS[key], **kwargs)
+        chain = full_chain_1d(_VARIANTS[variant],
+                              **_picked(args, cfg, ("eps", "s", "q", "p")))
     for idx, st in enumerate(chain.steps, start=1):
         params = ", ".join(f"{k}={_format_param(v)}"
                            for k, v in st.params.items())
@@ -293,50 +311,26 @@ def _cmd_plan(args) -> int:
 # --- simulate / montecarlo --------------------------------------------------------
 
 
-# the config-file fields of simulate and montecarlo, parsed as their flags
-_SIM_FIELDS = {"dt": _positive_float, "t_end": _positive_float, "seed": int,
-               "scheme": str, "blowup_cap": _positive_float,
-               "grid_n": _positive_int, "noise_lam": _positive_float,
-               "noise_modes": _positive_int, "n_save": _positive_int,
-               "n_paths": _positive_int}
-
-
-def _pick(args, cfg: dict, key: str):
-    """The flag's value if given, else the config field's, else None."""
-    value = getattr(args, key)
-    if value is not None or cfg.get(key) is None:
-        return value
-    try:
-        return _SIM_FIELDS[key](str(cfg[key]))
-    except (argparse.ArgumentTypeError, ValueError) as e:
-        raise CliError(f"config field {key!r}: {e}", 1)
+def _resolve_outdir(args, cfg: dict) -> Path:
+    return Path(_pick(args, cfg, "outdir")
+                or os.environ.get(_OUTDIR_ENV, "critspde-out"))
 
 
 def _build_sim_config(args, cfg: dict):
-    preset = args.preset or cfg.get("preset")
+    preset = _pick(args, cfg, "preset")
     if preset is None:
         raise CliError("a simulation preset is required (--preset or a "
                        "\"preset\" config field)", 1)
-    if preset not in SIM_PRESETS:
-        raise CliError(f"unknown simulation preset {preset!r}; choose from "
-                       f"{sorted(SIM_PRESETS)}", 1)
     sim_cfg = SIM_PRESETS[preset]()
     # one replace, so the config is checked only as a whole
-    fields = {}
-    for key in ("dt", "t_end", "seed", "scheme", "blowup_cap"):
-        value = _pick(args, cfg, key)
-        if value is not None:
-            fields[key] = value
+    fields = _picked(args, cfg, ("dt", "t_end", "seed", "scheme", "blowup_cap"))
     grid_n = _pick(args, cfg, "grid_n")
     if grid_n is not None:
         fields["grid"] = TorusGrid(grid_n)
-    lam = _pick(args, cfg, "noise_lam")
-    modes = _pick(args, cfg, "noise_modes")
-    if lam is not None or modes is not None:
-        base = sim_cfg.noise or NoiseSpec()
-        fields["noise"] = NoiseSpec(
-            lam=lam if lam is not None else base.lam,
-            modes=modes if modes is not None else base.modes)
+    noise = _picked(args, cfg, ("noise_lam", "noise_modes"))
+    if noise:
+        fields["noise"] = replace(sim_cfg.noise or NoiseSpec(), **{
+            key.removeprefix("noise_"): value for key, value in noise.items()})
     if fields:
         sim_cfg = replace(sim_cfg, **fields)
     return sim_cfg, _pick(args, cfg, "n_save")
@@ -366,10 +360,11 @@ def _cmd_montecarlo(args) -> int:
     cfg = _load_config(args.config)
     sim_cfg, n_save = _build_sim_config(args, cfg)
     outdir = _resolve_outdir(args, cfg)
+    experiment = _pick(args, cfg, "experiment")
     ens = EnsembleConfig(
         base=sim_cfg,
         n_paths=_pick(args, cfg, "n_paths") or 8,
-        experiment=args.experiment or cfg.get("experiment", "montecarlo"),
+        experiment="montecarlo" if experiment is None else experiment,
         outdir=str(outdir),
         n_save=n_save,
     )
@@ -405,7 +400,7 @@ def _add_sim_flags(sub) -> None:
                      help="simulation preset supplying grid and nonlinearity")
     sub.add_argument("--dt", type=_positive_float, help="time step")
     sub.add_argument("--t-end", type=_positive_float, help="time horizon")
-    sub.add_argument("--seed", type=int, help="master seed")
+    sub.add_argument("--seed", type=_integer, help="master seed")
     sub.add_argument("--scheme", choices=("exp_euler", "semi_implicit"),
                      help="time stepping scheme")
     sub.add_argument("--blowup-cap", type=_positive_float,
@@ -453,7 +448,8 @@ def build_parser() -> _Parser:
     plan.add_argument("--config", "-c", help="JSON config with chain fields")
     plan.add_argument("--preset", choices=sorted(CHAIN_PRESETS),
                       help="named reference chain")
-    plan.add_argument("--variant", help="chain variant: l2_start or rough")
+    plan.add_argument("--variant", type=_lowercase, choices=sorted(_VARIANTS),
+                      help="chain variant (any case)")
     plan.add_argument("--eps", type=_rational,
                       help="drift growth margin for l2_start")
     plan.add_argument("--s", type=_rational, help="data roughness for rough")

@@ -826,19 +826,6 @@ def setting_to_dict(s: Setting) -> dict:
     }
 
 
-def setting_from_dict(d: dict) -> Setting:
-    try:
-        sc = d["scale"]
-        scale = SobolevScale(
-            fraction_from_json(sc["low"]),
-            fraction_from_json(sc["high"]),
-            fraction_from_json(sc["q"]),
-        )
-        return Setting(scale, fraction_from_json(d["p"]), fraction_from_json(d["kappa"]))
-    except (KeyError, TypeError) as e:
-        raise ParameterError(f"malformed setting: {e}") from e
-
-
 def growth_spec_to_dict(g: GrowthSpec) -> dict:
     return {"f_terms": [_term_to_dict(t) for t in g.f_terms],
             "g_terms": [_term_to_dict(t) for t in g.g_terms]}

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -117,8 +117,10 @@ def run_ensemble(cfg: EnsembleConfig) -> List[Trajectory]:
     return trajs
 
 
-def _reduce_stats(cfg: EnsembleConfig,
-                  trajs: Sequence[Trajectory]) -> EnsembleStats:
+def _ensemble_stats(cfg: EnsembleConfig) -> EnsembleStats:
+    """Run the ensemble, writing its path CSVs but no summary, and reduce
+    its per-path stats."""
+    trajs = run_ensemble(cfg)
     seeds = tuple(mix_seed(cfg.base.seed, i) for i in range(cfg.n_paths))
     samples = {
         "initial_l2_sq": np.array([t.stats.initial_l2_sq for t in trajs]),
@@ -146,8 +148,7 @@ def _reduce_stats(cfg: EnsembleConfig,
 
 
 def mc_run(cfg: EnsembleConfig) -> EnsembleStats:
-    trajs = run_ensemble(cfg)
-    stats = _reduce_stats(cfg, trajs)
+    stats = _ensemble_stats(cfg)
     _write_experiment_summary(cfg, asdict(stats))
     return stats
 
@@ -179,10 +180,10 @@ def experiment_energy(cfg: EnsembleConfig) -> EnergyReport:
     whenever the noise coefficient grows at most linearly.  Any path blow-up
     flags the report as invalid for the bound.
     """
-    stats = mc_run(cfg)
+    stats = _ensemble_stats(cfg)
     refined_base = replace(cfg.base, dt=cfg.base.dt / 2.0)
     refined_cfg = replace(cfg, base=refined_base, outdir=None)
-    stats_refined = mc_run(refined_cfg)
+    stats_refined = _ensemble_stats(refined_cfg)
     c_hat = _energy_constant(stats)
     c_ref = _energy_constant(stats_refined)
     drift = abs(c_hat - c_ref) / max(c_hat, 1e-300)
@@ -213,7 +214,7 @@ def experiment_global(h: float, cfg: EnsembleConfig,
     wired = replace(cfg.base.nonlinearity,
                     g=lambda y: noise_scale * np.abs(y) ** h)
     run_cfg = replace(cfg, base=replace(cfg.base, nonlinearity=wired))
-    stats = mc_run(run_cfg)
+    stats = _ensemble_stats(run_cfg)
     report = SurvivalReport(float(h), float(noise_scale), stats.survival,
                             stats)
     _write_experiment_summary(cfg, asdict(report))

@@ -213,9 +213,9 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
 
     Draws the path's stream once, replays the trajectory from its config on
     that table (the path is deterministic given the seed), keeping every
-    state, and re-takes its steps from the kept states RNG_BLOCK at a time
-    on the same draws.  Per step it
-    accumulates
+    state, checks each saved state against the replay's bit for bit, and
+    re-takes its steps from the kept states RNG_BLOCK at a time on the same
+    draws.  Per step it accumulates
 
         d||u||^2 + 2 ||grad u||^2 dt - (I + II + III)
 
@@ -231,12 +231,14 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     stepper = SpectralStepper(cfg)
     xi = draw_increments(cfg) if stepper.draws else None
     replay = simulate_path(cfg, increments=xi)
-    if replay.status != traj.status or replay.sigma_hat != traj.sigma_hat:
+    # the path is bitwise deterministic, so each saved state, up to blow-up
+    # too, is the replay's state at its step bit for bit
+    saved_at = np.rint(traj.times / cfg.dt).astype(int)
+    if replay.status != traj.status or replay.sigma_hat != traj.sigma_hat \
+            or (saved_at.size and saved_at.max() >= replay.times.size) \
+            or not np.array_equal(replay.times[saved_at], traj.times) \
+            or not np.array_equal(replay.states[saved_at], traj.states):
         raise ParameterError("trajectory does not replay from its config")
-    if traj.completed and traj.states.size:
-        if not np.allclose(replay.states[-1], traj.states[-1],
-                           rtol=1e-10, atol=1e-12):
-            raise ParameterError("trajectory does not replay from its config")
 
     nl = cfg.nonlinearity
     k2 = stepper.k.astype(float) ** 2

@@ -427,13 +427,20 @@ def _save_indices(n_steps: int, n_save: Optional[int]) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n_steps, n_save)).astype(int))
 
 
+def _path_stream(seed: int) -> np.random.Generator:
+    """The path's own PCG64 stream; PCG64 takes no negative seed."""
+    if seed < 0:
+        raise ParameterError(f"a path seed must be non-negative, not {seed}")
+    return np.random.default_rng(np.random.PCG64(seed))
+
+
 def draw_increments(cfg: SimConfig,
                     rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Pre-draw the full unit-variance Gaussian table for one path."""
     if not cfg.nonlinearity.has_noise:
         raise ParameterError("config has no noise term")
     if rng is None:
-        rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+        rng = _path_stream(cfg.seed)
     return rng.standard_normal((cfg.n_steps, 2 * cfg.noise.modes + 1))
 
 
@@ -508,8 +515,7 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     if stepper.draws:
         draws = np.empty((n_paths, RNG_BLOCK, stepper.draws))
         if increments is None:
-            rngs = [np.random.default_rng(np.random.PCG64(c.seed))
-                    for c in cfgs]
+            rngs = [_path_stream(c.seed) for c in cfgs]
 
     norm_weights = np.stack([stepper.weights, stepper.grad_weights])
 

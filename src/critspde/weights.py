@@ -68,14 +68,6 @@ class TimeGrid:
     def a(self) -> float:
         return float(self.nodes[0])
 
-    @property
-    def b(self) -> float:
-        return float(self.nodes[-1])
-
-    @staticmethod
-    def uniform(a: float, b: float, n: int) -> "TimeGrid":
-        return TimeGrid(np.linspace(a, b, n + 1))
-
     @staticmethod
     def graded(a: float, b: float, n: int, power: float = 2.0) -> "TimeGrid":
         """Nodes clustered at the left endpoint, t = a + (b-a)*(i/n)^power."""

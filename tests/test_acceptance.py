@@ -91,6 +91,21 @@ def test_elapsed_spans_the_timed_call(num, monkeypatch):
     assert res.elapsed == reads[-1] - reads[0]
 
 
+def test_criterion_2_budget_is_cpu_time(monkeypatch):
+    # a wall clock that jumps 10 s per reading, as on a host where the
+    # check waits for its core: the 1 s budget reads the thread's CPU time
+    reads = []
+
+    def jump():
+        reads.append(10.0 * len(reads))
+        return reads[-1]
+
+    monkeypatch.setattr(acceptance.time, "perf_counter", jump)
+    res = acceptance.CHECKS[2]()
+    assert res.passed, res.detail
+    assert res.detail.endswith(" ms CPU")
+
+
 def test_timed_calls_are_charged_cpu_not_waiting():
     # a call that waits 20 ms, as one that loses its core to another
     # process does, is charged the little CPU time it used; the gates of

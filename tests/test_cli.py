@@ -1,6 +1,8 @@
 """Exit codes, config precedence, and rendering of the command line tool."""
 
+import contextlib
 import importlib.metadata
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import critspde.cli
 from critspde.cli import main
@@ -67,11 +71,13 @@ def test_calc_flag_overrides_file(tmp_path, capsys):
 
 
 def test_calc_malformed_json(tmp_path, capsys):
+    # a field nested past the decoder's recursion limit is malformed too
     path = tmp_path / "bad.json"
-    path.write_text("{")
-    code, out, err = invoke(["calc", "--config", str(path)], capsys)
-    assert code == 1
-    assert "malformed JSON" in err
+    for text in ("{", '{"eps": ' + "[" * 100000 + "]" * 100000 + "}"):
+        path.write_text(text)
+        code, out, err = invoke(["calc", "--config", str(path)], capsys)
+        assert code == 1
+        assert "malformed JSON" in err
 
 
 def test_calc_empty_config(tmp_path, capsys):
@@ -194,6 +200,17 @@ def test_simulate_non_finite_time_exit_2(flag, value, tmp_path, capsys):
     assert not (tmp_path / "simulate").exists()
 
 
+def test_simulate_negative_seed_exit_2(tmp_path, capsys):
+    # the path seed seeds PCG64, which takes no negative seed (a montecarlo
+    # master seed may be negative: it is mixed into the path seeds)
+    code, out, err = invoke(["simulate", "--preset", "linear-noise",
+                             "--seed=-1", "--t-end", "0.01",
+                             "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "a path seed must be non-negative, not -1" in err
+    assert not (tmp_path / "simulate").exists()
+
+
 SIM_FIELDS = {"dt": "abc", "t_end": [0.5], "seed": "1.5",
               "blowup_cap": "big", "grid_n": "abc", "noise_lam": {"x": 1},
               "noise_modes": "-3", "n_save": "many"}
@@ -258,6 +275,139 @@ def test_config_fields_match_their_flags(tmp_path, capsys):
     for name in ("summary.json", "path_0.csv"):
         assert (tmp_path / "file" / "simulate" / name).read_bytes() == \
             (tmp_path / "flags" / "simulate" / name).read_bytes()
+    # the golden calc case with its setting from flags, and the golden
+    # l2_start plan from a config file (the variant in any case)
+    path.write_text(json.dumps({"growth": {
+        "f_terms": [{"rho": "1", "phi": "7/8", "beta": "3/4"}],
+        "g_terms": [{"rho": "0", "phi": "3/4", "beta": "3/4"}]}}))
+    code, out, err = invoke(["calc", "--config", str(path), "--scale-low=-1",
+                             "--scale-high", "1", "--scale-q", "2", "--p",
+                             "4", "--kappa", "1/2"], capsys)
+    assert code == 0
+    assert out.encode() == (golden.parent / "calc_config_critical" /
+                            "stdout.txt").read_bytes()
+    path.write_text(json.dumps({"variant": "L2_start"}))
+    code, out, err = invoke(["plan", "--config", str(path)], capsys)
+    assert code == 0
+    assert out.encode() == (golden.parent / "plan_l2_start" /
+                            "stdout.txt").read_bytes()
+    # every calc and plan field in the file or as flags; a JSON number
+    # snaps to the rational its decimal text names
+    for command, cfg, fields in CALC_PLAN_FIELDS:
+        path.write_text(json.dumps(cfg))
+        from_file = invoke([command, "--config", str(path)], capsys)
+        flags = [f"--{flag.replace('_', '-')}={value}"
+                 for flag, value in fields.items()]
+        assert from_file[0] == 0
+        assert from_file == invoke([command, *flags], capsys)
+
+
+CALC_PLAN_FIELDS = [
+    ("calc", {"growth": {"variant": "rough", "s": 0.2, "q": "5/2", "nu": 1},
+              "setting": {"scale": {"low": "-6/5", "high": 0.8, "q": 2.5},
+                          "p": 4, "kappa": "4/5"}},
+     {"variant": "rough", "s": "1/5", "q": "5/2", "nu": "1",
+      "scale_low": "-6/5", "scale_high": "4/5", "scale_q": "5/2", "p": "4",
+      "kappa": "4/5"}),
+    ("calc", {"growth": {"variant": "lzeta", "zeta": 3}},
+     {"variant": "lzeta", "zeta": "3"}),
+    ("calc", {"growth": {"variant": "l2_eps", "eps": 0.1}},
+     {"variant": "l2_eps", "eps": "1/10"}),
+    ("plan", {"variant": "rough", "s": 0.2, "q": "5/2", "p": 4},
+     {"variant": "rough", "s": "1/5", "q": "5/2", "p": "4"}),
+    ("plan", {"variant": "l2_start", "eps": "1/6"},
+     {"variant": "l2_start", "eps": "1/6"}),
+    ("plan", {"preset": "rough-data-chain"}, {"preset": "rough-data-chain"}),
+]
+
+
+# Every config field that has a flag, per subcommand: (section path, key).
+# The base configs run; each case below spoils one field.
+CALC_BASE = {"growth": {"variant": "rough", "s": "1/5", "q": "5/2"},
+             "setting": {"scale": {"low": "-6/5", "high": "4/5", "q": "5/2"},
+                         "p": "4", "kappa": "4/5"}}
+PLAN_BASE = {"variant": "rough", "s": "1/5", "q": "5/2", "p": "4"}
+SIM_BASE = {"preset": "linear-noise", "t_end": 0.01, "outdir": "out"}
+SIM_KEYS = ("preset", "dt", "t_end", "seed", "scheme", "blowup_cap", "grid_n",
+            "noise_lam", "noise_modes", "n_save", "outdir")
+CONFIG_FIELDS = {
+    "calc": [*((("growth",), key)
+               for key in ("variant", "eps", "zeta", "s", "q", "nu")),
+             (("setting",), "p"), (("setting",), "kappa"),
+             *((("setting", "scale"), key) for key in ("low", "high", "q")),
+             ((), "growth"), ((), "setting"), (("setting",), "scale")],
+    "plan": [((), key) for key in ("preset", "variant", "eps", "s", "q", "p")],
+    "simulate": [((), key) for key in SIM_KEYS],
+    "montecarlo": [((), key)
+                   for key in (*SIM_KEYS, "n_paths", "experiment")],
+}
+BASES = {"calc": CALC_BASE, "plan": PLAN_BASE, "simulate": SIM_BASE,
+         "montecarlo": dict(SIM_BASE, n_paths=2)}
+# fields whose flag takes any text, and sections, which hold an object
+TEXT_FIELDS = {"outdir", "experiment"}
+SECTIONS = {"growth", "setting", "scale"}
+
+
+def spoiled(command, where, key, value):
+    cfg = json.loads(json.dumps(BASES[command]))
+    section = cfg
+    for name in where:
+        section = section[name]
+    section[key] = value
+    return cfg
+
+
+WRONG_TYPES = {"text": "text", "list": [1], "object": {"a": 1}, "true": True}
+
+
+@pytest.mark.parametrize("command, where, key, value", [
+    pytest.param(command, where, key, value,
+                 id=f"{command}-{'.'.join((*where, key))}-{name}")
+    for command, fields in CONFIG_FIELDS.items() for where, key in fields
+    for name, value in WRONG_TYPES.items()
+    if not (key in TEXT_FIELDS and name == "text"
+            or key in SECTIONS and name == "object")])
+def test_wrong_type_config_field_exits_1(command, where, key, value,
+                                         tmp_path, monkeypatch, capsys):
+    # the field is parsed as its flag: a value of the wrong type is a usage
+    # error naming the field, with no traceback and no output written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CRITSPDE_OUTDIR", str(tmp_path / "env"))
+    Path("c.json").write_text(json.dumps(spoiled(command, where, key,
+                                                 value)))
+    code, out, err = invoke([command, "--config", "c.json"], capsys)
+    assert code == 1
+    assert f"error: config field '{key}'" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from([(command, where, key)
+                              for command in ("calc", "plan")
+                              for where, key in CONFIG_FIELDS[command]]),
+       value=JSON_VALUES)
+def test_any_json_in_a_field_exits_cleanly(field, value, tmp_path):
+    # any JSON value in any one calc or plan field ends in exit 0, 1 or 2,
+    # never in another exception
+    command, where, key = field
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(spoiled(command, where, key, value)))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main([command, "--config", str(path)])
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2)
 
 
 def test_verify_chain_suite_passes(capsys):

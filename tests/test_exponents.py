@@ -28,8 +28,6 @@ from critspde.exponents import (
     revised_serrin_term_raw,
     rho_star_and_x_exponents,
     serrin_applicable,
-    setting_from_dict,
-    setting_to_dict,
     star_params,
     star_params_term,
     subcriticality,
@@ -629,11 +627,6 @@ def test_fraction_json_round_trip():
     assert fraction_from_json(5) == F(5)
     with pytest.raises(ParameterError):
         fraction_from_json("x/y")
-
-
-def test_setting_round_trip():
-    d = setting_to_dict(L2_SETTING)
-    assert setting_from_dict(d) == L2_SETTING
 
 
 def test_growth_spec_round_trip():

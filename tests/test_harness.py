@@ -1,10 +1,11 @@
 import json
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from critspde import harness
 from critspde.exponents import ParameterError
 from critspde.harness import (
     ConvergenceReport,
@@ -210,6 +211,27 @@ def test_global_power_window():
         experiment_global(0.5, cfg)
     with pytest.raises(ParameterError):
         experiment_global(3.0, cfg)
+
+
+@pytest.mark.parametrize("run", [mc_run, experiment_energy,
+                                 lambda cfg: experiment_global(1.0, cfg)],
+                         ids=["mc_run", "energy", "global"])
+def test_one_summary_write_per_call(run, tmp_path, monkeypatch):
+    # each call writes its experiment's summary.json once, with its report
+    writes = []
+
+    def counting(directory, payload):
+        writes.append(directory)
+        return write_summary(directory, payload)
+
+    monkeypatch.setattr(harness, "write_summary", counting)
+    cfg = EnsembleConfig(base=small_noise_cfg(dt=0.01, t_end=0.1), n_paths=2,
+                         outdir=str(tmp_path))
+    report = run(cfg)
+    assert writes == [tmp_path / "ensemble"]
+    summary = json.loads((tmp_path / "ensemble" / "summary.json").read_text())
+    assert summary["experiment"] == "ensemble"
+    assert summary.keys() - {"experiment"} == asdict(report).keys()
 
 
 # --- regularity --------------------------------------------------------------------------

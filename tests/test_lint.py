@@ -5,11 +5,12 @@ bound by an import must be read somewhere in the module, or be listed in
 its __all__ (the package's re-exports); a module-level private name
 (`_x` function, class or constant, dunders aside) must be read somewhere
 in the package; every function, method or class the package defines
-(dunders aside) must be referenced from src/ or bench/, or be listed in
-an __all__: a name that only tests reach is not shipped.  On the
-stepping hot path (sim.py, presets.py) no `**`
-takes an integer literal above 2: numpy sends those through pow, some 30
-times slower than multiplying, while `** 2` takes its square fast path.
+(dunders aside) must be referenced from src/ or bench/, a method as an
+attribute (x.name), or be listed in an __all__: a name that only tests
+reach is not shipped.  On the stepping hot path (sim.py, presets.py) no
+`**` takes an integer literal above 2: numpy sends those through pow,
+some 30 times slower than multiplying, while `** 2` takes its square fast
+path.
 """
 
 import ast
@@ -98,20 +99,36 @@ def unread_private_names(trees: dict):
                   if name not in read)
 
 
+def attributes_read(tree: ast.Module) -> set:
+    """Names the module reads as an attribute of something (x.name)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def unreferenced_definitions(trees: dict, callers: list):
     """(module, line, name) of every function, method or class, dunders
     aside, that the modules in trees define, no tree in callers reads and
-    no __all__ in trees lists."""
-    read = set().union(*(names_read(t) for t in callers),
-                       *(exported(t) for t in trees.values()))
-    return sorted((module, node.lineno, node.name)
-                  for module, tree in trees.items()
-                  for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))
-                  and not (node.name.startswith("__")
-                           and node.name.endswith("__"))
-                  and node.name not in read)
+    no __all__ in trees lists.  A function in a class body counts as read
+    only as an attribute (x.name): a bare local of its name does not keep
+    it.  Reads are matched by name, whatever object they are read from."""
+    exports = set().union(*(exported(t) for t in trees.values()))
+    read = set().union(*(names_read(t) for t in callers), exports)
+    attrs = set().union(*(attributes_read(t) for t in callers), exports)
+    out = []
+    for module, tree in trees.items():
+        methods = {id(item) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body
+                   if isinstance(item, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))}
+        out += [(module, node.lineno, node.name) for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+                and not (node.name.startswith("__")
+                         and node.name.endswith("__"))
+                and node.name not in (attrs if id(node) in methods
+                                      else read)]
+    return sorted(out)
 
 
 def slow_powers(tree: ast.Module):
@@ -175,10 +192,14 @@ def test_unreferenced_function_is_reported():
                      "    def __init__(self):\n        pass\n"
                      "    @property\n    def size(self):\n        return 1\n"
                      "    def unread(self):\n        pass\n"
-                     "class Gone:\n    pass\n")
-    caller = ast.parse("from a import used, C\nused()\nC().size\n")
+                     "class Gone:\n    pass\n"
+                     "class D:\n    def local(self):\n        pass\n")
+    # a bare local of a method's name does not keep the method
+    caller = ast.parse("from a import used, C, D\nused()\nC().size\n"
+                       "local = D()\nprint(local)\n")
     assert unreferenced_definitions({"a.py": tree}, [tree, caller]) == [
-        ("a.py", 3, "dead"), ("a.py", 11, "unread"), ("a.py", 13, "Gone")]
+        ("a.py", 3, "dead"), ("a.py", 11, "unread"), ("a.py", 13, "Gone"),
+        ("a.py", 16, "local")]
 
 
 def test_test_only_reference_is_reported(tmp_path):

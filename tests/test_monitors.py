@@ -390,6 +390,28 @@ def test_ito_residual_rejects_foreign_states():
         ito_energy_residual(traj)
 
 
+@pytest.mark.parametrize("blown_up", [False, True],
+                         ids=["completed", "blown_up"])
+def test_ito_replay_is_compared_bit_for_bit(blown_up):
+    # the replay is bitwise the trajectory at every saved step, so one ulp
+    # in a middle snapshot is a foreign state, on a path that blew up too
+    if blown_up:
+        base = presets.sublinear_global()
+        wired = replace(base.nonlinearity, g=lambda y: 3.0 * np.abs(y) ** 2)
+        cfg = replace(base, nonlinearity=wired, t_end=0.25,
+                      seed=mix_seed(3, 2))
+    else:
+        cfg = branch_cfg("callable_g")
+    traj = simulate_path(cfg)
+    assert traj.completed != blown_up and traj.times.size >= 5
+    ito_energy_residual(traj)
+    states = traj.states.copy()
+    mid = states.shape[0] // 2
+    states[mid, 3] = np.nextafter(states[mid, 3], np.inf)
+    with pytest.raises(ParameterError, match="does not replay"):
+        ito_energy_residual(replace(traj, states=states))
+
+
 # --- Hoelder fits --------------------------------------------------------------------
 
 def test_hoelder_smooth_heat_path():

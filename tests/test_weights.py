@@ -23,6 +23,11 @@ from critspde.weights import (
 W0 = PowerWeight(0.0)
 
 
+def uniform_grid(a, b, n):
+    """n equal cells on [a, b]."""
+    return TimeGrid(np.linspace(a, b, n + 1))
+
+
 def sampled(fn, grid):
     return SampledFunction(grid, np.asarray([fn(t) for t in grid.nodes]))
 
@@ -193,7 +198,7 @@ def check_mixed_derivative(
     if not 0 < theta < 1:
         raise ParameterError("need theta in (0,1)")
     rng = np.random.default_rng(seed)
-    grid = TimeGrid.uniform(0.0, 1.0, n_time)
+    grid = uniform_grid(0.0, 1.0, n_time)
     t = grid.nodes
     worst = 0.0
     for _ in range(max(trials, 1)):
@@ -224,8 +229,8 @@ def test_grid_validation():
         TimeGrid(np.array([0.0, 1.0]))  # too short
     with pytest.raises(ParameterError):
         TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))  # not strictly increasing
-    g = TimeGrid.uniform(0.0, 1.0, 10)
-    assert g.a == 0.0 and g.b == 1.0 and g.nodes.size == 11
+    g = uniform_grid(0.0, 1.0, 10)
+    assert g.a == 0.0 and g.nodes[-1] == 1.0 and g.nodes.size == 11
 
 
 def test_weight_validation():
@@ -242,7 +247,7 @@ def test_weight_validation():
 
 
 def test_sampled_function_validation():
-    g = TimeGrid.uniform(0.0, 1.0, 4)
+    g = uniform_grid(0.0, 1.0, 4)
     with pytest.raises(ParameterError):
         SampledFunction(g, np.ones(3))
     with pytest.raises(ParameterError):
@@ -252,7 +257,7 @@ def test_sampled_function_validation():
 # --- weighted lp norm --------------------------------------------------------
 
 def test_unit_constant_unit_measure():
-    g = TimeGrid.uniform(0.0, 1.0, 50)
+    g = uniform_grid(0.0, 1.0, 50)
     f = sampled(lambda t: 1.0, g)
     assert weighted_lp_norm(f, 2.0, W0) == pytest.approx(1.0, abs=1e-14)
 
@@ -260,7 +265,7 @@ def test_unit_constant_unit_measure():
 def test_constant_with_linear_weight():
     # (int_0^1 t dt)^{1/2} = 1/sqrt(2); the weight integrals are exact so
     # the grid does not matter
-    g = TimeGrid.uniform(0.0, 1.0, 7)
+    g = uniform_grid(0.0, 1.0, 7)
     f = sampled(lambda t: 1.0, g)
     assert weighted_lp_norm(f, 2.0, PowerWeight(1.0)) == pytest.approx(
         1 / math.sqrt(2), abs=1e-14)
@@ -289,7 +294,7 @@ def test_homogeneity():
 
 def test_monotone_restriction():
     rng = np.random.default_rng(4)
-    g = TimeGrid.uniform(0.0, 1.0, 64)
+    g = uniform_grid(0.0, 1.0, 64)
     vals = rng.standard_normal(g.nodes.size)
     f = SampledFunction(g, vals)
     w = PowerWeight(1.5)
@@ -302,7 +307,7 @@ def test_unweighting_bound():
     # ||f||_{L^p(c,b)} <= (c-a)^{-kappa/p} ||f||_{L^p(c,b,w_kappa^a)}
     rng = np.random.default_rng(5)
     a, c, b, kappa, p = 0.0, 0.25, 1.0, 1.2, 2.0
-    g = TimeGrid.uniform(c, b, 80)
+    g = uniform_grid(c, b, 80)
     f = SampledFunction(g, rng.standard_normal(g.nodes.size))
     lhs = weighted_lp_norm(f, p, PowerWeight(0.0, offset=c))
     rhs = weighted_lp_norm(f, p, PowerWeight(kappa, offset=a))
@@ -312,7 +317,7 @@ def test_unweighting_bound():
 def test_multi_axis_samples_are_rejected():
     # per-mode spectra, one row per node: the norm takes scalar samples only,
     # as the seminorm does
-    g = TimeGrid.uniform(0.0, 1.0, 10)
+    g = uniform_grid(0.0, 1.0, 10)
     vals = np.tile(np.array([3.0, 4.0]), (g.nodes.size, 1))
     f = SampledFunction(g, vals)
     with pytest.raises(ParameterError, match="scalar samples"):
@@ -324,7 +329,7 @@ def test_multi_axis_samples_are_rejected():
 # --- slobodeckij -------------------------------------------------------------
 
 def test_slobodeckij_constant_is_zero():
-    g = TimeGrid.uniform(0.0, 1.0, 30)
+    g = uniform_grid(0.0, 1.0, 30)
     f = sampled(lambda t: 3.7, g)
     assert slobodeckij_seminorm(f, 0.5, 2.0, W0) == 0.0
 
@@ -333,15 +338,15 @@ def test_slobodeckij_linear_half():
     # f(t)=t, theta=1/2, p=2: the kernel collapses to 1, so the seminorm is
     # exactly the interval measure
     for n in (20, 40, 80):
-        g = TimeGrid.uniform(0.0, 1.0, n)
+        g = uniform_grid(0.0, 1.0, n)
         f = sampled(lambda t: t, g)
         val = slobodeckij_seminorm(f, 0.5, 2.0, W0)
         assert val == pytest.approx(1.0, rel=1e-12)
 
 
 def test_slobodeckij_stability_under_doubling():
-    g1 = TimeGrid.uniform(0.0, 1.0, 64)
-    g2 = TimeGrid.uniform(0.0, 1.0, 128)
+    g1 = uniform_grid(0.0, 1.0, 64)
+    g2 = uniform_grid(0.0, 1.0, 128)
     v1 = slobodeckij_seminorm(sampled(math.sin, g1), 0.3, 2.0, W0)
     v2 = slobodeckij_seminorm(sampled(math.sin, g2), 0.3, 2.0, W0)
     assert v1 > 0
@@ -349,7 +354,7 @@ def test_slobodeckij_stability_under_doubling():
 
 
 def test_slobodeckij_translation_invariance():
-    g = TimeGrid.uniform(0.0, 1.0, 50)
+    g = uniform_grid(0.0, 1.0, 50)
     gs = TimeGrid(g.nodes + 0.4)
     v = slobodeckij_seminorm(sampled(lambda t: t, g), 0.5, 2.0, W0)
     vs = slobodeckij_seminorm(sampled(lambda t: t - 0.4, gs), 0.5, 2.0, W0)
@@ -357,7 +362,7 @@ def test_slobodeckij_translation_invariance():
 
 
 def test_slobodeckij_rejects_bad_params():
-    g = TimeGrid.uniform(0.0, 1.0, 10)
+    g = uniform_grid(0.0, 1.0, 10)
     f = sampled(lambda t: t, g)
     with pytest.raises(ParameterError):
         slobodeckij_seminorm(f, 1.0, 2.0, W0)
@@ -424,7 +429,7 @@ def test_embedding_rejects_inadmissible_weights():
 # --- mixed derivative --------------------------------------------------------
 
 def test_mixed_derivative_single_mode_equality():
-    g = TimeGrid.uniform(0.0, 1.0, 96)
+    g = uniform_grid(0.0, 1.0, 96)
     mode = np.sin(2 * np.pi * g.nodes)
     s3 = slobodeckij_seminorm(SampledFunction(g, mode), 0.5, 2.0, W0)
     ksq = 1.0 + 3.0**2
@@ -447,7 +452,7 @@ def test_mixed_derivative_stable_under_time_refinement():
 
 
 def test_mixed_derivative_zero_field_passes():
-    g = TimeGrid.uniform(0.0, 1.0, 16)
+    g = uniform_grid(0.0, 1.0, 16)
     z = SampledFunction(g, np.zeros(g.nodes.size))
     assert slobodeckij_seminorm(z, 0.5, 2.0, W0) == 0.0
     rep = check_mixed_derivative(0.5, trials=1, n_time=32)
