@@ -13,7 +13,7 @@ comparison at equal indices (secondary index ordering decides there).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -174,26 +174,25 @@ def _embedding_check(name: str, src: SpaceDescriptor, dst: SpaceDescriptor,
                           {"src": src_label, "dst": dst_label, **witness})
 
 
-def _growth_checks(g: GrowthSpec, c: Fraction,
-                   strict: bool) -> list[BootstrapCheck]:
-    """Window and subcriticality checks for every term at weight index c."""
-    lo = 1 - c
+def _growth_checks(g: GrowthSpec, c: Fraction, lo: Fraction, strict: bool,
+                   suffix: str = "") -> list[BootstrapCheck]:
+    """Window and subcriticality checks for every term at weight index c,
+    window_low lo = 1 - c, each name ending in suffix."""
     out = []
     for part, i, t in g.terms():
         _, lhs = t.lhs(lo)
-        ok_window = t.window_ok(lo)
         ok_slack = lhs < 1 if strict else lhs <= 1
         out.append(
             BootstrapCheck(
-                name=f"growth_window[{part}{i}]",
+                name=f"growth_window[{part}{i}]{suffix}",
                 condition="1-(1+kappa)/p < beta <= phi < 1",
-                passed=ok_window,
+                passed=t.window_ok(lo),
                 witness={"phi": t.phi, "beta": t.beta, "weight_index": c},
             )
         )
         out.append(
             BootstrapCheck(
-                name=f"subcritical[{part}{i}]",
+                name=f"subcritical[{part}{i}]{suffix}",
                 condition="rho*(phi-1+(1+kappa)/p)+beta "
                 + ("< 1" if strict else "<= 1"),
                 passed=ok_slack,
@@ -222,7 +221,7 @@ def plan_weight_insertion(
     max_phi = g.max_phi
     alpha = r * (inv_p - delta) - 1
 
-    checks = _growth_checks(g, inv_p, strict=False)
+    checks = _growth_checks(g, inv_p, from_setting.window_low, strict=False)
     checks.append(
         BootstrapCheck(
             "delta_window", "0 <= delta < 1 - max phi_j",
@@ -281,14 +280,14 @@ def plan_time_bootstrap(
     r, alpha = from_setting.p, from_setting.kappa
     if alpha <= 0:
         raise ParameterError("time bootstrap needs a positive weight to trade")
-    c_from = from_setting.weight_index
+    c_from, lo_from = from_setting.weight_index, from_setting.window_low
 
-    checks = _growth_checks(g, c_from, strict=False)
+    checks = _growth_checks(g, c_from, lo_from, strict=False)
     checks.append(
         BootstrapCheck("integrability_order", "r_hat >= r", r_hat >= r,
                        {"r_hat": r_hat, "r": r})
     )
-    margin = min(min(t.beta for _, _, t in g.terms()) - from_setting.window_low,
+    margin = min(min(t.beta for _, _, t in g.terms()) - lo_from,
                  alpha / r)
     checks.append(
         BootstrapCheck(
@@ -321,9 +320,9 @@ def plan_time_bootstrap(
     # growth at the intermediate weighted setting, whose weight index
     # (1+alpha_hat)/r_hat is c_mid exactly: windows survive the small
     # decrease of the weight index, and the slack turns strictly positive
-    checks.extend(replace(ch, name=ch.name + "@intermediate")
-                  for ch in _growth_checks(g, c_mid, strict=True))
-    case = emb_condition(r, alpha, r_hat, alpha_hat, None)
+    checks.extend(_growth_checks(g, c_mid, 1 - c_mid, strict=True,
+                                 suffix="@intermediate"))
+    case = _emb_case(r, alpha, r_hat, alpha_hat, c_from, c_mid, None)
     checks.append(
         BootstrapCheck(
             "weighted_embedding_case", "(1+alpha_hat)/r_hat < (1+alpha)/r",
@@ -351,8 +350,17 @@ def emb_condition(
     """
     r, alpha = as_fraction(r), as_fraction(alpha)
     r_hat, alpha_hat = as_fraction(r_hat), as_fraction(alpha_hat)
-    ci_from = (1 + alpha) / r
-    ci_to = (1 + alpha_hat) / r_hat
+    return _emb_case(r, alpha, r_hat, alpha_hat, (1 + alpha) / r,
+                     (1 + alpha_hat) / r_hat, eps)
+
+
+def _emb_case(
+    r: Fraction, alpha: Fraction, r_hat: Fraction, alpha_hat: Fraction,
+    ci_from: Fraction, ci_to: Fraction, eps: Optional[Rational],
+) -> Optional[int]:
+    """emb_condition from Fractions and the weight indices
+    ci_from = (1+alpha)/r and ci_to = (1+alpha_hat)/r_hat, which the
+    planner's settings already hold."""
     if r == r_hat and alpha == alpha_hat:
         return 1
     if ci_to < ci_from:
@@ -367,24 +375,20 @@ def emb_condition(
     return None
 
 
-def _lift_term(t: GrowthTerm, lo: Fraction) -> Optional[Fraction]:
-    """Equalized growth parameters valid at window_low lo = 1 - c_to, or None.
+def _lift_term(t: GrowthTerm, c: Fraction,
+               lo: Fraction) -> tuple[Fraction, Fraction]:
+    """(lifted phi, slack) of a term phi = beta < 1 below the window at
+    weight index c, window_low lo = 1 - c.
 
     Replacing (phi, beta) by a common larger value is always a weaker
-    growth hypothesis (the space scale is monotone), so a term with
-    phi = beta below the target window can be lifted to the midpoint of
-    (lo, (1 + rho*lo)/(rho+1)); the right endpoint is the critical value,
-    so the midpoint is strictly subcritical.
+    growth hypothesis (the space scale is monotone), so the term is lifted
+    to the midpoint mid of (lo, hi), hi = (1 + rho*lo)/(rho+1) the critical
+    value.  As hi - lo = c/(rho+1) > 0, mid = lo + c/(2*(rho+1)), above
+    phi <= lo.  Its slack 1 - (rho*(mid-lo) + mid) is exactly c/2:
+    rho*(mid-lo) + mid = (rho+1)*(mid-lo) + lo = c/2 + lo = 1 - c/2.
     """
-    if t.phi != t.beta:
-        return None
-    hi = (1 + t.rho * lo) / (t.rho + 1)
-    if not lo < hi:
-        return None
-    mid = (lo + hi) / 2
-    if mid < t.phi:
-        return None  # lifting only ever raises the exponents
-    return mid
+    slack = c / 2
+    return lo + slack / (t.rho + 1), slack
 
 
 def plan_space_bootstrap(
@@ -412,10 +416,10 @@ def plan_space_bootstrap(
     if not same_gap:
         _passed("space_bootstrap", checks)  # raises on the failed scale_gap
 
-    for i in (0, 1):
-        checks.append(_embedding_check(f"scale_component[{i}]",
-                                       bessel_at(ts.scale, i),
-                                       bessel_at(fs.scale, i)))
+    to_low, to_high = bessel_at(ts.scale, 0), bessel_at(ts.scale, 1)
+    from_low, from_high = bessel_at(fs.scale, 0), bessel_at(fs.scale, 1)
+    checks.append(_embedding_check("scale_component[0]", to_low, from_low))
+    checks.append(_embedding_check("scale_component[1]", to_high, from_high))
 
     tr_src = unweighted_trace(fs)
     tr_dst = weighted_trace(ts)
@@ -426,7 +430,9 @@ def plan_space_bootstrap(
 
     shift = (ts.scale.low - fs.scale.low) / fs.scale.gap
     eps_emb = shift if shift > 0 else None
-    case = emb_condition(fs.p, fs.kappa, ts.p, ts.kappa, eps_emb)
+    c_to, lo_to = ts.weight_index, ts.window_low
+    case = _emb_case(fs.p, fs.kappa, ts.p, ts.kappa, fs.weight_index, c_to,
+                     eps_emb)
     checks.append(
         BootstrapCheck(
             "weighted_class_inclusion",
@@ -440,12 +446,10 @@ def plan_space_bootstrap(
         # provisos of the shifted-scale cases
         checks.append(_embedding_check("shift_proviso_high",
                                        bessel_at(ts.scale, 1 - eps_emb),
-                                       bessel_at(fs.scale, 1)))
-        checks.append(_embedding_check("shift_proviso_low",
-                                       bessel_at(ts.scale, 0),
+                                       from_high))
+        checks.append(_embedding_check("shift_proviso_low", to_low,
                                        bessel_at(fs.scale, eps_emb)))
 
-    c_to, lo_to = ts.weight_index, ts.window_low
     lifted = []
     for part, i, t in g.terms():
         if t.window_ok(lo_to):
@@ -458,18 +462,20 @@ def plan_space_bootstrap(
                 )
             )
             continue
-        mid = _lift_term(t, lo_to)
-        if mid is None:
+        if t.phi != t.beta or not t.ordered:
+            # a term phi = beta < 1 outside the window lies at or below
+            # lo_to, so only these two kinds cannot be lifted
+            why = "phi != beta" if t.phi != t.beta else "phi = beta >= 1"
             checks.append(
                 BootstrapCheck(
                     f"target_growth[{part}{i}]",
-                    "no equalized lift available (phi != beta)",
+                    f"no equalized lift available ({why})",
                     False, {"phi": t.phi, "beta": t.beta},
                 )
             )
             continue
+        mid, slack = _lift_term(t, c_to, lo_to)
         lifted.append((part, i, mid))
-        slack = 1 - (t.rho * (mid - lo_to) + mid)
         checks.append(
             BootstrapCheck(
                 f"target_growth[{part}{i}]",
@@ -603,6 +609,8 @@ def full_chain_1d(
             raise ParameterError("s must lie in (0, 1/3)")
         if not (2 < q < 2 / (1 - 2 * s)):
             raise ParameterError("q must lie in (2, 2/(1-2s))")
+        if not p > 0:
+            raise ParameterError("time integrability p must be >= 2")
         if 1 / p + 1 / (2 * q) > (3 - 2 * s) / 4:
             raise ParameterError("need 1/p + 1/(2q) <= (3-2s)/4")
         g_rough = one_d_growth_params("rough", s=s, q=q)
@@ -624,23 +632,19 @@ def full_chain_1d(
         step_b = plan_time_bootstrap(current, r_hat, g_rough)
         steps.append(step_b)
 
-        recover = Setting(
-            SobolevScale(Fraction(-1), Fraction(1), q), r_hat, r_hat * s / 2
-        )
-        step_c = plan_space_bootstrap(
-            step_b.to_setting, recover, one_d_growth_params("lzeta", zeta=q)
-        )
+        # the (-1, 1, q) scale and lzeta(q) serve steps c and z; the
+        # integrability step goes to zeta = max(4, q)
+        h_q = SobolevScale(Fraction(-1), Fraction(1), q)
+        g_q = one_d_growth_params("lzeta", zeta=q)
+        h_big, g_big = (_H4, _G_L4) if q < 4 else (h_q, g_q)
+        recover = Setting(h_q, r_hat, r_hat * s / 2)
+        step_c = plan_space_bootstrap(step_b.to_setting, recover, g_q)
         steps.append(step_c)
 
-        zeta_big = max(Fraction(4), q)
         alpha_mid = (r_hat / 4 + (r_hat / 2 - 1)) / 2
-        from_z = Setting(SobolevScale(Fraction(-1), Fraction(1), q), r_hat, alpha_mid)
-        to_z = Setting(
-            SobolevScale(Fraction(-1), Fraction(1), zeta_big), r_hat, r_hat / 4
-        )
-        step_z = plan_space_bootstrap(
-            from_z, to_z, one_d_growth_params("lzeta", zeta=zeta_big)
-        )
+        from_z = Setting(h_q, r_hat, alpha_mid)
+        to_z = Setting(h_big, r_hat, r_hat / 4)
+        step_z = plan_space_bootstrap(from_z, to_z, g_big)
         steps.append(step_z)
 
         rep = check_extrapolation(_ENERGY, to_z, base)

@@ -88,6 +88,16 @@ def _lowercase(value) -> str:
     return _string(value).lower()
 
 
+def _directory_name(value) -> str:
+    """One plain directory name: not empty, not . or .., no separator."""
+    name = _string(value)
+    if name in ("", ".", "..") or any(
+            sep in name for sep in (os.sep, os.altsep) if sep):
+        raise argparse.ArgumentTypeError(
+            f"not a plain directory name: {name!r}")
+    return name
+
+
 def _rational(value) -> Fraction:
     """A Fraction; a JSON number snaps as in as_fraction, so 0.2 means 1/5."""
     try:
@@ -468,7 +478,9 @@ def build_parser() -> _Parser:
     mc.add_argument("--config", "-c", help="JSON ensemble config")
     _add_sim_flags(mc)
     mc.add_argument("--n-paths", type=_positive_int, help="ensemble size")
-    mc.add_argument("--experiment", help="output subdirectory name")
+    mc.add_argument("--experiment", type=_directory_name,
+                    help="output subdirectory name: one plain directory "
+                         "name, not . or .. and without a path separator")
     mc.set_defaults(func=_cmd_montecarlo)
 
     verify = subs.add_parser("verify", help="run an acceptance suite")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -132,10 +133,14 @@ class GrowthTerm:
     """One polynomial-growth term (rho, phi, beta) of the nonlinearity.
 
     Admissibility relative to a Setting: phi in (1-(1+kappa)/p, 1) and
-    beta in (1-(1+kappa)/p, phi].  Derived at construction as an attribute,
-    not a field: threshold_weight_index = (1-beta)/rho + (1-phi), the c that
-    solves rho*(phi-1+c) + beta = 1, or None when rho = 0 (such a term never
-    binds: its gap 1-beta is positive and weight-independent).
+    beta in (1-(1+kappa)/p, phi].  Derived attributes, not fields
+    (equality, hashing, reprs and JSON see the fields only):
+      ordered = (beta <= phi < 1), the weight-free half of the window, set
+        at construction;
+      threshold_weight_index = (1-beta)/rho + (1-phi), the c that solves
+        rho*(phi-1+c) + beta = 1, or None when rho = 0 (such a term never
+        binds: its gap 1-beta is positive and weight-independent); computed
+        on first read, since only the criticality passes read it.
     """
 
     rho: Fraction
@@ -151,12 +156,18 @@ class GrowthTerm:
         object.__setattr__(self, "inexact", bool(self.inexact) or inexact)
         if self.rho < 0:
             raise ParameterError("growth power rho must be >= 0")
-        thr = None if self.rho == 0 else (1 - self.beta) / self.rho + (1 - self.phi)
-        object.__setattr__(self, "threshold_weight_index", thr)
+        object.__setattr__(self, "ordered", self.beta <= self.phi < 1)
+
+    @cached_property
+    def threshold_weight_index(self) -> Optional[Fraction]:
+        if self.rho == 0:
+            return None
+        return (1 - self.beta) / self.rho + (1 - self.phi)
 
     def window_ok(self, lo: Fraction) -> bool:
-        """Whether the term lies in its window at window_low lo = 1-c."""
-        return lo < self.phi < 1 and lo < self.beta <= self.phi
+        """Whether the term lies in its window at window_low lo = 1-c: with
+        beta <= phi < 1 stored, lo < beta is the one comparison left."""
+        return self.ordered and lo < self.beta
 
     def lhs(self, lo: Fraction) -> tuple[Fraction, Fraction]:
         """(d, rho*d + beta) with d = phi - lo = phi-1+c at window_low

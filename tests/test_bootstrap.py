@@ -2,10 +2,13 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critspde.bootstrap import (
     BootstrapError,
     SpaceDescriptor,
+    _lift_term,
     chain_composition_ok,
     chain_to_dict,
     check_extrapolation,
@@ -20,6 +23,8 @@ from critspde.bootstrap import (
     weighted_trace,
 )
 from critspde.exponents import (
+    GrowthSpec,
+    GrowthTerm,
     ParameterError,
     Setting,
     SobolevScale,
@@ -224,6 +229,37 @@ def test_space_bootstrap_trace_failure_is_reported():
     assert "trace_embedding" in failed
 
 
+@given(st.fractions(min_value=F(0), max_value=F(8), max_denominator=32),
+       st.fractions(min_value=F(1, 64), max_value=F(1), max_denominator=64))
+@settings(max_examples=500)
+def test_property_lift_closed_form_matches_midpoint(rho, c):
+    # the midpoint of (lo, (1+rho*lo)/(rho+1)) and the slack as the step
+    # once computed them, against the closed forms lo + c/(2*(rho+1)), c/2
+    lo = 1 - c
+    mid = (lo + (1 + rho * lo) / (rho + 1)) / 2
+    slack = 1 - (rho * (mid - lo) + mid)
+    assert _lift_term(GrowthTerm(rho, F(0), F(0)), c, lo) == (mid, slack)
+    assert slack == c / 2 and lo < mid < 1
+
+
+H4 = SobolevScale(F(-1), F(1), F(4))
+
+
+@pytest.mark.parametrize("term, why", [
+    (GrowthTerm(F(2), F(1), F(1)), "phi = beta >= 1"),
+    (GrowthTerm(F(2), F(5, 4), F(5, 4)), "phi = beta >= 1"),
+    (GrowthTerm(F(2), F(1, 2), F(1, 3)), "phi != beta"),
+])
+def test_space_bootstrap_failed_lift_names_its_cause(term, why):
+    with pytest.raises(BootstrapError) as ei:
+        plan_space_bootstrap(Setting(H2, F(12), F(4)), Setting(H4, F(12), F(3)),
+                             GrowthSpec(f_terms=(term,)))
+    check = {c.name: c for c in ei.value.checks}["target_growth[f0]"]
+    assert check.condition == f"no equalized lift available ({why})"
+    assert not check.passed
+    assert check.witness == {"phi": term.phi, "beta": term.beta}
+
+
 def test_space_bootstrap_pure_weight_drop():
     from4 = Setting(H2, F(12), F(4))
     to = Setting(H2, F(12), F(3))
@@ -317,6 +353,20 @@ def test_rough_chain_preconditions():
         full_chain_1d("rough", s=F(1, 5), q=F(5, 2), p=F(2))  # p too small
     with pytest.raises(ParameterError):
         full_chain_1d("nope")
+
+
+@pytest.mark.parametrize("p", [F(0), F(-4), 0, -1.5])
+def test_rough_chain_nonpositive_p_is_a_parameter_error(p):
+    with pytest.raises(ParameterError,
+                       match=r"^time integrability p must be >= 2$"):
+        full_chain_1d("rough", s=F(1, 5), q=F(5, 2), p=p)
+
+
+def test_rough_chain_checks_keep_their_order_at_zero_p():
+    with pytest.raises(ParameterError, match="s must lie in"):
+        full_chain_1d("rough", s=F(1, 2), q=F(5, 2), p=F(0))
+    with pytest.raises(ParameterError, match="q must lie in"):
+        full_chain_1d("rough", s=F(1, 5), q=F(4), p=F(0))
 
 
 def test_chain_determinism():

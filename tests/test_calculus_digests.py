@@ -190,33 +190,44 @@ def test_calculus_bytes(group):
     assert _digest(GROUPS[group]()) == PINNED[group]
 
 
-# Fraction's arithmetic operators; Fraction.__new__ is not counted, since
-# Python 3.12 builds results without calling it
+# Fraction's arithmetic and comparison operators; Fraction.__new__ is not
+# counted, since Python 3.12 builds results without calling it
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
               "__rmul__", "__truediv__", "__rtruediv__")
+COMPARISONS = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__")
 DRAW_G = GrowthSpec(f_terms=(GrowthTerm(F(3, 2), F(4, 5), F(3, 4)),))
 DRAW_S = Setting(SobolevScale(-1, 1, 2), F(6), F(1))
 
 
 # before Setting, SobolevScale and GrowthTerm stored their derived values
-# and the admissibility pass handed on each term's phi-1+c, the counts were
-# 61 (draw), 237 (L2_start) and 256 (rough)
-@pytest.mark.parametrize("call, count", [
+# and the admissibility pass handed on each term's phi-1+c, the arithmetic
+# counts were 61 (draw), 237 (L2_start) and 256 (rough); before the planner
+# lifted terms in closed form, reused the settings' weight indices and
+# built each growth spec once, and GrowthTerm stored beta <= phi < 1, they
+# were 37, 169 and 205 arithmetic and 27, 149 and 185 comparisons
+@pytest.mark.parametrize("call, arithmetic, comparisons", [
     (lambda: (rho_star_and_x_exponents(DRAW_G, DRAW_S),
-              xi_exponents(DRAW_G, DRAW_S), star_params(DRAW_G, DRAW_S)), 37),
-    (lambda: full_chain_1d("L2_start"), 169),
-    (lambda: full_chain_1d("rough", s=F(1, 5), q=F(5, 2), p=F(4)), 205),
+              xi_exponents(DRAW_G, DRAW_S), star_params(DRAW_G, DRAW_S)),
+     37, 18),
+    (lambda: full_chain_1d("L2_start"), 123, 125),
+    (lambda: full_chain_1d("rough", s=F(1, 5), q=F(5, 2), p=F(4)), 154, 163),
 ], ids=["draw", "L2_start", "rough"])
-def test_fraction_operations_per_call(call, count, monkeypatch):
-    calls = [0]
+def test_fraction_operations_per_call(call, arithmetic, comparisons,
+                                      monkeypatch):
+    # the module's fixed growth specs compute their threshold weight index
+    # on first read, so the counted call is the second one in the process
+    call()
+    calls = {"arithmetic": 0, "comparisons": 0}
 
-    def counted(fn):
+    def counted(fn, kind):
         def wrapper(*args):
-            calls[0] += 1
+            calls[kind] += 1
             return fn(*args)
         return wrapper
 
-    for name in ARITHMETIC:
-        monkeypatch.setattr(F, name, counted(getattr(F, name)))
+    for kind, names in (("arithmetic", ARITHMETIC),
+                        ("comparisons", COMPARISONS)):
+        for name in names:
+            monkeypatch.setattr(F, name, counted(getattr(F, name), kind))
     call()
-    assert calls[0] == count
+    assert calls == {"arithmetic": arithmetic, "comparisons": comparisons}

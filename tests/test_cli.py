@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import critspde.cli
@@ -188,6 +188,56 @@ def test_montecarlo_config_file_fields(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["n_paths"] == 3
     assert (tmp_path / "fromfile" / "montecarlo" / "summary.json").exists()
+
+
+BAD_EXPERIMENTS = ["", ".", "..", "../../esc", "a/b", "/abs"]
+
+
+@pytest.mark.parametrize("name", BAD_EXPERIMENTS)
+def test_montecarlo_experiment_flag_is_one_plain_name(name, tmp_path,
+                                                      capsys):
+    # the experiment names a subdirectory of --outdir: an empty name, . and
+    # .. or a path would write somewhere else
+    outdir = tmp_path / "x" / "o"
+    code, out, err = invoke(
+        ["montecarlo", "--preset", "linear-noise", "--n-paths", "1", "--t-end",
+         "0.01", "--outdir", str(outdir), f"--experiment={name}"], capsys)
+    assert code == 1
+    assert "not a plain directory name" in err
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
+@pytest.mark.parametrize("name", BAD_EXPERIMENTS)
+def test_montecarlo_experiment_field_is_one_plain_name(name, tmp_path,
+                                                       capsys):
+    outdir = tmp_path / "x" / "o"
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps({"preset": "linear-noise", "n_paths": 1,
+                                "t_end": 0.01, "outdir": str(outdir),
+                                "experiment": name}))
+    code, out, err = invoke(["montecarlo", "--config", str(path)], capsys)
+    assert code == 1
+    assert err == (f"error: config field 'experiment': not a plain "
+                   f"directory name: {name!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["mc.json"]
+
+
+def test_montecarlo_experiment_names_a_subdirectory(tmp_path, capsys):
+    code, out, err = invoke(
+        ["montecarlo", "--preset", "linear-noise", "--n-paths", "1", "--t-end",
+         "0.01", "--outdir", str(tmp_path), "--experiment", "..run.1"],
+        capsys)
+    assert code == 0
+    assert (tmp_path / "..run.1" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--variant", "rough", "--s", "1/5", "--q", "5/2", "--p", "0"],
+    ["--variant", "rough", "--s", "1/5", "--q", "5/2", "--p=-4"]])
+def test_plan_nonpositive_p_exit_2(argv, capsys):
+    code, out, err = invoke(["plan", *argv], capsys)
+    assert code == 2
+    assert err == "check failure: time integrability p must be >= 2\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--t-end", "inf"),
@@ -391,6 +441,8 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(field=("plan", (), "p"), value=0)
+@example(field=("plan", (), "p"), value="0")
 @given(field=st.sampled_from([(command, where, key)
                               for command in ("calc", "plan")
                               for where, key in CONFIG_FIELDS[command]]),

@@ -97,6 +97,17 @@ def test_derived_values_at_construction():
     # (1-beta)/rho + (1-phi), the c at which rho*(phi-1+c) + beta = 1
     assert DERIVED_TERM.threshold_weight_index == F(11, 30)
     assert GrowthTerm(F(0), F(4, 5), F(3, 4)).threshold_weight_index is None
+    # beta <= phi < 1, the weight-free half of the window
+    assert DERIVED_TERM.ordered is True
+    assert GrowthTerm(F(1), F(3, 4), F(4, 5)).ordered is False
+    assert GrowthTerm(F(1), F(1), F(1)).ordered is False
+
+
+def test_threshold_weight_index_is_computed_on_first_read():
+    t = GrowthTerm(F(3, 2), F(4, 5), F(3, 4))
+    assert "threshold_weight_index" not in vars(t)
+    assert t.threshold_weight_index == F(11, 30)
+    assert vars(t)["threshold_weight_index"] == F(11, 30)
 
 
 def test_derived_values_are_not_fields():
@@ -113,7 +124,8 @@ def test_derived_values_are_not_fields():
 @pytest.mark.parametrize("obj, name", [(DERIVED_SCALE, "gap"),
                                        (DERIVED_SETTING, "weight_index"),
                                        (DERIVED_SETTING, "window_low"),
-                                       (DERIVED_TERM, "threshold_weight_index")])
+                                       (DERIVED_TERM, "threshold_weight_index"),
+                                       (DERIVED_TERM, "ordered")])
 def test_equality_and_hash_ignore_derived_values(obj, name):
     other = copy.copy(obj)
     object.__setattr__(other, name, F(-7))
@@ -126,6 +138,7 @@ def test_replace_recomputes_derived_values():
     assert (s.weight_index, s.window_low) == (F(5, 12), F(7, 12))
     assert replace(DERIVED_SCALE, high=F(2)).gap == 3
     assert replace(DERIVED_TERM, rho=F(0)).threshold_weight_index is None
+    assert replace(DERIVED_TERM, phi=F(1)).ordered is False
 
 
 @pytest.mark.parametrize("clone", [copy.deepcopy,
@@ -135,7 +148,7 @@ def test_copies_keep_derived_values(clone):
     s, t = clone(DERIVED_SETTING), clone(DERIVED_TERM)
     assert s == DERIVED_SETTING and t == DERIVED_TERM
     assert (s.scale.gap, s.weight_index, s.window_low) == (2, F(1, 3), F(2, 3))
-    assert t.threshold_weight_index == F(11, 30)
+    assert t.threshold_weight_index == F(11, 30) and t.ordered is True
 
 
 def test_trace_space_l2():
@@ -579,6 +592,21 @@ def test_property_spec_star_rows_match_raw_terms(first, second):
     for row, (_, _, t) in zip(rows, g.terms()):
         raw = star_params_term(t.rho, t.phi, t.beta, p, kappa)
         assert replace(row, part="", index=-1) == raw
+
+
+@given(
+    st.fractions(min_value=F(0), max_value=F(4), max_denominator=16),
+    st.fractions(min_value=F(-1), max_value=F(3, 2), max_denominator=24),
+    st.fractions(min_value=F(-1), max_value=F(3, 2), max_denominator=24),
+    st.fractions(min_value=F(-1), max_value=F(3, 2), max_denominator=24),
+)
+@settings(max_examples=500)
+def test_property_window_ok_matches_the_window(rho, phi, beta, lo):
+    # the stored beta <= phi < 1 and one comparison give the full window
+    t = GrowthTerm(rho, phi, beta)
+    assert t.window_ok(lo) == (lo < phi < 1 and lo < beta <= phi)
+    for edge in (phi, beta, F(1)):
+        assert t.window_ok(edge) == (edge < phi < 1 and edge < beta <= phi)
 
 
 @given(
