@@ -2,10 +2,10 @@
 
 Twelve numbered checks cover the exponent calculus (exact rational
 identities), the bootstrap planner, the spectral simulator, the Monte Carlo
-harness, and the decision table.  Each check returns a CheckResult with a
-measured detail string; ``run_suite`` groups them for the command line
-``verify`` subcommand.  Tolerances and sample counts are part of the contract
-and are not meant to be loosened.
+harness, and the decision table.  Each check returns its failures and a
+measured detail string; ``run_checks`` names, times and reports it, and
+``run_suite`` groups them for the command line ``verify`` subcommand.
+Tolerances and sample counts are part of the contract, not to be loosened.
 """
 
 from __future__ import annotations
@@ -82,12 +82,7 @@ class CheckResult:
     elapsed: float
 
 
-def _result(name: str, start: float, failures: List[str],
-            detail: str) -> CheckResult:
-    elapsed = time.perf_counter() - start
-    if failures:
-        detail = "; ".join(failures[:4])
-    return CheckResult(name, not failures, detail, elapsed)
+Outcome = Tuple[List[str], str]  # a check's failures and its detail
 
 
 _H2 = SobolevScale(F(-1), F(1), F(2))
@@ -114,11 +109,10 @@ def _timed(fn: Callable[[], Any]) -> Tuple[Any, float, float]:
 # --- 1: exponent calculus on the energy-space instance --------------------------
 
 
-def check_exponent_calculus() -> CheckResult:
+def check_exponent_calculus() -> Outcome:
     """Energy-space exponents come out as the exact rationals 2, 3, 3/2."""
     g = one_d_growth_params("l2_eps", eps=0)
     s = Setting(_H2, F(2), F(0))
-    start = time.perf_counter()
     terms, per_call, slowest = _timed(lambda: rho_star_and_x_exponents(g, s))
 
     failures: List[str] = []
@@ -145,15 +139,14 @@ def check_exponent_calculus() -> CheckResult:
                         f"{slowest * 1e6:.0f} us (budget 1 ms)")
     detail = (f"rho*=2, r=3, r'=3/2, X=L^6(H^(1/3)) exact, "
               f"{per_call * 1e6:.0f} us per call (median of {_TIMED_CALLS})")
-    return _result("exponent-calculus", start, failures, detail)
+    return failures, detail
 
 
 # --- 2: critical weight closed form ----------------------------------------------
 
 
-def check_critical_weight_formula() -> CheckResult:
+def check_critical_weight_formula() -> Outcome:
     """kappa_crit = -1 + (p/2)(3/2 - s - 1/q) exactly on 1000 random triples."""
-    start = time.perf_counter()
     failures: List[str] = []
     rng = random.Random(20217)
     accepted = 0
@@ -191,7 +184,7 @@ def check_critical_weight_formula() -> CheckResult:
         failures.append(f"1000 checks took {loop_time:.2f} s CPU (budget 1 s)")
     detail = (f"1000 random (s,q,p) match -1+(p/2)(3/2-s-1/q) and trace "
               f"smoothness 1/q-1/2 exactly in {loop_time * 1e3:.0f} ms CPU")
-    return _result("critical-weight-formula", start, failures, detail)
+    return failures, detail
 
 
 # --- 3: conjugacy and star identities ---------------------------------------------
@@ -211,9 +204,8 @@ def _random_setting_and_term(rng: random.Random) -> Tuple[GrowthSpec, Setting]:
     return g, Setting(_H2, p, kappa)
 
 
-def check_identity_suites() -> CheckResult:
+def check_identity_suites() -> Outcome:
     """1/r+1/r', 1/xi+1/xi' and the star identity are exact on 10^4 draws."""
-    start = time.perf_counter()
     failures: List[str] = []
     rng = random.Random(30317)
     for i in range(10_000):
@@ -237,7 +229,7 @@ def check_identity_suites() -> CheckResult:
             failures.append(f"critical term xi != r at draw {i}")
             break
     detail = "conjugacy and star identities exact on 10^4 random settings"
-    return _result("identity-suites", start, failures, detail)
+    return failures, detail
 
 
 # --- 4: interpolation exponents, exact and numeric --------------------------------
@@ -265,9 +257,8 @@ def _monomial_constant(psi: Fraction, p: Fraction, kappa: Fraction,
     return num / den
 
 
-def check_interpolation_estimate() -> CheckResult:
+def check_interpolation_estimate() -> Outcome:
     """Exponent identities exact on 10^4 draws; monomial ratios grid-stable."""
-    start = time.perf_counter()
     failures: List[str] = []
     rng = random.Random(40417)
     for i in range(10_000):
@@ -325,16 +316,15 @@ def check_interpolation_estimate() -> CheckResult:
                         break
     detail = (f"exponent identities exact on 10^4 draws; monomial constants "
               f"<= {largest:.3f}, worst grid drift {worst:.1%}")
-    return _result("interpolation-estimate", start, failures, detail)
+    return failures, detail
 
 
 # --- 5: bootstrap chain reproduction ----------------------------------------------
 
 
-def check_bootstrap_chain() -> CheckResult:
+def check_bootstrap_chain() -> Outcome:
     """The energy-start chain reproduces the frozen step parameters."""
     eps = F(1, 5)
-    start = time.perf_counter()
     chain, per_call, slowest = _timed(lambda: full_chain_1d("L2_start",
                                                             eps=eps))
 
@@ -375,42 +365,38 @@ def check_bootstrap_chain() -> CheckResult:
               f"recovery -> weight p/4={target.kappa} with 2k/p+1/zeta="
               f"{2 * target.kappa / target.p + F(1, 1) / zeta}, "
               f"{per_call * 1e3:.2f} ms per call (median of {_TIMED_CALLS})")
-    return _result("bootstrap-chain", start, failures, detail)
+    return failures, detail
 
 
 # --- 6: simulator exactness on the heat preset -------------------------------------
 
 
-def check_heat_exactness() -> CheckResult:
+def check_heat_exactness() -> Outcome:
     """The heat preset tracks e^{-t} cos x to 1e-12 in L^2."""
     cfg = heat()
-    start = time.perf_counter()
-    simulate_path(cfg)  # warm call
-    t0 = time.perf_counter()
-    traj = simulate_path(cfg)
-    per_call = time.perf_counter() - t0
+    traj, per_call, slowest = _timed(lambda: simulate_path(cfg))
 
     failures: List[str] = []
-    x = cfg.grid.x
-    exact = math.exp(-cfg.t_end) * np.cos(x)
+    exact = math.exp(-cfg.t_end) * np.cos(cfg.grid.x)
     diff = traj.states[-1] - exact
     err = math.sqrt(2 * math.pi * float(np.mean(diff * diff)))
     if not traj.completed:
         failures.append(f"heat run ended with status {traj.status}")
     if err > 1e-12:
         failures.append(f"L2 error {err:.3e} > 1e-12")
-    if per_call >= 0.1:
-        failures.append(f"run took {per_call:.3f} s (budget 0.1 s)")
-    detail = f"L2 error {err:.2e} at T=1, N=64; {per_call * 1e3:.1f} ms per run"
-    return _result("heat-exactness", start, failures, detail)
+    if slowest >= 0.1:
+        failures.append(f"slowest of {_TIMED_CALLS} runs took "
+                        f"{slowest:.3f} s (budget 0.1 s)")
+    detail = (f"L2 error {err:.2e} at T=1, N=64; {per_call * 1e3:.1f} ms "
+              f"per run (median of {_TIMED_CALLS})")
+    return failures, detail
 
 
 # --- 7: noise calibration against the scalar OU moment -----------------------------
 
 
-def check_noise_calibration() -> CheckResult:
+def check_noise_calibration() -> Outcome:
     """Mode-1 second moment of the stochastic convolution matches OU."""
-    start = time.perf_counter()
     failures: List[str] = []
     cfg = linear_noise()
     ens = EnsembleConfig(base=cfg, n_paths=400,
@@ -433,15 +419,14 @@ def check_noise_calibration() -> CheckResult:
         failures.append(f"400 paths took {elapsed:.1f} s (budget 60 s)")
     detail = (f"mode-1 moment {moment:.4f} vs OU {target:.4f} "
               f"(3 MC std = {tol:.4f}), 400 paths in {elapsed:.1f} s")
-    return _result("noise-calibration", start, failures, detail)
+    return failures, detail
 
 
 # --- 8: energy bound at ensemble scale ---------------------------------------------
 
 
-def check_energy_bound() -> CheckResult:
+def check_energy_bound() -> Outcome:
     """Sublinear-noise cubic problem survives and its energy ratio is stable."""
-    start = time.perf_counter()
     failures: List[str] = []
     ens = EnsembleConfig(base=sublinear_global(), n_paths=200,
                          experiment="energy-bound", n_save=2)
@@ -463,15 +448,14 @@ def check_energy_bound() -> CheckResult:
     detail = (f"survival 1.0 on 200 paths, C={rep.c_hat:.3f} vs "
               f"{rep.c_hat_refined:.3f} at dt/2 (drift {rep.drift:.1%}), "
               f"{elapsed:.0f} s")
-    return _result("energy-bound", start, failures, detail)
+    return failures, detail
 
 
 # --- 9: conservative drift pairing --------------------------------------------------
 
 
-def check_drift_conservation() -> CheckResult:
+def check_drift_conservation() -> Outcome:
     """The flux pairing vanishes on random band-limited states."""
-    start = time.perf_counter()
     failures: List[str] = []
     grid = TorusGrid(128)
     rng = np.random.default_rng(90917)
@@ -492,15 +476,14 @@ def check_drift_conservation() -> CheckResult:
             break
     detail = (f"|flux pairing| <= 1e-8*(1+||u||_L4^4) on 100 band-limited "
               f"states, worst ratio {worst:.2e}")
-    return _result("drift-conservation", start, failures, detail)
+    return failures, detail
 
 
 # --- 10: regularization bands --------------------------------------------------------
 
 
-def check_regularity_bands() -> CheckResult:
+def check_regularity_bands() -> Outcome:
     """Ensemble Hoelder fits land in the theorem-shaped exponent bands."""
-    start = time.perf_counter()
     failures: List[str] = []
     cfg = regularity_ensemble(24)
     rep = experiment_regularity(cfg)
@@ -515,15 +498,14 @@ def check_regularity_bands() -> CheckResult:
     detail = (f"median time exponent {rep.median_theta_time:.3f} in "
               f"[0.4, 0.55], median space exponent "
               f"{rep.median_theta_space:.3f} >= 0.8 on 24 paths")
-    return _result("regularity-bands", start, failures, detail)
+    return failures, detail
 
 
 # --- 11: determinism across batch widths --------------------------------------------
 
 
-def check_determinism() -> CheckResult:
+def check_determinism() -> Outcome:
     """A path's CSV is bitwise the same in a 16- and a 17-path ensemble."""
-    start = time.perf_counter()
     failures: List[str] = []
     names = [f"path_{i}.csv" for i in range(16)]
     n_files = 0
@@ -545,7 +527,7 @@ def check_determinism() -> CheckResult:
             n_files += len(agree)
     detail = (f"{n_files} path files (linear-noise, sublinear-global) "
               "bitwise identical in 16- and 17-path ensembles")
-    return _result("determinism", start, failures, detail)
+    return failures, detail
 
 
 # --- 12: decision table ---------------------------------------------------------------
@@ -572,9 +554,8 @@ for _sl in (False, True):
                 _EXPECTED_CLAUSES[(_sl, _crit, _sup, _lp)] = _clause
 
 
-def check_decision_table() -> CheckResult:
+def check_decision_table() -> Outcome:
     """criterion_select routes all 16 flag combinations to the right clause."""
-    start = time.perf_counter()
     failures: List[str] = []
     for flags, want in _EXPECTED_CLAUSES.items():
         semilinear, critical, sup, lp = flags
@@ -584,13 +565,13 @@ def check_decision_table() -> CheckResult:
         if not got.description:
             failures.append(f"flags {flags}: empty description")
     detail = "all 16 flag combinations route to the expected clause"
-    return _result("decision-table", start, failures, detail)
+    return failures, detail
 
 
 # --- driver -----------------------------------------------------------------------
 
 
-CHECKS: Dict[int, Callable[[], CheckResult]] = {
+CHECKS: Dict[int, Callable[[], Outcome]] = {
     1: check_exponent_calculus,
     2: check_critical_weight_formula,
     3: check_identity_suites,
@@ -618,19 +599,21 @@ SUITES: Dict[str, Tuple[int, ...]] = {
 
 
 def run_checks(numbers: Iterable[int]) -> List[Tuple[int, CheckResult]]:
-    """Run the numbered checks, turning exceptions into failed results."""
+    """Run the numbered checks.  Each is named after its function, timed
+    over its whole call and, if it raises, reported as a failure."""
     out = []
     for num in numbers:
         fn = CHECKS[num]
         t0 = time.perf_counter()
         try:
-            res = fn()
+            failures, detail = fn()
         except Exception as exc:  # surface, never hide, misconfiguration
-            res = CheckResult(fn.__name__.replace("check_", "", 1)
-                              .replace("_", "-"),
-                              False, f"raised {exc!r}",
-                              time.perf_counter() - t0)
-        out.append((num, res))
+            failures, detail = [f"raised {exc!r}"], ""
+        elapsed = time.perf_counter() - t0
+        name = fn.__name__.replace("check_", "", 1).replace("_", "-")
+        if failures:
+            detail = "; ".join(failures[:4])
+        out.append((num, CheckResult(name, not failures, detail, elapsed)))
     return out
 
 

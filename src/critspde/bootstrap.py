@@ -214,6 +214,8 @@ def plan_weight_insertion(
     bound 1/r >= max_j phi_j - 1 + 1/p (equality allowed).
     """
     r, delta = as_fraction(r), as_fraction(delta)
+    if r <= 0:
+        raise ParameterError("time integrability r must be positive")
     if from_setting.kappa != 0:
         raise ParameterError("weight insertion starts from an unweighted setting")
     p = from_setting.p
@@ -277,6 +279,8 @@ def plan_time_bootstrap(
     and is strictly subcritical for the same growth terms.
     """
     r_hat = as_fraction(r_hat)
+    if r_hat <= 0:
+        raise ParameterError("time integrability r_hat must be positive")
     r, alpha = from_setting.p, from_setting.kappa
     if alpha <= 0:
         raise ParameterError("time bootstrap needs a positive weight to trade")
@@ -350,6 +354,8 @@ def emb_condition(
     """
     r, alpha = as_fraction(r), as_fraction(alpha)
     r_hat, alpha_hat = as_fraction(r_hat), as_fraction(alpha_hat)
+    if r <= 0 or r_hat <= 0:
+        raise ParameterError("time integrabilities r and r_hat must be positive")
     return _emb_case(r, alpha, r_hat, alpha_hat, (1 + alpha) / r,
                      (1 + alpha_hat) / r_hat, eps)
 

@@ -274,31 +274,23 @@ def convergence_study(cfg: EnsembleConfig, levels: int = 3) -> ConvergenceReport
         raise ParameterError("need at least three refinement levels")
     base = cfg.base
 
-    temporal_errors: List[float] = []
-    temporal_exact = False
-    if base.nonlinearity.has_noise:
-        per_level: List[List[float]] = [[] for _ in range(levels - 1)]
-        for i in range(cfg.n_paths):
-            seed = mix_seed(base.seed, i)
-            path_cfg = replace(base, seed=seed)
-            fine = draw_increments(path_cfg)
-            ref = simulate_path(path_cfg, n_save=2, increments=fine)
-            for m in range(1, levels):
-                factor = 2 ** m
-                coarse_cfg = replace(base, seed=seed, dt=base.dt * factor)
-                table = coarsen_increments(fine, factor)
-                traj = simulate_path(coarse_cfg, n_save=2, increments=table)
-                err = np.sqrt(l2_norm_sq(traj.states[-1] - ref.states[-1]))
-                per_level[m - 1].append(float(err))
-        temporal_errors = [float(np.mean(errs)) for errs in per_level]
-    else:
-        ref = simulate_path(base, n_save=2)
+    # a noise-free problem is one path stepped with no table
+    noisy = base.nonlinearity.has_noise
+    per_level: List[List[float]] = [[] for _ in range(levels - 1)]
+    for i in range(cfg.n_paths if noisy else 1):
+        path_cfg = replace(base, seed=mix_seed(base.seed, i))
+        fine = draw_increments(path_cfg) if noisy else None
+        ref = simulate_path(path_cfg, n_save=2, increments=fine)
         for m in range(1, levels):
-            traj = simulate_path(replace(base, dt=base.dt * 2 ** m), n_save=2)
-            temporal_errors.append(float(
-                np.sqrt(l2_norm_sq(traj.states[-1] - ref.states[-1]))))
-    if all(e < _ROUNDOFF for e in temporal_errors):
-        temporal_exact = True
+            factor = 2 ** m
+            table = coarsen_increments(fine, factor) if noisy else None
+            traj = simulate_path(replace(path_cfg, dt=base.dt * factor),
+                                 n_save=2, increments=table)
+            err = np.sqrt(l2_norm_sq(traj.states[-1] - ref.states[-1]))
+            per_level[m - 1].append(float(err))
+    temporal_errors = [float(np.mean(errs)) for errs in per_level]
+    temporal_exact = all(e < _ROUNDOFF for e in temporal_errors)
+    if temporal_exact:
         temporal_order = None
     else:
         # errors are ordered from the finest coarsening up; consecutive

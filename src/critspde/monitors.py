@@ -288,6 +288,10 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
 # --- empirical Hoelder exponents ---------------------------------------------
 
 
+# fewest dyadic lags (in time) and shifts (in space) a Hoelder fit takes
+_MIN_LAGS = 6
+
+
 def _loglog_slope(lags: np.ndarray, vals: np.ndarray) -> Tuple[float, float]:
     x = np.log(lags)
     y = np.log(vals)
@@ -299,8 +303,7 @@ def _loglog_slope(lags: np.ndarray, vals: np.ndarray) -> Tuple[float, float]:
     return float(slope), r2
 
 
-def hoelder_estimate(traj: Trajectory, t0: Optional[float] = None,
-                     min_lags: int = 6) -> HoelderFit:
+def hoelder_estimate(traj: Trajectory, t0: Optional[float] = None) -> HoelderFit:
     """Empirical time and space Hoelder exponents from saved snapshots.
 
     Time: median over x of |u(t+lag) - u(t)|, averaged over t >= t0, fitted
@@ -325,7 +328,7 @@ def hoelder_estimate(traj: Trajectory, t0: Optional[float] = None,
     while start + 2 * m < times.size:
         lags.append(m)
         m *= 2
-    if len(lags) < min_lags:
+    if len(lags) < _MIN_LAGS:
         raise ParameterError("insufficient dyadic lags for the time fit")
 
     block = traj.states[start:]
@@ -344,7 +347,7 @@ def hoelder_estimate(traj: Trajectory, t0: Optional[float] = None,
     while h <= n // 4:
         shifts.append(h)
         h *= 2
-    if len(shifts) < min_lags:
+    if len(shifts) < _MIN_LAGS:
         raise ParameterError("insufficient dyadic shifts for the space fit")
     sub = block[:: max(1, block.shape[0] // 40)]
     d_space = []

@@ -434,14 +434,12 @@ def _path_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.PCG64(seed))
 
 
-def draw_increments(cfg: SimConfig,
-                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def draw_increments(cfg: SimConfig) -> np.ndarray:
     """Pre-draw the full unit-variance Gaussian table for one path."""
     if not cfg.nonlinearity.has_noise:
         raise ParameterError("config has no noise term")
-    if rng is None:
-        rng = _path_stream(cfg.seed)
-    return rng.standard_normal((cfg.n_steps, 2 * cfg.noise.modes + 1))
+    return _path_stream(cfg.seed).standard_normal(
+        (cfg.n_steps, 2 * cfg.noise.modes + 1))
 
 
 def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:

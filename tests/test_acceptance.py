@@ -8,7 +8,7 @@ from critspde import acceptance
 
 
 def _run(num):
-    res = acceptance.CHECKS[num]()
+    [(_, res)] = acceptance.run_checks([num])
     print(acceptance.format_result(num, res))
     assert res.passed, f"criterion {num}: {res.detail}"
 
@@ -76,19 +76,38 @@ def test_failures_are_reported_not_raised():
     assert results[0][1].passed
 
 
-@pytest.mark.parametrize("num", [1, 5, 6])
-def test_elapsed_spans_the_timed_call(num, monkeypatch):
+def check_broken_config():
+    raise ValueError("no such preset")
+
+
+def test_raising_check_is_a_named_failure(monkeypatch):
+    monkeypatch.setitem(acceptance.CHECKS, 99, check_broken_config)
+    [(num, res)] = acceptance.run_checks([99])
+    assert num == 99 and not res.passed
+    assert res.name == "broken-config"
+    assert res.detail == "raised ValueError('no such preset')"
+
+
+def test_elapsed_spans_the_whole_check(monkeypatch):
     # a fake clock that ticks once per reading: elapsed must run from the
-    # check's first reading to its last, so it covers the warm and timed calls
+    # driver's reading before the check to its reading after it, so it
+    # covers every reading the check takes in between
     reads = []
 
     def tick():
         reads.append(float(len(reads)))
         return reads[-1]
 
+    def check_reads_the_clock():
+        for _ in range(3):
+            acceptance.time.perf_counter()
+        return [], "read the clock three times"
+
     monkeypatch.setattr(acceptance.time, "perf_counter", tick)
-    res = acceptance.CHECKS[num]()
-    assert res.elapsed == reads[-1] - reads[0]
+    monkeypatch.setitem(acceptance.CHECKS, 99, check_reads_the_clock)
+    [(_, res)] = acceptance.run_checks([99])
+    assert res.passed and res.detail == "read the clock three times"
+    assert len(reads) == 5 and res.elapsed == reads[-1] - reads[0]
 
 
 def test_criterion_2_budget_is_cpu_time(monkeypatch):
@@ -101,9 +120,24 @@ def test_criterion_2_budget_is_cpu_time(monkeypatch):
         return reads[-1]
 
     monkeypatch.setattr(acceptance.time, "perf_counter", jump)
-    res = acceptance.CHECKS[2]()
+    [(_, res)] = acceptance.run_checks([2])
     assert res.passed, res.detail
     assert res.detail.endswith(" ms CPU")
+
+
+def test_criterion_6_budget_is_cpu_time(monkeypatch):
+    # heat runs that each wait 0.15 s, past the 0.1 s budget, as runs that
+    # lose their core to another process do: the budget reads CPU time
+    run = acceptance.simulate_path
+
+    def waiting(cfg):
+        time.sleep(0.15)
+        return run(cfg)
+
+    monkeypatch.setattr(acceptance, "simulate_path", waiting)
+    [(_, res)] = acceptance.run_checks([6])
+    assert res.passed, res.detail
+    assert res.elapsed >= 8 * 0.15
 
 
 def test_timed_calls_are_charged_cpu_not_waiting():

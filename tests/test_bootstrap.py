@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from critspde.bootstrap import (
     BootstrapError,
@@ -31,6 +30,7 @@ from critspde.exponents import (
     one_d_growth_params,
     subcriticality,
 )
+from rational_strategy import rationals
 
 H2 = SobolevScale(F(-1), F(1), F(2))
 L2_BASE = Setting(H2, F(2), F(0))
@@ -193,6 +193,23 @@ def test_time_bootstrap_intermediate_strictly_subcritical():
     assert all(c.witness["slack"] > 0 for c in inter)
 
 
+@pytest.mark.parametrize("x", [F(0), F(-6), 0])
+@pytest.mark.parametrize("plan, message", [
+    (lambda x: plan_weight_insertion(L2_BASE, x, F(1, 10), g_l2()),
+     "time integrability r must be positive"),
+    (lambda x: plan_time_bootstrap(reference_weighted(), x, g_l2(F(1, 5))),
+     "time integrability r_hat must be positive"),
+    (lambda x: emb_condition(x, F(7, 5), 12, F(17, 5)),
+     "time integrabilities r and r_hat must be positive"),
+    (lambda x: emb_condition(6, F(7, 5), x, F(17, 5)),
+     "time integrabilities r and r_hat must be positive"),
+], ids=["insertion-r", "time-r_hat", "emb-r", "emb-r_hat"])
+def test_nonpositive_time_integrability_is_a_parameter_error(plan, message, x):
+    # raised before any arithmetic, so a zero is no ZeroDivisionError
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        plan(x)
+
+
 # --- space bootstrap ------------------------------------------------------------
 
 def test_space_bootstrap_scale_recovery():
@@ -229,8 +246,8 @@ def test_space_bootstrap_trace_failure_is_reported():
     assert "trace_embedding" in failed
 
 
-@given(st.fractions(min_value=F(0), max_value=F(8), max_denominator=32),
-       st.fractions(min_value=F(1, 64), max_value=F(1), max_denominator=64))
+@given(rationals(F(0), F(8), 32),
+       rationals(F(1, 64), F(1), 64))
 @settings(max_examples=500)
 def test_property_lift_closed_form_matches_midpoint(rho, c):
     # the midpoint of (lo, (1+rho*lo)/(rho+1)) and the slack as the step

@@ -4,7 +4,7 @@ from dataclasses import asdict, fields, replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from critspde.exponents import (
@@ -34,6 +34,7 @@ from critspde.exponents import (
     trace_space,
     xi_exponents,
 )
+from rational_strategy import rationals
 
 L2_SCALE = SobolevScale(F(-1), F(1), F(2))
 L2_SETTING = Setting(L2_SCALE, F(2), F(0))
@@ -501,24 +502,35 @@ def test_rough_q_window_upper_edge():
 
 @st.composite
 def admissible_setting_and_term(draw, allow_supercritical=False):
-    p = draw(st.fractions(min_value=F(2), max_value=F(10), max_denominator=16))
+    p = draw(rationals(F(2), F(10), 16))
     if p == 2:
         kappa = F(0)
     else:
-        t = draw(st.fractions(min_value=F(0), max_value=F(15, 16), max_denominator=16))
+        t = draw(rationals(F(0), F(15, 16), 16))
         kappa = t * (p / 2 - 1)
     c = (1 + kappa) / p
-    a = draw(st.fractions(min_value=F(1, 16), max_value=F(15, 16), max_denominator=16))
+    a = draw(rationals(F(1, 16), F(15, 16), 16))
     phi = (1 - c) + a * c
-    b = draw(st.fractions(min_value=F(1, 16), max_value=F(1), max_denominator=16))
+    b = draw(rationals(F(1, 16), F(1), 16))
     beta = (1 - c) + b * (phi - (1 - c))
     if allow_supercritical:
-        rho = draw(st.fractions(min_value=F(0), max_value=F(8), max_denominator=16))
+        rho = draw(rationals(F(0), F(8), 16))
     else:
         rho_max = (1 - beta) / (phi - 1 + c)
-        v = draw(st.fractions(min_value=F(0), max_value=F(1), max_denominator=16))
+        v = draw(rationals(F(0), F(1), 16))
         rho = v * rho_max
     return rho, phi, beta, p, kappa
+
+
+@pytest.mark.parametrize("lo, hi, den", [
+    (F(1, 16), F(15, 16), 16), (F(-1), F(3, 2), 24), (F(0), F(8), 32),
+])
+def test_rationals_reach_both_endpoints(lo, hi, den):
+    strategy = rationals(lo, hi, den)
+    for end in (lo, hi):
+        assert find(strategy, lambda x: x == end,
+                    settings=settings(max_examples=2000,
+                                      derandomize=True)) == end
 
 
 @given(admissible_setting_and_term())
@@ -595,10 +607,10 @@ def test_property_spec_star_rows_match_raw_terms(first, second):
 
 
 @given(
-    st.fractions(min_value=F(0), max_value=F(4), max_denominator=16),
-    st.fractions(min_value=F(-1), max_value=F(3, 2), max_denominator=24),
-    st.fractions(min_value=F(-1), max_value=F(3, 2), max_denominator=24),
-    st.fractions(min_value=F(-1), max_value=F(3, 2), max_denominator=24),
+    rationals(F(0), F(4), 16),
+    rationals(F(-1), F(3, 2), 24),
+    rationals(F(-1), F(3, 2), 24),
+    rationals(F(-1), F(3, 2), 24),
 )
 @settings(max_examples=500)
 def test_property_window_ok_matches_the_window(rho, phi, beta, lo):
@@ -610,11 +622,11 @@ def test_property_window_ok_matches_the_window(rho, phi, beta, lo):
 
 
 @given(
-    st.fractions(min_value=F(-3), max_value=F(1), max_denominator=12),
-    st.fractions(min_value=F(1, 12), max_value=F(4), max_denominator=12),
+    rationals(F(-3), F(1), 12),
+    rationals(F(1, 12), F(4), 12),
     st.one_of(
         st.sampled_from([0, 1, F(0), F(1), -2, 3]),
-        st.fractions(min_value=F(-2), max_value=F(3), max_denominator=64),
+        rationals(F(-2), F(3), 64),
     ),
 )
 @settings(max_examples=300)
@@ -624,9 +636,9 @@ def test_property_smoothness_at_interpolates(low, width, theta):
 
 
 @given(
-    st.fractions(min_value=F(2), max_value=F(8), max_denominator=12),
-    st.fractions(min_value=F(0), max_value=F(15, 16), max_denominator=16),
-    st.fractions(min_value=F(1, 32), max_value=F(31, 32), max_denominator=32),
+    rationals(F(2), F(8), 12),
+    rationals(F(0), F(15, 16), 16),
+    rationals(F(1, 32), F(31, 32), 32),
 )
 @settings(max_examples=300)
 def test_property_interpolation_identities(p, kt, t):
