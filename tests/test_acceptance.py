@@ -81,16 +81,18 @@ def check_broken_config():
 
 
 def test_raising_check_is_a_named_failure(monkeypatch):
+    # run_checks reports the raise and goes on to the next check
     monkeypatch.setitem(acceptance.CHECKS, 99, check_broken_config)
-    [(num, res)] = acceptance.run_checks([99])
+    [(num, res), (_, after)] = acceptance.run_checks([99, 12])
     assert num == 99 and not res.passed
     assert res.name == "broken-config"
     assert res.detail == "raised ValueError('no such preset')"
+    assert after.name == "decision-table" and after.passed
 
 
 def test_elapsed_spans_the_whole_check(monkeypatch):
-    # a fake clock that ticks once per reading: elapsed must run from the
-    # driver's reading before the check to its reading after it, so it
+    # a fake clock that ticks once per reading: elapsed must run from
+    # run_checks' reading before the check to its reading after it, so it
     # covers every reading the check takes in between
     reads = []
 

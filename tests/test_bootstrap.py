@@ -246,8 +246,7 @@ def test_space_bootstrap_trace_failure_is_reported():
     assert "trace_embedding" in failed
 
 
-@given(rationals(F(0), F(8), 32),
-       rationals(F(1, 64), F(1), 64))
+@given(rationals(F(0), F(8), 32), rationals(F(1, 64), F(1), 64))
 @settings(max_examples=500)
 def test_property_lift_closed_form_matches_midpoint(rho, c):
     # the midpoint of (lo, (1+rho*lo)/(rho+1)) and the slack as the step
