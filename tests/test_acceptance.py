@@ -112,6 +112,22 @@ def test_elapsed_spans_the_whole_check(monkeypatch):
     assert len(reads) == 5 and res.elapsed == reads[-1] - reads[0]
 
 
+@pytest.mark.parametrize("num", [1, 5, 6])
+def test_elapsed_spans_the_timed_call(num, monkeypatch):
+    # the same ticking clock on real criteria: elapsed runs from the first
+    # reading to the last, so it covers every timed call inside the check
+    reads = []
+
+    def tick():
+        reads.append(float(len(reads)))
+        return reads[-1]
+
+    monkeypatch.setattr(acceptance.time, "perf_counter", tick)
+    [(_, res)] = acceptance.run_checks([num])
+    assert res.passed, res.detail
+    assert len(reads) >= 2 and res.elapsed == reads[-1] - reads[0]
+
+
 def test_criterion_2_budget_is_cpu_time(monkeypatch):
     # a wall clock that jumps 10 s per reading, as on a host where the
     # check waits for its core: the 1 s budget reads the thread's CPU time
