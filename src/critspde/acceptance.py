@@ -191,15 +191,26 @@ def check_critical_weight_formula() -> Outcome:
 
 
 def _random_setting_and_term(rng: random.Random) -> Tuple[GrowthSpec, Setting]:
+    """One random admissible (term, setting), each value built once from
+    integer parts.  With the draws a, b, m, n, k it equals
+      p = 2 + a/16, kappa = (p/2-1)*b/16 (or p = 2, kappa = 0),
+      c = (1+kappa)/p, phi = 1-c + c*m/24,
+      beta = (1-c) + (phi-(1-c))*n/24, rho = (1-beta)/(phi-1+c)*k/16."""
     if rng.random() < 0.1:
         p, kappa = F(2), F(0)
+        cn, cd = 1, 2
     else:
-        p = 2 + F(rng.randint(1, 96), 16)
-        kappa = (p / 2 - 1) * F(rng.randint(0, 15), 16)
-    c = (1 + kappa) / p
-    phi = 1 - c + c * F(rng.randint(1, 23), 24)
-    beta = (1 - c) + (phi - (1 - c)) * F(rng.randint(1, 24), 24)
-    rho = (1 - beta) / (phi - 1 + c) * F(rng.randint(0, 16), 16)
+        a = rng.randint(1, 96)
+        ab = a * rng.randint(0, 15)
+        p, kappa = F(32 + a, 16), F(ab, 512)
+        cn, cd = 512 + ab, 32 * (32 + a)
+    m = rng.randint(1, 23)
+    mn = m * rng.randint(1, 24)
+    # phi = 1 - c*(24-m)/24, beta = 1 - c*(576-m*n)/576, and
+    # rho = (576-m*n)/(24*m) * k/16, as c cancels from (1-beta)/(phi-1+c)
+    phi = F(24 * cd - (24 - m) * cn, 24 * cd)
+    beta = F(576 * cd - (576 - mn) * cn, 576 * cd)
+    rho = F((576 - mn) * rng.randint(0, 16), 384 * m)
     g = GrowthSpec(f_terms=(GrowthTerm(rho, phi, beta),))
     return g, Setting(_H2, p, kappa)
 

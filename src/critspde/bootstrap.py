@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .exponents import (
@@ -56,8 +57,17 @@ class SpaceDescriptor:
             raise ParameterError(f"unknown space kind {self.kind!r}")
         object.__setattr__(self, "smoothness", as_fraction(self.smoothness))
         object.__setattr__(self, "q", as_fraction(self.q))
+        if not self.q.numerator > 0:
+            raise ParameterError("space integrability q must be positive")
         if self.secondary is not None:
             object.__setattr__(self, "secondary", as_fraction(self.secondary))
+
+    @cached_property
+    def sobolev_index(self) -> Fraction:
+        """smoothness - 1/q, which orders spaces of different
+        integrability; computed on first read, so a witness and embeds
+        share it."""
+        return self.smoothness - 1 / self.q
 
     def label(self) -> str:
         if self.kind == "bessel":
@@ -95,8 +105,7 @@ def embeds(src: SpaceDescriptor, dst: SpaceDescriptor) -> bool:
     if src == dst:
         return True
     if dst.q > src.q:
-        i_src = src.smoothness - 1 / src.q
-        i_dst = dst.smoothness - 1 / dst.q
+        i_src, i_dst = src.sobolev_index, dst.sobolev_index
         if i_src > i_dst:
             return True
         if (
@@ -431,8 +440,7 @@ def plan_space_bootstrap(
     tr_dst = weighted_trace(ts)
     checks.append(_embedding_check(
         "trace_embedding", tr_src, tr_dst,
-        src_index=tr_src.smoothness - 1 / tr_src.q,
-        dst_index=tr_dst.smoothness - 1 / tr_dst.q))
+        src_index=tr_src.sobolev_index, dst_index=tr_dst.sobolev_index))
 
     shift = (ts.scale.low - fs.scale.low) / fs.scale.gap
     eps_emb = shift if shift > 0 else None

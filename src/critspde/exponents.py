@@ -1,10 +1,15 @@
 """Exact exponent calculus for weighted parabolic evolution settings.
 
-Everything here is plain rational arithmetic over `fractions.Fraction`:
-criticality slacks, critical weights, the mixed time-space integrability
-exponents, the starred exponents behind Serrin-type criteria, and the
-interpolation-lemma exponents.  Outputs are exact whenever inputs are exact;
-float inputs are snapped to nearby rationals and flagged `inexact`.
+Exact rational arithmetic: criticality slacks, critical weights, the mixed
+time-space integrability exponents, the starred exponents behind
+Serrin-type criteria, and the interpolation-lemma exponents.  Every output
+is a `fractions.Fraction`; the hot closed forms compute it from the integer
+numerators and denominators of their Fraction inputs (denominators are
+positive, so a comparison is one cross-multiplication) and build each
+output once with the public `Fraction(num, den)`.  Each such form names in
+its docstring the Fraction formula it equals.  Outputs are exact whenever
+inputs are exact; float inputs are snapped to nearby rationals and flagged
+`inexact`.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ Rational = Union[int, float, Fraction]
 
 # floats snap to the nearest rational with denominator <= this
 _COERCE_DENOM = 10**12
-_HALF = Fraction(1, 2)
+_TWO = Fraction(2)
 
 
 class ParameterError(ValueError):
@@ -77,20 +82,31 @@ class SobolevScale:
         object.__setattr__(self, "high", as_fraction(self.high))
         object.__setattr__(self, "q", as_fraction(self.q))
         object.__setattr__(self, "inexact", bool(self.inexact) or inexact)
-        if not self.high > self.low:
+        ln, ld = self.low.numerator, self.low.denominator
+        hn, hd = self.high.numerator, self.high.denominator
+        if not hn * ld > ln * hd:
             raise ParameterError("scale needs high > low smoothness")
-        if not self.q > 1:
+        if not self.q.numerator > self.q.denominator:
             raise ParameterError("scale integrability must exceed 1")
-        object.__setattr__(self, "gap", self.high - self.low)
+        # gap == high - low
+        object.__setattr__(self, "gap", Fraction(hn * ld - ln * hd, hd * ld))
 
     def smoothness_at(self, theta: Rational) -> Fraction:
-        # low + theta*gap is (1-theta)*low + theta*high with fewer Fraction
-        # operations; the endpoints need none, not even a coercion
+        """low + theta*gap, which equals (1-theta)*low + theta*high; the
+        endpoints need no arithmetic, not even a coercion."""
         if theta == 0:
             return self.low
         if theta == 1:
             return self.high
-        return self.low + as_fraction(theta) * self.gap
+        return _plus_times(self.low, as_fraction(theta), self.gap)
+
+
+def _plus_times(a: Fraction, t: Fraction, b: Fraction) -> Fraction:
+    """a + t*b, built once from the integer parts."""
+    an, ad = a.numerator, a.denominator
+    tn, td = t.numerator, t.denominator
+    bn, bd = b.numerator, b.denominator
+    return Fraction(an * td * bd + tn * bn * ad, ad * td * bd)
 
 
 @dataclass(frozen=True)
@@ -114,18 +130,21 @@ class Setting:
         object.__setattr__(self, "p", as_fraction(self.p))
         object.__setattr__(self, "kappa", as_fraction(self.kappa))
         object.__setattr__(self, "inexact", bool(self.inexact) or inexact)
-        if self.p < 2:
+        pn, pd = self.p.numerator, self.p.denominator
+        kn, kd = self.kappa.numerator, self.kappa.denominator
+        if pn < 2 * pd:
             raise ParameterError("time integrability p must be >= 2")
-        c = (1 + self.kappa) / self.p
-        if self.p == 2:
-            if self.kappa != 0:
+        # c = cn/cd == (1+kappa)/p, with cd > 0 as p >= 2
+        cn, cd = (kd + kn) * pd, kd * pn
+        if pn == 2 * pd:
+            if kn != 0:
                 raise ParameterError("p = 2 forces kappa = 0")
-        elif not (0 <= self.kappa and c < _HALF):  # kappa < p/2 - 1
+        elif not (kn >= 0 and 2 * cn < cd):  # kappa < p/2 - 1 iff c < 1/2
             raise ParameterError(
                 f"kappa={self.kappa} outside [0, p/2-1) for p={self.p}"
             )
-        object.__setattr__(self, "weight_index", c)
-        object.__setattr__(self, "window_low", 1 - c)
+        object.__setattr__(self, "weight_index", Fraction(cn, cd))
+        object.__setattr__(self, "window_low", Fraction(cd - cn, cd))
 
 
 @dataclass(frozen=True)
@@ -154,27 +173,43 @@ class GrowthTerm:
         object.__setattr__(self, "phi", as_fraction(self.phi))
         object.__setattr__(self, "beta", as_fraction(self.beta))
         object.__setattr__(self, "inexact", bool(self.inexact) or inexact)
-        if self.rho < 0:
+        if self.rho.numerator < 0:
             raise ParameterError("growth power rho must be >= 0")
-        object.__setattr__(self, "ordered", self.beta <= self.phi < 1)
+        fn, fd = self.phi.numerator, self.phi.denominator
+        bn, bd = self.beta.numerator, self.beta.denominator
+        object.__setattr__(self, "ordered", bn * fd <= fn * bd and fn < fd)
 
     @cached_property
     def threshold_weight_index(self) -> Optional[Fraction]:
-        if self.rho == 0:
+        """(1-beta)/rho + (1-phi), built once from the integer parts."""
+        rn, rd = self.rho.numerator, self.rho.denominator
+        if rn == 0:
             return None
-        return (1 - self.beta) / self.rho + (1 - self.phi)
+        fn, fd = self.phi.numerator, self.phi.denominator
+        bn, bd = self.beta.numerator, self.beta.denominator
+        return Fraction((bd - bn) * rd * fd + (fd - fn) * bd * rn, bd * rn * fd)
 
     def window_ok(self, lo: Fraction) -> bool:
         """Whether the term lies in its window at window_low lo = 1-c: with
         beta <= phi < 1 stored, lo < beta is the one comparison left."""
-        return self.ordered and lo < self.beta
+        return self.ordered and (lo.numerator * self.beta.denominator
+                                 < self.beta.numerator * lo.denominator)
 
     def lhs(self, lo: Fraction) -> tuple[Fraction, Fraction]:
         """(d, rho*d + beta) with d = phi - lo = phi-1+c at window_low
         lo = 1-c, c = (1+kappa)/p; the term is subcritical when rho*d + beta
         is at most 1 and critical when it equals 1."""
-        d = self.phi - lo
-        return d, self.rho * d + self.beta
+        dn, dd, hn, hd = self._lhs_parts(lo.numerator, lo.denominator)
+        return Fraction(dn, dd), Fraction(hn, hd)
+
+    def _lhs_parts(self, ln: int, ld: int) -> tuple[int, int, int, int]:
+        """Integer parts (dn, dd, hn, hd), denominators positive, of
+        d = phi - lo and rho*d + beta at lo = ln/ld, as in lhs."""
+        fn, fd = self.phi.numerator, self.phi.denominator
+        bn, bd = self.beta.numerator, self.beta.denominator
+        dn, dd = fn * ld - ln * fd, fd * ld
+        rn, rd = self.rho.numerator, self.rho.denominator
+        return dn, dd, rn * dn * bd + bn * rd * dd, rd * dd * bd
 
 
 @dataclass(frozen=True)
@@ -218,10 +253,15 @@ def trace_space(s: Setting) -> BesovDescriptor:
     """Besov space of admissible initial data for a Setting.
 
     Real interpolation of the Bessel scale at parameter 1-(1+kappa)/p gives
-    smoothness high - (high-low)*(1+kappa)/p, secondary index p.
+    smoothness high - (high-low)*(1+kappa)/p, secondary index p.  The
+    smoothness is high - gap*c, built once from the integer parts.
     """
-    sm = s.scale.high - s.scale.gap * s.weight_index
-    return BesovDescriptor(smoothness=sm, q=s.scale.q, p=s.p)
+    scale, c = s.scale, s.weight_index
+    hn, hd = scale.high.numerator, scale.high.denominator
+    gn, gd = scale.gap.numerator, scale.gap.denominator
+    cn, cd = c.numerator, c.denominator
+    sm = Fraction(hn * gd * cd - gn * cn * hd, hd * gd * cd)
+    return BesovDescriptor(smoothness=sm, q=scale.q, p=s.p)
 
 
 @dataclass(frozen=True)
@@ -279,30 +319,41 @@ def subcriticality(g: GrowthSpec, s: Setting) -> CriticalityReport:
     return _subcriticality(g, s)[0]
 
 
-def _subcriticality(g: GrowthSpec,
-                    s: Setting) -> tuple[CriticalityReport, tuple[Fraction, ...]]:
-    """subcriticality and each term's phi-1+c."""
+def _subcriticality(
+    g: GrowthSpec, s: Setting
+) -> tuple[CriticalityReport, tuple[tuple[int, int], ...]]:
+    """subcriticality and the integer parts of each term's phi-1+c.
+
+    lhs, slack = 1 - lhs and weight_margin = threshold_weight_index - c
+    are each built once from the integer parts."""
     c, lo = s.weight_index, s.window_low
+    cn, cd = c.numerator, c.denominator
+    ln, ld = lo.numerator, lo.denominator
     rows, offsets = [], []
+    all_sub = True
     for part, i, t in g.terms():
-        d, lhs = t.lhs(lo)
-        offsets.append(d)
-        slack = 1 - lhs
+        dn, dd, hn, hd = t._lhs_parts(ln, ld)
+        offsets.append((dn, dd))
+        all_sub = all_sub and hn <= hd
         thr = t.threshold_weight_index
+        if thr is None:
+            margin = None
+        else:
+            tn, td = thr.numerator, thr.denominator
+            margin = Fraction(tn * cd - cn * td, td * cd)
         rows.append(
             TermCriticality(
                 part=part,
                 index=i,
                 term=t,
                 window_ok=t.window_ok(lo),
-                lhs=lhs,
-                slack=slack,
-                weight_margin=None if thr is None else thr - c,
-                critical=(slack == 0),
+                lhs=Fraction(hn, hd),
+                slack=Fraction(hd - hn, hd),
+                weight_margin=margin,
+                critical=(hn == hd),
             )
         )
     rows = tuple(rows)
-    all_sub = all(r.slack >= 0 for r in rows)
     return CriticalityReport(
         terms=rows,
         is_critical=all_sub and any(r.critical for r in rows),
@@ -327,45 +378,55 @@ def _critical_weight(
     g: GrowthSpec, p: Rational
 ) -> tuple[Optional[Fraction], tuple[tuple[str, int], ...]]:
     """(critical weight, binding terms) from one pass over the thresholds;
-    (None, ()) when no term binds at an admissible weight."""
+    (None, ()) when no term binds at an admissible weight.  Each term's
+    p*threshold_weight_index - 1 is kept as integer parts, and the least
+    is built once."""
     p = as_fraction(p)
-    if p < 2:
+    pn, pd = p.numerator, p.denominator
+    if pn < 2 * pd:
         raise ParameterError("time integrability p must be >= 2")
-    kappa, binding = None, []
+    kn = kd = None
+    binding = []
     for part, i, t in g.terms():
         thr = t.threshold_weight_index
         if thr is None:
             continue
-        k = p * thr - 1
-        if kappa is None or k < kappa:
-            kappa, binding = k, [(part, i)]
-        elif k == kappa:
+        n, d = pn * thr.numerator - pd * thr.denominator, pd * thr.denominator
+        if kn is None or n * kd < kn * d:
+            kn, kd, binding = n, d, [(part, i)]
+        elif n * kd == kn * d:
             binding.append((part, i))
-    if kappa is not None and (kappa == 0 or (p > 2 and 0 <= kappa < p / 2 - 1)):
-        return kappa, tuple(binding)
+    # kappa == 0, or p > 2 and 0 <= kappa < p/2 - 1
+    if kn is not None and (kn == 0 or (pn > 2 * pd and kn >= 0
+                                       and 2 * kn * pd < (pn - 2 * pd) * kd)):
+        return Fraction(kn, kd), tuple(binding)
     return None, ()
 
 
-def _admissible_offsets(g: GrowthSpec, s: Setting) -> tuple[Fraction, ...]:
-    """phi-1+c of every term, c = (1+kappa)/p, once all are admissible.
+def _admissible_offsets(g: GrowthSpec,
+                        s: Setting) -> tuple[tuple[int, int], ...]:
+    """Integer parts (n, d), d > 0, of phi-1+c of every term,
+    c = (1+kappa)/p, once all are admissible.
 
     One pass over the terms.  Windows come first: if any term lies outside
     its window, the GrowthWindowError names all of them; otherwise the
     first supercritical term raises a ParameterError.
     """
-    lo, c = s.window_low, s.weight_index
+    lo = s.window_low
+    ln, ld = lo.numerator, lo.denominator
     bad, offsets = [], []
     supercritical = None
     for part, i, t in g.terms():
-        d, lhs = t.lhs(lo)
-        offsets.append(d)
+        dn, dd, hn, hd = t._lhs_parts(ln, ld)
+        offsets.append((dn, dd))
         if not t.window_ok(lo):
             bad.append((part, i))
-        elif not bad and supercritical is None and lhs > 1:
+        elif not bad and supercritical is None and hn > hd:
             supercritical = (part, i)
     if bad:
         raise GrowthWindowError(
-            f"terms outside the (1-(1+kappa)/p, 1) window at weight index {c}: {bad}"
+            "terms outside the (1-(1+kappa)/p, 1) window at weight index "
+            f"{s.weight_index}: {bad}"
         )
     if supercritical is not None:
         part, i = supercritical
@@ -383,15 +444,17 @@ def rho_star_and_x_exponents(g: GrowthSpec, s: Setting) -> tuple[TermExponents, 
     return _x_exponents(g, s, _admissible_offsets(g, s))
 
 
-def _x_exponents(g: GrowthSpec, s: Setting,
-                 offsets: tuple[Fraction, ...]) -> tuple[TermExponents, ...]:
-    """rho_star_and_x_exponents after the checks, from each term's phi-1+c."""
+def _x_exponents(
+    g: GrowthSpec, s: Setting, offsets: tuple[tuple[int, int], ...]
+) -> tuple[TermExponents, ...]:
+    """rho_star_and_x_exponents after the checks, from the integer parts of
+    each term's d = phi-1+c; rho_star == (1-beta)/d."""
     out = []
-    for (part, i, t), d in zip(g.terms(), offsets):
-        one_minus_beta = 1 - t.beta
-        rho_star = one_minus_beta / d  # > 0 inside the window
+    for (part, i, t), (dn, dd) in zip(g.terms(), offsets):
+        bn, bd = t.beta.numerator, t.beta.denominator
+        rho_star = Fraction((bd - bn) * dd, bd * dn)  # > 0 inside the window
         r, r_conj, entries = _mixed_norm(s, rho_star, t.phi, t.beta,
-                                         one_minus_beta)
+                                         bd - bn, bd)
         out.append(
             TermExponents(
                 part=part, index=i, rho_star=rho_star, r=r, r_conj=r_conj,
@@ -402,29 +465,35 @@ def _x_exponents(g: GrowthSpec, s: Setting,
 
 
 def _mixed_norm(
-    s: Setting, rho: Fraction, phi: Fraction, beta: Fraction, one_minus_beta: Fraction
+    s: Setting, rho: Fraction, phi: Fraction, beta: Fraction, on: int, od: int
 ) -> tuple[Fraction, Fraction, tuple[XEntry, XEntry]]:
-    """(r, r', entries) of one term: the conjugate pair r' = c/(1-beta),
-    r = c/(beta-1+c) at c = (1+kappa)/p and the mixed-norm entries L^{p*r}
-    at scale parameter beta and L^{rho*p*r'} at phi."""
-    c = s.weight_index
-    r_conj = c / one_minus_beta
-    r = c / (c - one_minus_beta)
+    """(r, r', entries) of one term from 1-beta = on/od: the conjugate pair
+    r' = c/(1-beta), r = c/(beta-1+c) at c = (1+kappa)/p and the mixed-norm
+    entries L^{p*r} at scale parameter beta and L^{rho*p*r'} at phi, whose
+    smoothness is scale.smoothness_at(theta).  Each output is built once
+    from the integer parts."""
+    scale, c, p = s.scale, s.weight_index, s.p
+    cn, cd = c.numerator, c.denominator
+    pn, pd = p.numerator, p.denominator
+    # r' = a/(cd*on) and r = a/b
+    a = cn * od
+    b = a - on * cd
     entries = (
         XEntry(
-            time_exponent=s.p * r,
+            time_exponent=Fraction(pn * a, pd * b),
             theta=beta,
-            smoothness=s.scale.smoothness_at(beta),
-            space_q=s.scale.q,
+            smoothness=_plus_times(scale.low, beta, scale.gap),
+            space_q=scale.q,
         ),
         XEntry(
-            time_exponent=rho * s.p * r_conj,
+            time_exponent=Fraction(rho.numerator * pn * a,
+                                   rho.denominator * pd * cd * on),
             theta=phi,
-            smoothness=s.scale.smoothness_at(phi),
-            space_q=s.scale.q,
+            smoothness=_plus_times(scale.low, phi, scale.gap),
+            space_q=scale.q,
         ),
     )
-    return r, r_conj, entries
+    return Fraction(a, b), Fraction(a, cd * on), entries
 
 
 @dataclass(frozen=True)
@@ -469,37 +538,54 @@ def star_params_term(
         raise GrowthWindowError(
             f"rho=0 term needs phi={phi} above 1-(1+kappa)/p={1 - c}"
         )
-    return _star_row("", -1, rho, phi, kappa, c, d)[0]
+    return _star_row("", -1, rho, phi, kappa, c, d.numerator, d.denominator)[0]
 
 
 def _star_row(
     part: str, index: int, rho: Fraction, phi: Fraction, kappa: Fraction,
-    c: Fraction, d: Fraction,
-) -> tuple[StarParams, Fraction]:
-    """Starred exponents of one term and their 1-beta*, unchecked, from
-    d = phi-1+c: the caller has made sure that rho >= 0, that phi < 1,
-    that the term is subcritical at c, and that d > 0 when rho = 0."""
-    if rho > 0:
+    c: Fraction, dn: int, dd: int,
+) -> tuple[StarParams, tuple[int, int]]:
+    """Starred exponents of one term and the integer parts of their 1-beta*,
+    unchecked, from d = phi-1+c = dn/dd, dd > 0: the caller has made sure
+    that rho >= 0, that phi < 1, that the term is subcritical at c, and
+    that d > 0 when rho = 0.
+
+    Each output is built once from the integer parts: rho = 0 takes
+    rho_eff = eps == min(kappa+1, (1-phi)/d)/2; case 1 has
+    beta* == 1 - rho_eff*d, case 2 phi* = beta* == 1 - rho_eff/(rho_eff+1)*c.
+    """
+    fn, fd = phi.numerator, phi.denominator
+    if rho.numerator > 0:
         rho_eff, eps = rho, None
     else:
-        eps = min(kappa + 1, (1 - phi) / d) / 2
+        # kappa+1 against (1-phi)/d, which is positive as d > 0
+        mn, md = kappa.numerator + kappa.denominator, kappa.denominator
+        wn, wd = (fd - fn) * dd, fd * dn
+        if wn * md < mn * wd:
+            mn, md = wn, wd
+        eps = Fraction(mn, 2 * md)
         rho_eff = eps
-    lift = rho_eff * d
-    if lift + phi >= 1:
+    en, ed = rho_eff.numerator, rho_eff.denominator
+    # lift = rho_eff*d = un/ud
+    un, ud = en * dn, ed * dd
+    if un * fd + fn * ud >= ud * fd:  # lift + phi >= 1
         return StarParams(part=part, index=index, rho_eff=rho_eff,
-                          phi_star=phi, beta_star=1 - lift, case_id=1,
-                          epsilon=eps), lift
-    drop = rho_eff / (rho_eff + 1) * c
-    phi_star = 1 - drop
+                          phi_star=phi, beta_star=Fraction(ud - un, ud),
+                          case_id=1, epsilon=eps), (un, ud)
+    # drop = rho_eff/(rho_eff+1)*c = wn/wd
+    wn, wd = en * c.numerator, (en + ed) * c.denominator
+    phi_star = Fraction(wd - wn, wd)
     return StarParams(part=part, index=index, rho_eff=rho_eff,
                       phi_star=phi_star, beta_star=phi_star, case_id=2,
-                      epsilon=eps), drop
+                      epsilon=eps), (wn, wd)
 
 
-def _star_rows(g: GrowthSpec, s: Setting) -> Iterator[tuple[StarParams, Fraction]]:
+def _star_rows(
+    g: GrowthSpec, s: Setting
+) -> Iterator[tuple[StarParams, tuple[int, int]]]:
     """_star_row of every term, after the admissibility checks."""
-    for (part, i, t), d in zip(g.terms(), _admissible_offsets(g, s)):
-        yield _star_row(part, i, t.rho, t.phi, s.kappa, s.weight_index, d)
+    for (part, i, t), (dn, dd) in zip(g.terms(), _admissible_offsets(g, s)):
+        yield _star_row(part, i, t.rho, t.phi, s.kappa, s.weight_index, dn, dd)
 
 
 def star_params(g: GrowthSpec, s: Setting) -> tuple[StarParams, ...]:
@@ -524,9 +610,9 @@ def xi_exponents(g: GrowthSpec, s: Setting) -> tuple[XiExponents, ...]:
     term (xi, xi') reduce to (r, r').
     """
     out = []
-    for sp, one_minus_beta in _star_rows(g, s):
+    for sp, (on, od) in _star_rows(g, s):
         xi, xi_conj, entries = _mixed_norm(s, sp.rho_eff, sp.phi_star,
-                                           sp.beta_star, one_minus_beta)
+                                           sp.beta_star, on, od)
         out.append(
             XiExponents(part=sp.part, index=sp.index, xi=xi, xi_conj=xi_conj,
                         x_entries=entries)
@@ -733,39 +819,46 @@ def one_d_growth_params(
       l2_eps:  phi1 = 2/3 + eps/3           for eps in [0, 1/2)
       lzeta:   phi1 = 1/2 + 1/(3*zeta)      for zeta in (2, oo)
       rough:   phi1 = (1/q + s)/3 + 1/2     for s in (0,1/3), q in (2, 2/s)
-    The diffusion term is (2-nu, phi1, phi1) with nu in (0, 2].
+    The diffusion term is (2-nu, phi1, phi1) with nu in (0, 2].  phi1 and
+    2-nu are built once from the integer parts.
     """
     nu = as_fraction(nu)
-    if not (0 < nu <= 2):
+    nn, nd = nu.numerator, nu.denominator
+    if not (0 < nn <= 2 * nd):
         raise ParameterError("nu must lie in (0, 2]")
     if variant == "l2_eps":
         if eps is None:
             raise ParameterError("l2_eps variant needs eps")
         eps = as_fraction(eps)
-        if not (0 <= eps < Fraction(1, 2)):
+        en, ed = eps.numerator, eps.denominator
+        if not (0 <= en and 2 * en < ed):
             raise ParameterError("eps must lie in [0, 1/2)")
-        phi1 = Fraction(2, 3) + eps / 3
+        phi1 = Fraction(2 * ed + en, 3 * ed)  # 2/3 + eps/3
     elif variant == "lzeta":
         if zeta is None:
             raise ParameterError("lzeta variant needs zeta")
         zeta = as_fraction(zeta)
-        if not zeta > 2:
+        zn, zd = zeta.numerator, zeta.denominator
+        if not zn > 2 * zd:
             raise ParameterError("zeta must exceed 2")
-        phi1 = Fraction(1, 2) + 1 / (3 * zeta)
+        phi1 = Fraction(3 * zn + 2 * zd, 6 * zn)  # 1/2 + 1/(3*zeta)
     elif variant == "rough":
         if s is None or q is None:
             raise ParameterError("rough variant needs s and q")
         s, q = as_fraction(s), as_fraction(q)
-        if not (0 < s < Fraction(1, 3)):
+        sn, sd = s.numerator, s.denominator
+        qn, qd = q.numerator, q.denominator
+        if not (0 < sn and 3 * sn < sd):
             raise ParameterError("s must lie in (0, 1/3)")
-        if not (2 < q < 2 / s):
+        if not (2 * qd < qn and qn * sn < 2 * sd * qd):  # 2 < q < 2/s
             raise ParameterError("q must lie in (2, 2/s)")
-        phi1 = (1 / q + s) / 3 + Fraction(1, 2)
+        # (1/q + s)/3 + 1/2
+        phi1 = Fraction(2 * (qd * sd + sn * qn) + 3 * qn * sd, 6 * qn * sd)
     else:
         raise ParameterError(f"unknown variant {variant!r}")
     return GrowthSpec(
-        f_terms=(GrowthTerm(Fraction(2), phi1, phi1),),
-        g_terms=(GrowthTerm(2 - nu, phi1, phi1),),
+        f_terms=(GrowthTerm(_TWO, phi1, phi1),),
+        g_terms=(GrowthTerm(Fraction(2 * nd - nn, nd), phi1, phi1),),
     )
 
 

@@ -2,7 +2,8 @@
 
 A traced run of bench/run.py rebinds module attributes of critspde and
 calls stepper methods by name; a change under src/ that renames one of
-them would otherwise show only when such a run is made.
+them, or that calls around a rebound attribute so its counter reads 0,
+would otherwise show only when such a run is made.
 """
 
 import importlib
@@ -45,3 +46,18 @@ def test_stage_probe_runs(monkeypatch):
         f"sim.stage.{name}_us"
         for name in ("rng", "drift_hat", "noise_hat", "advance", "irfft"))
     assert all(us > 0 for us in stages.values())
+
+
+def test_traced_counters_see_a_plan(monkeypatch):
+    # the planner reaches embeds through the module attribute the bench
+    # rebinds, so a traced pass counts a plan's embedding checks
+    layers = bench_module("layers", monkeypatch)
+    tracing = bench_module("tracing", monkeypatch)
+    from critspde import bootstrap
+
+    tracer = tracing.Tracer()
+    layers.install_hooks(tracer)
+    with tracer.installed(0):
+        bootstrap.full_chain_1d("L2_start")
+    assert tracer.counters["bootstrap.plans"] == 1
+    assert tracer.counters["bootstrap.embeds"] == 8

@@ -76,6 +76,20 @@ def test_embeds_bessel_equal_index_fails():
     assert not embeds(bessel(F(5, 6), F(2)), bessel(F(7, 12), F(4)))
 
 
+@pytest.mark.parametrize("q", [F(0), F(-2), 0, -1.5])
+def test_nonpositive_space_integrability_is_a_parameter_error(q):
+    with pytest.raises(ParameterError, match="space integrability q must be positive"):
+        SpaceDescriptor("bessel", 0, q)
+    with pytest.raises(ParameterError, match="space integrability q must be positive"):
+        SpaceDescriptor("besov", 0, q, 2)
+
+
+def test_embeds_from_zero_integrability_is_a_parameter_error():
+    # this call divided by zero before SpaceDescriptor rejected q <= 0
+    with pytest.raises(ParameterError):
+        embeds(SpaceDescriptor("bessel", 0, 0), SpaceDescriptor("bessel", 0, 2))
+
+
 def test_embeds_cross_kind():
     assert embeds(besov(F(1), F(2), F(6)), bessel(F(1, 2), F(2)))
     assert not embeds(besov(F(1), F(2), F(6)), bessel(F(1), F(2)))

@@ -10,7 +10,10 @@ attribute (x.name), or be listed in an __all__: a name that only tests
 reach is not shipped.  On the stepping hot path (sim.py, presets.py) no
 `**` takes an integer literal above 2: numpy sends those through pow,
 some 30 times slower than multiplying, while `** 2` takes its square fast
-path.
+path.  No package module uses Fraction's private API (`_numerator`,
+`_denominator`, `_from_coprime_ints`, the `_normalize` keyword): the exact
+calculus reads `numerator`/`denominator` and builds with `Fraction(n, d)`,
+since Python 3.12 changed those private names.
 """
 
 import ast
@@ -141,6 +144,28 @@ def slow_powers(tree: ast.Module):
                   and node.right.value > 2)
 
 
+PRIVATE_FRACTION_API = ("_numerator", "_denominator", "_from_coprime_ints",
+                        "_normalize")
+
+
+def private_fraction_api(tree: ast.Module):
+    """(line, name) of every use of a private Fraction name: as an
+    attribute, a keyword argument or a string (getattr and the like)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.keyword):
+            name = node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in PRIVATE_FRACTION_API:
+            out.append((node.lineno, name))
+    return sorted(out)
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
     assert len(HOT_PATH) == 2
@@ -230,6 +255,24 @@ def test_test_only_reference_is_reported(tmp_path):
 def test_no_slow_powers_on_hot_path(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert slow_powers(tree) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_fraction_api(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert private_fraction_api(tree) == []
+
+
+def test_private_fraction_api_is_reported():
+    tree = ast.parse("a = x.numerator * y.denominator\n"
+                     "b = x._numerator\n"
+                     "c = Fraction(1, 2, _normalize=False)\n"
+                     "d = Fraction._from_coprime_ints(1, 2)\n"
+                     "e = getattr(x, '_denominator')\n"
+                     "f = '_numerators'\n")
+    assert private_fraction_api(tree) == [
+        (2, "_numerator"), (3, "_normalize"), (4, "_from_coprime_ints"),
+        (5, "_denominator")]
 
 
 def test_slow_power_is_reported():
