@@ -10,6 +10,12 @@ rational witnesses; a step is only emitted when all checks pass.
 Space comparisons on the 1-torus reduce to index arithmetic: smoothness
 minus 1/q, with strict inequalities everywhere except the same-scale Besov
 comparison at equal indices (secondary index ordering decides there).
+
+As in `exponents`, the planner computes from the integer numerators and
+denominators of its Fraction inputs (denominators are positive, so a
+comparison is one cross-multiplication) and builds a Fraction only for a
+value a caller sees: a witness, a param or a target setting.  Each such
+form names in its docstring or comment the Fraction formula it equals.
 """
 from __future__ import annotations
 
@@ -65,9 +71,14 @@ class SpaceDescriptor:
     @cached_property
     def sobolev_index(self) -> Fraction:
         """smoothness - 1/q, which orders spaces of different
-        integrability; computed on first read, so a witness and embeds
-        share it."""
-        return self.smoothness - 1 / self.q
+        integrability; built once, on first read, from _index_parts."""
+        return Fraction(*self._index_parts())
+
+    def _index_parts(self) -> tuple[int, int]:
+        """Integer parts (n, d), d > 0, of smoothness - 1/q."""
+        sm, q = self.smoothness, self.q
+        return (sm.numerator * q.numerator - sm.denominator * q.denominator,
+                sm.denominator * q.numerator)
 
     def label(self) -> str:
         if self.kind == "bessel":
@@ -83,11 +94,32 @@ def besov_descriptor(b: BesovDescriptor) -> SpaceDescriptor:
     return SpaceDescriptor("besov", b.smoothness, b.q, b.p)
 
 
-def unweighted_trace(s: Setting) -> SpaceDescriptor:
-    """Data space of the same setting with the weight dropped."""
+def _bessel_at_parts(scale: SobolevScale, tn: int,
+                     td: int) -> SpaceDescriptor:
+    """bessel_at(scale, tn/td), td > 0: its smoothness low + theta*gap is
+    built once from the integer parts."""
+    gap = scale.gap
     return SpaceDescriptor(
-        "besov", s.scale.high - s.scale.gap / s.p, s.scale.q, s.p
-    )
+        "bessel", _plus(scale.low, tn * gap.numerator, td * gap.denominator),
+        scale.q)
+
+
+def _plus(x: Fraction, n: int, d: int) -> Fraction:
+    """x + n/d, d > 0, built once from the integer parts."""
+    xn, xd = x.numerator, x.denominator
+    return Fraction(xn * d + n * xd, xd * d)
+
+
+def unweighted_trace(s: Setting) -> SpaceDescriptor:
+    """Data space of the same setting with the weight dropped: smoothness
+    high - gap/p, built once from the integer parts."""
+    high, gap, p = s.scale.high, s.scale.gap, s.p
+    hn, hd = high.numerator, high.denominator
+    gn, gd = gap.numerator, gap.denominator
+    pn, pd = p.numerator, p.denominator
+    return SpaceDescriptor(
+        "besov", Fraction(hn * gd * pn - gn * pd * hd, hd * gd * pn),
+        s.scale.q, p)
 
 
 def weighted_trace(s: Setting) -> SpaceDescriptor:
@@ -102,33 +134,38 @@ def embeds(src: SpaceDescriptor, dst: SpaceDescriptor) -> bool:
     are ordered.  Cross-kind comparisons at equal smoothness fail (no
     inclusion either way in general).
     """
-    if src == dst:
+    # src == dst, and each Fraction comparison below, on the integer parts
+    # of src's smoothness sn/sd and integrability qn/qd and of dst's
+    # smoothness tn/td and integrability un/ud
+    sn, sd = src.smoothness.numerator, src.smoothness.denominator
+    tn, td = dst.smoothness.numerator, dst.smoothness.denominator
+    qn, qd = src.q.numerator, src.q.denominator
+    un, ud = dst.q.numerator, dst.q.denominator
+    a, b = src.secondary, dst.secondary
+    if (src.kind == dst.kind and sn == tn and sd == td and qn == un
+            and qd == ud and (a is b or (
+                a is not None and b is not None
+                and a.numerator == b.numerator
+                and a.denominator == b.denominator))):
         return True
-    if dst.q > src.q:
-        i_src, i_dst = src.sobolev_index, dst.sobolev_index
-        if i_src > i_dst:
+    if un * qd > qn * ud:  # dst.q > src.q: compare the Sobolev indices
+        xn, xd = src._index_parts()
+        yn, yd = dst._index_parts()
+        if xn * yd > yn * xd:
             return True
-        if (
-            i_src == i_dst
-            and src.kind == "besov"
-            and dst.kind == "besov"
-            and src.secondary is not None
-            and dst.secondary is not None
-            and src.secondary <= dst.secondary
-        ):
-            return True
-        return False
-    if src.smoothness > dst.smoothness:
+        return (xn * yd == yn * xd and src.kind == "besov"
+                and dst.kind == "besov" and _secondary_le(a, b))
+    if sn * td > tn * sd:
         return True
-    if src.smoothness == dst.smoothness and src.kind == dst.kind:
-        if src.kind == "bessel":
-            return True
-        return (
-            src.secondary is not None
-            and dst.secondary is not None
-            and src.secondary <= dst.secondary
-        )
+    if sn * td == tn * sd and src.kind == dst.kind:
+        return src.kind == "bessel" or _secondary_le(a, b)
     return False
+
+
+def _secondary_le(a: Optional[Fraction], b: Optional[Fraction]) -> bool:
+    """Both secondary indices given and a <= b, by cross-multiplication."""
+    return (a is not None and b is not None
+            and a.numerator * b.denominator <= b.numerator * a.denominator)
 
 
 @dataclass(frozen=True)
@@ -186,11 +223,13 @@ def _embedding_check(name: str, src: SpaceDescriptor, dst: SpaceDescriptor,
 def _growth_checks(g: GrowthSpec, c: Fraction, lo: Fraction, strict: bool,
                    suffix: str = "") -> list[BootstrapCheck]:
     """Window and subcriticality checks for every term at weight index c,
-    window_low lo = 1 - c, each name ending in suffix."""
+    window_low lo = 1 - c, each name ending in suffix.  Each term's
+    lhs = rho*(phi-lo) + beta and slack = 1 - lhs are built once from the
+    integer parts."""
+    ln, ld = lo.numerator, lo.denominator
     out = []
     for part, i, t in g.terms():
-        _, lhs = t.lhs(lo)
-        ok_slack = lhs < 1 if strict else lhs <= 1
+        _, _, hn, hd = t._lhs_parts(ln, ld)
         out.append(
             BootstrapCheck(
                 name=f"growth_window[{part}{i}]{suffix}",
@@ -204,8 +243,9 @@ def _growth_checks(g: GrowthSpec, c: Fraction, lo: Fraction, strict: bool,
                 name=f"subcritical[{part}{i}]{suffix}",
                 condition="rho*(phi-1+(1+kappa)/p)+beta "
                 + ("< 1" if strict else "<= 1"),
-                passed=ok_slack,
-                witness={"lhs": lhs, "slack": 1 - lhs},
+                passed=hn < hd if strict else hn <= hd,
+                witness={"lhs": Fraction(hn, hd),
+                         "slack": Fraction(hd - hn, hd)},
             )
         )
     return out
@@ -221,53 +261,67 @@ def plan_weight_insertion(
     shifts down by delta*(high-low).  Requires r > 2, delta in
     [0, 1-max phi_j), p > 2 when delta = 0, and the time-integrability
     bound 1/r >= max_j phi_j - 1 + 1/p (equality allowed).
+
+    alpha = r*(1/p - delta) - 1, inv_r = 1/r, bound = max phi_j - (1 - 1/p)
+    and the shifted scale's low - delta*gap and high - delta*gap are each
+    built once from the integer parts; every check cross-multiplies.
     """
     r, delta = as_fraction(r), as_fraction(delta)
-    if r <= 0:
+    rn, rd = r.numerator, r.denominator
+    if rn <= 0:
         raise ParameterError("time integrability r must be positive")
-    if from_setting.kappa != 0:
+    if from_setting.kappa.numerator != 0:
         raise ParameterError("weight insertion starts from an unweighted setting")
-    p = from_setting.p
+    p, lo = from_setting.p, from_setting.window_low
     inv_p = from_setting.weight_index  # 1/p at kappa = 0
     max_phi = g.max_phi
-    alpha = r * (inv_p - delta) - 1
+    pn, pd = p.numerator, p.denominator
+    cn, cd = inv_p.numerator, inv_p.denominator
+    ln, ld = lo.numerator, lo.denominator
+    dn, dd = delta.numerator, delta.denominator
+    mn, md = max_phi.numerator, max_phi.denominator
+    an, ad = rn * (cn * dd - dn * cd) - rd * cd * dd, rd * cd * dd
+    alpha = Fraction(an, ad)
 
-    checks = _growth_checks(g, inv_p, from_setting.window_low, strict=False)
+    checks = _growth_checks(g, inv_p, lo, strict=False)
     checks.append(
         BootstrapCheck(
             "delta_window", "0 <= delta < 1 - max phi_j",
-            0 <= delta < 1 - max_phi, {"delta": delta, "max_phi": max_phi},
+            dn >= 0 and dn * md < (md - mn) * dd,
+            {"delta": delta, "max_phi": max_phi},
         )
     )
     checks.append(
         BootstrapCheck(
             "p_above_two_at_zero_delta", "p > 2 when delta = 0",
-            not (delta == 0 and p <= 2), {"p": p, "delta": delta},
+            not (dn == 0 and pn <= 2 * pd), {"p": p, "delta": delta},
         )
     )
     checks.append(
         BootstrapCheck(
-            "r_range", "r > 2 and r >= p", r > 2 and r >= p, {"r": r, "p": p},
+            "r_range", "r > 2 and r >= p", rn > 2 * rd and rn * pd >= pn * rd,
+            {"r": r, "p": p},
         )
     )
-    inv_r, bound = 1 / r, max_phi - from_setting.window_low
+    bn, bd = mn * ld - ln * md, md * ld
     checks.append(
         BootstrapCheck(
             "time_integrability", "1/r >= max phi_j - 1 + 1/p",
-            inv_r >= bound, {"inv_r": inv_r, "bound": bound},
+            rd * bd >= bn * rn,
+            {"inv_r": Fraction(rd, rn), "bound": Fraction(bn, bd)},
         )
     )
     checks.append(
         BootstrapCheck(
             "alpha_admissible", "alpha = r*(1/p-delta)-1 in [0, r/2-1)",
-            0 <= alpha < r / 2 - 1, {"alpha": alpha},
+            an >= 0 and 2 * an * rd < (rn - 2 * rd) * ad, {"alpha": alpha},
         )
     )
-    shift = delta * from_setting.scale.gap
+    scale = from_setting.scale
+    gap = scale.gap
+    sn, sd = dn * gap.numerator, dd * gap.denominator  # shift = delta*gap
     to_scale = SobolevScale(
-        from_setting.scale.low - shift, from_setting.scale.high - shift,
-        from_setting.scale.q,
-    )
+        _plus(scale.low, -sn, sd), _plus(scale.high, -sn, sd), scale.q)
     params = {"r": r, "delta": delta, "alpha": alpha}
     # validate checks before constructing the target Setting so a window
     # failure reports the inequality, not a constructor error
@@ -286,55 +340,80 @@ def plan_time_bootstrap(
     midpoint is chosen.  The emitted setting is unweighted at integrability
     r_hat (the weighted intermediate with alpha_hat is kept as a witness)
     and is strictly subcritical for the same growth terms.
+
+    The margin, eps = margin/2, the interval's low end lo_a, the midpoint
+    c_mid and alpha_hat = r_hat*c_mid - 1 are each built once from the
+    integer parts; every check cross-multiplies.  The checks are
+    validated before the target setting is built, so an r_hat below 2
+    reports the failed integrability_order, not a constructor error.
     """
     r_hat = as_fraction(r_hat)
-    if r_hat <= 0:
+    hn, hd = r_hat.numerator, r_hat.denominator
+    if hn <= 0:
         raise ParameterError("time integrability r_hat must be positive")
     r, alpha = from_setting.p, from_setting.kappa
-    if alpha <= 0:
+    if alpha.numerator <= 0:
         raise ParameterError("time bootstrap needs a positive weight to trade")
     c_from, lo_from = from_setting.weight_index, from_setting.window_low
+    rn, rd = r.numerator, r.denominator
+    cn, cd = c_from.numerator, c_from.denominator
+    ln, ld = lo_from.numerator, lo_from.denominator
 
     checks = _growth_checks(g, c_from, lo_from, strict=False)
     checks.append(
-        BootstrapCheck("integrability_order", "r_hat >= r", r_hat >= r,
-                       {"r_hat": r_hat, "r": r})
+        BootstrapCheck("integrability_order", "r_hat >= r",
+                       hn * rd >= rn * hd, {"r_hat": r_hat, "r": r})
     )
-    margin = min(min(t.beta for _, _, t in g.terms()) - lo_from,
-                 alpha / r)
+    # margin mn/md = min(min_j beta_j - lo_from, alpha/r)
+    bn = bd = 0
+    for _, _, t in g.terms():
+        beta = t.beta
+        if bd == 0 or beta.numerator * bd < bn * beta.denominator:
+            bn, bd = beta.numerator, beta.denominator
+    mn, md = bn * ld - ln * bd, bd * ld
+    vn, vd = alpha.numerator * rd, alpha.denominator * rn
+    if vn * md < mn * vd:
+        mn, md = vn, vd
     checks.append(
         BootstrapCheck(
             "positive_margin",
             "min_j{beta_j-1+(1+alpha)/r, alpha/r} > 0",
-            margin > 0, {"two_eps": margin},
+            mn > 0, {"two_eps": Fraction(mn, md)},
         )
     )
-    eps = margin / 2
-    lo, hi = c_from - eps, c_from
+    eps = Fraction(mn, 2 * md)
     # alpha_hat interval in weight units, intersected with the admissible
-    # weight range for r_hat, then the midpoint
-    lo_a = max(lo, 1 / r_hat)          # alpha_hat >= 0
-    hi_a = min(hi, Fraction(1, 2))     # alpha_hat < r_hat/2 - 1
+    # weight range for r_hat, then the midpoint:
+    # lo_a = xn/xd = max(c_from - eps, 1/r_hat), as alpha_hat >= 0, and
+    # hi_a = min(c_from, 1/2), as alpha_hat < r_hat/2 - 1; hi_a is c_from,
+    # since a positive weight is admissible only below c = 1/2
+    xn, xd = 2 * cn * md - mn * cd, 2 * cd * md
+    if hd * xd > xn * hn:
+        xn, xd = hd, hn
     checks.append(
         BootstrapCheck(
             "weight_index_interval",
             "((1+alpha)/r - eps, (1+alpha)/r) meets [1/r_hat, 1/2)",
-            lo_a < hi_a, {"lo": lo_a, "hi": hi_a},
+            xn * cd < cn * xd, {"lo": Fraction(xn, xd), "hi": c_from},
         )
     )
-    c_mid = (lo_a + hi_a) / 2
-    alpha_hat = r_hat * c_mid - 1
+    # c_mid = zn/zd = (lo_a + hi_a)/2; alpha_hat = r_hat*c_mid - 1
+    zn, zd = xn * cd + cn * xd, 2 * xd * cd
+    c_mid = Fraction(zn, zd)
+    an, ad = hn * zn - hd * zd, hd * zd
+    alpha_hat = Fraction(an, ad)
     checks.append(
         BootstrapCheck(
             "alpha_hat_admissible", "alpha_hat in [0, r_hat/2-1)",
-            0 <= alpha_hat < r_hat / 2 - 1, {"alpha_hat": alpha_hat},
+            an >= 0 and 2 * an * hd < (hn - 2 * hd) * ad,
+            {"alpha_hat": alpha_hat},
         )
     )
     # growth at the intermediate weighted setting, whose weight index
     # (1+alpha_hat)/r_hat is c_mid exactly: windows survive the small
     # decrease of the weight index, and the slack turns strictly positive
-    checks.extend(_growth_checks(g, c_mid, 1 - c_mid, strict=True,
-                                 suffix="@intermediate"))
+    checks.extend(_growth_checks(g, c_mid, Fraction(zd - zn, zd),
+                                 strict=True, suffix="@intermediate"))
     case = _emb_case(r, alpha, r_hat, alpha_hat, c_from, c_mid, None)
     checks.append(
         BootstrapCheck(
@@ -342,11 +421,12 @@ def plan_time_bootstrap(
             case in (1, 2), {"case": case},
         )
     )
-    to_setting = Setting(from_setting.scale, r_hat, Fraction(0))
+    checks = _passed("time_bootstrap", checks)
     params = {"r_hat": r_hat, "alpha_hat": alpha_hat, "eps": eps,
               "c_mid": c_mid, "emb_case": case}
-    return BootstrapStep("time_bootstrap", from_setting, to_setting,
-                         _passed("time_bootstrap", checks), params)
+    return BootstrapStep("time_bootstrap", from_setting,
+                         Setting(from_setting.scale, r_hat, Fraction(0)),
+                         checks, params)
 
 
 def emb_condition(
@@ -375,17 +455,28 @@ def _emb_case(
 ) -> Optional[int]:
     """emb_condition from Fractions and the weight indices
     ci_from = (1+alpha)/r and ci_to = (1+alpha_hat)/r_hat, which the
-    planner's settings already hold."""
-    if r == r_hat and alpha == alpha_hat:
+    planner's settings already hold.  Each comparison is on the integer
+    parts: equality of (numerator, denominator), or cross-multiplication
+    for ci_to < ci_from, 0 < eps < 1/2 - ci_from, ci_to < ci_from + eps and
+    ci_to == ci_from + eps."""
+    same_r = (r.numerator == r_hat.numerator
+              and r.denominator == r_hat.denominator)
+    if (same_r and alpha.numerator == alpha_hat.numerator
+            and alpha.denominator == alpha_hat.denominator):
         return 1
-    if ci_to < ci_from:
+    fn, fd = ci_from.numerator, ci_from.denominator
+    tn, td = ci_to.numerator, ci_to.denominator
+    if tn * fd < fn * td:
         return 2
     if eps is not None:
         eps = as_fraction(eps)
-        if 0 < eps < Fraction(1, 2) - ci_from:
-            if ci_to < ci_from + eps:
+        en, ed = eps.numerator, eps.denominator
+        if en > 0 and 2 * en * fd < (fd - 2 * fn) * ed:
+            # ci_to - ci_from against eps, over the denominator td*fd*ed
+            diff, bound = (tn * fd - fn * td) * ed, en * td * fd
+            if diff < bound:
                 return 3
-            if r == r_hat and ci_to == ci_from + eps:
+            if same_r and diff == bound:
                 return 4
     return None
 
@@ -401,9 +492,13 @@ def _lift_term(t: GrowthTerm, c: Fraction,
     value.  As hi - lo = c/(rho+1) > 0, mid = lo + c/(2*(rho+1)), above
     phi <= lo.  Its slack 1 - (rho*(mid-lo) + mid) is exactly c/2:
     rho*(mid-lo) + mid = (rho+1)*(mid-lo) + lo = c/2 + lo = 1 - c/2.
+    Both are built once from the integer parts, with
+    c/(2*(rho+1)) = cn*rd / (2*cd*(rn+rd)).
     """
-    slack = c / 2
-    return lo + slack / (t.rho + 1), slack
+    cn, cd = c.numerator, c.denominator
+    rn, rd = t.rho.numerator, t.rho.denominator
+    return (_plus(lo, cn * rd, 2 * cd * (rn + rd)),
+            Fraction(cn, 2 * cd))
 
 
 def plan_space_bootstrap(
@@ -418,15 +513,22 @@ def plan_space_bootstrap(
     target (terms with phi = beta below the window are lifted to an
     equalized in-window value, recorded as a witness), and strict
     non-criticality of the target for the original terms.
+
+    The shift (to.low - from.low)/gap, the provisos' scale parameters
+    1 - shift and shift, and each target slack 1 - lhs are built once from
+    the integer parts; every comparison cross-multiplies.
     """
     fs, ts = from_setting, to_setting
     checks: list[BootstrapCheck] = []
     params: dict = {}
 
-    same_gap = fs.scale.gap == ts.scale.gap
+    gap = fs.scale.gap
+    gn, gd = gap.numerator, gap.denominator
+    to_gap = ts.scale.gap
+    same_gap = gn == to_gap.numerator and gd == to_gap.denominator
     checks.append(
         BootstrapCheck("scale_gap", "source and target scales have equal gap",
-                       same_gap, {"from_gap": fs.scale.gap, "to_gap": ts.scale.gap})
+                       same_gap, {"from_gap": gap, "to_gap": to_gap})
     )
     if not same_gap:
         _passed("space_bootstrap", checks)  # raises on the failed scale_gap
@@ -442,8 +544,12 @@ def plan_space_bootstrap(
         "trace_embedding", tr_src, tr_dst,
         src_index=tr_src.sobolev_index, dst_index=tr_dst.sobolev_index))
 
-    shift = (ts.scale.low - fs.scale.low) / fs.scale.gap
-    eps_emb = shift if shift > 0 else None
+    # shift = en/ed = (to.low - from.low)/gap, with gap > 0
+    low, to_lo = fs.scale.low, ts.scale.low
+    en = (to_lo.numerator * low.denominator
+          - low.numerator * to_lo.denominator) * gd
+    ed = to_lo.denominator * low.denominator * gn
+    eps_emb = Fraction(en, ed) if en > 0 else None
     c_to, lo_to = ts.weight_index, ts.window_low
     case = _emb_case(fs.p, fs.kappa, ts.p, ts.kappa, fs.weight_index, c_to,
                      eps_emb)
@@ -459,27 +565,31 @@ def plan_space_bootstrap(
     if case in (3, 4):
         # provisos of the shifted-scale cases
         checks.append(_embedding_check("shift_proviso_high",
-                                       bessel_at(ts.scale, 1 - eps_emb),
+                                       _bessel_at_parts(ts.scale, ed - en, ed),
                                        from_high))
         checks.append(_embedding_check("shift_proviso_low", to_low,
-                                       bessel_at(fs.scale, eps_emb)))
+                                       _bessel_at_parts(fs.scale, en, ed)))
 
+    ln, ld = lo_to.numerator, lo_to.denominator
     lifted = []
     for part, i, t in g.terms():
         if t.window_ok(lo_to):
-            _, lhs = t.lhs(lo_to)
+            _, _, hn, hd = t._lhs_parts(ln, ld)
             checks.append(
                 BootstrapCheck(
                     f"target_growth[{part}{i}]",
                     "window holds and term subcritical at target",
-                    lhs <= 1, {"slack": 1 - lhs},
+                    hn <= hd, {"slack": Fraction(hd - hn, hd)},
                 )
             )
             continue
-        if t.phi != t.beta or not t.ordered:
+        phi, beta = t.phi, t.beta
+        equal = (phi.numerator == beta.numerator
+                 and phi.denominator == beta.denominator)
+        if not (equal and t.ordered):
             # a term phi = beta < 1 outside the window lies at or below
             # lo_to, so only these two kinds cannot be lifted
-            why = "phi != beta" if t.phi != t.beta else "phi = beta >= 1"
+            why = "phi = beta >= 1" if equal else "phi != beta"
             checks.append(
                 BootstrapCheck(
                     f"target_growth[{part}{i}]",
@@ -494,11 +604,12 @@ def plan_space_bootstrap(
             BootstrapCheck(
                 f"target_growth[{part}{i}]",
                 "term lifted to equalized in-window exponents",
-                slack > 0, {"lifted_phi": mid, "slack": slack},
+                slack.numerator > 0, {"lifted_phi": mid, "slack": slack},
             )
         )
     params["lifted_terms"] = tuple(lifted)
 
+    cn, cd = c_to.numerator, c_to.denominator
     for part, i, t in g.terms():
         cstar = t.threshold_weight_index
         if cstar is None:
@@ -507,7 +618,8 @@ def plan_space_bootstrap(
             BootstrapCheck(
                 f"target_noncritical[{part}{i}]",
                 "(1+alpha_hat)/r_hat < critical weight index of the term",
-                c_to < cstar, {"weight_index": c_to, "critical_index": cstar},
+                cn * cstar.denominator < cstar.numerator * cd,
+                {"weight_index": c_to, "critical_index": cstar},
             )
         )
 
@@ -532,27 +644,33 @@ def check_extrapolation(
     top of the auxiliary scale embeds into the base scale at parameter
     1 - kappa/p; both auxiliary scale components embed into the energy
     scale.  Returns a report rather than raising.
+    Each comparison is on the integer parts, and the base scale's
+    parameter 1 - kappa/p is (kd*pn - kn*pd)/(kd*pn).
     """
     checks: list[BootstrapCheck] = []
-    r_hat = via_setting.p
+    r_hat, r, p = via_setting.p, from_Y.p, base_X.p
+    hn, hd = r_hat.numerator, r_hat.denominator
+    rn, rd = r.numerator, r.denominator
+    pn, pd = p.numerator, p.denominator
     checks.append(
         BootstrapCheck(
             "integrability_order", "r_hat >= max(r, p)",
-            r_hat >= max(from_Y.p, base_X.p),
-            {"r_hat": r_hat, "r": from_Y.p, "p": base_X.p},
+            hn * rd >= rn * hd and hn * pd >= pn * hd,
+            {"r_hat": r_hat, "r": r, "p": p},
         )
     )
     checks.append(_embedding_check("trace_embedding",
                                    weighted_trace(via_setting),
                                    weighted_trace(base_X)))
+    kn, kd = base_X.kappa.numerator, base_X.kappa.denominator
     checks.append(_embedding_check(
         "top_space_embedding", bessel_at(via_setting.scale, 1),
-        bessel_at(base_X.scale, 1 - base_X.kappa / base_X.p)))
+        _bessel_at_parts(base_X.scale, kd * pn - kn * pd, kd * pn)))
     for i in (0, 1):
         checks.append(_embedding_check(f"energy_component[{i}]",
                                        bessel_at(via_setting.scale, i),
                                        bessel_at(from_Y.scale, i)))
-    if from_Y.p == 2:
+    if rn == 2 * rd:
         note = ("energy branch r = 2: continuity into the midpoint space and "
                 "a local L2 bound at the top of the scale are the inputs")
     else:
@@ -582,6 +700,18 @@ _G_L2 = one_d_growth_params("l2_eps", eps=Fraction(0))
 _G_L4 = one_d_growth_params("lzeta", zeta=Fraction(4))
 
 
+def _integrability_step(h_from: SobolevScale, h_to: SobolevScale,
+                        r_hat: Fraction, g: GrowthSpec) -> BootstrapStep:
+    """The space step from weight (r_hat/4 + (r_hat/2 - 1))/2 =
+    (3*r_hat - 4)/8 on h_from to weight r_hat/4 on h_to, at time
+    integrability r_hat; both weights are built once from the integer
+    parts."""
+    hn, hd = r_hat.numerator, r_hat.denominator
+    return plan_space_bootstrap(
+        Setting(h_from, r_hat, Fraction(3 * hn - 4 * hd, 8 * hd)),
+        Setting(h_to, r_hat, Fraction(hn, 4 * hd)), g)
+
+
 def full_chain_1d(
     variant: str,
     eps: Rational = Fraction(1, 5),
@@ -597,52 +727,68 @@ def full_chain_1d(
     optional weight insertion on the zero-weight slice, time bootstrap,
     scale recovery, integrability step, and the life-span extrapolation
     check against the L2 energy setting.
+
+    The range checks cross-multiply, and each derived input (delta, the
+    recovery weight, r_ins, r_hat and the rough base scale) is built once
+    from the integer parts.
     """
     if variant == "L2_start":
         eps = as_fraction(eps)
-        if not 0 < eps < Fraction(1, 3):
+        en, ed = eps.numerator, eps.denominator
+        if not (en > 0 and 3 * en < ed):
             raise ParameterError("eps must lie in (0, 1/3)")
         g_eps = one_d_growth_params("l2_eps", eps=eps)
 
-        s1 = plan_weight_insertion(_ENERGY, Fraction(6), eps / 2, _G_L2)
+        s1 = plan_weight_insertion(_ENERGY, Fraction(6), Fraction(en, 2 * ed),
+                                   _G_L2)
         s2 = plan_time_bootstrap(s1.to_setting, Fraction(12), g_eps)
         r_hat = s2.to_setting.p
-        recover = Setting(_H2, r_hat, r_hat * eps / 2)
+        hn, hd = r_hat.numerator, r_hat.denominator
+        # recovery weight r_hat*eps/2
+        recover = Setting(_H2, r_hat, Fraction(hn * en, 2 * hd * ed))
         s3 = plan_space_bootstrap(s2.to_setting, recover, _G_L2)
-        alpha4 = (r_hat / 4 + (r_hat / 2 - 1)) / 2
-        from4 = Setting(_H2, r_hat, alpha4)
-        to4 = Setting(_H4, r_hat, r_hat / 4)
-        s4 = plan_space_bootstrap(from4, to4, _G_L4)
+        s4 = _integrability_step(_H2, _H4, r_hat, _G_L4)
         return BootstrapChain(steps=(s1, s2, s3, s4), claim=_CLAIM)
 
     if variant == "rough":
         if s is None or q is None or p is None:
             raise ParameterError("rough variant needs s, q, p")
         s, q, p = as_fraction(s), as_fraction(q), as_fraction(p)
-        if not (0 < s < Fraction(1, 3)):
+        sn, sd = s.numerator, s.denominator
+        qn, qd = q.numerator, q.denominator
+        pn, pd = p.numerator, p.denominator
+        if not (sn > 0 and 3 * sn < sd):
             raise ParameterError("s must lie in (0, 1/3)")
-        if not (2 < q < 2 / (1 - 2 * s)):
+        # q < 2/(1-2s), where 1 - 2s > 0
+        if not (qn > 2 * qd and qn * (sd - 2 * sn) < 2 * qd * sd):
             raise ParameterError("q must lie in (2, 2/(1-2s))")
-        if not p > 0:
+        if not pn > 0:
             raise ParameterError("time integrability p must be >= 2")
-        if 1 / p + 1 / (2 * q) > (3 - 2 * s) / 4:
+        # 1/p + 1/(2q) = (2*pd*qn + qd*pn)/(2*pn*qn) against (3-2s)/4
+        if 2 * (2 * pd * qn + qd * pn) * sd > (3 * sd - 2 * sn) * pn * qn:
             raise ParameterError("need 1/p + 1/(2q) <= (3-2s)/4")
         g_rough = one_d_growth_params("rough", s=s, q=q)
         kappa_crit = critical_weight(g_rough, p)
         if kappa_crit is None:
             raise ParameterError("no admissible critical weight for these (s,q,p)")
-        scale = SobolevScale(-1 - s, 1 - s, q)
+        scale = SobolevScale(Fraction(-sd - sn, sd), Fraction(sd - sn, sd), q)
         base = Setting(scale, p, kappa_crit)
         steps: list[BootstrapStep] = []
 
         current = base
-        if kappa_crit == 0:
+        if kappa_crit.numerator == 0:
+            # r_ins = 1/(phi1 - 1 + 1/p), with phi1 - 1 + 1/p > 0 at a
+            # zero critical weight
             phi1 = g_rough.f_terms[0].phi
-            r_ins = 1 / (phi1 - 1 + 1 / p)
+            fn, fd = phi1.numerator, phi1.denominator
+            r_ins = Fraction(fd * pn, (fn - fd) * pn + fd * pd)
             step_a = plan_weight_insertion(base, r_ins, Fraction(0), g_rough)
             steps.append(step_a)
             current = step_a.to_setting
-        r_hat = max(Fraction(12), 2 * current.p)
+        # r_hat = max(12, 2*p) at the current setting
+        cp = current.p
+        r_hat = (Fraction(2 * cp.numerator, cp.denominator)
+                 if cp.numerator > 6 * cp.denominator else Fraction(12))
         step_b = plan_time_bootstrap(current, r_hat, g_rough)
         steps.append(step_b)
 
@@ -650,16 +796,16 @@ def full_chain_1d(
         # integrability step goes to zeta = max(4, q)
         h_q = SobolevScale(Fraction(-1), Fraction(1), q)
         g_q = one_d_growth_params("lzeta", zeta=q)
-        h_big, g_big = (_H4, _G_L4) if q < 4 else (h_q, g_q)
-        recover = Setting(h_q, r_hat, r_hat * s / 2)
+        h_big, g_big = (_H4, _G_L4) if qn < 4 * qd else (h_q, g_q)
+        # recovery weight r_hat*s/2
+        recover = Setting(h_q, r_hat, Fraction(r_hat.numerator * sn,
+                                               2 * r_hat.denominator * sd))
         step_c = plan_space_bootstrap(step_b.to_setting, recover, g_q)
         steps.append(step_c)
 
-        alpha_mid = (r_hat / 4 + (r_hat / 2 - 1)) / 2
-        from_z = Setting(h_q, r_hat, alpha_mid)
-        to_z = Setting(h_big, r_hat, r_hat / 4)
-        step_z = plan_space_bootstrap(from_z, to_z, g_big)
+        step_z = _integrability_step(h_q, h_big, r_hat, g_big)
         steps.append(step_z)
+        to_z = step_z.to_setting
 
         rep = check_extrapolation(_ENERGY, to_z, base)
         if not rep.ok:

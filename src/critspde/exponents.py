@@ -237,7 +237,15 @@ class GrowthSpec:
 
     @property
     def max_phi(self) -> Fraction:
-        return max(t.phi for _, _, t in self.terms())
+        """max_j phi_j, the first maximal phi, compared by
+        cross-multiplication."""
+        best = None
+        for _, _, t in self.terms():
+            phi = t.phi
+            if best is None or (phi.numerator * best.denominator
+                                > best.numerator * phi.denominator):
+                best = phi
+        return best
 
 
 @dataclass(frozen=True)

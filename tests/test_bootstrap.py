@@ -199,6 +199,19 @@ def test_time_bootstrap_needs_larger_r():
         plan_time_bootstrap(reference_weighted(), F(4), g_l2(F(1, 5)))
 
 
+@pytest.mark.parametrize("r_hat", [F(3, 2), F(1), F(1, 7)])
+def test_time_bootstrap_below_two_is_a_failed_check(r_hat):
+    # the checks are validated before the target setting is built, so an
+    # r_hat in (0, 2) names the failed integrability_order instead of
+    # raising the Setting constructor's "p must be >= 2"
+    with pytest.raises(BootstrapError) as ei:
+        plan_time_bootstrap(Setting(H2, F(6), F(7, 5)), r_hat, g_l2(F(1, 5)))
+    failed = [c.name for c in ei.value.checks if not c.passed]
+    assert failed[0] == "integrability_order"
+    assert str(ei.value).startswith(
+        "time_bootstrap step rejected: integrability_order")
+
+
 def test_time_bootstrap_intermediate_strictly_subcritical():
     step = plan_time_bootstrap(reference_weighted(), F(12), g_l2(F(1, 5)))
     inter = [c for c in step.checks if c.name.endswith("@intermediate")
