@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
@@ -129,12 +130,22 @@ def test_ci_normal_at_thirty_paths():
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    traj = simulate_path(small_noise_cfg(dt=0.01, t_end=0.1), n_save=6)
-    path = tmp_path / "traj.csv"
-    save_trajectory_csv(traj, path)
-    times, states = load_trajectory_csv(path)
-    assert np.array_equal(times, traj.times)
-    assert np.array_equal(states, traj.states)
+    noisy = simulate_path(small_noise_cfg(dt=0.01, t_end=0.1), n_save=6)
+    states = noisy.states.copy()
+    states[2, 5] = -0.0
+    # initial data past the cap: the trajectory is its one initial row
+    stillborn = simulate_path(replace(heat(), u0=lambda x: 2.0 * np.cos(x),
+                                      blowup_cap=1.0))
+    assert stillborn.status == "blew_up" and stillborn.times.shape == (1,)
+    for k, traj in enumerate((replace(noisy, states=states), stillborn)):
+        path = tmp_path / f"traj_{k}.csv"
+        save_trajectory_csv(traj, path)
+        times, states = load_trajectory_csv(path)
+        # bits, not values: array_equal reads -0.0 == 0.0
+        assert times.view(np.uint64).tolist() \
+            == traj.times.view(np.uint64).tolist()
+        assert states.view(np.uint64).tolist() \
+            == traj.states.view(np.uint64).tolist()
 
 
 def test_survival_monotone_in_cap():
@@ -143,6 +154,95 @@ def test_survival_monotone_in_cap():
     hi = mc_run(EnsembleConfig(base=replace(base, blowup_cap=1e6), n_paths=3))
     assert lo.survival <= hi.survival
     assert lo.survival == 0.0 and hi.survival == 1.0
+
+
+# --- path CSV writers -----------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="needs os.fork")
+
+
+def blowup_ensemble(outdir, n_paths):
+    # experiment_global's h=2, scale=3 coefficient on the sublinear base:
+    # paths 0 and 2 blow up early, so their CSVs are shorter
+    base = sublinear_global()
+    wired = replace(base.nonlinearity, g=lambda y: 3.0 * np.abs(y) ** 2)
+    return EnsembleConfig(base=replace(base, nonlinearity=wired, t_end=0.25,
+                                       seed=3),
+                          n_paths=n_paths, outdir=str(outdir))
+
+
+def force_writers(monkeypatch, w):
+    monkeypatch.setattr(harness, "_csv_writers",
+                        lambda n_files, n_values: w)
+
+
+@pytest.mark.parametrize("n_paths", [4, 5])
+def test_forked_writers_write_the_serial_bytes(n_paths, tmp_path,
+                                               monkeypatch):
+    # 4 or 5 files split unevenly over 3 writers give the bytes of 1 writer
+    counts = (1, 2, 3) if hasattr(os, "fork") else (1,)
+    written = []
+    for w in counts:
+        force_writers(monkeypatch, w)
+        trajs = run_ensemble(blowup_ensemble(tmp_path / f"w{w}", n_paths))
+        directory = tmp_path / f"w{w}" / "ensemble"
+        written.append({f.name: f.read_bytes() for f in directory.iterdir()})
+    assert [t.completed for t in trajs][:3] == [False, True, False]
+    assert len({t.times.size for t in trajs}) > 1
+    assert sorted(written[0]) == [f"path_{i}.csv" for i in range(n_paths)]
+    assert all(files == written[0] for files in written)
+
+
+def test_writer_count_follows_the_output_size(tmp_path, monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    per_worker = harness._MIN_VALUES_PER_WORKER
+    assert harness._csv_writers(18, 18 * 2 * 65) == 1
+    assert harness._csv_writers(1, 100 * per_worker) == 1
+    assert harness._csv_writers(8, per_worker - 1) == 1
+    if hasattr(os, "fork"):
+        assert harness._csv_writers(8, 8 * 257 * 129) == min(cpus, 8)
+        assert harness._csv_writers(8, 2 * per_worker) == min(cpus, 2)
+
+    # an 18-path, two-snapshot ensemble forks nothing
+    def no_fork():
+        raise AssertionError("forked for a small output")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    run_ensemble(EnsembleConfig(base=small_noise_cfg(), n_paths=18,
+                                n_save=2, outdir=str(tmp_path)))
+    assert len(list((tmp_path / "ensemble").iterdir())) == 18
+
+
+@needs_fork
+def test_failed_child_writer_raises(tmp_path, monkeypatch, capfd):
+    # writer 1 of 3 takes paths 1 and 4; a directory squats on path 1
+    force_writers(monkeypatch, 3)
+    directory = tmp_path / "ensemble"
+    (directory / "path_1.csv").mkdir(parents=True)
+    with pytest.raises(OSError, match="path_1.csv, .*path_4.csv") as err:
+        run_ensemble(blowup_ensemble(tmp_path, 5))
+    assert type(err.value) is OSError
+    assert "IsADirectoryError" in capfd.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert all((directory / f"path_{i}.csv").is_file() for i in (0, 2, 3))
+
+
+@needs_fork
+def test_failed_parent_share_raises_its_own_error(tmp_path, monkeypatch):
+    force_writers(monkeypatch, 3)
+    directory = tmp_path / "ensemble"
+    (directory / "path_0.csv").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError, match="path_0.csv"):
+        run_ensemble(blowup_ensemble(tmp_path, 5))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # the children wrote their shares before they were reaped
+    assert all((directory / f"path_{i}.csv").is_file() for i in (1, 2, 4))
 
 
 # --- energy experiment ----------------------------------------------------------------
