@@ -14,7 +14,7 @@ import os
 import traceback
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
@@ -87,10 +87,12 @@ def save_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 # Each forked writer must have at least this many values to format.  On a
 # 2-CPU Xeon VM (py3.11, numpy 2.4) an os.fork plus its os.waitpid took
-# 2.6-2.8 ms, also with 100 MB of arrays resident, and '%.17g' formats a
-# value in 0.55-0.6 us, so 2**15 values (about 18 ms) cost at least 6x a
-# fork.  An 18-path ensemble of two snapshots at n = 64 (2.3k values) stays
-# serial; the 8-path regularity ensemble (265k values) takes two writers.
+# 2.6-6.4 ms, with or without 100 MB of arrays resident, and '%.17g'
+# formatted a value in 0.55-1.4 us, as the host's speed swung; measured
+# together, formatting 2**15 values (18-46 ms) took at least 6x a fork.
+# An 18-path ensemble of two snapshots at n = 64 (2.3k values) stays
+# serial; 8 regularity paths of 257 snapshots at n = 128 (265k values)
+# take two writers on two CPUs.
 _MIN_VALUES_PER_WORKER = 1 << 15
 
 
@@ -105,8 +107,12 @@ def _csv_writers(n_files: int, n_values: int) -> int:
     return max(1, min(cpus, n_files, n_values // _MIN_VALUES_PER_WORKER))
 
 
-def _write_share(jobs: List[Tuple[Trajectory, Path]]) -> None:
-    """A forked writer's share; it never returns into the caller's code."""
+def _write_share(jobs: List[Tuple[Trajectory, Path]]) -> NoReturn:
+    """A forked writer's share; it never returns into the caller's code.
+
+    It only copies arrays, formats text and writes files, so it takes no
+    lock that another thread of the parent could have held at the fork.
+    """
     code = 1
     try:
         for traj, path in jobs:

@@ -140,11 +140,11 @@ def test_trajectory_csv_round_trip(tmp_path):
     for k, traj in enumerate((replace(noisy, states=states), stillborn)):
         path = tmp_path / f"traj_{k}.csv"
         save_trajectory_csv(traj, path)
-        times, states = load_trajectory_csv(path)
+        read_times, read_states = load_trajectory_csv(path)
         # bits, not values: array_equal reads -0.0 == 0.0
-        assert times.view(np.uint64).tolist() \
+        assert read_times.view(np.uint64).tolist() \
             == traj.times.view(np.uint64).tolist()
-        assert states.view(np.uint64).tolist() \
+        assert read_states.view(np.uint64).tolist() \
             == traj.states.view(np.uint64).tolist()
 
 
