@@ -10,6 +10,8 @@ rational witnesses; a step is only emitted when all checks pass.
 Space comparisons on the 1-torus reduce to index arithmetic: smoothness
 minus 1/q, with strict inequalities everywhere except the same-scale Besov
 comparison at equal indices (secondary index ordering decides there).
+The planner holds each space as the integer parts of its indices and
+builds no SpaceDescriptor.
 
 As in `exponents`, the planner computes from the integer numerators and
 denominators of its Fraction inputs (denominators are positive, so a
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from math import gcd
 from typing import Optional
 
 from .exponents import (
@@ -33,6 +35,7 @@ from .exponents import (
     Setting,
     SobolevScale,
     _jsonable,
+    _trace_smoothness,
     as_fraction,
     critical_weight,
     one_d_growth_params,
@@ -49,6 +52,16 @@ class BootstrapError(ParameterError):
         self.checks = checks
 
 
+# Inside the planner a space is the tuple of its normalized integer parts
+# (kind, sn, sd, qn, qd, secondary): kind "bessel" or "besov", smoothness
+# sn/sd and integrability qn/qd in lowest terms with sd, qd > 0, and
+# secondary None or the pair (an, ad), in lowest terms with ad > 0.  These
+# are the parts the Fractions of a SpaceDescriptor hold, so two equal
+# spaces have equal tuples.  The comparison, the label and the Sobolev index
+# are computed on them alone: embeds, label and sobolev_index take a
+# SpaceDescriptor or its parts, and a plan builds no SpaceDescriptor.
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """A Bessel-potential or Besov space on the 1-torus."""
@@ -61,29 +74,113 @@ class SpaceDescriptor:
     def __post_init__(self) -> None:
         if self.kind not in ("bessel", "besov"):
             raise ParameterError(f"unknown space kind {self.kind!r}")
-        object.__setattr__(self, "smoothness", as_fraction(self.smoothness))
-        object.__setattr__(self, "q", as_fraction(self.q))
+        if not isinstance(self.smoothness, Fraction):
+            object.__setattr__(self, "smoothness", as_fraction(self.smoothness))
+        if not isinstance(self.q, Fraction):
+            object.__setattr__(self, "q", as_fraction(self.q))
         if not self.q.numerator > 0:
             raise ParameterError("space integrability q must be positive")
-        if self.secondary is not None:
-            object.__setattr__(self, "secondary", as_fraction(self.secondary))
+        a = self.secondary
+        if a is not None and not isinstance(a, Fraction):
+            object.__setattr__(self, "secondary", as_fraction(a))
 
-    @cached_property
+    @property
+    def parts(self) -> tuple:
+        """The space as (kind, sn, sd, qn, qd, secondary) integer parts."""
+        sm, q, a = self.smoothness, self.q, self.secondary
+        return (self.kind, sm.numerator, sm.denominator, q.numerator,
+                q.denominator, None if a is None else (a.numerator,
+                                                       a.denominator))
+
+    @property
     def sobolev_index(self) -> Fraction:
         """smoothness - 1/q, which orders spaces of different
-        integrability; built once, on first read, from _index_parts."""
-        return Fraction(*self._index_parts())
-
-    def _index_parts(self) -> tuple[int, int]:
-        """Integer parts (n, d), d > 0, of smoothness - 1/q."""
-        sm, q = self.smoothness, self.q
-        return (sm.numerator * q.numerator - sm.denominator * q.denominator,
-                sm.denominator * q.numerator)
+        integrability."""
+        return sobolev_index(self)
 
     def label(self) -> str:
-        if self.kind == "bessel":
-            return f"H^{{{self.smoothness},{self.q}}}"
-        return f"B^{{{self.smoothness}}}_{{{self.q},{self.secondary}}}"
+        return label(self)
+
+
+def _parts(space) -> tuple:
+    """The integer parts of a SpaceDescriptor, or space itself when it is
+    parts already."""
+    return space.parts if isinstance(space, SpaceDescriptor) else space
+
+
+def label(space) -> str:
+    """H^{s,q} or B^{s}_{q,secondary} of a SpaceDescriptor or its parts."""
+    return _label(_parts(space))
+
+
+def sobolev_index(space) -> Fraction:
+    """The Sobolev index smoothness - 1/q of a SpaceDescriptor or its
+    parts."""
+    return Fraction(*_index(_parts(space)))
+
+
+def _text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) of n/d in lowest terms, d > 0."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _label(space: tuple) -> str:
+    """H^{s,q} or B^{s}_{q,secondary} of a space's parts, with each index
+    written as str of its Fraction (None for a missing secondary)."""
+    kind, sn, sd, qn, qd, a = space
+    if kind == "bessel":
+        return f"H^{{{_text(sn, sd)},{_text(qn, qd)}}}"
+    sec = "None" if a is None else _text(*a)
+    return f"B^{{{_text(sn, sd)}}}_{{{_text(qn, qd)},{sec}}}"
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d, d > 0, in lowest terms: the parts of Fraction(n, d)."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _index(space: tuple) -> tuple[int, int]:
+    """Integer parts (n, d), d > 0, of a space's Sobolev index
+    smoothness - 1/q, which orders spaces of different integrability."""
+    _, sn, sd, qn, qd, _ = space
+    return sn * qn - sd * qd, sd * qn
+
+
+def _bessel(sm: Fraction, q: Fraction) -> tuple:
+    """The parts of the Bessel space H^{sm,q}."""
+    return ("bessel", sm.numerator, sm.denominator, q.numerator,
+            q.denominator, None)
+
+
+def _bessel_between(scale: SobolevScale, tn: int, td: int) -> tuple:
+    """The parts of bessel_at(scale, tn/td), td > 0: smoothness
+    low + theta*gap."""
+    low, gap, q = scale.low, scale.gap, scale.q
+    ln, ld = low.numerator, low.denominator
+    n, d = _reduced(ln * td * gap.denominator + tn * gap.numerator * ld,
+                    ld * td * gap.denominator)
+    return ("bessel", n, d, q.numerator, q.denominator, None)
+
+
+def _trace(s: Setting, cn: int, cd: int) -> tuple:
+    """The parts of the Besov trace space of s's scale at weight index
+    c = cn/cd, cd > 0: smoothness high - gap*c, secondary index p."""
+    q, p = s.scale.q, s.p
+    n, d = _reduced(*_trace_smoothness(s.scale, cn, cd))
+    return ("besov", n, d, q.numerator, q.denominator,
+            (p.numerator, p.denominator))
+
+
+def _weighted_trace(s: Setting) -> tuple:
+    """The parts of weighted_trace(s): the trace at s's weight index."""
+    c = s.weight_index
+    return _trace(s, c.numerator, c.denominator)
+
+
+def _unweighted_trace(s: Setting) -> tuple:
+    """The parts of unweighted_trace(s): the trace at weight index 1/p."""
+    return _trace(s, s.p.denominator, s.p.numerator)
 
 
 def bessel_at(scale: SobolevScale, theta: Rational) -> SpaceDescriptor:
@@ -94,78 +191,57 @@ def besov_descriptor(b: BesovDescriptor) -> SpaceDescriptor:
     return SpaceDescriptor("besov", b.smoothness, b.q, b.p)
 
 
-def _bessel_at_parts(scale: SobolevScale, tn: int,
-                     td: int) -> SpaceDescriptor:
-    """bessel_at(scale, tn/td), td > 0: its smoothness low + theta*gap is
-    built once from the integer parts."""
-    gap = scale.gap
-    return SpaceDescriptor(
-        "bessel", _plus(scale.low, tn * gap.numerator, td * gap.denominator),
-        scale.q)
-
-
-def _plus(x: Fraction, n: int, d: int) -> Fraction:
-    """x + n/d, d > 0, built once from the integer parts."""
-    xn, xd = x.numerator, x.denominator
-    return Fraction(xn * d + n * xd, xd * d)
-
-
 def unweighted_trace(s: Setting) -> SpaceDescriptor:
     """Data space of the same setting with the weight dropped: smoothness
-    high - gap/p, built once from the integer parts."""
-    high, gap, p = s.scale.high, s.scale.gap, s.p
-    hn, hd = high.numerator, high.denominator
-    gn, gd = gap.numerator, gap.denominator
-    pn, pd = p.numerator, p.denominator
-    return SpaceDescriptor(
-        "besov", Fraction(hn * gd * pn - gn * pd * hd, hd * gd * pn),
-        s.scale.q, p)
+    high - gap/p."""
+    _, n, d, _, _, _ = _unweighted_trace(s)
+    return SpaceDescriptor("besov", Fraction(n, d), s.scale.q, s.p)
 
 
 def weighted_trace(s: Setting) -> SpaceDescriptor:
     return besov_descriptor(trace_space(s))
 
 
-def embeds(src: SpaceDescriptor, dst: SpaceDescriptor) -> bool:
-    """Continuous inclusion src -> dst on the 1-torus, by index arithmetic.
+def embeds(src, dst) -> bool:
+    """Continuous inclusion src -> dst on the 1-torus, by index arithmetic;
+    each of src and dst is a SpaceDescriptor or its parts.
 
     Strict inequalities only, with one exception: a Besov-to-Besov
     comparison at equal Sobolev indices passes when the secondary indices
     are ordered.  Cross-kind comparisons at equal smoothness fail (no
     inclusion either way in general).
     """
-    # src == dst, and each Fraction comparison below, on the integer parts
-    # of src's smoothness sn/sd and integrability qn/qd and of dst's
-    # smoothness tn/td and integrability un/ud
-    sn, sd = src.smoothness.numerator, src.smoothness.denominator
-    tn, td = dst.smoothness.numerator, dst.smoothness.denominator
-    qn, qd = src.q.numerator, src.q.denominator
-    un, ud = dst.q.numerator, dst.q.denominator
-    a, b = src.secondary, dst.secondary
-    if (src.kind == dst.kind and sn == tn and sd == td and qn == un
-            and qd == ud and (a is b or (
-                a is not None and b is not None
-                and a.numerator == b.numerator
-                and a.denominator == b.denominator))):
+    src, dst = _parts(src), _parts(dst)
+    if src == dst:  # normalized parts: equal spaces, equal tuples
         return True
+    # each Fraction comparison on the integer parts of src's smoothness
+    # sn/sd and integrability qn/qd and of dst's tn/td and un/ud
+    kind, sn, sd, qn, qd, a = src
+    dst_kind, tn, td, un, ud, b = dst
     if un * qd > qn * ud:  # dst.q > src.q: compare the Sobolev indices
-        xn, xd = src._index_parts()
-        yn, yd = dst._index_parts()
+        xn, xd = _index(src)
+        yn, yd = _index(dst)
         if xn * yd > yn * xd:
             return True
-        return (xn * yd == yn * xd and src.kind == "besov"
-                and dst.kind == "besov" and _secondary_le(a, b))
+        return (xn * yd == yn * xd and kind == "besov"
+                and dst_kind == "besov" and _secondary_le(a, b))
     if sn * td > tn * sd:
         return True
-    if sn * td == tn * sd and src.kind == dst.kind:
-        return src.kind == "bessel" or _secondary_le(a, b)
+    if sn * td == tn * sd and kind == dst_kind:
+        return kind == "bessel" or _secondary_le(a, b)
     return False
 
 
-def _secondary_le(a: Optional[Fraction], b: Optional[Fraction]) -> bool:
+def _secondary_le(a: Optional[tuple[int, int]],
+                  b: Optional[tuple[int, int]]) -> bool:
     """Both secondary indices given and a <= b, by cross-multiplication."""
-    return (a is not None and b is not None
-            and a.numerator * b.denominator <= b.numerator * a.denominator)
+    return a is not None and b is not None and a[0] * b[1] <= b[0] * a[1]
+
+
+def _plus(x: Fraction, n: int, d: int) -> Fraction:
+    """x + n/d, d > 0, built once from the integer parts."""
+    xn, xd = x.numerator, x.denominator
+    return Fraction(xn * d + n * xd, xd * d)
 
 
 @dataclass(frozen=True)
@@ -210,11 +286,11 @@ def _passed(rule: str, checks) -> tuple[BootstrapCheck, ...]:
     return checks
 
 
-def _embedding_check(name: str, src: SpaceDescriptor, dst: SpaceDescriptor,
+def _embedding_check(name: str, src: tuple, dst: tuple,
                      **witness) -> BootstrapCheck:
-    """The check that src embeds in dst, witnessed by both labels and any
-    further witness entries."""
-    src_label, dst_label = src.label(), dst.label()
+    """The check that the space with parts src embeds in the one with parts
+    dst, witnessed by both labels and any further witness entries."""
+    src_label, dst_label = _label(src), _label(dst)
     return BootstrapCheck(name, f"{src_label} embeds in {dst_label}",
                           embeds(src, dst),
                           {"src": src_label, "dst": dst_label, **witness})
@@ -533,19 +609,20 @@ def plan_space_bootstrap(
     if not same_gap:
         _passed("space_bootstrap", checks)  # raises on the failed scale_gap
 
-    to_low, to_high = bessel_at(ts.scale, 0), bessel_at(ts.scale, 1)
-    from_low, from_high = bessel_at(fs.scale, 0), bessel_at(fs.scale, 1)
+    fsc, tsc = fs.scale, ts.scale
+    to_low, to_high = _bessel(tsc.low, tsc.q), _bessel(tsc.high, tsc.q)
+    from_low, from_high = _bessel(fsc.low, fsc.q), _bessel(fsc.high, fsc.q)
     checks.append(_embedding_check("scale_component[0]", to_low, from_low))
     checks.append(_embedding_check("scale_component[1]", to_high, from_high))
 
-    tr_src = unweighted_trace(fs)
-    tr_dst = weighted_trace(ts)
+    tr_src = _unweighted_trace(fs)
+    tr_dst = _weighted_trace(ts)
     checks.append(_embedding_check(
         "trace_embedding", tr_src, tr_dst,
-        src_index=tr_src.sobolev_index, dst_index=tr_dst.sobolev_index))
+        src_index=sobolev_index(tr_src), dst_index=sobolev_index(tr_dst)))
 
     # shift = en/ed = (to.low - from.low)/gap, with gap > 0
-    low, to_lo = fs.scale.low, ts.scale.low
+    low, to_lo = fsc.low, tsc.low
     en = (to_lo.numerator * low.denominator
           - low.numerator * to_lo.denominator) * gd
     ed = to_lo.denominator * low.denominator * gn
@@ -565,10 +642,10 @@ def plan_space_bootstrap(
     if case in (3, 4):
         # provisos of the shifted-scale cases
         checks.append(_embedding_check("shift_proviso_high",
-                                       _bessel_at_parts(ts.scale, ed - en, ed),
+                                       _bessel_between(tsc, ed - en, ed),
                                        from_high))
         checks.append(_embedding_check("shift_proviso_low", to_low,
-                                       _bessel_at_parts(fs.scale, en, ed)))
+                                       _bessel_between(fsc, en, ed)))
 
     ln, ld = lo_to.numerator, lo_to.denominator
     lifted = []
@@ -660,16 +737,19 @@ def check_extrapolation(
         )
     )
     checks.append(_embedding_check("trace_embedding",
-                                   weighted_trace(via_setting),
-                                   weighted_trace(base_X)))
+                                   _weighted_trace(via_setting),
+                                   _weighted_trace(base_X)))
+    via, energy = via_setting.scale, from_Y.scale
+    via_high = _bessel(via.high, via.q)
     kn, kd = base_X.kappa.numerator, base_X.kappa.denominator
     checks.append(_embedding_check(
-        "top_space_embedding", bessel_at(via_setting.scale, 1),
-        _bessel_at_parts(base_X.scale, kd * pn - kn * pd, kd * pn)))
-    for i in (0, 1):
-        checks.append(_embedding_check(f"energy_component[{i}]",
-                                       bessel_at(via_setting.scale, i),
-                                       bessel_at(from_Y.scale, i)))
+        "top_space_embedding", via_high,
+        _bessel_between(base_X.scale, kd * pn - kn * pd, kd * pn)))
+    checks.append(_embedding_check("energy_component[0]",
+                                   _bessel(via.low, via.q),
+                                   _bessel(energy.low, energy.q)))
+    checks.append(_embedding_check("energy_component[1]", via_high,
+                                   _bessel(energy.high, energy.q)))
     if rn == 2 * rd:
         note = ("energy branch r = 2: continuity into the midpoint space and "
                 "a local L2 bound at the top of the scale are the inputs")
@@ -829,7 +909,8 @@ def chain_composition_ok(chain: BootstrapChain) -> bool:
     for a, b in zip(chain.steps, chain.steps[1:]):
         if b.rule == "extrapolation":
             continue  # the report step points back to the base setting
-        if not embeds(weighted_trace(a.to_setting), weighted_trace(b.from_setting)):
+        if not embeds(_weighted_trace(a.to_setting),
+                      _weighted_trace(b.from_setting)):
             return False
     return True
 

@@ -59,7 +59,25 @@ def is_exact(x: Rational) -> bool:
 
 
 def _any_inexact(*xs: Rational) -> bool:
-    return any(not is_exact(x) for x in xs)
+    for x in xs:
+        if not is_exact(x):
+            return True
+    return False
+
+
+def _exact_fields(obj, names: tuple[str, ...], inexact: bool) -> list:
+    """The named fields of the frozen dataclass obj, each stored back as
+    as_fraction(field), in order; obj.inexact is stored as bool(obj.inexact),
+    or inexact, or whether any of the fields was inexact.  The constructors
+    take this path unless every field is a Fraction and the flag already
+    holds its value, when there is nothing to store."""
+    vals = [getattr(obj, name) for name in names]
+    inexact = inexact or _any_inexact(*vals)
+    vals = [as_fraction(v) for v in vals]
+    for name, v in zip(names, vals):
+        object.__setattr__(obj, name, v)
+    object.__setattr__(obj, "inexact", bool(obj.inexact) or inexact)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -77,16 +95,15 @@ class SobolevScale:
     inexact: bool = False
 
     def __post_init__(self) -> None:
-        inexact = _any_inexact(self.low, self.high, self.q)
-        object.__setattr__(self, "low", as_fraction(self.low))
-        object.__setattr__(self, "high", as_fraction(self.high))
-        object.__setattr__(self, "q", as_fraction(self.q))
-        object.__setattr__(self, "inexact", bool(self.inexact) or inexact)
-        ln, ld = self.low.numerator, self.low.denominator
-        hn, hd = self.high.numerator, self.high.denominator
+        low, high, q = self.low, self.high, self.q
+        if not (type(self.inexact) is bool and isinstance(low, Fraction)
+                and isinstance(high, Fraction) and isinstance(q, Fraction)):
+            low, high, q = _exact_fields(self, ("low", "high", "q"), False)
+        ln, ld = low.numerator, low.denominator
+        hn, hd = high.numerator, high.denominator
         if not hn * ld > ln * hd:
             raise ParameterError("scale needs high > low smoothness")
-        if not self.q.numerator > self.q.denominator:
+        if not q.numerator > q.denominator:
             raise ParameterError("scale integrability must exceed 1")
         # gap == high - low
         object.__setattr__(self, "gap", Fraction(hn * ld - ln * hd, hd * ld))
@@ -126,12 +143,13 @@ class Setting:
     inexact: bool = False
 
     def __post_init__(self) -> None:
-        inexact = self.scale.inexact or _any_inexact(self.p, self.kappa)
-        object.__setattr__(self, "p", as_fraction(self.p))
-        object.__setattr__(self, "kappa", as_fraction(self.kappa))
-        object.__setattr__(self, "inexact", bool(self.inexact) or inexact)
-        pn, pd = self.p.numerator, self.p.denominator
-        kn, kd = self.kappa.numerator, self.kappa.denominator
+        scale_inexact, flag = self.scale.inexact, self.inexact
+        p, kappa = self.p, self.kappa
+        if not (type(flag) is bool and (flag or not scale_inexact)
+                and isinstance(p, Fraction) and isinstance(kappa, Fraction)):
+            p, kappa = _exact_fields(self, ("p", "kappa"), scale_inexact)
+        pn, pd = p.numerator, p.denominator
+        kn, kd = kappa.numerator, kappa.denominator
         if pn < 2 * pd:
             raise ParameterError("time integrability p must be >= 2")
         # c = cn/cd == (1+kappa)/p, with cd > 0 as p >= 2
@@ -168,15 +186,14 @@ class GrowthTerm:
     inexact: bool = False
 
     def __post_init__(self) -> None:
-        inexact = _any_inexact(self.rho, self.phi, self.beta)
-        object.__setattr__(self, "rho", as_fraction(self.rho))
-        object.__setattr__(self, "phi", as_fraction(self.phi))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        object.__setattr__(self, "inexact", bool(self.inexact) or inexact)
-        if self.rho.numerator < 0:
+        rho, phi, beta = self.rho, self.phi, self.beta
+        if not (type(self.inexact) is bool and isinstance(rho, Fraction)
+                and isinstance(phi, Fraction) and isinstance(beta, Fraction)):
+            rho, phi, beta = _exact_fields(self, ("rho", "phi", "beta"), False)
+        if rho.numerator < 0:
             raise ParameterError("growth power rho must be >= 0")
-        fn, fd = self.phi.numerator, self.phi.denominator
-        bn, bd = self.beta.numerator, self.beta.denominator
+        fn, fd = phi.numerator, phi.denominator
+        bn, bd = beta.numerator, beta.denominator
         object.__setattr__(self, "ordered", bn * fd <= fn * bd and fn < fd)
 
     @cached_property
@@ -264,12 +281,18 @@ def trace_space(s: Setting) -> BesovDescriptor:
     smoothness high - (high-low)*(1+kappa)/p, secondary index p.  The
     smoothness is high - gap*c, built once from the integer parts.
     """
-    scale, c = s.scale, s.weight_index
+    c = s.weight_index
+    sm = Fraction(*_trace_smoothness(s.scale, c.numerator, c.denominator))
+    return BesovDescriptor(smoothness=sm, q=s.scale.q, p=s.p)
+
+
+def _trace_smoothness(scale: SobolevScale, cn: int,
+                      cd: int) -> tuple[int, int]:
+    """Integer parts (n, d), d > 0, of high - gap*c at c = cn/cd, cd > 0:
+    the smoothness of the scale's trace space at weight index c."""
     hn, hd = scale.high.numerator, scale.high.denominator
     gn, gd = scale.gap.numerator, scale.gap.denominator
-    cn, cd = c.numerator, c.denominator
-    sm = Fraction(hn * gd * cd - gn * cn * hd, hd * gd * cd)
-    return BesovDescriptor(smoothness=sm, q=scale.q, p=s.p)
+    return hn * gd * cd - gn * cn * hd, hd * gd * cd
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,25 @@ def _loglog_slope(lags: np.ndarray, vals: np.ndarray) -> Tuple[float, float]:
     return float(slope), r2
 
 
+def _row_medians(a: np.ndarray) -> np.ndarray:
+    """np.median(a, axis=1) of a 2-d float array with at least one column,
+    with its bits and its NaN for a row that holds one, computed as numpy
+    does: a partition at the middle index (or the two middle indices, whose
+    mean is (a + b)/2) and at the last, where a NaN sorts.  np.median
+    itself imports numpy.ma on its first call."""
+    n = a.shape[1]
+    half = n // 2
+    part = np.partition(a, [half - 1, half, -1] if n % 2 == 0 else [half, -1],
+                        axis=1)
+    if n % 2:
+        med = part[:, half].copy()
+    else:
+        med = (part[:, half - 1] + part[:, half]) / 2.0
+    last = part[:, -1]
+    np.copyto(med, last, where=np.isnan(last))
+    return med
+
+
 def hoelder_estimate(traj: Trajectory, t0: Optional[float] = None) -> HoelderFit:
     """Empirical time and space Hoelder exponents from saved snapshots.
 
@@ -337,7 +356,7 @@ def hoelder_estimate(traj: Trajectory, t0: Optional[float] = None) -> HoelderFit
     lag_dt = []
     for m in lags:
         diffs = np.abs(block[m:] - block[:-m])
-        d_time.append(float(np.mean(np.median(diffs, axis=1))))
+        d_time.append(float(np.mean(_row_medians(diffs))))
         lag_dt.append(float(np.mean(block_times[m:] - block_times[:-m])))
     slope_t, r2_t = _loglog_slope(np.array(lag_dt), np.array(d_time))
 
@@ -353,7 +372,7 @@ def hoelder_estimate(traj: Trajectory, t0: Optional[float] = None) -> HoelderFit
     d_space = []
     for h in shifts:
         diffs = np.abs(np.roll(sub, -h, axis=1) - sub)
-        d_space.append(float(np.mean(np.median(diffs, axis=1))))
+        d_space.append(float(np.mean(_row_medians(diffs))))
     slope_x, r2_x = _loglog_slope(
         TWO_PI * np.array(shifts) / n, np.array(d_space))
 

@@ -371,10 +371,20 @@ class SpectralStepper:
         and noise_increments(); the drift spectrum is None without a flux
         and the noise spectrum None without noise."""
         f_hat, g_hat = self._spectra(fu, gu, dw)
-        incr = u_hat if f_hat is None else u_hat + self.dt * f_hat
-        if g_hat is not None:
-            incr = incr + g_hat
-        return incr * self.linear, f_hat, g_hat
+        # (u_hat + dt*f_hat + g_hat) * linear, summed in place in one fresh
+        # array: addition commutes, so dt*f_hat + u_hat has u_hat + dt*f_hat's
+        # bits
+        if f_hat is not None:
+            nxt = self.dt * f_hat
+            nxt += u_hat
+            if g_hat is not None:
+                nxt += g_hat
+        elif g_hat is not None:
+            nxt = u_hat + g_hat
+        else:
+            return u_hat * self.linear, f_hat, g_hat
+        nxt *= self.linear
+        return nxt, f_hat, g_hat
 
     def advance(self, u_hat: np.ndarray, values: np.ndarray,
                 xi: Optional[np.ndarray], t: float):
@@ -424,7 +434,13 @@ def _save_indices(n_steps: int, n_save: Optional[int]) -> np.ndarray:
         return np.arange(n_steps + 1)
     if n_save < 2:
         raise ParameterError("need at least two snapshots")
-    return np.unique(np.round(np.linspace(0, n_steps, n_save)).astype(int))
+    # the rounded grid is sorted, so its distinct values are the first of
+    # each run: np.unique's result, without np.unique's numpy.ma import
+    idx = np.round(np.linspace(0, n_steps, n_save)).astype(int)
+    first = np.empty(idx.size, dtype=bool)
+    first[0] = True
+    np.not_equal(idx[1:], idx[:-1], out=first[1:])
+    return idx[first]
 
 
 def _path_stream(seed: int) -> np.random.Generator:

@@ -7,6 +7,7 @@ would otherwise show only when such a run is made.
 """
 
 import importlib
+from fractions import Fraction as F
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -50,14 +51,18 @@ def test_stage_probe_runs(monkeypatch):
 
 def test_traced_counters_see_a_plan(monkeypatch):
     # the planner reaches embeds through the module attribute the bench
-    # rebinds, so a traced pass counts a plan's embedding checks
+    # rebinds, so a traced pass counts a plan's embedding checks: 8 in an
+    # L2_start plan and 12 in a rough one
     layers = bench_module("layers", monkeypatch)
     tracing = bench_module("tracing", monkeypatch)
     from critspde import bootstrap
 
-    tracer = tracing.Tracer()
-    layers.install_hooks(tracer)
-    with tracer.installed(0):
-        bootstrap.full_chain_1d("L2_start")
-    assert tracer.counters["bootstrap.plans"] == 1
-    assert tracer.counters["bootstrap.embeds"] == 8
+    for variant, kwargs, embeds_calls in (
+            ("L2_start", {}, 8),
+            ("rough", {"s": F(1, 5), "q": F(5, 2), "p": F(4)}, 12)):
+        tracer = tracing.Tracer()
+        layers.install_hooks(tracer)
+        with tracer.installed(0):
+            bootstrap.full_chain_1d(variant, **kwargs)
+        assert tracer.counters["bootstrap.plans"] == 1
+        assert tracer.counters["bootstrap.embeds"] == embeds_calls

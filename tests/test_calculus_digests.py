@@ -4,7 +4,8 @@ Each group below hashes, with sha256, the reprs and JSON of a seeded batch
 of calculus outputs; the pinned digests were recorded before the calculus
 stored its derived values at construction, so any change to a value, a
 repr, a JSON encoding or an error message shows as a changed digest.  The
-Fraction operations of a draw and of a chain plan are counted, not timed.
+Fraction operations of a draw and of a chain plan, and the Fractions and
+SpaceDescriptors a plan builds, are counted, not timed.
 """
 import hashlib
 import json
@@ -16,6 +17,7 @@ import pytest
 from critspde.acceptance import _random_setting_and_term
 from critspde.bootstrap import (
     BootstrapError,
+    SpaceDescriptor,
     chain_to_dict,
     check_extrapolation,
     full_chain_1d,
@@ -238,3 +240,35 @@ def test_fraction_operations_per_call(call, arithmetic, comparisons,
             monkeypatch.setattr(F, name, counted(getattr(F, name), kind))
     call()
     assert calls == {"arithmetic": arithmetic, "comparisons": comparisons}
+
+
+ROUGH = {"s": F(1, 5), "q": F(5, 2), "p": F(4)}
+
+
+# before the planner worked on spaces as integer parts, a plan built 14
+# (L2_start) and 22 (rough) SpaceDescriptors and 63 and 68 Fractions; the
+# Fractions left are its witnesses, params and settings, and the derived
+# values the settings, scales and growth terms store
+@pytest.mark.parametrize("variant, kwargs, descriptors, fractions", [
+    ("L2_start", {}, 0, 57),
+    ("rough", ROUGH, 0, 59),
+], ids=["L2_start", "rough"])
+def test_constructions_per_plan(variant, kwargs, descriptors, fractions,
+                                monkeypatch):
+    full_chain_1d(variant, **kwargs)
+    built = {"descriptors": 0, "fractions": 0}
+    new, post_init = F.__new__, SpaceDescriptor.__post_init__
+
+    def counted_new(cls, *args, **kw):
+        built["fractions"] += 1
+        return new(cls, *args, **kw)
+
+    def counted_post_init(self):
+        built["descriptors"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(F, "__new__", counted_new)
+    monkeypatch.setattr(SpaceDescriptor, "__post_init__", counted_post_init)
+    full_chain_1d(variant, **kwargs)
+    monkeypatch.undo()
+    assert built == {"descriptors": descriptors, "fractions": fractions}

@@ -7,13 +7,17 @@ equals.  Here each output is compared, with == and as a Fraction, against
 that formula written out on Fractions, on bounded random rationals that
 reach inadmissible values too, with explicit examples where a comparison
 switches; the errors are compared by type and message, and each planner
-check's verdict with the same comparison made on Fractions.  Criterion 3's
+check's verdict with the same comparison made on Fractions.  The
+planner's spaces, tuples of integer parts, are checked to be in lowest
+terms and to label, index and compare as their SpaceDescriptors do, each
+label against one written with str of each Fraction.  Criterion 3's
 draw generator, built from integer parts, is compared with the Fraction
 generator it replaced on all 10^4 of its draws.
 """
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,14 +26,22 @@ from critspde.acceptance import _H2, _random_setting_and_term
 from critspde.bootstrap import (
     BootstrapError,
     SpaceDescriptor,
+    _bessel,
+    _bessel_between,
+    _unweighted_trace,
+    _weighted_trace,
+    bessel_at,
     check_extrapolation,
     emb_condition,
     embeds,
     full_chain_1d,
+    label,
     plan_space_bootstrap,
     plan_time_bootstrap,
     plan_weight_insertion,
+    sobolev_index,
     unweighted_trace,
+    weighted_trace,
 )
 from critspde.exponents import (
     GrowthSpec,
@@ -514,16 +526,84 @@ def space_pairs(draw):
 @example((bessel(F(1, 2), F(2)), bessel(F(1, 2), F(2))))
 @settings(max_examples=300)
 def test_embeds_closed_form(pair):
+    # on descriptors, on their integer parts and on one of each
     src, dst = pair
-    assert embeds(src, dst) is reference_embeds(src, dst)
+    want = reference_embeds(src, dst)
+    for a in (src, src.parts):
+        for b in (dst, dst.parts):
+            assert embeds(a, b) is want
     for space in pair:
-        exact(space.sobolev_index, space.smoothness - 1 / space.q)
+        check_parts(space.parts, space)
+        want = space.smoothness - 1 / space.q
+        for got in (space.sobolev_index, sobolev_index(space),
+                    sobolev_index(space.parts)):
+            exact(got, want)
+
+
+def check_parts(parts, space):
+    """parts are the normalized integer parts of the descriptor space:
+    each index in lowest terms with a positive denominator, equal to its
+    Fraction."""
+    kind, sn, sd, qn, qd, a = parts
+    assert kind == space.kind
+    pairs = [(sn, sd, space.smoothness), (qn, qd, space.q)]
+    if space.secondary is None:
+        assert a is None
+    else:
+        pairs.append((*a, space.secondary))
+    for n, d, want in pairs:
+        assert d > 0 and gcd(n, d) == 1 and F(n, d) == want, (n, d, want)
+
+
+def reference_label(space):
+    """The label written out with str of each Fraction."""
+    if space.kind == "bessel":
+        return f"H^{{{space.smoothness},{space.q}}}"
+    return f"B^{{{space.smoothness}}}_{{{space.q},{space.secondary}}}"
+
+
+@given(KINDS, WIDE, SPACE_Q, SECONDARY)
+# negative, integer and large-denominator smoothness, integer q and a
+# missing secondary
+@example("bessel", F(-3), F(2), None)
+@example("besov", F(-7, 48), F(4), None)
+@example("besov", F(0), F(5, 2), F(3))
+@example("besov", F(-1, 10**9 + 7), F(7), F(12, 5))
+@example("bessel", F(10**12 + 1, 10**12), F(1, 3), F(2))
+@settings(max_examples=150)
+def test_space_label_closed_form(kind, smoothness, q, secondary):
+    space = SpaceDescriptor(kind, smoothness, q, secondary)
+    want = reference_label(space)
+    assert space.label() == label(space) == label(space.parts) == want
+    check_parts(space.parts, space)
 
 
 @st.composite
 def scales(draw):
     low = draw(rationals(F(-2), F(1), 12))
     return SobolevScale(low, low + 1 + draw(UNIT), 1 + 4 * draw(UNIT) + F(1, 8))
+
+
+@given(setting_and_spec(), scales(), UNIT)
+@settings(max_examples=150)
+def test_trace_and_bessel_parts_closed_forms(drawn, scale, theta):
+    # each space the planner builds from a setting or a scale holds
+    # normalized parts, equal to the descriptor the public wrappers return
+    s = drawn[0]
+    sc = s.scale
+    gap, c = sc.gap, s.weight_index
+    spaces = [
+        (_weighted_trace(s), besov(sc.high - gap * c, sc.q, s.p)),
+        (_unweighted_trace(s), besov(sc.high - gap / s.p, sc.q, s.p)),
+        (_bessel(sc.low, sc.q), bessel(sc.low, sc.q)),
+        (_bessel_between(scale, theta.numerator, theta.denominator),
+         bessel(scale.low + theta * scale.gap, scale.q)),
+    ]
+    for parts, want in spaces:
+        check_parts(parts, want)
+    assert weighted_trace(s) == spaces[0][1]
+    assert unweighted_trace(s) == spaces[1][1]
+    assert bessel_at(scale, theta) == spaces[3][1]
 
 
 @st.composite

@@ -152,6 +152,8 @@ CONTRACT = {
     "unweighted_trace": lambda d: B.unweighted_trace(setting(d)),
     "weighted_trace": lambda d: B.weighted_trace(setting(d)),
     "embeds": lambda d: B.embeds(space(d), space(d)),
+    "label": lambda d: B.label(space(d)),
+    "sobolev_index": lambda d: B.sobolev_index(space(d)),
     "plan_weight_insertion": lambda d: B.plan_weight_insertion(
         setting(d), q(d), q(d), spec(d)),
     "plan_time_bootstrap":

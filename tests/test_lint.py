@@ -13,7 +13,11 @@ some 30 times slower than multiplying, while `** 2` takes its square fast
 path.  No package module uses Fraction's private API (`_numerator`,
 `_denominator`, `_from_coprime_ints`, the `_normalize` keyword): the exact
 calculus reads `numerator`/`denominator` and builds with `Fraction(n, d)`,
-since Python 3.12 changed those private names.
+since Python 3.12 changed those private names.  No package module writes
+through an object's `__dict__` or `vars()`: on CPython 3.11 such a write
+materializes the instance dict, and every later attribute read of the
+object gets slower (a frozen dataclass stores a field with
+`object.__setattr__` instead).
 """
 
 import ast
@@ -166,6 +170,49 @@ def private_fraction_api(tree: ast.Module):
     return sorted(out)
 
 
+DICT_MUTATORS = ("update", "setdefault", "pop", "popitem", "clear",
+                 "__setitem__", "__delitem__")
+
+
+def _is_dict_view(node) -> bool:
+    """node is x.__dict__ or vars(...)."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "__dict__")
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "vars"))
+
+
+def dict_writes(tree: ast.Module):
+    """(line, form) of every write through x.__dict__ or vars(...): an
+    assignment to, augmented assignment to or del of it or of an item of
+    it, or a call of one of its mutating methods; form is "__dict__" or
+    "vars()"."""
+    def form(node):
+        return "__dict__" if isinstance(node, ast.Attribute) else "vars()"
+
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in DICT_MUTATORS
+              and _is_dict_view(node.func.value)):
+            out.append((node.lineno, form(node.func.value)))
+            continue
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Subscript):
+                target = target.value
+            if _is_dict_view(target):
+                out.append((node.lineno, form(target)))
+    return sorted(out)
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
     assert len(HOT_PATH) == 2
@@ -279,3 +326,26 @@ def test_slow_power_is_reported():
     tree = ast.parse("a = y ** 2\nb = y ** 3\nc = y ** 2.5\n"
                      "d = y ** True\ne = (y ** 4) ** 0.5\nf = 2 ** k\n")
     assert slow_powers(tree) == [(2, 3), (5, 4)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dict_writes(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert dict_writes(tree) == []
+
+
+def test_dict_write_is_reported():
+    tree = ast.parse("a = self.__dict__['x']\n"
+                     "self.__dict__['x'] = 1\n"
+                     "vars(self)['y'] = 2\n"
+                     "self.__dict__.update(z=3)\n"
+                     "vars(obj).setdefault('w', 4)\n"
+                     "del obj.__dict__['x']\n"
+                     "obj.__dict__ = {}\n"
+                     "obj.__dict__['n'] += 1\n"
+                     "b = vars(obj).get('x')\n"
+                     "object.__setattr__(self, 'x', 5)\n"
+                     "d = {}\nd['x'] = 6\n")
+    assert dict_writes(tree) == [
+        (2, "__dict__"), (3, "vars()"), (4, "__dict__"), (5, "vars()"),
+        (6, "__dict__"), (7, "__dict__"), (8, "__dict__")]

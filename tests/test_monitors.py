@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import critspde
 from critspde import presets
 from critspde.exponents import (
     ParameterError,
@@ -16,6 +21,7 @@ from critspde.harness import mix_seed
 from critspde.monitors import (
     HoelderFit,
     MonitorSeries,
+    _row_medians,
     blowup_functional,
     h_minus1_flux_norm,
     hoelder_estimate,
@@ -437,6 +443,42 @@ def test_hoelder_stochastic_bands_loose():
         thetas_x.append(fit.theta_space)
     assert 0.3 <= float(np.median(thetas_t)) <= 0.65
     assert float(np.median(thetas_x)) >= 0.7
+
+
+def test_row_medians_match_numpy():
+    # the fit's row medians are np.median's bits, odd and even widths, with
+    # a NaN row giving NaN and an inf sorting as a number
+    rng = np.random.default_rng(11)
+    for cols in (1, 2, 7, 8, 129):
+        a = np.abs(rng.standard_normal((6, cols)))
+        a[1, 0] = np.nan
+        a[2, -1] = np.inf
+        a[3, :] = np.round(a[3], 1)
+        a[4, :] = np.inf
+        assert _row_medians(a).tobytes() == np.median(a, axis=1).tobytes()
+
+
+def test_hoelder_fit_imports_no_numpy_ma():
+    # np.unique and np.median import numpy.ma on first use (some 15 ms and
+    # 1 MB); a saved path and a Hoelder fit reach neither
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from critspde.monitors import hoelder_estimate\n"
+        "from critspde.sim import (NoiseSpec, NonlinearitySpec, SimConfig,"
+        " TorusGrid, simulate_path)\n"
+        "cfg = SimConfig(grid=TorusGrid(128), nonlinearity=NonlinearitySpec("
+        "g=1.0), noise=NoiseSpec(lam=0.75, modes=21), t_end=1.0, "
+        "dt=1.0 / 512, u0=np.cos)\n"
+        "hoelder_estimate(simulate_path(cfg, n_save=129))\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    env = dict(os.environ)
+    src = str(Path(critspde.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hoelder_needs_enough_lags():

@@ -16,6 +16,7 @@ from critspde.sim import (
     SimConfig,
     SpectralStepper,
     TorusGrid,
+    _save_indices,
     basis_coefficient,
     coarsen_increments,
     draw_increments,
@@ -400,6 +401,17 @@ def test_save_schedule():
         simulate_path(heat_cfg(dt=0.05), n_save=1)
 
 
+def test_save_indices_match_unique():
+    # the distinct rounded grid points, as np.unique gives them
+    for n_steps in range(1, 160):
+        for n_save in range(2, min(n_steps + 1, 120)):
+            want = np.unique(np.round(np.linspace(0, n_steps, n_save))
+                             .astype(int))
+            got = _save_indices(n_steps, n_save)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 def test_grad_integral_heat_oracle():
     # d/dt ||u||^2 = -2||grad u||^2 for pure heat flow, so the accumulated
     # integral must match (||u0||^2 - ||u(T)||^2)/2
@@ -447,6 +459,37 @@ def test_update_spectra_match_drift_and_noise_hat(f, g):
             assert g_hat is None and noise_hat is None
         else:
             assert g_hat.tobytes() == noise_hat.tobytes()
+
+
+def _update_lines():
+    rng = np.random.default_rng(2024)
+    x = GRID.x
+    values = np.stack([np.cos(x) + 0.3 * a * np.sin(3 * x)
+                       for a in rng.standard_normal(5)])
+    for scheme in ("exp_euler", "semi_implicit"):
+        for f in (None, presets.cubic_flux):
+            for g in (None, 1.5, presets.one_plus_abs):
+                noise = None if g is None else NoiseSpec(lam=0.75, modes=7)
+                st = SpectralStepper(heat_cfg(
+                    nonlinearity=NonlinearitySpec(f=f, g=g), noise=noise,
+                    scheme=scheme, dt=0.01))
+                xi = rng.standard_normal((5, st.draws))
+                for v, draw in ((values, xi), (values[3], xi[3])):
+                    u_hat = np.fft.rfft(v, norm="forward")
+                    fu, gu, _ = st.coefficients(v)
+                    dw = None if g is None else st.noise_increments(draw)
+                    yield st.update(u_hat, fu, gu, dw)[0].tobytes()
+
+
+def test_update_bytes_pinned():
+    # update() sums in place into one fresh array; the digest was recorded
+    # when it built a new array for each term, in both schemes, with and
+    # without a flux, a constant g and a map g, on a batch and on one row
+    h = hashlib.sha256()
+    for line in _update_lines():
+        h.update(line)
+    assert h.hexdigest() == ("3012e378b751ab10567b6d94f4c2a75f"
+                             "4747ad7c23c03e0de2ecb8122803d3c6")
 
 
 @pytest.mark.parametrize("name, rfft, irfft", [
