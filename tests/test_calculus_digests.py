@@ -267,8 +267,12 @@ def test_constructions_per_plan(variant, kwargs, descriptors, fractions,
         built["descriptors"] += 1
         post_init(self)
 
-    monkeypatch.setattr(F, "__new__", counted_new)
+    # Fraction keeps its own __new__ as a staticmethod: put that object back
+    saved_new = F.__dict__["__new__"]
     monkeypatch.setattr(SpaceDescriptor, "__post_init__", counted_post_init)
-    full_chain_1d(variant, **kwargs)
-    monkeypatch.undo()
+    F.__new__ = staticmethod(counted_new)
+    try:
+        full_chain_1d(variant, **kwargs)
+    finally:
+        F.__new__ = saved_new
     assert built == {"descriptors": descriptors, "fractions": fractions}
