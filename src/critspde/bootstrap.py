@@ -10,8 +10,8 @@ rational witnesses; a step is only emitted when all checks pass.
 Space comparisons on the 1-torus reduce to index arithmetic: smoothness
 minus 1/q, with strict inequalities everywhere except the same-scale Besov
 comparison at equal indices (secondary index ordering decides there).
-The planner holds each space as the integer parts of its indices and
-builds no SpaceDescriptor.
+The planner holds each space as the integer parts of its indices, and
+builds a Fraction of them only for a witness.
 
 As in `exponents`, the planner computes from the integer numerators and
 denominators of its Fraction inputs (denominators are positive, so a
@@ -27,7 +27,6 @@ from math import gcd
 from typing import Optional
 
 from .exponents import (
-    BesovDescriptor,
     GrowthSpec,
     GrowthTerm,
     ParameterError,
@@ -40,7 +39,6 @@ from .exponents import (
     critical_weight,
     one_d_growth_params,
     setting_to_dict,
-    trace_space,
 )
 
 
@@ -52,71 +50,14 @@ class BootstrapError(ParameterError):
         self.checks = checks
 
 
-# Inside the planner a space is the tuple of its normalized integer parts
+# A space is the tuple of its normalized integer parts
 # (kind, sn, sd, qn, qd, secondary): kind "bessel" or "besov", smoothness
 # sn/sd and integrability qn/qd in lowest terms with sd, qd > 0, and
 # secondary None or the pair (an, ad), in lowest terms with ad > 0.  These
-# are the parts the Fractions of a SpaceDescriptor hold, so two equal
-# spaces have equal tuples.  The comparison, the label and the Sobolev index
-# are computed on them alone: embeds, label and sobolev_index take a
-# SpaceDescriptor or its parts, and a plan builds no SpaceDescriptor.
-
-
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    """A Bessel-potential or Besov space on the 1-torus."""
-
-    kind: str  # "bessel" | "besov"
-    smoothness: Fraction
-    q: Fraction
-    secondary: Optional[Fraction] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("bessel", "besov"):
-            raise ParameterError(f"unknown space kind {self.kind!r}")
-        if not isinstance(self.smoothness, Fraction):
-            object.__setattr__(self, "smoothness", as_fraction(self.smoothness))
-        if not isinstance(self.q, Fraction):
-            object.__setattr__(self, "q", as_fraction(self.q))
-        if not self.q.numerator > 0:
-            raise ParameterError("space integrability q must be positive")
-        a = self.secondary
-        if a is not None and not isinstance(a, Fraction):
-            object.__setattr__(self, "secondary", as_fraction(a))
-
-    @property
-    def parts(self) -> tuple:
-        """The space as (kind, sn, sd, qn, qd, secondary) integer parts."""
-        sm, q, a = self.smoothness, self.q, self.secondary
-        return (self.kind, sm.numerator, sm.denominator, q.numerator,
-                q.denominator, None if a is None else (a.numerator,
-                                                       a.denominator))
-
-    @property
-    def sobolev_index(self) -> Fraction:
-        """smoothness - 1/q, which orders spaces of different
-        integrability."""
-        return sobolev_index(self)
-
-    def label(self) -> str:
-        return label(self)
-
-
-def _parts(space) -> tuple:
-    """The integer parts of a SpaceDescriptor, or space itself when it is
-    parts already."""
-    return space.parts if isinstance(space, SpaceDescriptor) else space
-
-
-def label(space) -> str:
-    """H^{s,q} or B^{s}_{q,secondary} of a SpaceDescriptor or its parts."""
-    return _label(_parts(space))
-
-
-def sobolev_index(space) -> Fraction:
-    """The Sobolev index smoothness - 1/q of a SpaceDescriptor or its
-    parts."""
-    return Fraction(*_index(_parts(space)))
+# are the parts of the indices' Fractions, so two equal spaces have equal
+# tuples.  The comparison, the label and the Sobolev index are computed on
+# them alone, and a space's parts always come from a validated setting or
+# scale.
 
 
 def _text(n: int, d: int) -> str:
@@ -147,6 +88,11 @@ def _index(space: tuple) -> tuple[int, int]:
     return sn * qn - sd * qd, sd * qn
 
 
+def sobolev_index(space: tuple) -> Fraction:
+    """The Sobolev index smoothness - 1/q of a space's parts."""
+    return Fraction(*_index(space))
+
+
 def _bessel(sm: Fraction, q: Fraction) -> tuple:
     """The parts of the Bessel space H^{sm,q}."""
     return ("bessel", sm.numerator, sm.denominator, q.numerator,
@@ -154,8 +100,8 @@ def _bessel(sm: Fraction, q: Fraction) -> tuple:
 
 
 def _bessel_between(scale: SobolevScale, tn: int, td: int) -> tuple:
-    """The parts of bessel_at(scale, tn/td), td > 0: smoothness
-    low + theta*gap."""
+    """The parts of the Bessel space of scale at theta = tn/td, td > 0:
+    smoothness low + theta*gap, integrability q."""
     low, gap, q = scale.low, scale.gap, scale.q
     ln, ld = low.numerator, low.denominator
     n, d = _reduced(ln * td * gap.denominator + tn * gap.numerator * ld,
@@ -173,45 +119,26 @@ def _trace(s: Setting, cn: int, cd: int) -> tuple:
 
 
 def _weighted_trace(s: Setting) -> tuple:
-    """The parts of weighted_trace(s): the trace at s's weight index."""
+    """The parts of trace_space(s): the trace at s's weight index."""
     c = s.weight_index
     return _trace(s, c.numerator, c.denominator)
 
 
 def _unweighted_trace(s: Setting) -> tuple:
-    """The parts of unweighted_trace(s): the trace at weight index 1/p."""
+    """The parts of s's data space with the weight dropped: the trace at
+    weight index 1/p, smoothness high - gap/p."""
     return _trace(s, s.p.denominator, s.p.numerator)
 
 
-def bessel_at(scale: SobolevScale, theta: Rational) -> SpaceDescriptor:
-    return SpaceDescriptor("bessel", scale.smoothness_at(theta), scale.q)
-
-
-def besov_descriptor(b: BesovDescriptor) -> SpaceDescriptor:
-    return SpaceDescriptor("besov", b.smoothness, b.q, b.p)
-
-
-def unweighted_trace(s: Setting) -> SpaceDescriptor:
-    """Data space of the same setting with the weight dropped: smoothness
-    high - gap/p."""
-    _, n, d, _, _, _ = _unweighted_trace(s)
-    return SpaceDescriptor("besov", Fraction(n, d), s.scale.q, s.p)
-
-
-def weighted_trace(s: Setting) -> SpaceDescriptor:
-    return besov_descriptor(trace_space(s))
-
-
-def embeds(src, dst) -> bool:
-    """Continuous inclusion src -> dst on the 1-torus, by index arithmetic;
-    each of src and dst is a SpaceDescriptor or its parts.
+def embeds(src: tuple, dst: tuple) -> bool:
+    """Continuous inclusion src -> dst on the 1-torus, by index arithmetic
+    on the spaces' parts.
 
     Strict inequalities only, with one exception: a Besov-to-Besov
     comparison at equal Sobolev indices passes when the secondary indices
     are ordered.  Cross-kind comparisons at equal smoothness fail (no
     inclusion either way in general).
     """
-    src, dst = _parts(src), _parts(dst)
     if src == dst:  # normalized parts: equal spaces, equal tuples
         return True
     # each Fraction comparison on the integer parts of src's smoothness
@@ -505,36 +432,21 @@ def plan_time_bootstrap(
                          checks, params)
 
 
-def emb_condition(
-    r: Rational, alpha: Rational, r_hat: Rational, alpha_hat: Rational,
-    eps: Optional[Rational] = None,
+def _emb_case(
+    r: Fraction, alpha: Fraction, r_hat: Fraction, alpha_hat: Fraction,
+    ci_from: Fraction, ci_to: Fraction, eps: Optional[Fraction],
 ) -> Optional[int]:
     """First matching case for the weighted-class inclusion, or None.
 
     (1) r = r_hat and alpha = alpha_hat;
-    (2) (1+alpha_hat)/r_hat < (1+alpha)/r;
-    (3) (1+alpha_hat)/r_hat < (1+alpha)/r + eps for eps in
-        (0, 1/2-(1+alpha)/r), with scale provisos checked by the caller;
-    (4) r = r_hat and (1+alpha_hat)/r = (1+alpha)/r + eps exactly.
-    """
-    r, alpha = as_fraction(r), as_fraction(alpha)
-    r_hat, alpha_hat = as_fraction(r_hat), as_fraction(alpha_hat)
-    if r <= 0 or r_hat <= 0:
-        raise ParameterError("time integrabilities r and r_hat must be positive")
-    return _emb_case(r, alpha, r_hat, alpha_hat, (1 + alpha) / r,
-                     (1 + alpha_hat) / r_hat, eps)
-
-
-def _emb_case(
-    r: Fraction, alpha: Fraction, r_hat: Fraction, alpha_hat: Fraction,
-    ci_from: Fraction, ci_to: Fraction, eps: Optional[Rational],
-) -> Optional[int]:
-    """emb_condition from Fractions and the weight indices
-    ci_from = (1+alpha)/r and ci_to = (1+alpha_hat)/r_hat, which the
-    planner's settings already hold.  Each comparison is on the integer
-    parts: equality of (numerator, denominator), or cross-multiplication
-    for ci_to < ci_from, 0 < eps < 1/2 - ci_from, ci_to < ci_from + eps and
-    ci_to == ci_from + eps."""
+    (2) ci_to < ci_from;
+    (3) ci_to < ci_from + eps for eps in (0, 1/2 - ci_from), with scale
+        provisos checked by the caller;
+    (4) r = r_hat and ci_to = ci_from + eps exactly,
+    with the weight indices ci_from = (1+alpha)/r and
+    ci_to = (1+alpha_hat)/r_hat, which the planner's settings already hold.
+    Each comparison is on the integer parts: equality of (numerator,
+    denominator), or cross-multiplication."""
     same_r = (r.numerator == r_hat.numerator
               and r.denominator == r_hat.denominator)
     if (same_r and alpha.numerator == alpha_hat.numerator
@@ -545,7 +457,6 @@ def _emb_case(
     if tn * fd < fn * td:
         return 2
     if eps is not None:
-        eps = as_fraction(eps)
         en, ed = eps.numerator, eps.denominator
         if en > 0 and 2 * en * fd < (fd - 2 * fn) * ed:
             # ci_to - ci_from against eps, over the denominator td*fd*ed

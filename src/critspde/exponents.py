@@ -110,7 +110,10 @@ class SobolevScale:
 
     def smoothness_at(self, theta: Rational) -> Fraction:
         """low + theta*gap, which equals (1-theta)*low + theta*high; the
-        endpoints need no arithmetic, not even a coercion."""
+        endpoints need no arithmetic, not even a coercion.  A bool is no
+        number here, as in as_fraction."""
+        if isinstance(theta, bool):
+            raise ParameterError(f"not a number: {theta!r}")
         if theta == 0:
             return self.low
         if theta == 1:
@@ -339,22 +342,16 @@ class CriticalityReport:
     inexact: bool = False
 
 
-def subcriticality(g: GrowthSpec, s: Setting) -> CriticalityReport:
-    """Per-term criticality arithmetic at a given Setting.
+def _subcriticality(
+    g: GrowthSpec, s: Setting
+) -> tuple[CriticalityReport, tuple[tuple[int, int], ...]]:
+    """Per-term criticality arithmetic at a given Setting, and the integer
+    parts of each term's phi-1+c.
 
     slack = 1 - [rho*(phi-1+(1+kappa)/p) + beta].  A term is critical when
     its slack is exactly zero; the report is critical when some term is and
     none is supercritical.  Window violations never raise here: they are
     reported per term via window_ok (the synthesis ops reject instead).
-    """
-    return _subcriticality(g, s)[0]
-
-
-def _subcriticality(
-    g: GrowthSpec, s: Setting
-) -> tuple[CriticalityReport, tuple[tuple[int, int], ...]]:
-    """subcriticality and the integer parts of each term's phi-1+c.
-
     lhs, slack = 1 - lhs and weight_margin = threshold_weight_index - c
     are each built once from the integer parts."""
     c, lo = s.weight_index, s.window_low
@@ -758,23 +755,6 @@ def serrin_applicable(g: GrowthSpec, s: Setting, revised: bool = False) -> Serri
             rows.append(SerrinTerm(part, i, ok, reason))
     rows = tuple(rows)
     return SerrinReport(ok=all(r.ok for r in rows), terms=rows, revised=revised)
-
-
-@dataclass(frozen=True)
-class PerturbationMargin:
-    delta: Fraction
-    ok: bool
-
-
-def perturbation_margin(
-    c_det: Rational, c_sto: Rational, c_a: Rational, c_b: Rational
-) -> PerturbationMargin:
-    """delta = C_det*C_A + C_sto*C_B; admissible iff strictly below 1."""
-    vals = [as_fraction(v) for v in (c_det, c_sto, c_a, c_b)]
-    if any(v < 0 for v in vals):
-        raise ParameterError("perturbation constants must be nonnegative")
-    delta = vals[0] * vals[2] + vals[1] * vals[3]
-    return PerturbationMargin(delta=delta, ok=delta < 1)
 
 
 @dataclass(frozen=True)

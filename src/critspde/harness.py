@@ -19,7 +19,7 @@ from typing import Dict, List, NoReturn, Optional, Tuple
 import numpy as np
 
 from .exponents import ParameterError
-from .monitors import HoelderFit, hoelder_estimate
+from .monitors import HoelderFit, _row_medians, hoelder_estimate
 from .sim import (
     SimConfig,
     Trajectory,
@@ -317,12 +317,11 @@ def experiment_regularity(cfg: EnsembleConfig,
     fits = tuple(hoelder_estimate(t, t0=t0) for t in trajs if t.completed)
     if not fits:
         raise ParameterError("no completed paths to fit")
-    report = RegularityReport(
-        float(np.median([f.theta_time for f in fits])),
-        float(np.median([f.theta_space for f in fits])),
-        float(np.median([f.r2_time for f in fits])),
-        float(np.median([f.r2_space for f in fits])),
-        cfg.n_paths, len(fits), fits)
+    # np.median's bits, without its numpy.ma import
+    medians = _row_medians(np.array([[f.theta_time, f.theta_space, f.r2_time,
+                                      f.r2_space] for f in fits]).T)
+    report = RegularityReport(*map(float, medians), cfg.n_paths, len(fits),
+                              fits)
     summary = asdict(report)
     del summary["fits"]  # the per-path fits are returned, not written
     _write_experiment_summary(cfg, summary)

@@ -6,20 +6,19 @@ from hypothesis import given, settings
 
 from critspde.bootstrap import (
     BootstrapError,
-    SpaceDescriptor,
+    _emb_case,
     _lift_term,
+    _unweighted_trace,
+    _weighted_trace,
     chain_composition_ok,
     chain_to_dict,
     check_extrapolation,
-    emb_condition,
     embeds,
     full_chain_1d,
     plan_space_bootstrap,
     plan_time_bootstrap,
     plan_weight_insertion,
     step_to_dict,
-    unweighted_trace,
-    weighted_trace,
 )
 from critspde.exponents import (
     GrowthSpec,
@@ -27,8 +26,8 @@ from critspde.exponents import (
     ParameterError,
     Setting,
     SobolevScale,
+    full_report,
     one_d_growth_params,
-    subcriticality,
 )
 from rational_strategy import rationals
 
@@ -37,11 +36,15 @@ L2_BASE = Setting(H2, F(2), F(0))
 
 
 def bessel(s, q):
-    return SpaceDescriptor("bessel", s, q)
+    """The parts of H^{s,q}, each index a Fraction."""
+    return ("bessel", s.numerator, s.denominator, q.numerator, q.denominator,
+            None)
 
 
 def besov(s, q, sec):
-    return SpaceDescriptor("besov", s, q, sec)
+    """The parts of B^{s}_{q,sec}, each index a Fraction."""
+    return ("besov", s.numerator, s.denominator, q.numerator, q.denominator,
+            (sec.numerator, sec.denominator))
 
 
 # --- embedding arithmetic -----------------------------------------------------
@@ -78,16 +81,10 @@ def test_embeds_bessel_equal_index_fails():
 
 @pytest.mark.parametrize("q", [F(0), F(-2), 0, -1.5])
 def test_nonpositive_space_integrability_is_a_parameter_error(q):
-    with pytest.raises(ParameterError, match="space integrability q must be positive"):
-        SpaceDescriptor("bessel", 0, q)
-    with pytest.raises(ParameterError, match="space integrability q must be positive"):
-        SpaceDescriptor("besov", 0, q, 2)
-
-
-def test_embeds_from_zero_integrability_is_a_parameter_error():
-    # this call divided by zero before SpaceDescriptor rejected q <= 0
-    with pytest.raises(ParameterError):
-        embeds(SpaceDescriptor("bessel", 0, 0), SpaceDescriptor("bessel", 0, 2))
+    # every space a plan compares takes its q from a scale, which rejects
+    # q <= 1 before a Sobolev index could divide by it
+    with pytest.raises(ParameterError, match="scale integrability must exceed 1"):
+        SobolevScale(0, 1, q)
 
 
 def test_embeds_cross_kind():
@@ -95,21 +92,28 @@ def test_embeds_cross_kind():
     assert not embeds(besov(F(1), F(2), F(6)), bessel(F(1), F(2)))
 
 
-# --- emb_condition -------------------------------------------------------------
+# --- the weighted-class inclusion cases -----------------------------------------
+
+def emb_case(r, alpha, r_hat, alpha_hat, eps=None):
+    """_emb_case with the weight indices (1+alpha)/r and (1+alpha_hat)/r_hat
+    that the planner's settings hold."""
+    return _emb_case(r, alpha, r_hat, alpha_hat, (1 + alpha) / r,
+                     (1 + alpha_hat) / r_hat, eps)
+
 
 def test_emb_condition_cases():
-    assert emb_condition(6, F(7, 5), 6, F(7, 5)) == 1
-    assert emb_condition(6, F(7, 5), 12, F(17, 5)) == 2
+    assert emb_case(F(6), F(7, 5), F(6), F(7, 5)) == 1
+    assert emb_case(F(6), F(7, 5), F(12), F(17, 5)) == 2
     # same r, index raised by exactly eps
     r, alpha, eps = F(12), F(0), F(1, 10)
     alpha_hat = r * (1 / r + eps) - 1
-    assert emb_condition(r, alpha, r, alpha_hat, eps) == 4
+    assert emb_case(r, alpha, r, alpha_hat, eps) == 4
     # strictly inside the eps margin
-    assert emb_condition(6, F(7, 5), 6, F(31, 20), F(1, 20)) == 3
+    assert emb_case(F(6), F(7, 5), F(6), F(31, 20), F(1, 20)) == 3
     # no case: index raised with no eps given
-    assert emb_condition(6, F(7, 5), 6, F(8, 5)) is None
+    assert emb_case(F(6), F(7, 5), F(6), F(8, 5)) is None
     # eps outside its window never matches
-    assert emb_condition(6, F(7, 5), 6, F(8, 5), F(1, 2)) is None
+    assert emb_case(F(6), F(7, 5), F(6), F(8, 5), F(1, 2)) is None
 
 
 # --- weight insertion ----------------------------------------------------------
@@ -185,7 +189,7 @@ def test_time_bootstrap_same_r():
     assert 0 < alpha_hat < F(7, 5)
     # emitted intermediate is strictly subcritical
     s_int = Setting(step.from_setting.scale, F(6), alpha_hat)
-    rep = subcriticality(g_l2(F(1, 5)), s_int)
+    rep = full_report(g_l2(F(1, 5)), s_int)
     assert all(row.slack > 0 for row in rep.terms)
 
 
@@ -226,11 +230,7 @@ def test_time_bootstrap_intermediate_strictly_subcritical():
      "time integrability r must be positive"),
     (lambda x: plan_time_bootstrap(reference_weighted(), x, g_l2(F(1, 5))),
      "time integrability r_hat must be positive"),
-    (lambda x: emb_condition(x, F(7, 5), 12, F(17, 5)),
-     "time integrabilities r and r_hat must be positive"),
-    (lambda x: emb_condition(6, F(7, 5), x, F(17, 5)),
-     "time integrabilities r and r_hat must be positive"),
-], ids=["insertion-r", "time-r_hat", "emb-r", "emb-r_hat"])
+], ids=["insertion-r", "time-r_hat"])
 def test_nonpositive_time_integrability_is_a_parameter_error(plan, message, x):
     # raised before any arithmetic, so a zero is no ZeroDivisionError
     with pytest.raises(ParameterError, match=f"^{message}$"):
@@ -249,7 +249,7 @@ def test_space_bootstrap_scale_recovery():
     assert lifted[("f", 0)] == F(61, 72)
     assert lifted[("g", 0)] == F(69, 80)
     # identical trace spaces on both sides
-    assert unweighted_trace(base.to_setting) == weighted_trace(recover)
+    assert _unweighted_trace(base.to_setting) == _weighted_trace(recover)
 
 
 def test_space_bootstrap_integrability_step():
@@ -352,8 +352,8 @@ def test_l2_chain_composition():
     assert chain_composition_ok(chain)
     # the nontrivial link: emitted recovered setting into the step-4 source
     s3, s4 = chain.steps[2], chain.steps[3]
-    assert weighted_trace(s3.to_setting).smoothness == F(19, 30)
-    assert weighted_trace(s4.from_setting).smoothness == F(1, 6)
+    assert _weighted_trace(s3.to_setting)[1:3] == (19, 30)
+    assert _weighted_trace(s4.from_setting)[1:3] == (1, 6)
 
 
 def test_l2_chain_eps_window():

@@ -9,8 +9,9 @@ reach inadmissible values too, with explicit examples where a comparison
 switches; the errors are compared by type and message, and each planner
 check's verdict with the same comparison made on Fractions.  The
 planner's spaces, tuples of integer parts, are checked to be in lowest
-terms and to label, index and compare as their SpaceDescriptors do, each
-label against one written with str of each Fraction.  Criterion 3's
+terms and to label, index and compare as the same spaces written with
+Fraction indices do, each label against one written with str of each
+Fraction.  Criterion 3's
 draw generator, built from integer parts, is compared with the Fraction
 generator it replaced on all 10^4 of its draws.
 """
@@ -18,6 +19,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 from math import gcd
+from typing import NamedTuple, Optional
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,23 +27,19 @@ from hypothesis import strategies as st
 from critspde.acceptance import _H2, _random_setting_and_term
 from critspde.bootstrap import (
     BootstrapError,
-    SpaceDescriptor,
     _bessel,
     _bessel_between,
+    _emb_case,
+    _label,
     _unweighted_trace,
     _weighted_trace,
-    bessel_at,
     check_extrapolation,
-    emb_condition,
     embeds,
     full_chain_1d,
-    label,
     plan_space_bootstrap,
     plan_time_bootstrap,
     plan_weight_insertion,
     sobolev_index,
-    unweighted_trace,
-    weighted_trace,
 )
 from critspde.exponents import (
     GrowthSpec,
@@ -56,7 +54,6 @@ from critspde.exponents import (
     rho_star_and_x_exponents,
     star_params,
     star_params_term,
-    subcriticality,
     trace_space,
     xi_exponents,
 )
@@ -236,7 +233,7 @@ def check_entries(entries, s, rho, phi, beta, r, r_conj):
 def test_subcriticality_and_critical_weight_closed_forms(drawn):
     s, g = drawn
     c = (1 + s.kappa) / s.p
-    rep = subcriticality(g, s)
+    rep = full_report(g, s)
     for row, (part, i, t, d, lhs, ok) in zip(rep.terms, reference_rows(g, s)):
         assert (row.part, row.index, row.term) == (part, i, t)
         exact(row.lhs, lhs)
@@ -401,12 +398,30 @@ def fresh(x):
     return None if x is None else F(x.numerator, x.denominator)
 
 
+class Space(NamedTuple):
+    """A space with Fraction indices: the oracle's form of the planner's
+    integer parts."""
+    kind: str
+    smoothness: F
+    q: F
+    secondary: Optional[F] = None
+
+    @property
+    def parts(self):
+        """The planner's (kind, sn, sd, qn, qd, secondary) of this space."""
+        a = self.secondary
+        return (self.kind, self.smoothness.numerator,
+                self.smoothness.denominator, self.q.numerator,
+                self.q.denominator,
+                None if a is None else (a.numerator, a.denominator))
+
+
 def bessel(smoothness, q):
-    return SpaceDescriptor("bessel", smoothness, q)
+    return Space("bessel", smoothness, q)
 
 
 def besov(smoothness, q, secondary):
-    return SpaceDescriptor("besov", smoothness, q, secondary)
+    return Space("besov", smoothness, q, secondary)
 
 
 def reference_embeds(src, dst):
@@ -462,8 +477,8 @@ def check_all_or_none(checks, step):
 def check_embedding(check, src, dst):
     """An embedding check names src and dst and passes as the oracle
     says."""
-    assert (check.witness["src"], check.witness["dst"]) == (src.label(),
-                                                          dst.label())
+    assert (check.witness["src"], check.witness["dst"]) == (
+        reference_label(src), reference_label(dst))
     assert check.passed is reference_embeds(src, dst)
 
 
@@ -499,19 +514,18 @@ def space_pairs(draw):
     """(src, dst): dst drawn freely, or equal to src in fresh Fractions, or
     sharing its q, its Sobolev index or its smoothness, where embeds
     moves from one comparison to the next."""
-    src = SpaceDescriptor(draw(KINDS), draw(WIDE), draw(SPACE_Q),
-                          draw(SECONDARY))
+    src = Space(draw(KINDS), draw(WIDE), draw(SPACE_Q), draw(SECONDARY))
     how = draw(st.sampled_from(["free", "equal", "q", "index", "smoothness"]))
     if how == "equal":
-        return src, SpaceDescriptor(src.kind, fresh(src.smoothness),
-                                    fresh(src.q), fresh(src.secondary))
+        return src, Space(src.kind, fresh(src.smoothness), fresh(src.q),
+                          fresh(src.secondary))
     q = src.q if how == "q" else draw(SPACE_Q)
     smoothness = draw(WIDE)
     if how == "index":
         smoothness = src.smoothness - 1 / src.q + 1 / q
     elif how == "smoothness":
         smoothness = src.smoothness
-    return src, SpaceDescriptor(draw(KINDS), smoothness, q, draw(SECONDARY))
+    return src, Space(draw(KINDS), smoothness, q, draw(SECONDARY))
 
 
 @given(space_pairs())
@@ -526,22 +540,16 @@ def space_pairs(draw):
 @example((bessel(F(1, 2), F(2)), bessel(F(1, 2), F(2))))
 @settings(max_examples=300)
 def test_embeds_closed_form(pair):
-    # on descriptors, on their integer parts and on one of each
+    # on the spaces' integer parts, against the comparison on Fractions
     src, dst = pair
-    want = reference_embeds(src, dst)
-    for a in (src, src.parts):
-        for b in (dst, dst.parts):
-            assert embeds(a, b) is want
+    assert embeds(src.parts, dst.parts) is reference_embeds(src, dst)
     for space in pair:
         check_parts(space.parts, space)
-        want = space.smoothness - 1 / space.q
-        for got in (space.sobolev_index, sobolev_index(space),
-                    sobolev_index(space.parts)):
-            exact(got, want)
+        exact(sobolev_index(space.parts), space.smoothness - 1 / space.q)
 
 
 def check_parts(parts, space):
-    """parts are the normalized integer parts of the descriptor space:
+    """parts are the normalized integer parts of the Space space:
     each index in lowest terms with a positive denominator, equal to its
     Fraction."""
     kind, sn, sd, qn, qd, a = parts
@@ -572,9 +580,8 @@ def reference_label(space):
 @example("bessel", F(10**12 + 1, 10**12), F(1, 3), F(2))
 @settings(max_examples=150)
 def test_space_label_closed_form(kind, smoothness, q, secondary):
-    space = SpaceDescriptor(kind, smoothness, q, secondary)
-    want = reference_label(space)
-    assert space.label() == label(space) == label(space.parts) == want
+    space = Space(kind, smoothness, q, secondary)
+    assert _label(space.parts) == reference_label(space)
     check_parts(space.parts, space)
 
 
@@ -588,7 +595,7 @@ def scales(draw):
 @settings(max_examples=150)
 def test_trace_and_bessel_parts_closed_forms(drawn, scale, theta):
     # each space the planner builds from a setting or a scale holds
-    # normalized parts, equal to the descriptor the public wrappers return
+    # normalized parts, those of the space written with Fraction indices
     s = drawn[0]
     sc = s.scale
     gap, c = sc.gap, s.weight_index
@@ -601,9 +608,6 @@ def test_trace_and_bessel_parts_closed_forms(drawn, scale, theta):
     ]
     for parts, want in spaces:
         check_parts(parts, want)
-    assert weighted_trace(s) == spaces[0][1]
-    assert unweighted_trace(s) == spaces[1][1]
-    assert bessel_at(scale, theta) == spaces[3][1]
 
 
 @st.composite
@@ -722,8 +726,9 @@ POSITIVE = rationals(F(1, 8), F(12), 24)
 @example(F(12), F(6, 5), F(12), F(12, 5), F(19, 60), "free")      # eps edge
 @settings(max_examples=300)
 def test_emb_case_closed_form(r, alpha, r_hat, alpha_hat, eps, how):
-    # the planner's steps reach _emb_case with these values too; here the
-    # public emb_condition feeds it (1+alpha)/r and (1+alpha_hat)/r_hat
+    # the planner's steps reach _emb_case with these values too, and with
+    # the weight indices (1+alpha)/r and (1+alpha_hat)/r_hat their settings
+    # hold
     ci_from = (1 + alpha) / r
     if how == "same_r":
         r_hat = r
@@ -733,9 +738,9 @@ def test_emb_case_closed_form(r, alpha, r_hat, alpha_hat, eps, how):
         alpha_hat = r_hat * (ci_from + eps) - 1  # case 4's equality at r_hat
     elif how == "eps_edge":
         eps = F(1, 2) - ci_from
-    want = reference_emb_case(r, alpha, r_hat, alpha_hat, ci_from,
-                              (1 + alpha_hat) / r_hat, eps)
-    assert emb_condition(r, alpha, r_hat, alpha_hat, eps) == want
+    ci_to = (1 + alpha_hat) / r_hat
+    want = reference_emb_case(r, alpha, r_hat, alpha_hat, ci_from, ci_to, eps)
+    assert _emb_case(r, alpha, r_hat, alpha_hat, ci_from, ci_to, eps) == want
 
 
 @st.composite
@@ -787,7 +792,7 @@ def test_space_bootstrap_closed_forms(drawn):
     c_from, c_to = (1 + fs.kappa) / fs.p, (1 + ts.kappa) / ts.p
     tr_src = besov(fsc.high - gap / fs.p, fsc.q, fs.p)
     tr_dst = besov(tsc.high - gap * c_to, tsc.q, ts.p)
-    exact(unweighted_trace(fs).smoothness, tr_src.smoothness)
+    check_parts(_unweighted_trace(fs), tr_src)
     trace = checks["trace_embedding"]
     check_embedding(trace, tr_src, tr_dst)
     exact(trace.witness["src_index"], tr_src.smoothness - 1 / fsc.q)

@@ -25,8 +25,9 @@ from critspde.exponents import ParameterError
 from rational_strategy import rationals
 
 # negatives and denominators up to 48, with the values at which checks
-# switch (0, 1, 2) drawn often
-ANY = st.one_of(st.sampled_from([F(0), F(1), F(2), F(-1)]),
+# switch (0, 1, 2) drawn often, and the bools, which equal 0 and 1 but are
+# no number to the calculus
+ANY = st.one_of(st.sampled_from([F(0), F(1), F(2), F(-1), True, False]),
                 rationals(F(-4), F(8), 48))
 UNIT = rationals(F(0), F(1), 48)
 
@@ -69,11 +70,19 @@ def spec(data) -> E.GrowthSpec:
                         tuple(term(data) for _ in range(n_g)))
 
 
-def space(data) -> B.SpaceDescriptor:
-    kinds = ["bessel", "besov"] + (["sobolev"] if data.draw(st.booleans())
-                                   else [])
-    kind = data.draw(st.sampled_from(kinds))
-    return B.SpaceDescriptor(kind, q(data), q(data), maybe(data, q(data)))
+def space(data) -> tuple:
+    """The parts of a space as the planner builds them, from a validated
+    setting or scale: a trace space or a Bessel space of the scale."""
+    s = setting(data)
+    sc = s.scale
+    c = s.weight_index
+    return data.draw(st.sampled_from([
+        B._trace(s, c.numerator, c.denominator),
+        B._trace(s, s.p.denominator, s.p.numerator),
+        B._bessel(sc.low, sc.q),
+        B._bessel_between(sc, *data.draw(st.tuples(st.integers(0, 4),
+                                                   st.integers(1, 4)))),
+    ]))
 
 
 def chain(data) -> B.BootstrapChain:
@@ -116,7 +125,6 @@ CONTRACT = {
     "GrowthSpec": spec,
     "GrowthSpec.terms": lambda d: list(spec(d).terms()),
     "trace_space": lambda d: E.trace_space(setting(d)),
-    "subcriticality": lambda d: E.subcriticality(spec(d), setting(d)),
     "critical_weight": lambda d: E.critical_weight(spec(d), q(d)),
     "rho_star_and_x_exponents":
         lambda d: E.rho_star_and_x_exponents(spec(d), setting(d)),
@@ -130,8 +138,6 @@ CONTRACT = {
         lambda d: E.revised_serrin_term_raw(q(d), q(d), q(d), q(d), q(d)),
     "serrin_applicable": lambda d: E.serrin_applicable(
         spec(d), setting(d), revised=d.draw(st.booleans())),
-    "perturbation_margin":
-        lambda d: E.perturbation_margin(q(d), q(d), q(d), q(d)),
     "criterion_select": lambda d: E.criterion_select(
         *d.draw(st.tuples(*[st.booleans()] * 4))),
     "one_d_growth_params": growth_params,
@@ -144,22 +150,12 @@ CONTRACT = {
     "report_to_dict":
         lambda d: E.report_to_dict(E.full_report(spec(d), setting(d))),
     # bootstrap
-    "SpaceDescriptor": space,
-    "SpaceDescriptor.label": lambda d: space(d).label(),
-    "bessel_at": lambda d: B.bessel_at(scale(d), q(d)),
-    "besov_descriptor": lambda d: B.besov_descriptor(
-        E.BesovDescriptor(q(d), q(d), q(d))),
-    "unweighted_trace": lambda d: B.unweighted_trace(setting(d)),
-    "weighted_trace": lambda d: B.weighted_trace(setting(d)),
     "embeds": lambda d: B.embeds(space(d), space(d)),
-    "label": lambda d: B.label(space(d)),
     "sobolev_index": lambda d: B.sobolev_index(space(d)),
     "plan_weight_insertion": lambda d: B.plan_weight_insertion(
         setting(d), q(d), q(d), spec(d)),
     "plan_time_bootstrap":
         lambda d: B.plan_time_bootstrap(setting(d), q(d), spec(d)),
-    "emb_condition": lambda d: B.emb_condition(
-        q(d), q(d), q(d), q(d), maybe(d, q(d))),
     "plan_space_bootstrap":
         lambda d: B.plan_space_bootstrap(setting(d), setting(d), spec(d)),
     "check_extrapolation": lambda d: B.check_extrapolation(
@@ -177,7 +173,7 @@ RECORDS = {
     "BesovDescriptor", "TermCriticality", "XEntry", "TermExponents",
     "CriticalityReport", "StarParams", "XiExponents",
     "InterpolationExponents", "SerrinTerm", "SerrinReport",
-    "PerturbationMargin", "ClauseSelection", "BootstrapCheck",
+    "ClauseSelection", "BootstrapCheck",
     "BootstrapStep", "TerminalClaim", "BootstrapChain",
     "ExtrapolationReport", "ParameterError", "GrowthWindowError",
     "BootstrapError",

@@ -24,13 +24,11 @@ from critspde.exponents import (
     growth_spec_to_dict,
     interpolation_exponents,
     one_d_growth_params,
-    perturbation_margin,
     revised_serrin_term_raw,
     rho_star_and_x_exponents,
     serrin_applicable,
     star_params,
     star_params_term,
-    subcriticality,
     trace_space,
     xi_exponents,
 )
@@ -173,7 +171,7 @@ def test_trace_space_rough():
 # --- subcriticality ---------------------------------------------------------
 
 def test_l2_growth_is_critical():
-    rep = subcriticality(l2_growth(), L2_SETTING)
+    rep = full_report(l2_growth(), L2_SETTING)
     assert rep.all_windows_ok and rep.all_subcritical and rep.is_critical
     f_row, g_row = rep.terms
     assert f_row.slack == 0 and f_row.critical
@@ -181,21 +179,21 @@ def test_l2_growth_is_critical():
 
 
 def test_slack_equals_rho_times_weight_margin():
-    rep = subcriticality(l2_growth(F(1, 5)), L2_SETTING)
+    rep = full_report(l2_growth(F(1, 5)), L2_SETTING)
     for row in rep.terms:
         assert row.slack == row.term.rho * row.weight_margin
 
 
 def test_window_violation_reported_not_raised():
     g = GrowthSpec(f_terms=(GrowthTerm(F(1), F(1, 4), F(1, 4)),))
-    rep = subcriticality(g, L2_SETTING)  # phi=1/4 below 1-c=1/2
+    rep = full_report(g, L2_SETTING)  # phi=1/4 below 1-c=1/2
     assert not rep.all_windows_ok
     assert not rep.terms[0].window_ok
 
 
 def test_supercritical_slack_negative():
     g = GrowthSpec(f_terms=(GrowthTerm(F(4), F(9, 10), F(9, 10)),))
-    rep = subcriticality(g, L2_SETTING)
+    rep = full_report(g, L2_SETTING)
     assert rep.terms[0].slack < 0
     assert not rep.all_subcritical and not rep.is_critical
 
@@ -412,17 +410,6 @@ def test_revised_serrin_spec_flavour():
     assert not rep.terms[0].ok
 
 
-# --- perturbation -----------------------------------------------------------
-
-def test_perturbation_margin():
-    r = perturbation_margin(F(1, 4), F(1, 3), F(1), F(1))
-    assert r.delta == F(7, 12) and r.ok
-    r2 = perturbation_margin(F(1, 2), F(1, 2), F(1), F(1))
-    assert r2.delta == 1 and not r2.ok  # strict inequality required
-    with pytest.raises(ParameterError):
-        perturbation_margin(-1, 0, 0, 0)
-
-
 # --- criterion selection ----------------------------------------------------
 
 def test_criterion_select_table():
@@ -541,7 +528,7 @@ def test_property_conjugacy_and_slack(params):
     g = GrowthSpec(f_terms=(GrowthTerm(rho, phi, beta),))
     scale = SobolevScale(F(-1), F(1), F(2))
     s = Setting(scale, p, kappa)
-    rep = subcriticality(g, s)
+    rep = full_report(g, s)
     row = rep.terms[0]
     assert row.slack == 1 - (rho * (phi - 1 + c) + beta)
     if rho > 0:
@@ -633,6 +620,17 @@ def test_property_window_ok_matches_the_window(rho, phi, beta, lo):
 def test_property_smoothness_at_interpolates(low, width, theta):
     scale = SobolevScale(low, low + width, F(2))
     assert scale.smoothness_at(theta) == (1 - theta) * scale.low + theta * scale.high
+
+
+@pytest.mark.parametrize("theta", [True, False])
+def test_smoothness_at_rejects_bools(theta):
+    # True == 1 and False == 0, yet a bool is no number to as_fraction, and
+    # the endpoint fast path must not return high or low for one
+    scale = SobolevScale(-1, 1, 2)
+    with pytest.raises(ParameterError, match=f"^not a number: {theta}$"):
+        scale.smoothness_at(theta)
+    assert scale.smoothness_at(0) is scale.low
+    assert scale.smoothness_at(1) is scale.high
 
 
 @given(

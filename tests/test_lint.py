@@ -6,8 +6,11 @@ its __all__ (the package's re-exports); a module-level private name
 (`_x` function, class or constant, dunders aside) must be read somewhere
 in the package; every function, method or class the package defines
 (dunders aside) must be referenced from src/ or bench/, a method as an
-attribute (x.name), or be listed in an __all__: a name that only tests
-reach is not shipped.  On the stepping hot path (sim.py, presets.py) no
+attribute (x.name): a name that only tests reach is not shipped, and an
+__all__ entry is no caller.  The one exception is KEPT_UNREACHED, the
+documented API that no run reaches yet, each group with its reason; an
+entry there that nothing defines any more, or that src/ or bench/ now
+reaches, fails too.  On the stepping hot path (sim.py, presets.py) no
 `**` takes an integer literal above 2: numpy sends those through pow,
 some 30 times slower than multiplying, while `** 2` takes its square fast
 path.  No package module uses Fraction's private API (`_numerator`,
@@ -28,6 +31,22 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "critspde").glob("*.py"))
 HOT_PATH = [p for p in SOURCES if p.name in ("sim.py", "presets.py")]
+
+# Definitions that no src/ or bench/ caller reaches, kept as documented
+# API: README's Python examples call each one, and tests/test_readme.py
+# runs those examples.  What a kept name calls needs no entry, since its
+# body is a caller.
+KEPT_UNREACHED = {
+    # The Serrin-type blow-up criterion, the paper's first main result.  It
+    # is to be evaluated by `critspde calc` and by an acceptance criterion
+    # on the simulator's blow-ups; SerrinReport, revised_serrin_term_raw
+    # and star_params_term hang off it.
+    "serrin_applicable",
+    # Strong dt and spectral n refinement on common noise.  It is to
+    # become the kernel's batched common-noise path, and
+    # tests/golden/convergence_study pins its bytes.
+    "convergence_study",
+}
 
 
 def caller_paths(root: Path) -> list:
@@ -113,15 +132,18 @@ def attributes_read(tree: ast.Module) -> set:
             and isinstance(node.ctx, ast.Load)}
 
 
-def unreferenced_definitions(trees: dict, callers: list):
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unreferenced_definitions(trees: dict, callers: list, kept=frozenset()):
     """(module, line, name) of every function, method or class, dunders
     aside, that the modules in trees define, no tree in callers reads and
-    no __all__ in trees lists.  A function in a class body counts as read
-    only as an attribute (x.name): a bare local of its name does not keep
-    it.  Reads are matched by name, whatever object they are read from."""
-    exports = set().union(*(exported(t) for t in trees.values()))
-    read = set().union(*(names_read(t) for t in callers), exports)
-    attrs = set().union(*(attributes_read(t) for t in callers), exports)
+    kept does not list; an __all__ entry is a string, not a read.  A
+    function in a class body counts as read only as an attribute (x.name):
+    a bare local of its name does not keep it.  Reads are matched by name,
+    whatever object they are read from."""
+    read = set().union(*(names_read(t) for t in callers))
+    attrs = set().union(*(attributes_read(t) for t in callers))
     out = []
     for module, tree in trees.items():
         methods = {id(item) for node in ast.walk(tree)
@@ -129,13 +151,22 @@ def unreferenced_definitions(trees: dict, callers: list):
                    if isinstance(item, (ast.FunctionDef,
                                         ast.AsyncFunctionDef))}
         out += [(module, node.lineno, node.name) for node in ast.walk(tree)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef))
+                if isinstance(node, DEFINITIONS)
                 and not (node.name.startswith("__")
                          and node.name.endswith("__"))
+                and node.name not in kept
                 and node.name not in (attrs if id(node) in methods
                                       else read)]
     return sorted(out)
+
+
+def stale_kept(trees: dict, callers: list, kept) -> list:
+    """The names in kept that no module in trees defines, or that a tree
+    in callers reads: entries with no reason left to be there."""
+    defined = {node.name for tree in trees.values()
+               for node in ast.walk(tree) if isinstance(node, DEFINITIONS)}
+    read = set().union(*(names_read(t) for t in callers))
+    return sorted(name for name in kept if name not in defined or name in read)
 
 
 def slow_powers(tree: ast.Module):
@@ -249,12 +280,22 @@ def test_unread_private_name_is_reported():
                                            ("a.py", 6, "_Gone")]
 
 
-def test_every_function_is_referenced():
+def package_trees_and_callers():
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in SOURCES}
     callers = [ast.parse(path.read_text(), filename=str(path))
                for path in caller_paths(ROOT)]
-    assert unreferenced_definitions(trees, callers) == []
+    return trees, callers
+
+
+def test_every_function_is_referenced():
+    trees, callers = package_trees_and_callers()
+    assert unreferenced_definitions(trees, callers, KEPT_UNREACHED) == []
+
+
+def test_kept_unreached_entries_are_live():
+    trees, callers = package_trees_and_callers()
+    assert stale_kept(trees, callers, KEPT_UNREACHED) == []
 
 
 def test_unreferenced_function_is_reported():
@@ -275,17 +316,18 @@ def test_unreferenced_function_is_reported():
 
 
 def test_test_only_reference_is_reported(tmp_path):
-    # a name reached from tests/ alone is reported; one reached from bench/
-    # or listed in __all__ is not, whatever reads it
+    # a name reached from tests/ alone is reported, also when an __all__
+    # lists it; one reached from bench/ or kept by name is not
     files = {
-        "src/pkg/a.py": ("__all__ = ['public']\n"
+        "src/pkg/a.py": ("__all__ = ['public', 'kept']\n"
                          "def public():\n    pass\n"
                          "def benched():\n    pass\n"
                          "def tested():\n    pass\n"
-                         "class Probe:\n    pass\n"),
+                         "class Probe:\n    pass\n"
+                         "def kept():\n    pass\n"),
         "bench/b.py": "from pkg.a import benched\nbenched()\n",
-        "tests/test_a.py": ("from pkg.a import tested, Probe\n"
-                            "tested()\nProbe()\n"),
+        "tests/test_a.py": ("from pkg.a import public, tested, Probe\n"
+                            "public()\ntested()\nProbe()\n"),
     }
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
@@ -294,8 +336,21 @@ def test_test_only_reference_is_reported(tmp_path):
     assert paths == [tmp_path / "bench/b.py", tmp_path / "src/pkg/a.py"]
     trees = {"a.py": ast.parse(files["src/pkg/a.py"])}
     callers = [ast.parse(path.read_text()) for path in paths]
-    assert unreferenced_definitions(trees, callers) == [
-        ("a.py", 6, "tested"), ("a.py", 8, "Probe")]
+    assert unreferenced_definitions(trees, callers, {"kept"}) == [
+        ("a.py", 2, "public"), ("a.py", 6, "tested"), ("a.py", 8, "Probe")]
+
+
+def test_stale_kept_entry_is_reported():
+    # an entry is stale once nothing defines it or a caller reaches it
+    tree = ast.parse("def kept():\n    pass\n"
+                     "def reached():\n    pass\n"
+                     "class Report:\n    pass\n")
+    caller = ast.parse("from a import reached\nreached()\n")
+    kept = {"kept", "reached", "Report", "gone"}
+    assert stale_kept({"a.py": tree}, [tree, caller], kept) == [
+        "gone", "reached"]
+    assert unreferenced_definitions({"a.py": tree}, [tree, caller],
+                                    kept) == []
 
 
 @pytest.mark.parametrize("path", HOT_PATH, ids=lambda p: p.name)

@@ -460,7 +460,8 @@ def test_row_medians_match_numpy():
 
 def test_hoelder_fit_imports_no_numpy_ma():
     # np.unique and np.median import numpy.ma on first use (some 15 ms and
-    # 1 MB); a saved path and a Hoelder fit reach neither
+    # 1 MB); a saved path, a Hoelder fit and criterion 10, which takes the
+    # ensemble's median exponents, reach neither
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -471,7 +472,12 @@ def test_hoelder_fit_imports_no_numpy_ma():
         "g=1.0), noise=NoiseSpec(lam=0.75, modes=21), t_end=1.0, "
         "dt=1.0 / 512, u0=np.cos)\n"
         "hoelder_estimate(simulate_path(cfg, n_save=129))\n"
-        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        "from critspde.acceptance import check_regularity_bands\n"
+        "failures, _ = check_regularity_bands()\n"
+        "assert not failures, failures\n"
+        "assert 'numpy.ma' not in sys.modules, 'criterion 10 imported "
+        "numpy.ma'\n")
     env = dict(os.environ)
     src = str(Path(critspde.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
