@@ -10,8 +10,7 @@ rational witnesses; a step is only emitted when all checks pass.
 Space comparisons on the 1-torus reduce to index arithmetic: smoothness
 minus 1/q, with strict inequalities everywhere except the same-scale Besov
 comparison at equal indices (secondary index ordering decides there).
-The planner holds each space as the integer parts of its indices, and
-builds a Fraction of them only for a witness.
+The planner holds each space as the integer parts of its indices.
 
 As in `exponents`, the planner computes from the integer numerators and
 denominators of its Fraction inputs (denominators are positive, so a
