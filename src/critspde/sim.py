@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .exponents import GrowthSpec, ParameterError
 
@@ -222,6 +223,26 @@ def drift_pairing(values: np.ndarray, f: PointwiseMap) -> float:
 
 # --- stepping -------------------------------------------------------------
 
+# The gufuncs behind np.fft.rfft and np.fft.irfft with norm="forward",
+# called with the factors those pass (1/n forward, 1 back) along the last
+# axis, straight into the caller's out: numpy's Python wrapper around them
+# costs as much as a small transform.  rfft_n_even serves every TorusGrid,
+# whose n is even.
+_LAST_AXIS = [(-1,), (), (-1,)]
+
+
+def _rfft(grids: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.fft.rfft(grids, norm="forward"), written into out."""
+    return _pocketfft.rfft_n_even(grids, 1.0 / grids.shape[-1],
+                                  axes=_LAST_AXIS, out=out)
+
+
+def _irfft(spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.fft.irfft(spectra, n=out.shape[-1], norm="forward"), written into
+    out."""
+    return _pocketfft.irfft(spectra, 1.0, axes=_LAST_AXIS, out=out)
+
+
 class SpectralStepper:
     """One-step map with all mode tables precomputed for a fixed config.
 
@@ -232,12 +253,17 @@ class SpectralStepper:
     argument t of the public step methods is the step's start; the equation
     is autonomous, so the maths does not read it.  Spectra are rfft/n; the
     FFTs scale by 1/n with norm="forward", which for the power-of-two n of
-    a TorusGrid is exact and gives the bits of dividing by n by hand.
+    a TorusGrid is exact and gives the bits of dividing by n by hand.  The
+    FFTs of a step go through _rfft and _irfft, numpy's own transforms
+    without its Python wrapper, into buffers that the kernel allocates once
+    and reuses; a step takes as many as it took through np.fft.
 
     update() is the only code that advances a spectrum, in every step of
     the kernel (with no grids in a block that does not read the grid).  The
     two blow-up tests, coefficients()'s ok and blown_up(), give the masks of
     the rows the kernel's drop() retires from its (4, rows) stats array.
+    coefficients(), update() and noise_increments() write into buffers the
+    caller passes, and allocate fresh arrays without them.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -251,15 +277,19 @@ class SpectralStepper:
         # ||grad u||^2 = 2 pi * grad_weights @ |u_hat|^2
         self.grad_weights = self.weights * k2
         if cfg.scheme == "exp_euler":
-            self.linear = np.exp(-k2 * self.dt)
+            linear = np.exp(-k2 * self.dt)
         else:
-            self.linear = 1.0 / (1.0 + k2 * self.dt)
+            linear = 1.0 / (1.0 + k2 * self.dt)
+        # complex, as a spectrum times a real array would cast it each step
+        self.linear = linear.astype(complex)
         self.deriv = 1j * self.k.astype(float)
         self.band = int(np.count_nonzero(dealiased(n)))  # bins kept
         self.f = cfg.nonlinearity.f
         g = cfg.nonlinearity.g
         self.g_map = g if callable(g) else None
         self.g_const = None if (g is None or callable(g)) else float(g)
+        # grids a step evaluates, stacked in this order: f(u), then g(u)
+        self.terms = (self.f is not None) + (self.g_map is not None)
         self.draws = 0
         if cfg.nonlinearity.has_noise:
             sigma = cfg.noise.amplitudes()
@@ -273,78 +303,110 @@ class SpectralStepper:
     def reads_grid(self) -> bool:
         """Whether a step evaluates f or g on the grid.  Without a flux and
         with g constant or absent, a step only scales spectra."""
-        return self.f is not None or self.g_map is not None
+        return self.terms > 0
 
     def blown_up(self, values: np.ndarray) -> Optional[np.ndarray]:
         """Per row: the state is non-finite or its sup-norm passes the cap;
         None when no row is."""
-        # a NaN fails the comparison, so one reduction makes both tests, and
-        # one over the whole array settles the usual case of no row at all
-        if np.abs(values).max() <= self.cap:
+        # a NaN fails the comparisons, so two reductions over the whole
+        # array settle the usual case of no row at all, with no temporary
+        if values.max() <= self.cap and -values.min() <= self.cap:
             return None
         return ~(np.abs(values).max(axis=-1) <= self.cap)
 
-    def coefficients(self, values: np.ndarray):
+    def coefficients(self, values: np.ndarray,
+                     out: Optional[np.ndarray] = None):
         """(f(u), g(u), ok) on the grid.
 
         f(u) is None without a flux and g(u) None unless g is a map; ok
         tells per row whether both are finite, and is None when every row
         is.  A row where one is not has blown up at the start of the step.
+        The two are the rows of one (terms, ...) stack, f(u) first: out, or
+        a fresh array.
         """
+        if not self.terms:
+            return None, None, None
+        grids = np.empty((self.terms,) + np.shape(values)) if out is None \
+            else out
         fu = gu = None
         if self.f is not None:
-            fu = np.asarray(self.f(values), dtype=float)
+            fu = grids[0]
+            fu[...] = self.f(values)
         if self.g_map is not None:
-            gu = np.asarray(self.g_map(values), dtype=float)
+            gu = grids[-1]
+            gu[...] = self.g_map(values)
         ok = None
-        for grid in (fu, gu):
-            # the per-row mask is built only for a map with a non-finite value
-            if grid is not None and not np.isfinite(grid).all():
-                row_ok = np.isfinite(grid).all(axis=-1)
-                ok = row_ok if ok is None else ok & row_ok
+        # one test over the stack settles the usual case of every value
+        # finite; the per-row mask is built only when it fails
+        if not np.isfinite(grids).all():
+            ok = np.isfinite(grids).all(axis=(0, -1))
         return fu, gu, ok
 
     def _spectra(self, fu: Optional[np.ndarray], gu: Optional[np.ndarray],
-                 dw: Optional[np.ndarray]):
+                 dw: Optional[np.ndarray], work=None):
         """Dealiased rfft/n spectra of d/dx f(u) and of g(u) dW; either is
-        None without its term.  With a flux and a map g, one rfft takes the
-        two grids stacked, row for row the bits of one rfft each."""
-        if fu is not None and gu is not None:
-            grids = np.empty((2,) + fu.shape)
-            grids[0] = fu
-            np.multiply(gu, dw, out=grids[1])
-            both = np.fft.rfft(grids, norm="forward")
-            f_hat, g_hat = both
-            f_hat *= self.deriv
-            both[..., self.band:] = 0.0
-            return f_hat, g_hat
-        f_hat, g_hat = None, dw
-        if fu is not None:
-            f_hat = np.fft.rfft(fu, norm="forward")
-            f_hat *= self.deriv
-            f_hat[..., self.band:] = 0.0
+        None without its term.  The grids present take one rfft stacked,
+        row for row the bits of one rfft each.  work, the kernel's, is
+        (grids, spectra): the stack coefficients(values, grids) filled,
+        whose rows fu and gu are, and a buffer for its spectra; without it
+        the grids are stacked into a fresh array."""
+        if fu is None and gu is None:
+            return None, dw
+        if work is None:
+            grids = np.stack([t for t in (fu, gu) if t is not None])
+            spectra = np.empty(grids.shape[:-1] + (self.n // 2 + 1,),
+                               dtype=complex)
+        else:
+            grids, spectra = work
         if gu is not None:
-            g_hat = np.fft.rfft(gu * dw, norm="forward")
-            g_hat[..., self.band:] = 0.0
-        return f_hat, g_hat
+            np.multiply(grids[-1], dw, out=grids[-1])
+        _rfft(grids, spectra)
+        f_hat = None
+        if fu is not None:
+            f_hat = spectra[0]
+            f_hat *= self.deriv
+        spectra[..., self.band:] = 0.0
+        return f_hat, (dw if gu is None else spectra[-1])
 
-    def noise_increments(self, xi: np.ndarray) -> np.ndarray:
+    def noise_increments(self, xi: np.ndarray,
+                         out: Optional[np.ndarray] = None,
+                         work: Optional[np.ndarray] = None) -> np.ndarray:
         """What unit Gaussian draws xi (..., 2K+1) add to a step.
 
         Draw layout: [xi_0, xi_1^cos .. xi_K^cos, xi_1^sin .. xi_K^sin].
-        For a constant g this is the rfft/n spectrum of g dW; for a map g it
-        is the field dW on the grid, which the step multiplies by g(u).
+        For a constant g this is the rfft/n spectrum of g dW, written into
+        out; for a map g it is the field dW on the grid, written into out,
+        which the step multiplies by g(u), and work holds its spectrum.
+        Either is allocated when not given.  The spectrum is built through
+        its .real and .imag views with the bits of the complex expression
+        amp * (xc - 1j*xs) / (2 sqrt(pi)): numpy divides a complex by a
+        real as a product with its reciprocal, and a part that comes out
+        zero is +0.0, whatever the signs of the draws.
         """
         kmax = self.amp.size
-        w_hat = np.zeros(xi.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
-        w_hat[..., 0] = self.amp0 * xi[..., 0] / _ROOT_TWO_PI
+        w_hat = out if self.g_map is None else work
+        if w_hat is None:
+            w_hat = np.empty(xi.shape[:-1] + (self.n // 2 + 1,),
+                             dtype=complex)
+        mean = w_hat[..., 0]
+        np.multiply(xi[..., 0], self.amp0, out=mean.real)
+        np.divide(mean.real, _ROOT_TWO_PI, out=mean.real)
+        mean.imag[...] = 0.0
+        w_hat[..., kmax + 1:] = 0.0
         if kmax:
-            xc = xi[..., 1:kmax + 1]
-            xs = xi[..., kmax + 1:2 * kmax + 1]
-            w_hat[..., 1:kmax + 1] = self.amp * (xc - 1j * xs) / _TWO_ROOT_PI
+            modes = w_hat[..., 1:kmax + 1]
+            re, im = modes.real, modes.imag
+            np.multiply(xi[..., 1:kmax + 1], self.amp, out=re)
+            re *= 1.0 / _TWO_ROOT_PI
+            np.multiply(xi[..., kmax + 1:], self.amp, out=im)
+            im *= -1.0 / _TWO_ROOT_PI
+            modes += 0.0
         if self.g_map is None:
-            return self.g_const * w_hat
-        return np.fft.irfft(w_hat, n=self.n, norm="forward")
+            w_hat *= self.g_const
+            return w_hat
+        if out is None:
+            out = np.empty(xi.shape[:-1] + (self.n,))
+        return _irfft(w_hat, out)
 
     def drift_hat(self, values: np.ndarray, t: float) -> np.ndarray:
         """rfft/n spectrum of d/dx f(u), dealiased; zeros without a flux."""
@@ -366,23 +428,25 @@ class SpectralStepper:
         return self._spectra(None, gu, self.noise_increments(xi))[1]
 
     def update(self, u_hat: np.ndarray, fu: Optional[np.ndarray],
-               gu: Optional[np.ndarray], dw: Optional[np.ndarray]):
+               gu: Optional[np.ndarray], dw: Optional[np.ndarray],
+               out: Optional[np.ndarray] = None, work=None):
         """(next u_hat, drift spectrum, noise spectrum) from coefficients()
         and noise_increments(); the drift spectrum is None without a flux
-        and the noise spectrum None without noise."""
-        f_hat, g_hat = self._spectra(fu, gu, dw)
-        # (u_hat + dt*f_hat + g_hat) * linear, summed in place in one fresh
-        # array: addition commutes, so dt*f_hat + u_hat has u_hat + dt*f_hat's
-        # bits
+        and the noise spectrum None without noise.  The next u_hat is
+        written into out, which must not be u_hat, or a fresh array; work
+        is _spectra's."""
+        f_hat, g_hat = self._spectra(fu, gu, dw, work)
+        # (u_hat + dt*f_hat + g_hat) * linear, summed in place: addition
+        # commutes, so dt*f_hat + u_hat has u_hat + dt*f_hat's bits
         if f_hat is not None:
-            nxt = self.dt * f_hat
+            nxt = np.multiply(f_hat, self.dt, out=out)
             nxt += u_hat
             if g_hat is not None:
                 nxt += g_hat
         elif g_hat is not None:
-            nxt = u_hat + g_hat
+            nxt = np.add(u_hat, g_hat, out=out)
         else:
-            return u_hat * self.linear, f_hat, g_hat
+            return np.multiply(u_hat, self.linear, out=out), f_hat, g_hat
         nxt *= self.linear
         return nxt, f_hat, g_hat
 
@@ -490,7 +554,9 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     the stats, records the row's ends and compacts the rows, the noise
     table, the stats and the step's arrays.  increments replaces the stream
     of a one-path run: its rows fill the same block of draws the stream
-    would.
+    would.  The work arrays are allocated once, at full width, and a step
+    works in the leading rows of each: update() writes each spectrum
+    straight into its slot among the kept ones.
 
     A config whose steps do not read the grid (no flux, g constant or
     absent) takes each RNG_BLOCK block in spectral space through update,
@@ -517,9 +583,11 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     save_pos = {int(s): i for i, s in enumerate(save_idx)}
     saved = np.empty((n_paths, save_idx.size, n))
     saved[:, 0] = values
+    nh = n // 2 + 1
 
     # draws holds the current block's unit draws and table their noise,
-    # one (rows, steps, .) slab each
+    # one (rows, steps, .) slab each: the noise's spectrum, and for a map g
+    # the field on the grid too
     table = None
     if increments is not None:
         increments = np.asarray(increments, dtype=float)
@@ -528,6 +596,9 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
                                  "(n_steps, 2K+1)")
     if stepper.draws:
         draws = np.empty((n_paths, RNG_BLOCK, stepper.draws))
+        noise_hat = np.empty((n_paths, RNG_BLOCK, nh), dtype=complex)
+        noise = noise_hat if stepper.g_map is None \
+            else np.empty((n_paths, RNG_BLOCK, n))
         if increments is None:
             rngs = [_path_stream(c.seed) for c in cfgs]
 
@@ -546,12 +617,19 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     stats = np.repeat([[l2_0], [0.0], [l2_0], [norms(u_hat)[1]]], n_paths, 1)
     values = np.repeat(values[None], n_paths, axis=0)
     u_hat = np.repeat(u_hat[None], n_paths, axis=0)
-    spec = np.empty((RNG_BLOCK, n_paths, n // 2 + 1), dtype=complex)
-    # the states of a block of a config that does not read the grid; one
-    # buffer for every block spares the page faults of a fresh one at P=200
-    grids = None if stepper.reads_grid else np.empty((RNG_BLOCK, n_paths, n))
+    spec = np.empty((RNG_BLOCK, n_paths, nh), dtype=complex)
+    # a step's f(u) and g(u) dW stacked, their spectra, and its new state
+    stack = np.empty((stepper.terms, n_paths, n))
+    stack_hat = np.empty((stepper.terms, n_paths, nh), dtype=complex)
+    states = np.empty((n_paths, n))
+    # the states of a block of a config that does not read the grid, and
+    # the spectrum it starts from, which its fallback steps start from too
+    if not stepper.reads_grid:
+        block_states = np.empty((RNG_BLOCK, n_paths, n))
+        block_start = np.empty((n_paths, nh), dtype=complex)
     filled = 0
     rows = np.arange(n_paths)  # path index of each active row
+    work, after = (stack, stack_hat), states  # the active rows' views
 
     status = ["completed"] * n_paths
     sigma_hat = [c.t_end for c in cfgs]
@@ -575,8 +653,8 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
 
     def drop(dead: np.ndarray, t_dead: float, i: int, *arrays):
         """Retire the rows in dead at t_dead after i steps; returns arrays
-        without those rows."""
-        nonlocal rows, table, stats
+        without those rows, as fresh arrays."""
+        nonlocal rows, table, stats, work, after
         # the last kept state is the last folded one: its term ends grad
         fold()
         gone = rows[dead]
@@ -587,7 +665,9 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
         keep = ~dead
         rows, stats = rows[keep], stats[:, keep]
         table = None if table is None else table[keep]
-        return [None if a is None else a[keep] for a in arrays]
+        work = (stack[:, :rows.size], stack_hat[:, :rows.size])
+        after = states[:rows.size]
+        return [a[keep] for a in arrays]
 
     for start in range(0, n_steps, RNG_BLOCK):
         m = min(RNG_BLOCK, n_steps - start)
@@ -597,41 +677,47 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
                     rngs[p].standard_normal(out=draws[r, :m])
             else:
                 draws[0, :m] = increments[start:start + m]
-            table = stepper.noise_increments(draws[:rows.size, :m])
+            table = stepper.noise_increments(draws[:rows.size, :m],
+                                             noise[:rows.size, :m],
+                                             noise_hat[:rows.size, :m])
         if not stepper.reads_grid:
             # a drop in an earlier block may have left spectra unfolded
             fold()
+            # u_hat may be a slab of spec, which the block overwrites; a
+            # fallback to single steps starts from this copy
+            np.copyto(block_start[:rows.size], u_hat)
+            u_hat = prev = block_start[:rows.size]
             block = spec[:m, :rows.size]
-            prev = u_hat
             for j in range(m):
                 dw = None if table is None else table[:, j]
-                block[j] = prev = stepper.update(prev, None, None, dw)[0]
-            states = np.fft.irfft(block, n=n, norm="forward",
-                                  out=grids[:m, :rows.size])
-            if stepper.blown_up(states) is None:
-                u_hat, values, filled = prev, states[-1].copy(), m
+                prev = stepper.update(prev, None, None, dw, block[j])[0]
+            blk = _irfft(block, block_states[:m, :rows.size])
+            if stepper.blown_up(blk) is None:
+                # a step of this config never reads values
+                u_hat, values, filled = prev, blk[-1], m
                 for j in range(m):
                     if start + j + 1 in save_pos:
-                        saved[rows, save_pos[start + j + 1]] = states[j]
+                        saved[rows, save_pos[start + j + 1]] = blk[j]
                 continue
         for i in range(start, start + m):
-            fu, gu, ok = stepper.coefficients(values)
+            fu, gu, ok = stepper.coefficients(values, work[0])
             if ok is not None:
-                u_hat, values, fu, gu = drop(~ok, i * cfg.dt, i,
-                                             u_hat, values, fu, gu)
+                u_hat, values = drop(~ok, i * cfg.dt, i, u_hat, values)
                 if not rows.size:
                     break
+                # a row's maps are pointwise: evaluated on the rows kept
+                fu, gu, _ = stepper.coefficients(values, work[0])
             dw = None if table is None else table[:, i - start]
-            new_hat = stepper.update(u_hat, fu, gu, dw)[0]
-            new_values = np.fft.irfft(new_hat, n=n, norm="forward")
-            bad = stepper.blown_up(new_values)
+            u_hat = stepper.update(u_hat, fu, gu, dw,
+                                   spec[filled, :rows.size], work)[0]
+            values = _irfft(u_hat, after)
+            bad = stepper.blown_up(values)
             if bad is not None:
-                new_hat, new_values = drop(bad, (i + 1) * cfg.dt, i,
-                                           new_hat, new_values)
+                u_hat, values = drop(bad, (i + 1) * cfg.dt, i,
+                                     u_hat, values)
                 if not rows.size:
                     break
-            u_hat, values = new_hat, new_values
-            spec[filled, :rows.size] = u_hat
+                spec[filled, :rows.size] = u_hat
             filled += 1
             if filled == RNG_BLOCK:
                 fold()

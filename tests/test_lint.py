@@ -20,7 +20,11 @@ since Python 3.12 changed those private names.  No package module writes
 through an object's `__dict__` or `vars()`: on CPython 3.11 such a write
 materializes the instance dict, and every later attribute read of the
 object gets slower (a frozen dataclass stores a field with
-`object.__setattr__` instead).
+`object.__setattr__` instead).  No code of the stepping kernel
+(`SpectralStepper`, `_integrate`) that can run more than once per run
+calls `np.fft`: its transforms go through `sim._rfft` and `sim._irfft`,
+which call numpy's pocketfft gufuncs without the Python wrapper; the one
+call left is `_integrate`'s transform of the initial state.
 """
 
 import ast
@@ -244,6 +248,45 @@ def dict_writes(tree: ast.Module):
     return sorted(out)
 
 
+# what runs per step or per block: loops, comprehensions and nested
+# functions; a class's methods all count
+REPEATING = (ast.For, ast.AsyncFor, ast.While, ast.FunctionDef,
+             ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+
+
+def _dotted(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def kernel_numpy_fft_calls(tree: ast.Module):
+    """(line, call) of every np.fft (or numpy.fft) call in the class
+    SpectralStepper, and of every one in the function _integrate that sits
+    in a loop, a comprehension or a nested function."""
+    out = []
+
+    def visit(node, repeated):
+        if isinstance(node, ast.Call) and repeated \
+                and _dotted(node.func).split(".")[:2] in (["np", "fft"],
+                                                          ["numpy", "fft"]):
+            out.append((node.lineno, _dotted(node.func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, repeated or isinstance(child, REPEATING))
+
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "SpectralStepper":
+            visit(node, True)
+        elif isinstance(node, ast.FunctionDef) and node.name == "_integrate":
+            visit(node, False)
+    return sorted(out)
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
     assert len(HOT_PATH) == 2
@@ -404,3 +447,27 @@ def test_dict_write_is_reported():
     assert dict_writes(tree) == [
         (2, "__dict__"), (3, "vars()"), (4, "__dict__"), (5, "vars()"),
         (6, "__dict__"), (7, "__dict__"), (8, "__dict__")]
+
+
+def test_kernel_calls_no_numpy_fft():
+    path = ROOT / "src" / "critspde" / "sim.py"
+    assert kernel_numpy_fft_calls(ast.parse(path.read_text())) == []
+
+
+def test_kernel_numpy_fft_call_is_reported():
+    tree = ast.parse("import numpy as np\n"
+                     "class SpectralStepper:\n"
+                     "    def step(self, x):\n"
+                     "        return np.fft.rfft(x)\n"
+                     "def _integrate(values):\n"
+                     "    u_hat = np.fft.rfft(values) / 8\n"
+                     "    for i in range(3):\n"
+                     "        values = np.fft.irfft(u_hat)\n"
+                     "    def fold():\n"
+                     "        return numpy.fft.rfft(values)\n"
+                     "    return [np.fft.fft(v) for v in values]\n"
+                     "def other(x):\n"
+                     "    return np.fft.rfft(x)\n")
+    assert kernel_numpy_fft_calls(tree) == [
+        (4, "np.fft.rfft"), (8, "np.fft.irfft"), (10, "numpy.fft.rfft"),
+        (11, "np.fft.fft")]

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critspde import presets
+from critspde import presets, sim
 from critspde.exponents import ParameterError
 from critspde.harness import save_trajectory_csv
 from critspde.sim import (
@@ -502,22 +503,62 @@ def test_fft_calls_per_step(name, rfft, irfft, monkeypatch):
     # per step: one rfft takes f(u) and g(u) dW together and one irfft
     # gives the new state; a map g adds one irfft per block of 16 steps;
     # without a flux and with g constant or absent a step reads no grid,
-    # and one irfft gives the states of a whole block of 16 steps
+    # and one irfft gives the states of a whole block of 16 steps.  The
+    # kernel's transforms go through sim's helpers, all but the initial
+    # state's rfft, which goes through np.fft
     calls = {"rfft": 0, "irfft": 0}
 
-    def counted(fn):
+    def counted(fn, kind):
         def wrapper(*args, **kwargs):
-            calls[fn.__name__] += 1
+            calls[kind] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
-    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+    for module, prefix in ((np.fft, ""), (sim, "_")):
+        for kind in calls:
+            fn = getattr(module, prefix + kind)
+            monkeypatch.setattr(module, prefix + kind, counted(fn, kind))
     cfg = presets.SIM_PRESETS[name]()
     steps = 40
     traj = simulate_path(replace(cfg, t_end=steps * cfg.dt), n_save=2)
     assert traj.completed and traj.stats.steps_taken == steps
     assert calls == {"rfft": rfft(steps), "irfft": irfft(steps)}
+
+
+def every_other_row(buffer_of):
+    """A view that skips every other row of a larger buffer (every other
+    entry of a lone row): buffer_of(shape) makes the buffer."""
+    def view(lead, core):
+        if not lead:
+            return buffer_of((2 * core,))[::2]
+        shape = lead[:-1] + (2 * lead[-1] + 1, core)
+        return buffer_of(shape)[..., 1::2, :]
+    return view
+
+
+@pytest.mark.parametrize("n", [8, 64, 128])
+@pytest.mark.parametrize("lead", [(), (17,), (2, 17), (16, 200)],
+                         ids=["row", "rows", "stack", "block"])
+def test_fft_helpers_match_numpy(n, lead):
+    # sim's helpers call numpy's pocketfft gufuncs straight into out: the
+    # bits of np.fft with norm="forward", on contiguous arrays and on views
+    # into larger buffers, read and written
+    rng = np.random.default_rng(n)
+    nh = n // 2 + 1
+    real = every_other_row(rng.standard_normal)
+    cplx = every_other_row(lambda shape: rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+    empty = every_other_row(lambda shape: np.full(shape, np.nan))
+    empty_c = every_other_row(lambda shape: np.full(shape, np.nan + 0j))
+    grids, hats = real(lead, n), cplx(lead, nh)
+    for x, h in ((grids, hats), (grids.copy(), hats.copy())):
+        for out in (empty_c(lead, nh), np.empty(lead + (nh,), complex)):
+            assert sim._rfft(x, out) is out
+            assert out.tobytes() == np.fft.rfft(x, norm="forward").tobytes()
+        for out in (empty(lead, n), np.empty(lead + (n,))):
+            assert sim._irfft(h, out) is out
+            assert out.tobytes() == \
+                np.fft.irfft(h, n=n, norm="forward").tobytes()
 
 
 # --- the batched kernel -----------------------------------------------------------
@@ -670,6 +711,32 @@ def test_path_stats_at_block_edges(site):
         assert np.array_equal(traj.states, lone.states)
 
 
+def edge_noise(y):
+    return np.where(np.abs(y) > 0.6, np.inf, 1.0 + np.abs(y))
+
+
+@pytest.mark.parametrize("f, g", [(edge_flux, presets.one_plus_abs),
+                                  (half_cubic, edge_noise),
+                                  (edge_flux, edge_noise)],
+                         ids=["flux", "map_g", "both"])
+def test_start_of_step_blowup_warns_nothing(f, g):
+    # f(u) or g(u) turns non-finite past 0.6 where the other keeps the
+    # values of the flux site above, so the same rows leave at the same
+    # steps: the start-of-step test runs before any arithmetic reaches a
+    # non-finite grid (inf * 0 would warn)
+    cfg = SimConfig(grid=TorusGrid(32),
+                    nonlinearity=NonlinearitySpec(f=f, g=g),
+                    noise=NoiseSpec(lam=0.75, modes=5), t_end=0.4, dt=0.01,
+                    u0=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trajs = simulate_paths(cfg, EDGE_SEEDS)
+    got = [(t.config.seed, t.stats.steps_taken, t.sigma_hat,
+            t.stats.sup_l2_sq, t.stats.grad_integral, t.stats.final_l2_sq)
+           for t in trajs]
+    assert got == EDGE_AT_FLUX
+
+
 def test_reads_grid_follows_the_config():
     reads = {name: SpectralStepper(make()).reads_grid
              for name, make in presets.SIM_PRESETS.items()}
@@ -754,6 +821,47 @@ def test_grid_free_increment_table(row):
     table = np.random.default_rng(row[0]).standard_normal((40, 11))
     traj = simulate_path(cfg, increments=table)
     assert (row[0],) + pinned(traj) == row
+
+
+def signed_zero_table():
+    """A draw table holding exact +0.0 and -0.0 cosine and sine draws."""
+    table = np.random.default_rng(31).standard_normal((40, 11))
+    table[::2, 1:6] = -0.0
+    table[1::4, 1:6] = 0.0
+    table[::3, 6:] = -0.0
+    table[1::3, 6:] = 0.0
+    table[7:10] = -0.0
+    table[20:22] = 0.0
+    return table
+
+
+# (status, steps_taken, sup_l2_sq, grad_integral, final_l2_sq, digest of
+# the states followed by noise_increments of the whole table), recorded
+# with a kernel that built the noise from complex temporaries: every part
+# that comes out zero is +0.0, whatever the sign of its draw
+SIGNED_ZERO_DRAWS = [
+    (1.0, ("completed", 40, 3.1678431296682072, 1.0130141170975522,
+           2.0426847809397954, "c4d28b056a093d77")),
+    (presets.one_plus_abs, ("completed", 40, 4.28659947735194,
+                            1.2358013571738604, 2.4736175651853163,
+                            "130a1ba183c825ca")),
+]
+
+
+@pytest.mark.parametrize("g, want", SIGNED_ZERO_DRAWS,
+                         ids=["const_g", "map_g"])
+def test_signed_zero_draws_pinned(g, want):
+    cfg = SimConfig(grid=TorusGrid(32), nonlinearity=NonlinearitySpec(g=g),
+                    noise=NoiseSpec(lam=0.75, modes=5), t_end=0.4, dt=0.01,
+                    u0=np.cos)
+    traj = simulate_path(cfg, increments=signed_zero_table())
+    st = traj.stats
+    h = hashlib.sha256(traj.states.tobytes())
+    h.update(SpectralStepper(cfg).noise_increments(
+        signed_zero_table()).tobytes())
+    got = (traj.status, st.steps_taken, st.sup_l2_sq, st.grad_integral,
+           st.final_l2_sq, h.hexdigest()[:16])
+    assert got == want
 
 
 def mixed_flux(y):
