@@ -215,16 +215,12 @@ class GrowthTerm:
         return self.ordered and (lo.numerator * self.beta.denominator
                                  < self.beta.numerator * lo.denominator)
 
-    def lhs(self, lo: Fraction) -> tuple[Fraction, Fraction]:
-        """(d, rho*d + beta) with d = phi - lo = phi-1+c at window_low
-        lo = 1-c, c = (1+kappa)/p; the term is subcritical when rho*d + beta
-        is at most 1 and critical when it equals 1."""
-        dn, dd, hn, hd = self._lhs_parts(lo.numerator, lo.denominator)
-        return Fraction(dn, dd), Fraction(hn, hd)
-
     def _lhs_parts(self, ln: int, ld: int) -> tuple[int, int, int, int]:
         """Integer parts (dn, dd, hn, hd), denominators positive, of
-        d = phi - lo and rho*d + beta at lo = ln/ld, as in lhs."""
+        d = phi - lo and rho*d + beta at lo = ln/ld.  At window_low
+        lo = 1-c, c = (1+kappa)/p, d = phi-1+c and rho*d + beta is the left
+        side of every subcriticality test: the term is subcritical when it
+        is at most 1 and critical when it equals 1."""
         fn, fd = self.phi.numerator, self.phi.denominator
         bn, bd = self.beta.numerator, self.beta.denominator
         dn, dd = fn * ld - ln * fd, fd * ld
@@ -535,40 +531,6 @@ class StarParams:
     epsilon: Optional[Fraction]
 
 
-def star_params_term(
-    rho: Rational, phi: Rational, beta: Rational, p: Rational, kappa: Rational
-) -> StarParams:
-    """Starred exponents for one term, from raw parameters.
-
-    Case 1 (phi* = phi, beta* = 1 - rho*(phi-1+c)) applies when
-    rho*(phi-1+c) + phi >= 1; otherwise case 2 equalizes
-    beta* = phi* = 1 - rho/(rho+1)*c.  rho = 0 is replaced by the canonical
-    eps = min(kappa+1, (1-phi)/(phi-1+c))/2, which always lands in case 2.
-    The identity rho_eff*(phi*-1+c) + beta* = 1 is exact in both cases.
-
-    Only rho >= 0, slack >= 0 and phi < 1 are required here (beta enters
-    the construction through the slack alone); the GrowthSpec-level wrapper
-    additionally enforces the admissibility window.
-    """
-    rho, phi, beta = as_fraction(rho), as_fraction(phi), as_fraction(beta)
-    p, kappa = as_fraction(p), as_fraction(kappa)
-    if p <= 1 or kappa < 0:
-        raise ParameterError("need p > 1 and kappa >= 0")
-    if rho < 0:
-        raise ParameterError("growth power rho must be >= 0")
-    c = (1 + kappa) / p
-    if not phi < 1:
-        raise GrowthWindowError(f"phi={phi} must be below 1")
-    d = phi - 1 + c
-    if rho * d + beta > 1:
-        raise ParameterError("supercritical term has no starred exponents")
-    if rho == 0 and not d > 0:
-        raise GrowthWindowError(
-            f"rho=0 term needs phi={phi} above 1-(1+kappa)/p={1 - c}"
-        )
-    return _star_row("", -1, rho, phi, kappa, c, d.numerator, d.denominator)[0]
-
-
 def _star_row(
     part: str, index: int, rho: Fraction, phi: Fraction, kappa: Fraction,
     c: Fraction, dn: int, dd: int,
@@ -710,31 +672,38 @@ class SerrinReport:
     revised: bool
 
 
-def revised_serrin_term_raw(
-    rho: Rational, phi: Rational, beta: Rational, p: Rational, kappa: Rational
-) -> tuple[bool, Fraction, Fraction, Fraction]:
-    """Revised-criterion check for one raw term.
-
-    Returns (ok, beta_star, phi_star, threshold) with the strict threshold
-    1 - (1+kappa)/p * (1+kappa)/(2+kappa).
-    """
-    sp = star_params_term(rho, phi, beta, p, kappa)
-    p, kappa = as_fraction(p), as_fraction(kappa)
-    thr = 1 - (1 + kappa) / p * (1 + kappa) / (2 + kappa)
-    return (sp.beta_star > thr and sp.phi_star > thr, sp.beta_star, sp.phi_star, thr)
-
-
 def serrin_applicable(g: GrowthSpec, s: Setting, revised: bool = False) -> SerrinReport:
     """Whether the Serrin-type criterion applies to every growth term.
 
     Plain mode per term: beta = phi and (rho < 1+kappa when kappa > 0,
     rho <= 1 when kappa = 0).  Revised mode: both starred exponents exceed
     1 - (1+kappa)/p*(1+kappa)/(2+kappa) strictly.
+
+    Revised mode admits a term without the (1-(1+kappa)/p, 1) window that
+    star_params asks for: it needs phi < 1 (else GrowthWindowError), the
+    term subcritical at the setting (else ParameterError), and, when
+    rho = 0, phi above 1-(1+kappa)/p (else GrowthWindowError).  So beta
+    may lie below the window or above phi, and phi below the window when
+    rho > 0.  The first term that fails raises, in the order of g.terms().
     """
     rows = []
     if revised:
+        kappa, c, lo = s.kappa, s.weight_index, s.window_low
+        ln, ld = lo.numerator, lo.denominator
+        thr = 1 - c * (1 + kappa) / (2 + kappa)
         for part, i, t in g.terms():
-            ok, bs, ps, thr = revised_serrin_term_raw(t.rho, t.phi, t.beta, s.p, s.kappa)
+            if not t.phi < 1:
+                raise GrowthWindowError(f"phi={t.phi} must be below 1")
+            dn, dd, hn, hd = t._lhs_parts(ln, ld)
+            if hn > hd:
+                raise ParameterError(
+                    "supercritical term has no starred exponents")
+            if t.rho.numerator == 0 and dn <= 0:
+                raise GrowthWindowError(
+                    f"rho=0 term needs phi={t.phi} above 1-(1+kappa)/p={lo}")
+            sp, _ = _star_row(part, i, t.rho, t.phi, kappa, c, dn, dd)
+            bs, ps = sp.beta_star, sp.phi_star
+            ok = bs > thr and ps > thr
             reason = (
                 f"beta*={bs}, phi*={ps} vs threshold {thr}"
                 if ok

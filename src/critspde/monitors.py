@@ -96,8 +96,10 @@ def spatial_norm(values: np.ndarray, smoothness: float, q: float = 2.0):
 
     Exact on band-limited fields.  For q = 2 the mode sum is used directly;
     otherwise the multiplied field is brought back to the grid and its
-    L^q norm taken by quadrature.
+    L^q norm taken by quadrature.  q must satisfy 1 <= q < oo.
     """
+    if not 1.0 <= q < np.inf:  # a NaN fails too
+        raise ParameterError(f"spatial norm needs 1 <= q < oo, not {q}")
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     u_hat = np.fft.rfft(values) / n

@@ -172,10 +172,6 @@ def spectral_weights(n: int) -> np.ndarray:
     return w
 
 
-def l2_norm_sq_spectral(u_hat: np.ndarray, weights: np.ndarray) -> float:
-    return TWO_PI * float(weights @ (u_hat.real ** 2 + u_hat.imag ** 2))
-
-
 def l2_norm_sq(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     return TWO_PI * float(values @ values) / values.size
@@ -187,7 +183,15 @@ def dealiased(n: int) -> np.ndarray:
 
 
 def basis_coefficient(values: np.ndarray, k: int, kind: str = "cos") -> float:
-    """Coefficient against the orthonormal basis, by exact quadrature."""
+    """Coefficient against the orthonormal basis, by exact quadrature.
+
+    k is a mode number, an integer k >= 0; k = 0 is the constant e_0
+    whichever kind is named.
+    """
+    if kind not in ("cos", "sin"):
+        raise ParameterError("basis kind must be cos or sin")
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
+        raise ParameterError(f"mode number must be an integer >= 0, not {k!r}")
     values = np.asarray(values, dtype=float)
     n = values.size
     x = TWO_PI * np.arange(n) / n
@@ -195,10 +199,8 @@ def basis_coefficient(values: np.ndarray, k: int, kind: str = "cos") -> float:
         phi = np.full(n, 1.0 / np.sqrt(TWO_PI))
     elif kind == "cos":
         phi = np.cos(k * x) / np.sqrt(np.pi)
-    elif kind == "sin":
-        phi = np.sin(k * x) / np.sqrt(np.pi)
     else:
-        raise ParameterError("basis kind must be cos or sin")
+        phi = np.sin(k * x) / np.sqrt(np.pi)
     return float(values @ phi) * TWO_PI / n
 
 
@@ -569,9 +571,16 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     n = cfg.grid.n
     stepper = SpectralStepper(cfg)
     values = initial_values(cfg)
-    u_hat = np.fft.rfft(values) / n
-    l2_0 = l2_norm_sq_spectral(u_hat, stepper.weights)
+    nh = n // 2 + 1
+    u_hat = _rfft(values, np.empty(nh, dtype=complex))
+    norm_weights = np.stack([stepper.weights, stepper.grad_weights])
 
+    def norms(spec: np.ndarray) -> np.ndarray:
+        """2 pi (||u||^2, ||grad u||^2) of each spectrum on the last axis."""
+        return TWO_PI * np.vecdot(
+            (spec.real ** 2 + spec.imag ** 2)[..., None, :], norm_weights)
+
+    l2_0, head_0 = norms(u_hat).tolist()
     if stepper.blown_up(values) is not None:
         return [Trajectory(np.zeros(1), values[None, :].copy(),
                            PathStats(l2_0, l2_0, 0.0, l2_0, 0), "blew_up",
@@ -583,7 +592,6 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     save_pos = {int(s): i for i, s in enumerate(save_idx)}
     saved = np.empty((n_paths, save_idx.size, n))
     saved[:, 0] = values
-    nh = n // 2 + 1
 
     # draws holds the current block's unit draws and table their noise,
     # one (rows, steps, .) slab each: the noise's spectrum, and for a map g
@@ -602,19 +610,12 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
         if increments is None:
             rngs = [_path_stream(c.seed) for c in cfgs]
 
-    norm_weights = np.stack([stepper.weights, stepper.grad_weights])
-
-    def norms(spec: np.ndarray) -> np.ndarray:
-        """2 pi (||u||^2, ||grad u||^2) of each spectrum on the last axis."""
-        return TWO_PI * np.vecdot(
-            (spec.real ** 2 + spec.imag ** 2)[..., None, :], norm_weights)
-
     # per active row: state, spectrum and stats.  stats holds, in PathStats'
     # order, sup ||u||^2, grad (the sum of the dt * ||grad u||^2 terms of
     # the folded states but the last) and final ||u||^2, then head, the last
     # folded state's ||grad u||^2.  spec[j] holds the rows' j-th spectrum
     # accepted since the fold, one contiguous slab per step
-    stats = np.repeat([[l2_0], [0.0], [l2_0], [norms(u_hat)[1]]], n_paths, 1)
+    stats = np.repeat([[l2_0], [0.0], [l2_0], [head_0]], n_paths, 1)
     values = np.repeat(values[None], n_paths, axis=0)
     u_hat = np.repeat(u_hat[None], n_paths, axis=0)
     spec = np.empty((RNG_BLOCK, n_paths, nh), dtype=complex)

@@ -16,7 +16,6 @@ draw generator, built from integer parts, is compared with the Fraction
 generator it replaced on all 10^4 of its draws.
 """
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from math import gcd
 from typing import NamedTuple, Optional
@@ -53,7 +52,7 @@ from critspde.exponents import (
     one_d_growth_params,
     rho_star_and_x_exponents,
     star_params,
-    star_params_term,
+    serrin_applicable,
     trace_space,
     xi_exponents,
 )
@@ -131,9 +130,9 @@ def test_setting_closed_forms(p, kappa, scaled, frac):
         assert (tr.q, tr.p) == (scale.q, p)
 
 
-@given(WIDE, WIDE, WIDE, WIDE)
+@given(WIDE, WIDE, WIDE, WIDE, UNIT, rationals(F(0), F(47, 48), 48))
 @settings(max_examples=150)
-def test_growth_term_closed_forms(rho, phi, beta, lo):
+def test_growth_term_closed_forms(rho, phi, beta, lo, p_unit, kappa_unit):
     if rho < 0:
         assert raised(GrowthTerm, rho, phi, beta) == (
             ParameterError, "growth power rho must be >= 0")
@@ -144,10 +143,15 @@ def test_growth_term_closed_forms(rho, phi, beta, lo):
         assert t.threshold_weight_index is None
     else:
         exact(t.threshold_weight_index, (1 - beta) / rho + (1 - phi))
-    d, lhs = t.lhs(lo)
-    exact(d, phi - lo)
-    exact(lhs, rho * (phi - lo) + beta)
     assert t.window_ok(lo) is (lo < beta <= phi < 1)
+    # at a setting's window_low w = 1-c the report's lhs is
+    # rho*(phi-w) + beta, and its window_ok is the term's at w
+    s = Setting(SobolevScale(F(-1), F(1), F(2)), 2 + 8 * p_unit,
+                4 * p_unit * kappa_unit)
+    w = s.window_low
+    (row,) = full_report(GrowthSpec(f_terms=(t,)), s).terms
+    exact(row.lhs, rho * (phi - w) + beta)
+    assert row.window_ok is (w < beta <= phi < 1)
 
 
 # --- the per-setting passes -------------------------------------------------
@@ -282,8 +286,11 @@ def test_exponent_tables_closed_forms(drawn):
         exact(te.r_conj, c / (1 - t.beta))
         check_entries(te.x_entries, s, te.rho_star, t.phi, t.beta, te.r,
                       te.r_conj)
-    for sp, xe, (part, i, t, d, _, _) in zip(star_params(g, s),
-                                            xi_exponents(g, s), rows):
+    # revised Serrin: beta* and phi* both above 1 - c(1+kappa)/(2+kappa)
+    serrin = serrin_applicable(g, s, revised=True)
+    thr = 1 - c * (1 + s.kappa) / (2 + s.kappa)
+    for sp, xe, term, (part, i, t, d, _, _) in zip(
+            star_params(g, s), xi_exponents(g, s), serrin.terms, rows):
         rho_eff, phi_star, beta_star, case, eps = reference_star(t, s, d)
         assert (sp.part, sp.index, sp.case_id) == (part, i, case)
         exact(sp.rho_eff, rho_eff)
@@ -293,8 +300,8 @@ def test_exponent_tables_closed_forms(drawn):
             assert sp.epsilon is None
         else:
             exact(sp.epsilon, eps)
-        assert replace(sp, part="", index=-1) == star_params_term(
-            t.rho, t.phi, t.beta, s.p, s.kappa)
+        assert (term.part, term.index) == (part, i)
+        assert term.ok is (beta_star > thr and phi_star > thr)
         assert (xe.part, xe.index) == (part, i)
         exact(xe.xi, c / (beta_star - 1 + c))
         exact(xe.xi_conj, c / (1 - beta_star))

@@ -121,21 +121,16 @@ CONTRACT = {
     "Setting": setting,
     "GrowthTerm": term,
     "GrowthTerm.window_ok": lambda d: term(d).window_ok(q(d)),
-    "GrowthTerm.lhs": lambda d: term(d).lhs(q(d)),
     "GrowthSpec": spec,
     "GrowthSpec.terms": lambda d: list(spec(d).terms()),
     "trace_space": lambda d: E.trace_space(setting(d)),
     "critical_weight": lambda d: E.critical_weight(spec(d), q(d)),
     "rho_star_and_x_exponents":
         lambda d: E.rho_star_and_x_exponents(spec(d), setting(d)),
-    "star_params_term":
-        lambda d: E.star_params_term(q(d), q(d), q(d), q(d), q(d)),
     "star_params": lambda d: E.star_params(spec(d), setting(d)),
     "xi_exponents": lambda d: E.xi_exponents(spec(d), setting(d)),
     "interpolation_exponents":
         lambda d: E.interpolation_exponents(q(d), q(d), q(d)),
-    "revised_serrin_term_raw":
-        lambda d: E.revised_serrin_term_raw(q(d), q(d), q(d), q(d), q(d)),
     "serrin_applicable": lambda d: E.serrin_applicable(
         spec(d), setting(d), revised=d.draw(st.booleans())),
     "criterion_select": lambda d: E.criterion_select(

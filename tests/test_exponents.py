@@ -24,11 +24,9 @@ from critspde.exponents import (
     growth_spec_to_dict,
     interpolation_exponents,
     one_d_growth_params,
-    revised_serrin_term_raw,
     rho_star_and_x_exponents,
     serrin_applicable,
     star_params,
-    star_params_term,
     trace_space,
     xi_exponents,
 )
@@ -284,22 +282,29 @@ def test_exponents_check_windows_before_subcriticality(fn):
 
 # --- starred exponents ------------------------------------------------------
 
+def star_row(rho, phi, beta, setting):
+    """star_params of the one-term spec (rho, phi, beta) at setting."""
+    (sp,) = star_params(GrowthSpec(f_terms=(GrowthTerm(rho, phi, beta),)),
+                        setting)
+    return sp
+
+
 def test_star_params_case1_critical_term():
-    sp = star_params_term(F(2), F(2, 3), F(2, 3), F(2), F(0))
+    sp = star_row(F(2), F(2, 3), F(2, 3), L2_SETTING)
     assert sp.case_id == 1
     assert sp.phi_star == F(2, 3) and sp.beta_star == F(2, 3)
 
 
 def test_star_params_case2():
-    sp = star_params_term(F(1), F(3, 5), F(3, 5), F(4), F(0))
+    sp = star_row(F(1), F(4, 5), F(4, 5), Setting(L2_SCALE, F(4), F(0)))
     assert sp.case_id == 2
     assert sp.phi_star == sp.beta_star == F(7, 8)
 
 
 def test_star_params_case1_beta_gains_slack():
     # strictly subcritical case-1 term: beta* = beta + slack
-    rho, phi, beta, p, kappa = F(1), F(3, 4), F(2, 3), F(2), F(0)
-    sp = star_params_term(rho, phi, beta, p, kappa)
+    rho, phi, beta = F(1), F(3, 4), F(2, 3)
+    sp = star_row(rho, phi, beta, L2_SETTING)
     c = F(1, 2)
     slack = 1 - (rho * (phi - 1 + c) + beta)
     assert sp.case_id == 1
@@ -307,22 +312,18 @@ def test_star_params_case1_beta_gains_slack():
 
 
 def test_star_params_rho_zero_lands_in_case2():
-    sp = star_params_term(F(0), F(3, 4), F(3, 4), F(4), F(1, 2))
+    sp = star_row(F(0), F(3, 4), F(3, 4), Setting(L2_SCALE, F(4), F(1, 2)))
     assert sp.case_id == 2
     assert sp.epsilon is not None and 0 < sp.epsilon
     assert sp.rho_eff == sp.epsilon
 
 
 def test_negative_rho_is_rejected_by_the_raw_term_functions():
-    # GrowthTerm rejects rho < 0; the raw-parameter functions once took
-    # rho = -1 for rho = 0 (epsilon 3/4) and called the term Serrin-ready
-    message = "growth power rho must be >= 0"
-    with pytest.raises(ParameterError, match=message):
+    # raw (rho, phi, beta) enter the calculus through GrowthTerm alone,
+    # which rejects rho < 0; raw-parameter functions once took rho = -1
+    # for rho = 0 (epsilon 3/4) and called the term Serrin-ready
+    with pytest.raises(ParameterError, match="growth power rho must be >= 0"):
         GrowthTerm(F(-1), F(3, 4), F(3, 4))
-    with pytest.raises(ParameterError, match=message):
-        star_params_term(F(-1), F(3, 4), F(3, 4), F(4), F(1, 2))
-    with pytest.raises(ParameterError, match=message):
-        revised_serrin_term_raw(F(-1), F(3, 4), F(3, 4), F(4), F(1, 2))
 
 
 def test_star_params_spec_wrapper_carries_indices():
@@ -395,11 +396,60 @@ def test_serrin_plain_needs_beta_eq_phi():
 
 
 def test_revised_serrin_raw_example():
-    ok, beta_s, phi_s, thr = revised_serrin_term_raw(
-        F(2), F(2, 3), F(2, 3), F(6), F(2))
-    assert ok
-    assert beta_s == phi_s == F(2, 3)
-    assert thr == F(5, 8)
+    # a critical case-1 term at p = 8, kappa = 2: c = 3/8, d = 1/8
+    g = GrowthSpec(f_terms=(GrowthTerm(F(2), F(3, 4), F(3, 4)),))
+    rep = serrin_applicable(g, Setting(L2_SCALE, F(8), F(2)), revised=True)
+    assert rep.ok
+    assert rep.terms[0].reason == "beta*=3/4, phi*=3/4 vs threshold 23/32"
+
+
+# revised Serrin checks phi < 1, subcriticality and, for rho = 0,
+# phi > 1-c only: these terms lie outside star_params' window
+REVISED_OUTSIDE_THE_WINDOW = [
+    ("below_window", GrowthSpec(
+        f_terms=(GrowthTerm(F(1), F(2, 5), F(2, 5)),)), L2_SETTING,
+     [(False, "starred exponents (3/4,3/4) not above threshold 3/4")]),
+    ("beta_above_phi", GrowthSpec(
+        f_terms=(GrowthTerm(F(1), F(3, 5), F(7, 10)),)), L2_SETTING,
+     [(False, "starred exponents (3/4,3/4) not above threshold 3/4")]),
+    ("rho_zero_beta_below", GrowthSpec(
+        f_terms=(GrowthTerm(F(0), F(3, 4), F(1, 4)),)), L2_SETTING,
+     [(True, "beta*=5/6, phi*=5/6 vs threshold 3/4")]),
+    ("l2_eps", l2_growth(), Setting(L2_SCALE, F(12), F(3)),
+     [(True, "beta*=7/9, phi*=7/9 vs threshold 11/15"),
+      (True, "beta*=5/6, phi*=5/6 vs threshold 11/15")]),
+    ("lzeta", one_d_growth_params("lzeta", zeta=4),
+     Setting(L2_SCALE, F(4), F(1, 2)),
+     [(False, "starred exponents (3/4,3/4) not above threshold 31/40"),
+      (True, "beta*=13/16, phi*=13/16 vs threshold 31/40")]),
+]
+
+
+@pytest.mark.parametrize("g, s, want",
+                         [case[1:] for case in REVISED_OUTSIDE_THE_WINDOW],
+                         ids=[case[0] for case in REVISED_OUTSIDE_THE_WINDOW])
+def test_revised_serrin_outside_the_window(g, s, want):
+    with pytest.raises(GrowthWindowError):
+        star_params(g, s)
+    rep = serrin_applicable(g, s, revised=True)
+    assert [(t.ok, t.reason) for t in rep.terms] == want
+    assert rep.ok is all(ok for ok, _ in want) and rep.revised
+
+
+@pytest.mark.parametrize("term, error, message", [
+    (GrowthTerm(F(1), F(1), F(1, 2)), GrowthWindowError,
+     "phi=1 must be below 1"),
+    (GrowthTerm(F(4), F(9, 10), F(9, 10)), ParameterError,
+     "supercritical term has no starred exponents"),
+    (GrowthTerm(F(0), F(2, 5), F(2, 5)), GrowthWindowError,
+     "rho=0 term needs phi=2/5 above 1-(1+kappa)/p=1/2"),
+], ids=["phi_at_1", "supercritical", "rho_zero_below_window"])
+def test_revised_serrin_errors(term, error, message):
+    # an admissible first term does not stop the second from raising
+    g = GrowthSpec(f_terms=(GrowthTerm(F(2), F(2, 3), F(2, 3)), term))
+    with pytest.raises(ParameterError) as err:
+        serrin_applicable(g, L2_SETTING, revised=True)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_revised_serrin_spec_flavour():
@@ -553,13 +603,13 @@ def test_property_conjugacy_and_slack(params):
 def test_property_star_identity(params):
     rho, phi, beta, p, kappa = params
     c = (1 + kappa) / p
-    sp = star_params_term(rho, phi, beta, p, kappa)
-    assert sp.rho_eff * (sp.phi_star - 1 + c) + sp.beta_star == 1
-    assert 1 - c < sp.phi_star < 1
-    assert 1 - c < sp.beta_star <= 1
     g = GrowthSpec(f_terms=(GrowthTerm(rho, phi, beta),))
     scale = SobolevScale(F(-1), F(1), F(2))
     s = Setting(scale, p, kappa)
+    (sp,) = star_params(g, s)
+    assert sp.rho_eff * (sp.phi_star - 1 + c) + sp.beta_star == 1
+    assert 1 - c < sp.phi_star < 1
+    assert 1 - c < sp.beta_star <= 1
     xi = xi_exponents(g, s)[0]
     assert 1 / xi.xi + 1 / xi.xi_conj == 1
     # the raw-parameter formulas are the reference
@@ -576,7 +626,8 @@ def test_property_star_identity(params):
 @given(admissible_setting_and_term(), admissible_setting_and_term())
 @settings(max_examples=200)
 def test_property_spec_star_rows_match_raw_terms(first, second):
-    # the second draw contributes its term only, at the first draw's setting
+    # each row is its term's row in a spec of that term alone; the second
+    # draw contributes its term only, at the first draw's setting
     rho, phi, beta, p, kappa = first
     s = Setting(SobolevScale(F(-1), F(1), F(2)), p, kappa)
     c = s.weight_index
@@ -589,8 +640,9 @@ def test_property_spec_star_rows_match_raw_terms(first, second):
     rows = star_params(g, s)
     assert [(r.part, r.index) for r in rows] == [(part, i) for part, i, _ in g.terms()]
     for row, (_, _, t) in zip(rows, g.terms()):
-        raw = star_params_term(t.rho, t.phi, t.beta, p, kappa)
-        assert replace(row, part="", index=-1) == raw
+        alone = star_row(t.rho, t.phi, t.beta, s)
+        assert replace(row, part="", index=-1) == replace(alone, part="",
+                                                          index=-1)
 
 
 @given(

@@ -5,9 +5,10 @@ bound by an import must be read somewhere in the module, or be listed in
 its __all__ (the package's re-exports); a module-level private name
 (`_x` function, class or constant, dunders aside) must be read somewhere
 in the package; every function, method or class the package defines
-(dunders aside) must be referenced from src/ or bench/, a method as an
-attribute (x.name): a name that only tests reach is not shipped, and an
-__all__ entry is no caller.  The one exception is KEPT_UNREACHED, the
+(dunders aside) must be referenced from src/ or bench/, a method by a
+call of it as an attribute (x.name(...)), a property by any read of it
+(x.name): a name that only tests reach is not shipped, and an __all__
+entry is no caller.  The one exception is KEPT_UNREACHED, the
 documented API that no run reaches yet, each group with its reason; an
 entry there that nothing defines any more, or that src/ or bench/ now
 reaches, fails too.  On the stepping hot path (sim.py, presets.py) no
@@ -21,10 +22,9 @@ through an object's `__dict__` or `vars()`: on CPython 3.11 such a write
 materializes the instance dict, and every later attribute read of the
 object gets slower (a frozen dataclass stores a field with
 `object.__setattr__` instead).  No code of the stepping kernel
-(`SpectralStepper`, `_integrate`) that can run more than once per run
-calls `np.fft`: its transforms go through `sim._rfft` and `sim._irfft`,
-which call numpy's pocketfft gufuncs without the Python wrapper; the one
-call left is `_integrate`'s transform of the initial state.
+(`SpectralStepper`, `_integrate`) calls `np.fft`: its transforms go
+through `sim._rfft` and `sim._irfft`, which call numpy's pocketfft
+gufuncs without the Python wrapper.
 """
 
 import ast
@@ -43,8 +43,7 @@ HOT_PATH = [p for p in SOURCES if p.name in ("sim.py", "presets.py")]
 KEPT_UNREACHED = {
     # The Serrin-type blow-up criterion, the paper's first main result.  It
     # is to be evaluated by `critspde calc` and by an acceptance criterion
-    # on the simulator's blow-ups; SerrinReport, revised_serrin_term_raw
-    # and star_params_term hang off it.
+    # on the simulator's blow-ups; SerrinReport and SerrinTerm hang off it.
     "serrin_applicable",
     # Strong dt and spectral n refinement on common noise.  It is to
     # become the kernel's batched common-noise path, and
@@ -136,31 +135,64 @@ def attributes_read(tree: ast.Module) -> set:
             and isinstance(node.ctx, ast.Load)}
 
 
+def _dotted(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def attributes_called(tree: ast.Module) -> set:
+    """Names the module calls as an attribute of something (x.name(...))."""
+    return {node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)}
+
+
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+PROPERTY_DECORATORS = ("property", "cached_property", "setter", "deleter")
+
+
+def _is_property(node) -> bool:
+    """node is decorated as a property (or cached_property, or a
+    property's setter or deleter)."""
+    return any(_dotted(d).split(".")[-1] in PROPERTY_DECORATORS
+               for d in node.decorator_list)
 
 
 def unreferenced_definitions(trees: dict, callers: list, kept=frozenset()):
     """(module, line, name) of every function, method or class, dunders
-    aside, that the modules in trees define, no tree in callers reads and
+    aside, that the modules in trees define, no tree in callers reaches and
     kept does not list; an __all__ entry is a string, not a read.  A
-    function in a class body counts as read only as an attribute (x.name):
-    a bare local of its name does not keep it.  Reads are matched by name,
-    whatever object they are read from."""
+    function counts as reached by any read of its name, a method only by
+    a call of it as an attribute (x.name(...)) and a property by any read
+    of it as an attribute (x.name): a bare local of a method's name does
+    not keep it, nor does a field of the same name read off another
+    object.  Calls and reads are matched by name, whatever object they are
+    made on, so a method called on another class that defines one of the
+    same name still counts as reached."""
     read = set().union(*(names_read(t) for t in callers))
     attrs = set().union(*(attributes_read(t) for t in callers))
+    calls = set().union(*(attributes_called(t) for t in callers))
     out = []
     for module, tree in trees.items():
-        methods = {id(item) for node in ast.walk(tree)
-                   if isinstance(node, ast.ClassDef) for item in node.body
-                   if isinstance(item, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef))}
+        reached = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                        reached[id(item)] = (attrs if _is_property(item)
+                                             else calls)
         out += [(module, node.lineno, node.name) for node in ast.walk(tree)
                 if isinstance(node, DEFINITIONS)
                 and not (node.name.startswith("__")
                          and node.name.endswith("__"))
                 and node.name not in kept
-                and node.name not in (attrs if id(node) in methods
-                                      else read)]
+                and node.name not in reached.get(id(node), read)]
     return sorted(out)
 
 
@@ -248,43 +280,18 @@ def dict_writes(tree: ast.Module):
     return sorted(out)
 
 
-# what runs per step or per block: loops, comprehensions and nested
-# functions; a class's methods all count
-REPEATING = (ast.For, ast.AsyncFor, ast.While, ast.FunctionDef,
-             ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,
-             ast.DictComp, ast.GeneratorExp)
-
-
-def _dotted(node) -> str:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def kernel_numpy_fft_calls(tree: ast.Module):
     """(line, call) of every np.fft (or numpy.fft) call in the class
-    SpectralStepper, and of every one in the function _integrate that sits
-    in a loop, a comprehension or a nested function."""
-    out = []
-
-    def visit(node, repeated):
-        if isinstance(node, ast.Call) and repeated \
-                and _dotted(node.func).split(".")[:2] in (["np", "fft"],
-                                                          ["numpy", "fft"]):
-            out.append((node.lineno, _dotted(node.func)))
-        for child in ast.iter_child_nodes(node):
-            visit(child, repeated or isinstance(child, REPEATING))
-
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "SpectralStepper":
-            visit(node, True)
-        elif isinstance(node, ast.FunctionDef) and node.name == "_integrate":
-            visit(node, False)
-    return sorted(out)
+    SpectralStepper and in the function _integrate."""
+    return sorted(
+        (node.lineno, _dotted(node.func))
+        for top in tree.body
+        if isinstance(top, (ast.ClassDef, ast.FunctionDef))
+        and top.name in ("SpectralStepper", "_integrate")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and _dotted(node.func).split(".")[:2] in (["np", "fft"],
+                                                  ["numpy", "fft"]))
 
 
 def test_sources_found():
@@ -356,6 +363,30 @@ def test_unreferenced_function_is_reported():
     assert unreferenced_definitions({"a.py": tree}, [tree, caller]) == [
         ("a.py", 3, "dead"), ("a.py", 11, "unread"), ("a.py", 13, "Gone"),
         ("a.py", 16, "local")]
+
+
+def test_method_read_only_as_a_field_is_reported():
+    # a method escaped while any object had a field of its name: lhs
+    # through a report row's lhs, modes through the noise spec's modes.  A
+    # call keeps a method and a read keeps a property
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "class Term:\n"
+                     "    def lhs(self, lo):\n        return lo\n"
+                     "    def window_ok(self, lo):\n        return True\n"
+                     "    @property\n    def ordered(self):\n"
+                     "        return True\n"
+                     "@dataclass(frozen=True)\n"
+                     "class Row:\n    lhs: int\n"
+                     "class Grid:\n"
+                     "    def modes(self):\n        return 3\n"
+                     "@dataclass(frozen=True)\n"
+                     "class Noise:\n    modes: int = 21\n")
+    caller = ast.parse("from a import Grid, Noise, Row, Term\n"
+                       "row = Row(1)\nprint(f'{row.lhs:>10}')\n"
+                       "t = Term()\nt.window_ok(0)\nprint(t.ordered)\n"
+                       "width = 2 * Noise().modes + 1\nGrid()\n")
+    assert unreferenced_definitions({"a.py": tree}, [tree, caller]) == [
+        ("a.py", 3, "lhs"), ("a.py", 14, "modes")]
 
 
 def test_test_only_reference_is_reported(tmp_path):
@@ -469,5 +500,5 @@ def test_kernel_numpy_fft_call_is_reported():
                      "def other(x):\n"
                      "    return np.fft.rfft(x)\n")
     assert kernel_numpy_fft_calls(tree) == [
-        (4, "np.fft.rfft"), (8, "np.fft.irfft"), (10, "numpy.fft.rfft"),
-        (11, "np.fft.fft")]
+        (4, "np.fft.rfft"), (6, "np.fft.rfft"), (8, "np.fft.irfft"),
+        (10, "numpy.fft.rfft"), (11, "np.fft.fft")]

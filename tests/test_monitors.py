@@ -118,6 +118,12 @@ def test_spatial_norm_lq_constant():
     assert spatial_norm(u, 0.0, q=4.0) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [0.0, -1.0, 0.5, np.nan, np.inf])
+def test_spatial_norm_rejects_q_outside_one_to_infinity(q):
+    with pytest.raises(ParameterError, match="spatial norm needs 1 <= q < oo"):
+        spatial_norm(np.cos(GRID.x), 0.0, q)
+
+
 BLOCK_NORMS = {
     "spatial_q2": lambda u: spatial_norm(u, 1.0 / 3.0),
     "spatial_q6": lambda u: spatial_norm(u, 0.25, q=6.0),

@@ -24,10 +24,8 @@ from critspde.sim import (
     drift_pairing,
     initial_values,
     l2_norm_sq,
-    l2_norm_sq_spectral,
     simulate_path,
     simulate_paths,
-    spectral_weights,
 )
 
 GRID = TorusGrid(64)
@@ -139,10 +137,10 @@ def test_parseval_consistency():
     full[:11] = u_hat_band
     full[0] = full[0].real
     values = np.fft.irfft(full * 64, n=64)
-    w = spectral_weights(64)
-    a = l2_norm_sq(values)
-    b = l2_norm_sq_spectral(np.fft.rfft(values) / 64, w)
-    assert a == pytest.approx(b, rel=1e-10)
+    # the kernel takes the initial ||u||^2 from the state's spectrum
+    traj = simulate_path(heat_cfg(u0=values, t_end=0.05))
+    assert traj.stats.initial_l2_sq == pytest.approx(l2_norm_sq(values),
+                                                     rel=1e-10)
 
 
 def test_state_round_trip():
@@ -162,6 +160,21 @@ def test_basis_coefficient_recovers_modes():
     assert basis_coefficient(u, 2, "cos") == pytest.approx(3.0, abs=1e-12)
     assert basis_coefficient(u, 0) == pytest.approx(0.5, abs=1e-12)
     assert basis_coefficient(u, 2, "sin") == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k, kind, message", [
+    (0, "bogus", "basis kind must be cos or sin"),
+    (2, "bogus", "basis kind must be cos or sin"),
+    (-1, "sin", "mode number must be an integer >= 0, not -1"),
+    (1.0, "cos", "mode number must be an integer >= 0, not 1.0"),
+    (True, "cos", "mode number must be an integer >= 0, not True"),
+])
+def test_basis_coefficient_rejects_bad_kind_and_mode(k, kind, message):
+    # the kind is checked before the k = 0 shortcut, and k = -1 is no
+    # mode (sin(-x) would give the negated coefficient)
+    with pytest.raises(ParameterError) as err:
+        basis_coefficient(np.cos(GRID.x), k, kind)
+    assert str(err.value) == message
 
 
 # --- noise ------------------------------------------------------------------
@@ -320,6 +333,18 @@ def test_blowup_cap_at_start():
     assert traj.status == "blew_up"
     assert traj.sigma_hat == 0.0
     assert traj.times.shape == (1,)
+
+
+def test_blowup_at_start_reports_infinite_norms():
+    # an infinite value makes ||u||^2 infinite; the spectrum's norm is not
+    # a NaN from dividing an infinite coefficient by n
+    u0 = np.where(np.arange(64) == 3, np.inf, 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        traj = simulate_path(heat_cfg(u0=u0))
+    assert traj.status == "blew_up" and traj.sigma_hat == 0.0
+    stats = traj.stats
+    assert (stats.initial_l2_sq, stats.sup_l2_sq, stats.final_l2_sq) == (
+        np.inf, np.inf, np.inf)
 
 
 def test_blowup_cap_is_on_the_sup_norm():
