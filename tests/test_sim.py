@@ -848,6 +848,58 @@ def test_grid_free_increment_table(row):
     assert (row[0],) + pinned(traj) == row
 
 
+# common noise: each config run at f times its step on its fine stream's
+# draws summed in groups of f.  (blown-up rows, one sha256 over the states,
+# times, status, sigma_hat and stats of seeds 0..16), recorded on one-row
+# runs fed the summed table.  Capped at 1.8, sublinear-global loses 7 rows;
+# the grid-free config, whose blocks are taken again step by step when a
+# row passes its cap, loses 8 or 9
+SUBSTEP_PINS = {
+    ("sublinear", 2): (0, "1694cd55c64505c7"),
+    ("sublinear", 3): (0, "8de50a6a69260f12"),
+    ("sublinear", 4): (0, "6304d5bd4db2ae93"),
+    ("sublinear_capped", 2): (7, "433d2ebcf1f1d22c"),
+    ("sublinear_capped", 3): (7, "f6ac959a942e58d4"),
+    ("sublinear_capped", 4): (7, "fed9d795f9bd168e"),
+    ("grid_free", 2): (9, "b4c26542651f152e"),
+    ("grid_free", 3): (9, "f775228a9b038b04"),
+    ("grid_free", 4): (8, "9cad543e459d6000"),
+}
+
+
+def substep_config(name):
+    """A fine config whose step count 2, 3 and 4 divide."""
+    if name == "grid_free":
+        return replace(grid_free_capped(), t_end=0.24, dt=0.0025)
+    cfg = replace(presets.sublinear_global(), t_end=0.48)
+    return replace(cfg, blowup_cap=1.8) if name == "sublinear_capped" else cfg
+
+
+def substep_pin(trajs):
+    h = hashlib.sha256()
+    for t in trajs:
+        st = t.stats
+        h.update(t.states.tobytes())
+        h.update(t.times.tobytes())
+        h.update(repr((t.status, t.sigma_hat, st.initial_l2_sq, st.sup_l2_sq,
+                       st.grad_integral, st.final_l2_sq,
+                       st.steps_taken)).encode())
+    return sum(not t.completed for t in trajs), h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, f", sorted(SUBSTEP_PINS),
+                         ids=lambda v: str(v))
+def test_common_noise_substeps_pinned(name, f):
+    fine = substep_config(name)
+    lone = []
+    for seed in range(17):
+        cfg = replace(fine, seed=seed)
+        table = coarsen_increments(draw_increments(cfg), f)
+        lone.append(simulate_path(replace(cfg, dt=f * cfg.dt),
+                                  increments=table))
+    assert substep_pin(lone) == SUBSTEP_PINS[name, f]
+
+
 def signed_zero_table():
     """A draw table holding exact +0.0 and -0.0 cosine and sine draws."""
     table = np.random.default_rng(31).standard_normal((40, 11))
@@ -873,6 +925,11 @@ SIGNED_ZERO_DRAWS = [
 ]
 
 
+# digest of noise_increments of the whole table alone, by whether g is
+# constant
+SIGNED_ZERO_NOISE = {True: "13c4736fd53cd503", False: "3c4806953d4714ff"}
+
+
 @pytest.mark.parametrize("g, want", SIGNED_ZERO_DRAWS,
                          ids=["const_g", "map_g"])
 def test_signed_zero_draws_pinned(g, want):
@@ -887,6 +944,8 @@ def test_signed_zero_draws_pinned(g, want):
     got = (traj.status, st.steps_taken, st.sup_l2_sq, st.grad_integral,
            st.final_l2_sq, h.hexdigest()[:16])
     assert got == want
+    noise = SpectralStepper(cfg).noise_increments(signed_zero_table())
+    assert digest(noise) == SIGNED_ZERO_NOISE[g is not presets.one_plus_abs]
 
 
 def mixed_flux(y):
