@@ -30,7 +30,7 @@ from .exponents import (
     ParameterError,
     Setting,
     SobolevScale,
-    as_fraction,
+    fraction_from_json,
     fraction_to_json,
     full_report,
     growth_spec_from_dict,
@@ -101,8 +101,8 @@ def _directory_name(value) -> str:
 def _rational(value) -> Fraction:
     """A Fraction; a JSON number snaps as in as_fraction, so 0.2 means 1/5."""
     try:
-        return Fraction(value) if isinstance(value, str) else as_fraction(value)
-    except (ValueError, ZeroDivisionError, ParameterError):
+        return fraction_from_json(value)
+    except ParameterError:
         raise argparse.ArgumentTypeError(f"not a rational number: {value!r}")
 
 

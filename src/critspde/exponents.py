@@ -679,28 +679,27 @@ def serrin_applicable(g: GrowthSpec, s: Setting, revised: bool = False) -> Serri
     rho <= 1 when kappa = 0).  Revised mode: both starred exponents exceed
     1 - (1+kappa)/p*(1+kappa)/(2+kappa) strictly.
 
-    Revised mode admits a term without the (1-(1+kappa)/p, 1) window that
+    Both modes admit a term without the (1-(1+kappa)/p, 1) window that
     star_params asks for: it needs phi < 1 (else GrowthWindowError), the
     term subcritical at the setting (else ParameterError), and, when
     rho = 0, phi above 1-(1+kappa)/p (else GrowthWindowError).  So beta
     may lie below the window or above phi, and phi below the window when
     rho > 0.  The first term that fails raises, in the order of g.terms().
     """
+    kappa, c, lo = s.kappa, s.weight_index, s.window_low
+    ln, ld = lo.numerator, lo.denominator
+    thr = 1 - c * (1 + kappa) / (2 + kappa)
     rows = []
-    if revised:
-        kappa, c, lo = s.kappa, s.weight_index, s.window_low
-        ln, ld = lo.numerator, lo.denominator
-        thr = 1 - c * (1 + kappa) / (2 + kappa)
-        for part, i, t in g.terms():
-            if not t.phi < 1:
-                raise GrowthWindowError(f"phi={t.phi} must be below 1")
-            dn, dd, hn, hd = t._lhs_parts(ln, ld)
-            if hn > hd:
-                raise ParameterError(
-                    "supercritical term has no starred exponents")
-            if t.rho.numerator == 0 and dn <= 0:
-                raise GrowthWindowError(
-                    f"rho=0 term needs phi={t.phi} above 1-(1+kappa)/p={lo}")
+    for part, i, t in g.terms():
+        if not t.phi < 1:
+            raise GrowthWindowError(f"phi={t.phi} must be below 1")
+        dn, dd, hn, hd = t._lhs_parts(ln, ld)
+        if hn > hd:
+            raise ParameterError("supercritical term has no starred exponents")
+        if t.rho.numerator == 0 and dn <= 0:
+            raise GrowthWindowError(
+                f"rho=0 term needs phi={t.phi} above 1-(1+kappa)/p={lo}")
+        if revised:
             sp, _ = _star_row(part, i, t.rho, t.phi, kappa, c, dn, dd)
             bs, ps = sp.beta_star, sp.phi_star
             ok = bs > thr and ps > thr
@@ -709,19 +708,15 @@ def serrin_applicable(g: GrowthSpec, s: Setting, revised: bool = False) -> Serri
                 if ok
                 else f"starred exponents ({bs},{ps}) not above threshold {thr}"
             )
-            rows.append(SerrinTerm(part, i, ok, reason))
-    else:
-        for part, i, t in g.terms():
-            if t.beta != t.phi:
-                rows.append(SerrinTerm(part, i, False, "needs beta = phi"))
-                continue
-            if s.kappa > 0:
-                ok = t.rho < 1 + s.kappa
-                reason = f"rho={t.rho} vs 1+kappa={1 + s.kappa} (strict)"
-            else:
-                ok = t.rho <= 1
-                reason = f"rho={t.rho} vs 1 (kappa=0 branch)"
-            rows.append(SerrinTerm(part, i, ok, reason))
+        elif t.beta != t.phi:
+            ok, reason = False, "needs beta = phi"
+        elif kappa > 0:
+            ok = t.rho < 1 + kappa
+            reason = f"rho={t.rho} vs 1+kappa={1 + kappa} (strict)"
+        else:
+            ok = t.rho <= 1
+            reason = f"rho={t.rho} vs 1 (kappa=0 branch)"
+        rows.append(SerrinTerm(part, i, ok, reason))
     rows = tuple(rows)
     return SerrinReport(ok=all(r.ok for r in rows), terms=rows, revised=revised)
 

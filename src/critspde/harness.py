@@ -23,8 +23,7 @@ from .monitors import HoelderFit, _row_medians, hoelder_estimate
 from .sim import (
     SimConfig,
     Trajectory,
-    coarsen_increments,
-    draw_increments,
+    _integrate,
     l2_norm_sq,
     simulate_path,
     simulate_paths,
@@ -341,30 +340,30 @@ class ConvergenceReport:
 def convergence_study(cfg: EnsembleConfig, levels: int = 3) -> ConvergenceReport:
     """Strong dt refinement (common noise) and spectral N refinement.
 
-    Temporal part: each path's Brownian table is drawn at the base dt and
-    aggregated onto coarser steps, the base-resolution run serving as the
-    reference.  Spatial part: the deterministic drift-only problem is run at
-    n, 2n, 4n, ... and consecutive solutions compared at shared grid points.
+    Temporal part: the paths run as one batch at the base dt, the
+    reference, and as one batch at each coarser step dt*2^m on common
+    noise, each coarse draw summing 2^m of the path's base-dt draws
+    (_integrate's substeps).  A level's error is the mean over the paths,
+    in path order, of ||u_coarse(T) - u_ref(T)||.  Spatial part: the
+    deterministic drift-only problem is run at n, 2n, 4n, ... and
+    consecutive solutions compared at shared grid points.
     """
     if levels < 3:
         raise ParameterError("need at least three refinement levels")
     base = cfg.base
 
-    # a noise-free problem is one path stepped with no table
-    noisy = base.nonlinearity.has_noise
-    per_level: List[List[float]] = [[] for _ in range(levels - 1)]
-    for i in range(cfg.n_paths if noisy else 1):
-        path_cfg = replace(base, seed=mix_seed(base.seed, i))
-        fine = draw_increments(path_cfg) if noisy else None
-        ref = simulate_path(path_cfg, n_save=2, increments=fine)
-        for m in range(1, levels):
-            factor = 2 ** m
-            table = coarsen_increments(fine, factor) if noisy else None
-            traj = simulate_path(replace(path_cfg, dt=base.dt * factor),
-                                 n_save=2, increments=table)
-            err = np.sqrt(l2_norm_sq(traj.states[-1] - ref.states[-1]))
-            per_level[m - 1].append(float(err))
-    temporal_errors = [float(np.mean(errs)) for errs in per_level]
+    # a noise-free problem is one path
+    paths = cfg.n_paths if base.nonlinearity.has_noise else 1
+    cfgs = [replace(base, seed=mix_seed(base.seed, i)) for i in range(paths)]
+    refs = _integrate(cfgs, 2)
+    temporal_errors = []
+    for m in range(1, levels):
+        factor = 2 ** m
+        coarse = _integrate([replace(c, dt=base.dt * factor) for c in cfgs],
+                            2, substeps=factor)
+        errs = [float(np.sqrt(l2_norm_sq(t.states[-1] - r.states[-1])))
+                for t, r in zip(coarse, refs)]
+        temporal_errors.append(float(np.mean(errs)))
     temporal_exact = all(e < _ROUNDOFF for e in temporal_errors)
     if temporal_exact:
         temporal_order = None

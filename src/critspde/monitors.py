@@ -22,8 +22,8 @@ from .sim import (
     NoiseSpec,
     SpectralStepper,
     Trajectory,
+    _path_stream,
     dealiased,
-    draw_increments,
     simulate_path,
     spectral_weights,
 )
@@ -213,11 +213,12 @@ def x_space_norm(traj: Trajectory, report: CriticalityReport,
 def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     """Cumulative defect of the discrete L^2 energy identity.
 
-    Draws the path's stream once, replays the trajectory from its config on
-    that table (the path is deterministic given the seed), keeping every
-    state, checks each saved state against the replay's bit for bit, and
-    re-takes its steps from the kept states RNG_BLOCK at a time on the same
-    draws.  Per step it accumulates
+    Replays the trajectory from its config (the path is deterministic given
+    the seed), keeping every state, checks each saved state against the
+    replay's bit for bit, and re-takes its steps from the kept states
+    RNG_BLOCK at a time, each block on the next RNG_BLOCK steps of draws
+    from the path's own stream, the draws the replay took.  Per step it
+    accumulates
 
         d||u||^2 + 2 ||grad u||^2 dt - (I + II + III)
 
@@ -231,8 +232,7 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     """
     cfg = traj.config
     stepper = SpectralStepper(cfg)
-    xi = draw_increments(cfg) if stepper.draws else None
-    replay = simulate_path(cfg, increments=xi)
+    replay = simulate_path(cfg)
     # the path is bitwise deterministic, so each saved state, up to blow-up
     # too, is the replay's state at its step bit for bit
     saved_at = np.rint(traj.times / cfg.dt).astype(int)
@@ -256,12 +256,14 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
 
     steps = replay.stats.steps_taken
     per_step = np.empty(steps)
+    rng = _path_stream(cfg.seed)
     for i in range(0, steps, RNG_BLOCK):
         j = min(i + RNG_BLOCK, steps)
         values = replay.states[i:j]
         before = np.fft.rfft(values, norm="forward")
         fu, gu, _ = stepper.coefficients(values)
-        dw = None if xi is None else stepper.noise_increments(xi[i:j])
+        dw = stepper.noise_increments(rng.standard_normal(
+            (j - i, stepper.draws))) if stepper.draws else None
         after, f_hat, g_hat = stepper.update(before, fu, gu, dw)
         if cfg.scheme == "exp_euler":
             plus = before if f_hat is None else before + stepper.dt * f_hat

@@ -67,8 +67,11 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.5 < float(self.lam) < 1.0:
             raise ParameterError("noise color exponent must lie in (1/2, 1)")
-        if int(self.modes) < 0:
-            raise ParameterError("mode cutoff must be nonnegative")
+        k = self.modes
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) \
+                or k < 0:
+            raise ParameterError(
+                f"mode cutoff must be an integer >= 0, not {k!r}")
 
     def amplitudes(self) -> np.ndarray:
         k = np.arange(self.modes + 1, dtype=float)
@@ -516,29 +519,8 @@ def _path_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.PCG64(seed))
 
 
-def draw_increments(cfg: SimConfig) -> np.ndarray:
-    """Pre-draw the full unit-variance Gaussian table for one path."""
-    if not cfg.nonlinearity.has_noise:
-        raise ParameterError("config has no noise term")
-    return _path_stream(cfg.seed).standard_normal(
-        (cfg.n_steps, 2 * cfg.noise.modes + 1))
-
-
-def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:
-    """Aggregate a fine-step unit-draw table onto a step factor times larger.
-
-    Brownian increments add, so grouped unit draws combine as
-    sum/sqrt(factor) to stay unit variance at the coarse step.
-    """
-    n_fine, width = fine.shape
-    if factor < 1 or n_fine % factor:
-        raise ParameterError("factor must divide the fine step count")
-    grouped = fine.reshape(n_fine // factor, factor, width)
-    return grouped.sum(axis=1) / np.sqrt(factor)
-
-
 def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
-               increments: Optional[np.ndarray] = None) -> List[Trajectory]:
+               substeps: int = 1) -> List[Trajectory]:
     """Step the paths of configs differing only in their seeds as the rows
     of one (P, n) state.
 
@@ -554,11 +536,15 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     one step at a time.  A row that blows up, at the start of a step (f or
     g not finite) or at the cap after it, leaves through drop(): it folds
     the stats, records the row's ends and compacts the rows, the noise
-    table, the stats and the step's arrays.  increments replaces the stream
-    of a one-path run: its rows fill the same block of draws the stream
-    would.  The work arrays are allocated once, at full width, and a step
-    works in the leading rows of each: update() writes each spectrum
-    straight into its slot among the kept ones.
+    table, the stats and the step's arrays.  The work arrays are allocated
+    once, at full width, and a step works in the leading rows of each:
+    update() writes each spectrum straight into its slot among the kept
+    ones.
+
+    With substeps s > 1 a row draws s steps of its stream for each step of
+    its own and takes their sum divided by sqrt(s), still a unit draw, as
+    that step's: a run at dt sees the Brownian path its seed's run at dt/s
+    sees, its common noise.
 
     A config whose steps do not read the grid (no flux, g constant or
     absent) takes each RNG_BLOCK block in spectral space through update,
@@ -595,20 +581,17 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
 
     # draws holds the current block's unit draws and table their noise,
     # one (rows, steps, .) slab each: the noise's spectrum, and for a map g
-    # the field on the grid too
+    # the field on the grid too.  fine takes the stream's draws of a block,
+    # substeps to a step, and is draws itself at one substep
     table = None
-    if increments is not None:
-        increments = np.asarray(increments, dtype=float)
-        if increments.shape != (n_steps, stepper.draws):
-            raise ParameterError("increment table shape must be "
-                                 "(n_steps, 2K+1)")
     if stepper.draws:
         draws = np.empty((n_paths, RNG_BLOCK, stepper.draws))
+        fine = draws if substeps == 1 else \
+            np.empty((n_paths, RNG_BLOCK * substeps, stepper.draws))
         noise_hat = np.empty((n_paths, RNG_BLOCK, nh), dtype=complex)
         noise = noise_hat if stepper.g_map is None \
             else np.empty((n_paths, RNG_BLOCK, n))
-        if increments is None:
-            rngs = [_path_stream(c.seed) for c in cfgs]
+        rngs = [_path_stream(c.seed) for c in cfgs]
 
     # per active row: state, spectrum and stats.  stats holds, in PathStats'
     # order, sup ||u||^2, grad (the sum of the dt * ||grad u||^2 terms of
@@ -673,11 +656,14 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     for start in range(0, n_steps, RNG_BLOCK):
         m = min(RNG_BLOCK, n_steps - start)
         if stepper.draws:
-            if increments is None:
-                for r, p in enumerate(rows):
-                    rngs[p].standard_normal(out=draws[r, :m])
-            else:
-                draws[0, :m] = increments[start:start + m]
+            for r, p in enumerate(rows):
+                rngs[p].standard_normal(out=fine[r, :m * substeps])
+            if substeps > 1:
+                # a sum over the group axis adds its draws in step order
+                group = fine[:rows.size, :m * substeps].reshape(
+                    rows.size, m, substeps, stepper.draws)
+                summed = np.sum(group, axis=2, out=draws[:rows.size, :m])
+                summed /= np.sqrt(substeps)
             table = stepper.noise_increments(draws[:rows.size, :m],
                                              noise[:rows.size, :m],
                                              noise_hat[:rows.size, :m])
@@ -751,12 +737,9 @@ def simulate_paths(cfg: SimConfig, seeds: Sequence[int],
     return _integrate(cfgs, n_save) if cfgs else []
 
 
-def simulate_path(cfg: SimConfig, n_save: Optional[int] = None,
-                  increments: Optional[np.ndarray] = None) -> Trajectory:
+def simulate_path(cfg: SimConfig, n_save: Optional[int] = None) -> Trajectory:
     """Integrate one path; deterministic given cfg.seed.
 
-    increments, when given, is a (n_steps, 2K+1) table of unit-variance
-    draws replacing the internal stream (for common-noise refinement
-    studies).  Blow-up is a terminal status, not an exception.
+    Blow-up is a terminal status, not an exception.
     """
-    return _integrate([cfg], n_save, increments)[0]
+    return _integrate([cfg], n_save)[0]

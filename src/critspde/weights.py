@@ -106,8 +106,8 @@ def weighted_lp_norm(f: SampledFunction, p: float, w: PowerWeight) -> float:
     the stricter (-1, p-1) window matters for the seminorm, not for the
     norm.
     """
-    if p < 1:
-        raise ParameterError("need p >= 1")
+    if not 1 <= p < np.inf:  # a NaN fails too
+        raise ParameterError(f"need 1 <= p < oo, not {p}")
     v = f.values
     if v.ndim != 1:
         raise ParameterError("scalar samples required")
@@ -132,8 +132,8 @@ def slobodeckij_seminorm(
     """
     if not 0 < theta < 1:
         raise ParameterError("need theta in (0,1)")
-    if p < 1:
-        raise ParameterError("need p >= 1")
+    if not 1 <= p < np.inf:  # a NaN fails too
+        raise ParameterError(f"need 1 <= p < oo, not {p}")
     if not w.admissible_for(p):
         raise ParameterError(f"kappa={w.kappa} outside (-1, p-1) for p={p}")
     nodes = f.grid.nodes

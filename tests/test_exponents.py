@@ -436,20 +436,41 @@ def test_revised_serrin_outside_the_window(g, s, want):
     assert rep.ok is all(ok for ok, _ in want) and rep.revised
 
 
-@pytest.mark.parametrize("term, error, message", [
+SERRIN_ERRORS = [
     (GrowthTerm(F(1), F(1), F(1, 2)), GrowthWindowError,
      "phi=1 must be below 1"),
     (GrowthTerm(F(4), F(9, 10), F(9, 10)), ParameterError,
      "supercritical term has no starred exponents"),
     (GrowthTerm(F(0), F(2, 5), F(2, 5)), GrowthWindowError,
      "rho=0 term needs phi=2/5 above 1-(1+kappa)/p=1/2"),
-], ids=["phi_at_1", "supercritical", "rho_zero_below_window"])
+]
+SERRIN_ERROR_IDS = ["phi_at_1", "supercritical", "rho_zero_below_window"]
+
+
+@pytest.mark.parametrize("term, error, message", SERRIN_ERRORS,
+                         ids=SERRIN_ERROR_IDS)
 def test_revised_serrin_errors(term, error, message):
     # an admissible first term does not stop the second from raising
     g = GrowthSpec(f_terms=(GrowthTerm(F(2), F(2, 3), F(2, 3)), term))
     with pytest.raises(ParameterError) as err:
         serrin_applicable(g, L2_SETTING, revised=True)
     assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("term, error, message", SERRIN_ERRORS + [
+    (GrowthTerm(F(1), F(2), F(2)), GrowthWindowError,
+     "phi=2 must be below 1"),
+    (GrowthTerm(F(1, 2), F(1), F(1)), GrowthWindowError,
+     "phi=1 must be below 1"),
+], ids=SERRIN_ERROR_IDS + ["phi_2", "phi_1_rho_half"])
+def test_plain_serrin_errors(term, error, message):
+    # plain mode checks each term's admissibility as revised mode does,
+    # before it compares beta with phi
+    for g in (GrowthSpec(f_terms=(term,)),
+              GrowthSpec(f_terms=(GrowthTerm(F(2), F(2, 3), F(2, 3)), term))):
+        with pytest.raises(ParameterError) as err:
+            serrin_applicable(g, L2_SETTING)
+        assert type(err.value) is error and str(err.value) == message
 
 
 def test_revised_serrin_spec_flavour():

@@ -45,9 +45,10 @@ KEPT_UNREACHED = {
     # is to be evaluated by `critspde calc` and by an acceptance criterion
     # on the simulator's blow-ups; SerrinReport and SerrinTerm hang off it.
     "serrin_applicable",
-    # Strong dt and spectral n refinement on common noise.  It is to
-    # become the kernel's batched common-noise path, and
-    # tests/golden/convergence_study pins its bytes.
+    # Strong dt and spectral n refinement on common noise.  It runs on the
+    # kernel's batched common-noise path (_integrate's substeps), one call
+    # per level over all its paths, and tests/golden/convergence_study pins
+    # its bytes.
     "convergence_study",
 }
 

@@ -19,8 +19,6 @@ from critspde.sim import (
     TorusGrid,
     _save_indices,
     basis_coefficient,
-    coarsen_increments,
-    draw_increments,
     drift_pairing,
     initial_values,
     l2_norm_sq,
@@ -77,6 +75,20 @@ def test_noise_spec_validation():
     amps = NoiseSpec(lam=0.75, modes=2).amplitudes()
     assert amps[0] == 1.0
     assert amps[1] == pytest.approx(2.0 ** -0.375)
+
+
+@pytest.mark.parametrize("modes", [2.5, 3.0, True, -1, "3", None])
+def test_noise_spec_rejects_modes_that_are_no_cutoff(modes):
+    # 2.5 was accepted and the run died in a TypeError; True ran as 1 mode
+    with pytest.raises(ParameterError, match="integer >= 0"):
+        NoiseSpec(modes=modes)
+
+
+def test_noise_spec_takes_numpy_integer_modes():
+    cfg = ou_cfg(dt=0.1)
+    lone = simulate_path(replace(cfg, noise=NoiseSpec(modes=np.int64(21))))
+    assert np.array_equal(lone.states, simulate_path(cfg).states)
+    assert NoiseSpec(modes=0).amplitudes().tolist() == [1.0]
 
 
 def test_nonlinearity_validation():
@@ -372,48 +384,28 @@ def test_blowup_mid_path_truncates():
 
 
 def test_path_determinism_and_table_equivalence():
-    # a run on the table of its own stream is the stream run bit for bit:
-    # every state and the stats.  Both horizons end in a partial block, and
-    # with a map g (sublinear-global) each block's noise takes its own irfft
+    # a path is a function of its config: every state and the stats.  Both
+    # horizons end in a partial block, and with a map g (sublinear-global)
+    # each block's noise takes its own irfft
     for cfg in (ou_cfg(dt=0.01, seed=9),
                 replace(presets.sublinear_global(), t_end=0.25, seed=9)):
         a = simulate_path(cfg)
         b = simulate_path(cfg)
+        assert a.completed
+        assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.states, b.states)
-        c = simulate_path(cfg, increments=draw_increments(cfg))
-        assert c.completed
-        assert np.array_equal(a.times, c.times)
-        assert np.array_equal(a.states, c.states)
-        assert a.stats == c.stats
-
-
-def test_increment_table_shape_enforced():
-    cfg = ou_cfg(dt=0.01)
-    with pytest.raises(ParameterError):
-        simulate_path(cfg, increments=np.zeros((5, 43)))
-
-
-def test_coarsen_increments():
-    rng = np.random.default_rng(2)
-    fine = rng.standard_normal((8, 3))
-    coarse = coarsen_increments(fine, 4)
-    assert coarse.shape == (2, 3)
-    assert np.allclose(coarse[0], fine[:4].sum(axis=0) / 2.0)
-    with pytest.raises(ParameterError):
-        coarsen_increments(fine, 3)
+        assert a.stats == b.stats
 
 
 def test_common_noise_refinement_agrees():
     # same Brownian path at two resolutions: solutions stay close and the
     # gap shrinks as the coarse step halves (strong self-convergence)
     base = ou_cfg(dt=1.0 / 512, seed=21, modes=5, n=32)
-    fine_table = draw_increments(base)
-    ref = simulate_path(base, increments=fine_table, n_save=2)
+    ref = simulate_path(base, n_save=2)
     errs = []
     for m in (8, 4):
         cfg = ou_cfg(dt=m / 512, seed=21, modes=5, n=32)
-        table = coarsen_increments(fine_table, m)
-        traj = simulate_path(cfg, increments=table, n_save=2)
+        traj = sim._integrate([cfg], 2, substeps=m)[0]
         errs.append(np.sqrt(l2_norm_sq(traj.states[-1] - ref.states[-1])))
     assert errs[1] < errs[0]
     assert errs[0] / errs[1] > 1.3
@@ -797,14 +789,6 @@ GRID_FREE_CAP = [
     (5, "completed", 40, 0.4, 0.7238619821521041, 0.15262764971382436,
      0.29473995399081676, "ac3d5add856cca44"),
 ]
-# one-row runs on the table default_rng(seed).standard_normal((40, 11))
-GRID_FREE_TABLE = [
-    (904, "blew_up", 17, 0.18, 0.502955472468207, 0.08039428812360873,
-     0.4071242977862022, "38420ec08dcc59c4"),
-    (906, "completed", 40, 0.4, 0.5100394634844364, 0.11492225914078985,
-     0.2215022433162714, "d4109d993ae508b7"),
-]
-
 
 def grid_free_capped():
     return SimConfig(grid=TorusGrid(32), nonlinearity=NonlinearitySpec(g=1.0),
@@ -840,20 +824,13 @@ def test_grid_free_blowup_at_block_edges():
             assert traj.times.tobytes() == lone.times.tobytes()
 
 
-@pytest.mark.parametrize("row", GRID_FREE_TABLE, ids=lambda row: str(row[0]))
-def test_grid_free_increment_table(row):
-    cfg = grid_free_capped()
-    table = np.random.default_rng(row[0]).standard_normal((40, 11))
-    traj = simulate_path(cfg, increments=table)
-    assert (row[0],) + pinned(traj) == row
-
-
 # common noise: each config run at f times its step on its fine stream's
 # draws summed in groups of f.  (blown-up rows, one sha256 over the states,
 # times, status, sigma_hat and stats of seeds 0..16), recorded on one-row
-# runs fed the summed table.  Capped at 1.8, sublinear-global loses 7 rows;
-# the grid-free config, whose blocks are taken again step by step when a
-# row passes its cap, loses 8 or 9
+# runs fed a table of the stream's draws, summed in groups of f and divided
+# by sqrt(f).  Capped at 1.8, sublinear-global loses 7 rows; the grid-free
+# config, whose blocks are taken again step by step when a row passes its
+# cap, loses 8 or 9
 SUBSTEP_PINS = {
     ("sublinear", 2): (0, "1694cd55c64505c7"),
     ("sublinear", 3): (0, "8de50a6a69260f12"),
@@ -890,14 +867,14 @@ def substep_pin(trajs):
 @pytest.mark.parametrize("name, f", sorted(SUBSTEP_PINS),
                          ids=lambda v: str(v))
 def test_common_noise_substeps_pinned(name, f):
+    # the pins hold for each row alone, among 17 and among 200 paths
     fine = substep_config(name)
-    lone = []
-    for seed in range(17):
-        cfg = replace(fine, seed=seed)
-        table = coarsen_increments(draw_increments(cfg), f)
-        lone.append(simulate_path(replace(cfg, dt=f * cfg.dt),
-                                  increments=table))
-    assert substep_pin(lone) == SUBSTEP_PINS[name, f]
+    cfgs = [replace(fine, seed=seed, dt=f * fine.dt) for seed in range(200)]
+    lone = [sim._integrate([c], None, substeps=f)[0] for c in cfgs[:17]]
+    narrow = sim._integrate(cfgs[:17], None, substeps=f)
+    wide = sim._integrate(cfgs, None, substeps=f)
+    for trajs in (lone, narrow, wide[:17]):
+        assert substep_pin(trajs) == SUBSTEP_PINS[name, f]
 
 
 def signed_zero_table():
@@ -912,40 +889,24 @@ def signed_zero_table():
     return table
 
 
-# (status, steps_taken, sup_l2_sq, grad_integral, final_l2_sq, digest of
-# the states followed by noise_increments of the whole table), recorded
-# with a kernel that built the noise from complex temporaries: every part
-# that comes out zero is +0.0, whatever the sign of its draw
-SIGNED_ZERO_DRAWS = [
-    (1.0, ("completed", 40, 3.1678431296682072, 1.0130141170975522,
-           2.0426847809397954, "c4d28b056a093d77")),
-    (presets.one_plus_abs, ("completed", 40, 4.28659947735194,
-                            1.2358013571738604, 2.4736175651853163,
-                            "130a1ba183c825ca")),
+# digest of noise_increments of the whole table, recorded with a kernel
+# whose runs took the same bits from it as those of a kernel that built the
+# noise from complex temporaries: every part that comes out zero is +0.0,
+# whatever the sign of its draw
+SIGNED_ZERO_NOISE = [
+    (1.0, "13c4736fd53cd503"),
+    (presets.one_plus_abs, "3c4806953d4714ff"),
 ]
 
 
-# digest of noise_increments of the whole table alone, by whether g is
-# constant
-SIGNED_ZERO_NOISE = {True: "13c4736fd53cd503", False: "3c4806953d4714ff"}
-
-
-@pytest.mark.parametrize("g, want", SIGNED_ZERO_DRAWS,
+@pytest.mark.parametrize("g, want", SIGNED_ZERO_NOISE,
                          ids=["const_g", "map_g"])
 def test_signed_zero_draws_pinned(g, want):
     cfg = SimConfig(grid=TorusGrid(32), nonlinearity=NonlinearitySpec(g=g),
                     noise=NoiseSpec(lam=0.75, modes=5), t_end=0.4, dt=0.01,
                     u0=np.cos)
-    traj = simulate_path(cfg, increments=signed_zero_table())
-    st = traj.stats
-    h = hashlib.sha256(traj.states.tobytes())
-    h.update(SpectralStepper(cfg).noise_increments(
-        signed_zero_table()).tobytes())
-    got = (traj.status, st.steps_taken, st.sup_l2_sq, st.grad_integral,
-           st.final_l2_sq, h.hexdigest()[:16])
-    assert got == want
     noise = SpectralStepper(cfg).noise_increments(signed_zero_table())
-    assert digest(noise) == SIGNED_ZERO_NOISE[g is not presets.one_plus_abs]
+    assert digest(noise) == want
 
 
 def mixed_flux(y):

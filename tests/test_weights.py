@@ -326,6 +326,16 @@ def test_multi_axis_samples_are_rejected():
         slobodeckij_seminorm(f, 0.5, 2.0, W0)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5, -1.0])
+def test_p_outside_one_to_infinity_is_rejected(p):
+    # nan returned nan and inf 1.0 (the seminorm with a RuntimeWarning)
+    f = sampled(np.sin, uniform_grid(0.0, 1.0, 10))
+    with pytest.raises(ParameterError, match="need 1 <= p < oo"):
+        weighted_lp_norm(f, p, W0)
+    with pytest.raises(ParameterError, match="need 1 <= p < oo"):
+        slobodeckij_seminorm(f, 0.5, p, W0)
+
+
 # --- slobodeckij -------------------------------------------------------------
 
 def test_slobodeckij_constant_is_zero():
