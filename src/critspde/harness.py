@@ -354,13 +354,13 @@ def convergence_study(cfg: EnsembleConfig, levels: int = 3) -> ConvergenceReport
 
     # a noise-free problem is one path
     paths = cfg.n_paths if base.nonlinearity.has_noise else 1
-    cfgs = [replace(base, seed=mix_seed(base.seed, i)) for i in range(paths)]
-    refs = _integrate(cfgs, 2)
+    seeds = [mix_seed(base.seed, i) for i in range(paths)]
+    refs = _integrate(base, seeds, 2)
     temporal_errors = []
     for m in range(1, levels):
         factor = 2 ** m
-        coarse = _integrate([replace(c, dt=base.dt * factor) for c in cfgs],
-                            2, substeps=factor)
+        coarse = _integrate(replace(base, dt=base.dt * factor), seeds, 2,
+                            substeps=factor)
         errs = [float(np.sqrt(l2_norm_sq(t.states[-1] - r.states[-1])))
                 for t, r in zip(coarse, refs)]
         temporal_errors.append(float(np.mean(errs)))

@@ -261,10 +261,10 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
         j = min(i + RNG_BLOCK, steps)
         values = replay.states[i:j]
         before = np.fft.rfft(values, norm="forward")
-        fu, gu, _ = stepper.coefficients(values)
+        grids, _ = stepper.coefficients(values)
         dw = stepper.noise_increments(rng.standard_normal(
             (j - i, stepper.draws))) if stepper.draws else None
-        after, f_hat, g_hat = stepper.update(before, fu, gu, dw)
+        after, f_hat, g_hat = stepper.update(before, grids, dw)
         if cfg.scheme == "exp_euler":
             plus = before if f_hat is None else before + stepper.dt * f_hat
             if g_hat is not None:

@@ -130,6 +130,10 @@ class SimConfig:
                                  "and finite")
         if self.scheme not in ("exp_euler", "semi_implicit"):
             raise ParameterError("scheme must be exp_euler or semi_implicit")
+        # negative is legal: a master seed's; _path_stream rejects a path's
+        seed = self.seed
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+            raise ParameterError(f"seed must be an integer, not {seed!r}")
         if not 0 < self.blowup_cap <= MAX_BLOWUP_CAP:
             raise ParameterError("blow-up cap must lie in (0, 1e50]: past it a "
                                  "state under the cap can overflow the squared "
@@ -263,8 +267,12 @@ class SpectralStepper:
     without its Python wrapper, into buffers that the kernel allocates once
     and reuses; a step takes as many as it took through np.fft.
 
+    A step's grids are one (terms, ...) stack, f(u) then g(u), of the rows
+    the config has: coefficients() fills it and update() takes it.  advance()
+    is one such step, and drift_hat() and noise_hat() are projections of it.
+
     update() is the only code that advances a spectrum, in every step of
-    the kernel (with no grids in a block that does not read the grid).  The
+    the kernel (with no stack in a block that does not read the grid).  The
     two blow-up tests, coefficients()'s ok and blown_up(), give the masks of
     the rows the kernel's drop() retires from its (4, rows) stats array.
     coefficients(), update() and noise_increments() write into buffers the
@@ -321,57 +329,49 @@ class SpectralStepper:
 
     def coefficients(self, values: np.ndarray,
                      out: Optional[np.ndarray] = None):
-        """(f(u), g(u), ok) on the grid.
+        """(grids, ok): f(u) and g(u) on the grid as one (terms, ...) stack.
 
-        f(u) is None without a flux and g(u) None unless g is a map; ok
-        tells per row whether both are finite, and is None when every row
-        is.  A row where one is not has blown up at the start of the step.
-        The two are the rows of one (terms, ...) stack, f(u) first: out, or
-        a fresh array.
+        The stack, out or a fresh array, holds f(u) in its first row with
+        a flux and g(u) in its last with a map g; it is None when the step
+        reads neither.  ok tells per row whether the stack is finite, and
+        is None when every row is.  A row where it is not has blown up at
+        the start of the step.
         """
         if not self.terms:
-            return None, None, None
+            return None, None
         grids = np.empty((self.terms,) + np.shape(values)) if out is None \
             else out
-        fu = gu = None
         if self.f is not None:
-            fu = grids[0]
-            fu[...] = self.f(values)
+            grids[0] = self.f(values)
         if self.g_map is not None:
-            gu = grids[-1]
-            gu[...] = self.g_map(values)
+            grids[-1] = self.g_map(values)
         ok = None
         # one test over the stack settles the usual case of every value
         # finite; the per-row mask is built only when it fails
         if not np.isfinite(grids).all():
             ok = np.isfinite(grids).all(axis=(0, -1))
-        return fu, gu, ok
+        return grids, ok
 
-    def _spectra(self, fu: Optional[np.ndarray], gu: Optional[np.ndarray],
-                 dw: Optional[np.ndarray], work=None):
+    def _spectra(self, grids: Optional[np.ndarray], dw: Optional[np.ndarray],
+                 spectra: Optional[np.ndarray] = None):
         """Dealiased rfft/n spectra of d/dx f(u) and of g(u) dW; either is
-        None without its term.  The grids present take one rfft stacked,
-        row for row the bits of one rfft each.  work, the kernel's, is
-        (grids, spectra): the stack coefficients(values, grids) filled,
-        whose rows fu and gu are, and a buffer for its spectra; without it
-        the grids are stacked into a fresh array."""
-        if fu is None and gu is None:
+        None without its term.  The stack coefficients() filled takes one
+        rfft, row for row the bits of one rfft each, into spectra or a
+        fresh array; its g(u) row is multiplied by dw in place first."""
+        if grids is None:
             return None, dw
-        if work is None:
-            grids = np.stack([t for t in (fu, gu) if t is not None])
+        if spectra is None:
             spectra = np.empty(grids.shape[:-1] + (self.n // 2 + 1,),
                                dtype=complex)
-        else:
-            grids, spectra = work
-        if gu is not None:
+        if self.g_map is not None:
             np.multiply(grids[-1], dw, out=grids[-1])
         _rfft(grids, spectra)
         f_hat = None
-        if fu is not None:
+        if self.f is not None:
             f_hat = spectra[0]
             f_hat *= self.deriv
         spectra[..., self.band:] = 0.0
-        return f_hat, (dw if gu is None else spectra[-1])
+        return f_hat, (dw if self.g_map is None else spectra[-1])
 
     def noise_increments(self, xi: np.ndarray,
                          out: Optional[np.ndarray] = None,
@@ -414,33 +414,29 @@ class SpectralStepper:
         return _irfft(w_hat, out)
 
     def drift_hat(self, values: np.ndarray, t: float) -> np.ndarray:
-        """rfft/n spectrum of d/dx f(u), dealiased; zeros without a flux."""
-        if self.f is None:
-            return np.zeros(np.shape(values)[:-1] + (self.n // 2 + 1,),
-                            dtype=complex)
-        fu = np.asarray(self.f(values), dtype=float)
-        return self._spectra(fu, None, None)[0]
+        """rfft/n spectrum of d/dx f(u), dealiased, as advance() takes it
+        (on zero draws); zeros without a flux."""
+        rows = np.shape(values)[:-1]
+        f_hat = self.advance(0.0, values, np.zeros(rows + (self.draws,)), t)[1]
+        return np.zeros(rows + (self.n // 2 + 1,), dtype=complex) \
+            if f_hat is None else f_hat
 
     def noise_hat(self, values: np.ndarray, xi: Optional[np.ndarray],
                   t: float) -> Optional[np.ndarray]:
         """rfft/n spectrum of g(u) dW from one unit Gaussian draw xi per row
-        (layout as in noise_increments); None without noise."""
-        if self.draws == 0:
-            return None
-        gu = None
-        if self.g_map is not None:
-            gu = np.asarray(self.g_map(values), dtype=float)
-        return self._spectra(None, gu, self.noise_increments(xi))[1]
+        (layout as in noise_increments), as advance() takes it; None
+        without noise."""
+        return self.advance(0.0, values, xi, t)[2]
 
-    def update(self, u_hat: np.ndarray, fu: Optional[np.ndarray],
-               gu: Optional[np.ndarray], dw: Optional[np.ndarray],
-               out: Optional[np.ndarray] = None, work=None):
-        """(next u_hat, drift spectrum, noise spectrum) from coefficients()
-        and noise_increments(); the drift spectrum is None without a flux
-        and the noise spectrum None without noise.  The next u_hat is
-        written into out, which must not be u_hat, or a fresh array; work
-        is _spectra's."""
-        f_hat, g_hat = self._spectra(fu, gu, dw, work)
+    def update(self, u_hat: np.ndarray, grids: Optional[np.ndarray],
+               dw: Optional[np.ndarray], out: Optional[np.ndarray] = None,
+               spectra: Optional[np.ndarray] = None):
+        """(next u_hat, drift spectrum, noise spectrum) from the stack of
+        coefficients() and noise_increments(); the drift spectrum is None
+        without a flux and the noise spectrum None without noise.  The next
+        u_hat is written into out, which must not be u_hat, or a fresh
+        array; spectra is _spectra's."""
+        f_hat, g_hat = self._spectra(grids, dw, spectra)
         # (u_hat + dt*f_hat + g_hat) * linear, summed in place: addition
         # commutes, so dt*f_hat + u_hat has u_hat + dt*f_hat's bits
         if f_hat is not None:
@@ -458,9 +454,9 @@ class SpectralStepper:
     def advance(self, u_hat: np.ndarray, values: np.ndarray,
                 xi: Optional[np.ndarray], t: float):
         """Returns (next u_hat, drift spectrum, noise spectrum) as update()."""
-        fu, gu, _ = self.coefficients(values)
+        grids, _ = self.coefficients(values)
         dw = None if self.draws == 0 else self.noise_increments(xi)
-        return self.update(u_hat, fu, gu, dw)
+        return self.update(u_hat, grids, dw)
 
 
 # --- whole-path integration -------------------------------------------------
@@ -519,10 +515,12 @@ def _path_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.PCG64(seed))
 
 
-def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
+def _integrate(cfg: SimConfig, seeds: Sequence[int], n_save: Optional[int],
                substeps: int = 1) -> List[Trajectory]:
-    """Step the paths of configs differing only in their seeds as the rows
-    of one (P, n) state.
+    """Step the paths of cfg, one per seed, as the rows of one (P, n) state.
+
+    Path p's config, replace(cfg, seed=seeds[p]), is built before the
+    first step, so a seed that is no integer stops the run before it runs.
 
     Each row draws from its own PCG64(seed) stream, RNG_BLOCK steps at a
     time, which consumes the stream as one draw per step would.  Each
@@ -552,7 +550,7 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     the cap in it, the block is taken again one step at a time on the same
     noise, which retires the row at its step as the other configs do.
     """
-    cfg = cfgs[0]
+    configs = [replace(cfg, seed=s) for s in seeds]
     n_steps = cfg.n_steps
     n = cfg.grid.n
     stepper = SpectralStepper(cfg)
@@ -571,9 +569,9 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
         return [Trajectory(np.zeros(1), values[None, :].copy(),
                            PathStats(l2_0, l2_0, 0.0, l2_0, 0), "blew_up",
                            0.0, c)
-                for c in cfgs]
+                for c in configs]
 
-    n_paths = len(cfgs)
+    n_paths = len(seeds)
     save_idx = _save_indices(n_steps, n_save)
     save_pos = {int(s): i for i, s in enumerate(save_idx)}
     saved = np.empty((n_paths, save_idx.size, n))
@@ -591,7 +589,7 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
         noise_hat = np.empty((n_paths, RNG_BLOCK, nh), dtype=complex)
         noise = noise_hat if stepper.g_map is None \
             else np.empty((n_paths, RNG_BLOCK, n))
-        rngs = [_path_stream(c.seed) for c in cfgs]
+        rngs = [_path_stream(s) for s in seeds]
 
     # per active row: state, spectrum and stats.  stats holds, in PathStats'
     # order, sup ||u||^2, grad (the sum of the dt * ||grad u||^2 terms of
@@ -602,7 +600,7 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     values = np.repeat(values[None], n_paths, axis=0)
     u_hat = np.repeat(u_hat[None], n_paths, axis=0)
     spec = np.empty((RNG_BLOCK, n_paths, nh), dtype=complex)
-    # a step's f(u) and g(u) dW stacked, their spectra, and its new state
+    # a step's grid stack (f(u), g(u) dW), its spectra, and its new state
     stack = np.empty((stepper.terms, n_paths, n))
     stack_hat = np.empty((stepper.terms, n_paths, nh), dtype=complex)
     states = np.empty((n_paths, n))
@@ -613,10 +611,10 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
         block_start = np.empty((n_paths, nh), dtype=complex)
     filled = 0
     rows = np.arange(n_paths)  # path index of each active row
-    work, after = (stack, stack_hat), states  # the active rows' views
+    lead, lead_hat, after = stack, stack_hat, states  # active rows' views
 
     status = ["completed"] * n_paths
-    sigma_hat = [c.t_end for c in cfgs]
+    sigma_hat = [cfg.t_end] * n_paths
     kept = [n_steps] * n_paths
     ends = np.empty((3, n_paths))  # sup, grad, final of each path
 
@@ -638,7 +636,7 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     def drop(dead: np.ndarray, t_dead: float, i: int, *arrays):
         """Retire the rows in dead at t_dead after i steps; returns arrays
         without those rows, as fresh arrays."""
-        nonlocal rows, table, stats, work, after
+        nonlocal rows, table, stats, lead, lead_hat, after
         # the last kept state is the last folded one: its term ends grad
         fold()
         gone = rows[dead]
@@ -649,7 +647,7 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
         keep = ~dead
         rows, stats = rows[keep], stats[:, keep]
         table = None if table is None else table[keep]
-        work = (stack[:, :rows.size], stack_hat[:, :rows.size])
+        lead, lead_hat = stack[:, :rows.size], stack_hat[:, :rows.size]
         after = states[:rows.size]
         return [a[keep] for a in arrays]
 
@@ -677,7 +675,7 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
             block = spec[:m, :rows.size]
             for j in range(m):
                 dw = None if table is None else table[:, j]
-                prev = stepper.update(prev, None, None, dw, block[j])[0]
+                prev = stepper.update(prev, None, dw, block[j])[0]
             blk = _irfft(block, block_states[:m, :rows.size])
             if stepper.blown_up(blk) is None:
                 # a step of this config never reads values
@@ -687,16 +685,16 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
                         saved[rows, save_pos[start + j + 1]] = blk[j]
                 continue
         for i in range(start, start + m):
-            fu, gu, ok = stepper.coefficients(values, work[0])
+            grids, ok = stepper.coefficients(values, lead)
             if ok is not None:
                 u_hat, values = drop(~ok, i * cfg.dt, i, u_hat, values)
                 if not rows.size:
                     break
                 # a row's maps are pointwise: evaluated on the rows kept
-                fu, gu, _ = stepper.coefficients(values, work[0])
+                grids, _ = stepper.coefficients(values, lead)
             dw = None if table is None else table[:, i - start]
-            u_hat = stepper.update(u_hat, fu, gu, dw,
-                                   spec[filled, :rows.size], work)[0]
+            u_hat = stepper.update(u_hat, grids, dw,
+                                   spec[filled, :rows.size], lead_hat)[0]
             values = _irfft(u_hat, after)
             bad = stepper.blown_up(values)
             if bad is not None:
@@ -716,7 +714,7 @@ def _integrate(cfgs: Sequence[SimConfig], n_save: Optional[int],
     fold()
     ends[:, rows] = stats[:3]
     trajs = []
-    for p, c in enumerate(cfgs):
+    for p, c in enumerate(configs):
         # save_idx is sorted, so the states kept are a prefix: a view, no copy
         count = int(np.searchsorted(save_idx, kept[p], side="right"))
         path_stats = PathStats(l2_0, *ends[:, p].tolist(), kept[p])
@@ -733,8 +731,7 @@ def simulate_paths(cfg: SimConfig, seeds: Sequence[int],
     whatever the number of seeds.  Blow-up is a terminal status of its
     path, not an exception.
     """
-    cfgs = [replace(cfg, seed=seed) for seed in seeds]
-    return _integrate(cfgs, n_save) if cfgs else []
+    return _integrate(cfg, seeds, n_save) if len(seeds) else []
 
 
 def simulate_path(cfg: SimConfig, n_save: Optional[int] = None) -> Trajectory:
@@ -742,4 +739,4 @@ def simulate_path(cfg: SimConfig, n_save: Optional[int] = None) -> Trajectory:
 
     Blow-up is a terminal status, not an exception.
     """
-    return _integrate([cfg], n_save)[0]
+    return _integrate(cfg, [cfg.seed], n_save)[0]

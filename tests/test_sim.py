@@ -42,17 +42,27 @@ def ou_cfg(dt=5e-3, seed=0, modes=21, n=64):
                      dt=dt, seed=seed, u0=None)
 
 
+def step_spectra(stepper, values, xi=None):
+    """The (drift, noise) spectra update() takes in a step from values on
+    the unit draw xi (None without noise)."""
+    grids, _ = stepper.coefficients(values)
+    dw = None if xi is None else stepper.noise_increments(xi)
+    u_hat = np.zeros(np.shape(values)[:-1] + (stepper.n // 2 + 1,),
+                     dtype=complex)
+    return stepper.update(u_hat, grids, dw)[1:]
+
+
 def noise_field(stepper, rng):
     """One Brownian increment field on the grid, from the stepper's draw."""
     xi = rng.standard_normal(stepper.draws)
-    w_hat = stepper.noise_hat(np.zeros(stepper.n), xi, 0.0)
+    w_hat = step_spectra(stepper, np.zeros(stepper.n), xi)[1]
     return np.fft.irfft(w_hat * stepper.n, n=stepper.n)
 
 
 def drift_field(values, f):
     """d/dx f(u) on the grid, by the stepper's dealiased derivative."""
     st = SpectralStepper(heat_cfg(nonlinearity=NonlinearitySpec(f=f)))
-    return np.fft.irfft(st.drift_hat(values, 0.0) * st.n, n=st.n)
+    return np.fft.irfft(step_spectra(st, values)[0] * st.n, n=st.n)
 
 
 # --- validation ------------------------------------------------------------
@@ -96,6 +106,27 @@ def test_nonlinearity_validation():
         NonlinearitySpec(nu=0.0)
     spec = NonlinearitySpec(g=2)
     assert spec.g == 2.0 and spec.has_noise
+
+
+@pytest.mark.parametrize("seed", [2.5, "3", None, True],
+                         ids=["float", "str", "none", "bool"])
+def test_config_rejects_a_seed_that_is_no_integer(seed):
+    # with noise 2.5, '3' and None died in a TypeError inside numpy and True
+    # ran as seed 1; without noise any of them ran
+    for cfg in (heat_cfg(), ou_cfg(dt=0.1)):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            replace(cfg, seed=seed)
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            simulate_paths(cfg, [0, seed])
+
+
+def test_config_takes_numpy_integer_seeds():
+    # negative seeds stay legal too: a path's own stream refuses them
+    # (tests/test_cli.py), a montecarlo master seed mixes them
+    cfg = ou_cfg(dt=0.1)
+    lone = simulate_path(replace(cfg, seed=np.int64(3)))
+    assert np.array_equal(lone.states, simulate_path(replace(cfg, seed=3))
+                          .states)
 
 
 def test_config_validation():
@@ -257,7 +288,7 @@ def test_property_cubic_flux_rounding_bound(y):
 def test_drift_zero_and_linear():
     x = GRID.x
     u = np.cos(5 * x)
-    assert np.all(SpectralStepper(heat_cfg()).drift_hat(u, 0.0) == 0.0)
+    assert step_spectra(SpectralStepper(heat_cfg()), u)[0] is None
     got = drift_field(u, lambda y: y)
     assert np.allclose(got, -5.0 * np.sin(5 * x), atol=1e-12)
 
@@ -267,7 +298,7 @@ def test_drift_overflow_flags_blowup():
         nonlinearity=NonlinearitySpec(f=lambda y: y ** 3)))
     rows = np.stack([np.full(64, 1e200), np.full(64, 0.5)])
     with np.errstate(over="ignore"):
-        ok = st.coefficients(rows)[2]
+        ok = st.coefficients(rows)[1]
     assert ok.tolist() == [False, True]
     # a flux that overflows on its 16th call, the step that starts at 0.75
     calls = []
@@ -405,7 +436,7 @@ def test_common_noise_refinement_agrees():
     errs = []
     for m in (8, 4):
         cfg = ou_cfg(dt=m / 512, seed=21, modes=5, n=32)
-        traj = sim._integrate([cfg], 2, substeps=m)[0]
+        traj = sim._integrate(cfg, [cfg.seed], 2, substeps=m)[0]
         errs.append(np.sqrt(l2_norm_sq(traj.states[-1] - ref.states[-1])))
     assert errs[1] < errs[0]
     assert errs[0] / errs[1] > 1.3
@@ -463,10 +494,10 @@ def test_update_spectra_match_drift_and_noise_hat(f, g):
     xi = rng.standard_normal((5, st.draws))
     for v, draw in ((values, xi), (values[2], xi[2])):
         u_hat = np.fft.rfft(v, norm="forward")
-        fu, gu, ok = st.coefficients(v)
+        grids, ok = st.coefficients(v)
         assert ok is None
         dw = None if g is None else st.noise_increments(draw)
-        _, f_hat, g_hat = st.update(u_hat, fu, gu, dw)
+        _, f_hat, g_hat = st.update(u_hat, grids, dw)
         drift = st.drift_hat(v, 0.0)
         if f is None:
             assert f_hat is None and not drift.any()
@@ -494,9 +525,9 @@ def _update_lines():
                 xi = rng.standard_normal((5, st.draws))
                 for v, draw in ((values, xi), (values[3], xi[3])):
                     u_hat = np.fft.rfft(v, norm="forward")
-                    fu, gu, _ = st.coefficients(v)
+                    grids, _ = st.coefficients(v)
                     dw = None if g is None else st.noise_increments(draw)
-                    yield st.update(u_hat, fu, gu, dw)[0].tobytes()
+                    yield st.update(u_hat, grids, dw)[0].tobytes()
 
 
 def test_update_bytes_pinned():
@@ -869,10 +900,11 @@ def substep_pin(trajs):
 def test_common_noise_substeps_pinned(name, f):
     # the pins hold for each row alone, among 17 and among 200 paths
     fine = substep_config(name)
-    cfgs = [replace(fine, seed=seed, dt=f * fine.dt) for seed in range(200)]
-    lone = [sim._integrate([c], None, substeps=f)[0] for c in cfgs[:17]]
-    narrow = sim._integrate(cfgs[:17], None, substeps=f)
-    wide = sim._integrate(cfgs, None, substeps=f)
+    cfg = replace(fine, dt=f * fine.dt)
+    lone = [sim._integrate(cfg, [seed], None, substeps=f)[0]
+            for seed in range(17)]
+    narrow = sim._integrate(cfg, range(17), None, substeps=f)
+    wide = sim._integrate(cfg, range(200), None, substeps=f)
     for trajs in (lone, narrow, wide[:17]):
         assert substep_pin(trajs) == SUBSTEP_PINS[name, f]
 
