@@ -12,7 +12,7 @@ import json
 import math
 import os
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, NoReturn, Optional, Tuple
 
@@ -21,12 +21,14 @@ import numpy as np
 from .exponents import ParameterError
 from .monitors import HoelderFit, _row_medians, hoelder_estimate
 from .sim import (
+    Ensemble,
+    PathStats,
     SimConfig,
     Trajectory,
+    _integer,
     _integrate,
     l2_norm_sq,
     simulate_path,
-    simulate_paths,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -53,8 +55,11 @@ class EnsembleConfig:
     n_save: Optional[int] = None
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ParameterError("need at least one path")
+        # stored as ints: json rejects a numpy integer in summary.json
+        object.__setattr__(self, "n_paths",
+                           _integer(self.n_paths, "n_paths", 1))
+        if self.n_save is not None:
+            object.__setattr__(self, "n_save", _integer(self.n_save, "n_save"))
 
 
 @dataclass(frozen=True)
@@ -173,8 +178,8 @@ def _write_experiment_summary(cfg: EnsembleConfig, fields: dict) -> None:
 # --- ensemble core ------------------------------------------------------------
 
 
-def run_ensemble(cfg: EnsembleConfig) -> List[Trajectory]:
-    """All trajectories of the ensemble, in path-index order.
+def run_ensemble(cfg: EnsembleConfig) -> Ensemble:
+    """The ensemble's record; row i is path i, seeded mix_seed(seed, i).
 
     With an outdir, path i is written to ``<outdir>/<experiment>/path_i.csv``
     by save_trajectory_csv.  An output large enough to pay for a fork
@@ -184,27 +189,21 @@ def run_ensemble(cfg: EnsembleConfig) -> List[Trajectory]:
     left when this returns or raises.
     """
     seeds = [mix_seed(cfg.base.seed, i) for i in range(cfg.n_paths)]
-    trajs = simulate_paths(cfg.base, seeds, n_save=cfg.n_save)
+    ens = _integrate(cfg.base, seeds, cfg.n_save)
     if cfg.outdir is not None:
         directory = Path(cfg.outdir) / cfg.experiment
         directory.mkdir(parents=True, exist_ok=True)
         _save_trajectory_csvs([(traj, directory / f"path_{i}.csv")
-                               for i, traj in enumerate(trajs)])
-    return trajs
+                               for i, traj in enumerate(ens)])
+    return ens
 
 
 def _ensemble_stats(cfg: EnsembleConfig) -> EnsembleStats:
     """Run the ensemble, writing its path CSVs but no summary, and reduce
-    its per-path stats."""
-    trajs = run_ensemble(cfg)
-    seeds = tuple(mix_seed(cfg.base.seed, i) for i in range(cfg.n_paths))
-    samples = {
-        "initial_l2_sq": np.array([t.stats.initial_l2_sq for t in trajs]),
-        "sup_l2_sq": np.array([t.stats.sup_l2_sq for t in trajs]),
-        "grad_integral": np.array([t.stats.grad_integral for t in trajs]),
-        "final_l2_sq": np.array([t.stats.final_l2_sq for t in trajs]),
-        "sigma_hat": np.array([t.sigma_hat for t in trajs]),
-    }
+    the record's stats rows and sigma_hat."""
+    ens = run_ensemble(cfg)
+    samples = dict(zip((f.name for f in fields(PathStats)), ens.stats),
+                   sigma_hat=ens.sigma_hat)
     n = cfg.n_paths
     ci_mode = "normal" if n >= 30 else "wide"
     functionals = {}
@@ -217,10 +216,8 @@ def _ensemble_stats(cfg: EnsembleConfig) -> EnsembleStats:
         else:
             lo = hi = None
         functionals[name] = FunctionalStats(mean, var, lo, hi)
-    survived = sum(
-        1 for t in trajs
-        if t.completed and t.sigma_hat >= cfg.base.t_end - 1e-12)
-    return EnsembleStats(n, seeds, functionals, survived / n, ci_mode)
+    survived = int(np.count_nonzero(ens.steps == cfg.base.n_steps))
+    return EnsembleStats(n, ens.seeds, functionals, survived / n, ci_mode)
 
 
 def mc_run(cfg: EnsembleConfig) -> EnsembleStats:

@@ -17,7 +17,7 @@ collocation grid; the linear part is integrated exactly in Fourier space
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
@@ -35,6 +35,15 @@ PointwiseMap = Callable[[np.ndarray], np.ndarray]
 # for any n that fits in memory, so a blow-up ends in a status, not in inf;
 # at 1e100 the variance of three paths, one blown up, already overflows.
 MAX_BLOWUP_CAP = 1e50
+
+
+def _integer(value, name: str, least: Optional[int] = None) -> int:
+    """value as an int; a bool, a non-integer or one below least fails."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+            and (least is None or value >= least):
+        return int(value)
+    bound = "" if least is None else f" >= {least}"
+    raise ParameterError(f"{name} must be an integer{bound}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,11 +76,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.5 < float(self.lam) < 1.0:
             raise ParameterError("noise color exponent must lie in (1/2, 1)")
-        k = self.modes
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) \
-                or k < 0:
-            raise ParameterError(
-                f"mode cutoff must be an integer >= 0, not {k!r}")
+        _integer(self.modes, "mode cutoff", 0)
 
     def amplitudes(self) -> np.ndarray:
         k = np.arange(self.modes + 1, dtype=float)
@@ -131,9 +136,7 @@ class SimConfig:
         if self.scheme not in ("exp_euler", "semi_implicit"):
             raise ParameterError("scheme must be exp_euler or semi_implicit")
         # negative is legal: a master seed's; _path_stream rejects a path's
-        seed = self.seed
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-            raise ParameterError(f"seed must be an integer, not {seed!r}")
+        _integer(self.seed, "seed")
         if not 0 < self.blowup_cap <= MAX_BLOWUP_CAP:
             raise ParameterError("blow-up cap must lie in (0, 1e50]: past it a "
                                  "state under the cap can overflow the squared "
@@ -197,8 +200,7 @@ def basis_coefficient(values: np.ndarray, k: int, kind: str = "cos") -> float:
     """
     if kind not in ("cos", "sin"):
         raise ParameterError("basis kind must be cos or sin")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise ParameterError(f"mode number must be an integer >= 0, not {k!r}")
+    _integer(k, "mode number", 0)
     values = np.asarray(values, dtype=float)
     n = values.size
     x = TWO_PI * np.arange(n) / n
@@ -484,6 +486,39 @@ class Trajectory:
         return self.status == "completed"
 
 
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """The paths of config, one per seed, as arrays with path p in row p:
+    states (P, S, n) at the save times (S,), NaN past the first kept[p] of
+    row p; steps (P,) taken, all of config.n_steps iff the path completed;
+    sigma_hat (P,); stats (4, P) in PathStats' order.  ens[p] (a slice
+    gives a list) is path p's Trajectory, a view of row p with its config
+    replace(config, seed=seeds[p]) built as the row is read."""
+
+    config: SimConfig
+    seeds: Tuple[int, ...]
+    times: np.ndarray
+    states: np.ndarray
+    kept: np.ndarray
+    steps: np.ndarray
+    sigma_hat: np.ndarray
+    stats: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, p):
+        if isinstance(p, slice):
+            return [self[i] for i in range(len(self))[p]]
+        p = range(len(self))[p]
+        cfg, count, steps = self.config, self.kept[p], int(self.steps[p])
+        return Trajectory(self.times[:count], self.states[p, :count],
+                          PathStats(*self.stats[:, p].tolist(), steps),
+                          "completed" if steps == cfg.n_steps else "blew_up",
+                          float(self.sigma_hat[p]),
+                          replace(cfg, seed=self.seeds[p]))
+
+
 # Steps of Gaussian draws a path takes from its stream at a time, turned
 # into noise increments together, so the tables hold P x RNG_BLOCK steps
 # where whole paths' would hold P x n_steps.  At 16 an 18-path ensemble
@@ -515,12 +550,11 @@ def _path_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.PCG64(seed))
 
 
-def _integrate(cfg: SimConfig, seeds: Sequence[int], n_save: Optional[int],
-               substeps: int = 1) -> List[Trajectory]:
-    """Step the paths of cfg, one per seed, as the rows of one (P, n) state.
-
-    Path p's config, replace(cfg, seed=seeds[p]), is built before the
-    first step, so a seed that is no integer stops the run before it runs.
+def _integrate(cfg: SimConfig, seeds: Sequence[int],
+               n_save: Optional[int] = None, substeps: int = 1) -> Ensemble:
+    """Step the paths of cfg, one per seed, as the rows of one (P, n) state,
+    into one Ensemble record.  A seed that is no integer stops the run
+    before it runs.
 
     Each row draws from its own PCG64(seed) stream, RNG_BLOCK steps at a
     time, which consumes the stream as one draw per step would.  Each
@@ -550,7 +584,7 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int], n_save: Optional[int],
     the cap in it, the block is taken again one step at a time on the same
     noise, which retires the row at its step as the other configs do.
     """
-    configs = [replace(cfg, seed=s) for s in seeds]
+    seeds = tuple(_integer(s, "seed") for s in seeds)
     n_steps = cfg.n_steps
     n = cfg.grid.n
     stepper = SpectralStepper(cfg)
@@ -565,17 +599,26 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int], n_save: Optional[int],
             (spec.real ** 2 + spec.imag ** 2)[..., None, :], norm_weights)
 
     l2_0, head_0 = norms(u_hat).tolist()
-    if stepper.blown_up(values) is not None:
-        return [Trajectory(np.zeros(1), values[None, :].copy(),
-                           PathStats(l2_0, l2_0, 0.0, l2_0, 0), "blew_up",
-                           0.0, c)
-                for c in configs]
-
     n_paths = len(seeds)
     save_idx = _save_indices(n_steps, n_save)
     save_pos = {int(s): i for i, s in enumerate(save_idx)}
     saved = np.empty((n_paths, save_idx.size, n))
     saved[:, 0] = values
+    # the record's columns; ends holds each path's stats, as PathStats
+    steps = np.full(n_paths, n_steps)
+    sigma_hat = np.full(n_paths, float(cfg.t_end))
+    ends = np.full((4, n_paths), l2_0)
+
+    def record() -> Ensemble:
+        # save_idx is sorted, so the states a path kept are a prefix
+        kept = save_idx.searchsorted(steps, side="right")
+        saved[np.arange(save_idx.size) >= kept[:, None]] = np.nan
+        return Ensemble(cfg, seeds, save_idx * cfg.dt, saved, kept, steps,
+                        sigma_hat, ends)
+
+    if stepper.blown_up(values) is not None:
+        steps[:], sigma_hat[:], ends[2] = 0, 0.0, 0.0
+        return record()
 
     # draws holds the current block's unit draws and table their noise,
     # one (rows, steps, .) slab each: the noise's spectrum, and for a map g
@@ -613,11 +656,6 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int], n_save: Optional[int],
     rows = np.arange(n_paths)  # path index of each active row
     lead, lead_hat, after = stack, stack_hat, states  # active rows' views
 
-    status = ["completed"] * n_paths
-    sigma_hat = [cfg.t_end] * n_paths
-    kept = [n_steps] * n_paths
-    ends = np.empty((3, n_paths))  # sup, grad, final of each path
-
     def fold() -> None:
         nonlocal filled
         if not filled:
@@ -640,10 +678,9 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int], n_save: Optional[int],
         # the last kept state is the last folded one: its term ends grad
         fold()
         gone = rows[dead]
-        for p in gone:
-            status[p], sigma_hat[p], kept[p] = "blew_up", t_dead, i
-        ends[:, gone] = stats[:3, dead]
-        ends[1, gone] += cfg.dt * stats[3, dead]
+        steps[gone], sigma_hat[gone] = i, t_dead
+        ends[1:, gone] = stats[:3, dead]
+        ends[2, gone] += cfg.dt * stats[3, dead]
         keep = ~dead
         rows, stats = rows[keep], stats[:, keep]
         table = None if table is None else table[keep]
@@ -712,26 +749,8 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int], n_save: Optional[int],
             break
 
     fold()
-    ends[:, rows] = stats[:3]
-    trajs = []
-    for p, c in enumerate(configs):
-        # save_idx is sorted, so the states kept are a prefix: a view, no copy
-        count = int(np.searchsorted(save_idx, kept[p], side="right"))
-        path_stats = PathStats(l2_0, *ends[:, p].tolist(), kept[p])
-        trajs.append(Trajectory(save_idx[:count] * cfg.dt, saved[p, :count],
-                                path_stats, status[p], sigma_hat[p], c))
-    return trajs
-
-
-def simulate_paths(cfg: SimConfig, seeds: Sequence[int],
-                   n_save: Optional[int] = None) -> List[Trajectory]:
-    """One trajectory per seed, of cfg with that seed, stepped together.
-
-    Path i is bit for bit simulate_path(replace(cfg, seed=seeds[i])),
-    whatever the number of seeds.  Blow-up is a terminal status of its
-    path, not an exception.
-    """
-    return _integrate(cfg, seeds, n_save) if len(seeds) else []
+    ends[1:, rows] = stats[:3]
+    return record()
 
 
 def simulate_path(cfg: SimConfig, n_save: Optional[int] = None) -> Trajectory:

@@ -121,6 +121,53 @@ def test_cap_at_its_limit_keeps_stats_finite(tmp_path):
         replace(base, blowup_cap=1e300)
 
 
+def test_ensemble_stats_reduce_the_lone_runs():
+    # the mean and var of each functional are np.mean and np.var(ddof=1)
+    # of the lone runs' Python floats, to the bit; about a quarter of the
+    # 18 paths blow up mid-horizon
+    base = sublinear_global()
+    wired = replace(base.nonlinearity, g=lambda y: 3.0 * np.abs(y) ** 2)
+    base = replace(base, nonlinearity=wired, t_end=0.25, seed=3)
+    stats = mc_run(EnsembleConfig(base=base, n_paths=18, n_save=2))
+    lone = [simulate_path(replace(base, seed=mix_seed(3, i)), n_save=2)
+            for i in range(18)]
+    samples = {name: [getattr(t.stats, name) for t in lone]
+               for name in ("initial_l2_sq", "sup_l2_sq", "grad_integral",
+                            "final_l2_sq")}
+    samples["sigma_hat"] = [t.sigma_hat for t in lone]
+    assert sorted(stats.functionals) == sorted(samples)
+    for name, xs in samples.items():
+        got = stats.functionals[name]
+        assert (got.mean, got.var) == (float(np.mean(xs)),
+                                       float(np.var(xs, ddof=1))), name
+    completed = sum(t.completed for t in lone)
+    assert 0 < completed < 18
+    assert stats.survival == completed / 18
+    assert stats.seeds == tuple(t.config.seed for t in lone)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_paths", True), ("n_paths", 2.5), ("n_paths", "3"), ("n_paths", None),
+    ("n_save", True), ("n_save", 2.5), ("n_save", "3")])
+def test_ensemble_config_rejects_counts_that_are_no_integer(field, value):
+    # True ran one path and wrote "n_paths": true; 2.5 and "3" died in a
+    # TypeError
+    with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+        EnsembleConfig(base=heat(), **{field: value})
+
+
+def test_ensemble_config_stores_numpy_counts_as_int(tmp_path):
+    # a numpy n_paths wrote the CSVs, then json.dumps died on the summary
+    cfg = EnsembleConfig(base=heat(), n_paths=np.int64(2),
+                         n_save=np.int32(3), outdir=str(tmp_path))
+    assert type(cfg.n_paths) is int and type(cfg.n_save) is int
+    mc_run(cfg)
+    summary = json.loads((tmp_path / "ensemble" / "summary.json").read_text())
+    assert summary["n_paths"] == 2
+    _, states = load_trajectory_csv(tmp_path / "ensemble" / "path_1.csv")
+    assert states.shape == (3, 64)
+
+
 def test_ci_normal_at_thirty_paths():
     stats = mc_run(EnsembleConfig(base=small_noise_cfg(dt=0.01, t_end=0.1),
                                   n_paths=30))

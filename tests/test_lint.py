@@ -24,7 +24,9 @@ object gets slower (a frozen dataclass stores a field with
 `object.__setattr__` instead).  No code of the stepping kernel
 (`SpectralStepper`, `_integrate`) calls `np.fft`: its transforms go
 through `sim._rfft` and `sim._irfft`, which call numpy's pocketfft
-gufuncs without the Python wrapper.
+gufuncs without the Python wrapper.  No package code builds a `Trajectory`
+or a `PathStats` outside `Ensemble.__getitem__`, the ensemble record's row
+view, so the layout of a path's columns is known in one place.
 """
 
 import ast
@@ -295,6 +297,24 @@ def kernel_numpy_fft_calls(tree: ast.Module):
                                                   ["numpy", "fft"]))
 
 
+ROW_TYPES = ("Trajectory", "PathStats")
+
+
+def row_constructions(tree: ast.Module):
+    """(line, name) of every Trajectory(...) or PathStats(...) call outside
+    the method __getitem__ of the class Ensemble."""
+    row_view = {id(node) for top in tree.body
+                if isinstance(top, ast.ClassDef) and top.name == "Ensemble"
+                for item in top.body
+                if isinstance(item, ast.FunctionDef)
+                and item.name == "__getitem__"
+                for node in ast.walk(item)}
+    return sorted((node.lineno, _dotted(node.func).split(".")[-1])
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in row_view
+                  and _dotted(node.func).split(".")[-1] in ROW_TYPES)
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
     assert len(HOT_PATH) == 2
@@ -503,3 +523,25 @@ def test_kernel_numpy_fft_call_is_reported():
     assert kernel_numpy_fft_calls(tree) == [
         (4, "np.fft.rfft"), (6, "np.fft.rfft"), (8, "np.fft.irfft"),
         (10, "numpy.fft.rfft"), (11, "np.fft.fft")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_paths_are_built_only_by_the_record(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert row_constructions(tree) == []
+
+
+def test_path_built_outside_the_record_is_reported():
+    tree = ast.parse("class Ensemble:\n"
+                     "    def __getitem__(self, p):\n"
+                     "        return Trajectory(PathStats(p))\n"
+                     "    def rows(self):\n"
+                     "        return [Trajectory(p) for p in self]\n"
+                     "def run(ens):\n"
+                     "    s = sim.PathStats(*ens.stats[:, 0])\n"
+                     "    return ens.Trajectory, s\n"
+                     "class Other:\n"
+                     "    def __getitem__(self, p):\n"
+                     "        return Trajectory(p)\n")
+    assert row_constructions(tree) == [
+        (5, "Trajectory"), (7, "PathStats"), (11, "Trajectory")]

@@ -23,7 +23,6 @@ from critspde.sim import (
     initial_values,
     l2_norm_sq,
     simulate_path,
-    simulate_paths,
 )
 
 GRID = TorusGrid(64)
@@ -117,7 +116,7 @@ def test_config_rejects_a_seed_that_is_no_integer(seed):
         with pytest.raises(ParameterError, match="seed must be an integer"):
             replace(cfg, seed=seed)
         with pytest.raises(ParameterError, match="seed must be an integer"):
-            simulate_paths(cfg, [0, seed])
+            sim._integrate(cfg, [0, seed])
 
 
 def test_config_takes_numpy_integer_seeds():
@@ -628,8 +627,8 @@ def test_batch_width_invariance(flux, tmp_path):
                     noise=NoiseSpec(lam=0.75, modes=5), t_end=0.5,
                     dt=1 / 64, u0=np.cos, blowup_cap=50.0)
     seeds = [1000 + 7 * i for i in range(200)]
-    wide = simulate_paths(cfg, seeds)
-    narrow = simulate_paths(cfg, seeds[:17])
+    wide = sim._integrate(cfg, seeds)
+    narrow = sim._integrate(cfg, seeds[:17])
     assert 0 < sum(not t.completed for t in wide) < 200
     assert sum(not t.completed for t in narrow) > 0
     for i, seed in enumerate(seeds):
@@ -654,8 +653,8 @@ def test_blowup_sites_set_sigma_hat():
         noise=NoiseSpec(lam=0.75, modes=5), t_end=0.5, dt=dt, u0=None)
     capped = replace(flux, nonlinearity=NonlinearitySpec(g=1.0),
                      blowup_cap=0.5)
-    at_flux = simulate_paths(flux, range(24))
-    at_cap = simulate_paths(capped, range(24))
+    at_flux = sim._integrate(flux, range(24))
+    at_cap = sim._integrate(capped, range(24))
     blown = [i for i, t in enumerate(at_flux) if not t.completed]
     assert 0 < len(blown) < 24
     for i, (a, b) in enumerate(zip(at_flux, at_cap)):
@@ -680,7 +679,7 @@ def test_paths_share_no_state_memory():
     cfg = SimConfig(grid=TorusGrid(32), nonlinearity=NonlinearitySpec(g=1.0),
                     noise=NoiseSpec(lam=0.75, modes=5), t_end=0.5, dt=0.01,
                     u0=None, blowup_cap=0.5)
-    trajs = simulate_paths(cfg, range(8))
+    trajs = sim._integrate(cfg, range(8))
     assert {t.status for t in trajs} == {"completed", "blew_up"}
     for i, a in enumerate(trajs):
         assert a.states.shape == (a.times.size, 32)
@@ -743,7 +742,7 @@ def test_path_stats_at_block_edges(site):
         cfg = SimConfig(nonlinearity=NonlinearitySpec(
             f=half_cubic, g=presets.one_plus_abs), blowup_cap=0.6, **base)
         want = EDGE_AT_CAP
-    trajs = simulate_paths(cfg, EDGE_SEEDS)
+    trajs = sim._integrate(cfg, EDGE_SEEDS)
     assert {15, 16, 17, 31, 32} <= {t.stats.steps_taken for t in trajs}
     for traj, (seed, steps, sigma_hat, sup, grad, final) in zip(trajs, want):
         st = traj.stats
@@ -778,7 +777,7 @@ def test_start_of_step_blowup_warns_nothing(f, g):
                     u0=None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trajs = simulate_paths(cfg, EDGE_SEEDS)
+        trajs = sim._integrate(cfg, EDGE_SEEDS)
     got = [(t.config.seed, t.stats.steps_taken, t.sigma_hat,
             t.stats.sup_l2_sq, t.stats.grad_integral, t.stats.final_l2_sq)
            for t in trajs]
@@ -840,8 +839,8 @@ def test_grid_free_blowup_at_block_edges():
     assert not SpectralStepper(cfg).reads_grid
     first = [row[0] for row in GRID_FREE_CAP]
     seeds = first + [s for s in range(300) if s not in first][:200 - 8]
-    wide = simulate_paths(cfg, seeds)
-    narrow = simulate_paths(cfg, seeds[:17])
+    wide = sim._integrate(cfg, seeds)
+    narrow = sim._integrate(cfg, seeds[:17])
     assert 0 < sum(not t.completed for t in narrow) < 17
     for i, seed in enumerate(seeds):
         lone = simulate_path(replace(cfg, seed=seed))
@@ -998,7 +997,7 @@ def mixed_sites():
 def test_mixed_blowup_sites_in_one_batch():
     cfg = mixed_sites()
     seeds = [row[0] for row in MIXED_SITES]
-    trajs = simulate_paths(cfg, seeds)
+    trajs = sim._integrate(cfg, seeds)
     for traj, row in zip(trajs, MIXED_SITES):
         assert (traj.config.seed,) + pinned(traj) == row
         # a row that leaves at the start of a step keeps the state on which
@@ -1020,7 +1019,7 @@ def test_mixed_blowup_sites_in_one_batch():
 def test_path_scalars_are_python_numbers(make):
     # summary.json is written with json.dumps: a path's step count and
     # sigma_hat must be a Python int and float whether it completed or not
-    trajs = simulate_paths(make(), range(12))
+    trajs = sim._integrate(make(), range(12))
     assert {t.status for t in trajs} == {"completed", "blew_up"}
     for traj in trajs:
         assert type(traj.stats.steps_taken) is int
@@ -1028,3 +1027,67 @@ def test_path_scalars_are_python_numbers(make):
         for name in ("initial_l2_sq", "sup_l2_sq", "grad_integral",
                      "final_l2_sq"):
             assert type(getattr(traj.stats, name)) is float
+
+
+# --- the ensemble record ----------------------------------------------------------
+
+
+def stillborn():
+    """mixed_sites() with initial data past its cap: every path blows up in
+    its initial state."""
+    return replace(mixed_sites(), u0=1.0)
+
+
+def same_path(a, b):
+    """a and b are the same path, bit for bit."""
+    return (a.config == b.config and a.status == b.status
+            and a.sigma_hat == b.sigma_hat and a.stats == b.stats
+            and a.times.tobytes() == b.times.tobytes()
+            and a.states.tobytes() == b.states.tobytes())
+
+
+@pytest.mark.parametrize("make", [mixed_sites, grid_free_capped, stillborn],
+                         ids=["start_and_cap", "grid_free_cap", "initial"])
+def test_record_rows_are_lone_paths(make):
+    # blow-ups at the start of a step and at the cap (reads_grid), at the
+    # cap inside a block taken again step by step (grid_free), and in the
+    # initial state: row p of a record of width 1, 17 or 200 is its seed's
+    # lone run, and its states past the kept ones are NaN
+    cfg = make()
+    seeds = [row[0] for row in MIXED_SITES]
+    seeds += [s for s in range(300) if s not in seeds][:200 - len(seeds)]
+    lone = [simulate_path(replace(cfg, seed=s)) for s in seeds]
+    sites = {"completed" if t.completed else
+             "initial" if t.stats.steps_taken == 0 and t.sigma_hat == 0.0
+             else "start" if t.sigma_hat == t.stats.steps_taken * cfg.dt
+             else "cap" for t in lone}
+    assert sites == {"mixed_sites": {"completed", "start", "cap"},
+                     "grid_free_capped": {"completed", "cap"},
+                     "stillborn": {"initial"}}[make.__name__]
+    for width in (1, 17, 200):
+        ens = sim._integrate(cfg, seeds[:width])
+        assert len(ens) == width and ens.seeds == tuple(seeds[:width])
+        assert ens.states.shape == (width, cfg.n_steps + 1, 32)
+        assert ens.stats.shape == (4, width)
+        assert ens.kept.tolist() == [t.times.size for t in lone[:width]]
+        assert ens.steps.tolist() == \
+            [t.stats.steps_taken for t in lone[:width]]
+        for p in range(width):
+            assert same_path(ens[p], lone[p])
+            assert np.isnan(ens.states[p, ens.kept[p]:]).all()
+        assert same_path(ens[-1], lone[width - 1])
+        assert all(map(same_path, ens[1::3], lone[1:width:3]))
+
+
+def test_record_holds_python_seeds_and_checks_them_first():
+    cfg = mixed_sites()
+    ens = sim._integrate(cfg, [np.int64(2), 43], n_save=9)
+    assert ens.seeds == (2, 43) and all(type(s) is int for s in ens.seeds)
+    assert ens.times.tolist() == (np.arange(0, 41, 5) * cfg.dt).tolist()
+    assert ens.kept.tolist() == [3, 3] and ens.steps.tolist() == [13, 13]
+    assert np.isnan(ens.states[:, 3:]).all()
+    assert not np.isnan(ens.states[:, :3]).any()
+    with pytest.raises(IndexError):
+        ens[2]
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        sim._integrate(cfg, [0, 1.5])
