@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, List, NoReturn, Optional, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
@@ -89,73 +90,6 @@ def save_trajectory_csv(traj: Trajectory, path: Path) -> None:
                comments="")
 
 
-# Each forked writer must have at least this many values to format.  On a
-# 2-CPU Xeon VM (py3.11, numpy 2.4) an os.fork plus its os.waitpid took
-# 2.6-6.4 ms, with or without 100 MB of arrays resident, and '%.17g'
-# formatted a value in 0.55-1.4 us, as the host's speed swung; measured
-# together, formatting 2**15 values (18-46 ms) took at least 6x a fork.
-# An 18-path ensemble of two snapshots at n = 64 (2.3k values) stays
-# serial; 8 regularity paths of 257 snapshots at n = 128 (265k values)
-# take two writers on two CPUs.
-_MIN_VALUES_PER_WORKER = 1 << 15
-
-
-def _csv_writers(n_files: int, n_values: int) -> int:
-    """How many processes write n_files path CSVs of n_values values."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_files, n_values // _MIN_VALUES_PER_WORKER))
-
-
-def _write_share(jobs: List[Tuple[Trajectory, Path]]) -> NoReturn:
-    """A forked writer's share; it never returns into the caller's code.
-
-    It only copies arrays, formats text and writes files, so it takes no
-    lock that another thread of the parent could have held at the fork.
-    """
-    code = 1
-    try:
-        for traj, path in jobs:
-            save_trajectory_csv(traj, path)
-        code = 0
-    except BaseException:
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(code)
-
-
-def _save_trajectory_csvs(jobs: List[Tuple[Trajectory, Path]]) -> None:
-    """Write each (trajectory, path) job with save_trajectory_csv.
-
-    Writer k of w takes jobs[k::w]: the calling process is writer 0 and
-    forks the others, whose file bytes are the same as a serial write's.
-    Every child is reaped before this returns or raises.
-    """
-    n_values = sum(t.times.size + t.states.size for t, _ in jobs)
-    w = _csv_writers(len(jobs), n_values)
-    children = {}
-    try:
-        for k in range(1, w):
-            pid = os.fork()
-            if pid == 0:
-                _write_share(jobs[k::w])
-            children[pid] = [str(path) for _, path in jobs[k::w]]
-        for traj, path in jobs[::w]:
-            save_trajectory_csv(traj, path)
-    finally:
-        failed = []
-        for pid, paths in children.items():
-            _, status = os.waitpid(pid, 0)
-            if os.waitstatus_to_exitcode(status) != 0:
-                failed += paths
-    if failed:
-        raise OSError(f"a CSV writer failed on {', '.join(failed)}")
-
-
 def load_trajectory_csv(path: Path) -> Tuple[np.ndarray, np.ndarray]:
     arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return arr[:, 0], arr[:, 1:]
@@ -178,24 +112,132 @@ def _write_experiment_summary(cfg: EnsembleConfig, fields: dict) -> None:
 # --- ensemble core ------------------------------------------------------------
 
 
+# Each worker must have at least this many path-steps to integrate.  On a
+# 2-CPU Xeon VM (py3.11, numpy 2.4) a fork plus the child's exit and reaping
+# took about 3 ms, and a child running one sublinear-global path took 5-15 ms
+# longer than the parent took for the same path.  Two workers against one
+# process, as the median of 15 interleaved pairs of run_ensemble calls at
+# n = 64 and 1000 steps: linear-noise lost at 8 paths (x1.04) and won from
+# 10 (x0.96; x0.82 at 18); sublinear-global lost at 6 (x1.14) and won from
+# 8 (x0.97; x0.88-0.95 at 12-18).  At 250 steps both won from 24-32 paths,
+# 6000-8000 path-steps.  heat, about a fifth of their cost per path-step,
+# lost up to 16 paths (x1.09) and broke even at 18.  So a split starts at
+# 10000 path-steps: the 18-path, 1000-step calls of experiment_global and
+# an 8-path regularity ensemble of 2000 steps take two workers, while a
+# 16-path ensemble of 250 steps (criterion 11) stays in one process.
+_MIN_PATH_STEPS_PER_WORKER = 5000
+
+
+def _workers(n_paths: int, n_steps: int) -> int:
+    """How many processes integrate n_paths paths of n_steps steps."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_paths,
+                      n_paths * n_steps // _MIN_PATH_STEPS_PER_WORKER))
+
+
+# the record's columns with a row per path
+_PATH_COLUMNS = ("states", "kept", "steps", "sigma_hat", "stats")
+
+
+def _shared_columns(empty: Ensemble, n_paths: int) -> Dict[str, np.ndarray]:
+    """The path columns of empty, a record of no path, widened to n_paths
+    paths: views of one anonymous shared mapping that forked workers fill
+    in place."""
+    like = [getattr(empty, name) for name in _PATH_COLUMNS]
+    # the path axis is a column's one axis of length 0
+    shapes = [tuple(d or n_paths for d in a.shape) for a in like]
+    sizes = [math.prod(shape) * a.itemsize for a, shape in zip(like, shapes)]
+    shared = mmap.mmap(-1, sum(sizes))
+    columns, offset = {}, 0
+    for name, a, shape, size in zip(_PATH_COLUMNS, like, shapes, sizes):
+        columns[name] = np.frombuffer(shared, a.dtype, math.prod(shape),
+                                      offset).reshape(shape)
+        offset += size
+    return columns
+
+
+def _run_share(cfg: EnsembleConfig, seeds: List[int], k: int, w: int,
+               columns: Optional[Dict[str, np.ndarray]],
+               directory: Optional[Path]) -> Ensemble:
+    """Worker k of w: integrate paths k, k + w, ..., put their rows into
+    the shared columns and write their CSVs into directory."""
+    ens = _integrate(cfg.base, seeds[k::w], cfg.n_save)
+    if columns is not None:
+        rows = slice(k, None, w)
+        for name in ("states", "kept", "steps", "sigma_hat"):
+            columns[name][rows] = getattr(ens, name)
+        columns["stats"][:, rows] = ens.stats  # (4, P): a path per column
+    if directory is not None:
+        for i, traj in zip(range(k, len(seeds), w), ens):
+            save_trajectory_csv(traj, directory / f"path_{i}.csv")
+    return ens
+
+
+def _child(share: Callable[[], object]) -> NoReturn:
+    """A forked worker runs its share and exits; it never returns into the
+    caller's code, and a failure is its traceback on stderr and exit 1."""
+    code = 1
+    try:
+        share()
+        code = 0
+    except BaseException:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
 def run_ensemble(cfg: EnsembleConfig) -> Ensemble:
     """The ensemble's record; row i is path i, seeded mix_seed(seed, i).
 
     With an outdir, path i is written to ``<outdir>/<experiment>/path_i.csv``
-    by save_trajectory_csv.  An output large enough to pay for a fork
-    (``_MIN_VALUES_PER_WORKER`` values per writer) is split over up to one
-    forked writer per usable CPU; one CPU or a small output is written
-    serially.  Either way the bytes are the same, and no child process is
-    left when this returns or raises.
+    by save_trajectory_csv.  An ensemble with enough work
+    (``_MIN_PATH_STEPS_PER_WORKER`` path-steps per worker) is split over up
+    to one worker per usable CPU: worker k of w integrates paths k, k + w,
+    ..., writes their rows into one shared mapping and writes their CSVs.
+    The calling process is worker 0 and forks the others.  One path, one
+    CPU or a small ensemble runs in the calling process alone.  Since a
+    path's bytes do not depend on its batch, the record and the files are
+    the same either way.  No child process is left when this returns or
+    raises; a child that fails makes it raise an OSError naming its paths.
     """
     seeds = [mix_seed(cfg.base.seed, i) for i in range(cfg.n_paths)]
-    ens = _integrate(cfg.base, seeds, cfg.n_save)
+    directory = None
     if cfg.outdir is not None:
         directory = Path(cfg.outdir) / cfg.experiment
         directory.mkdir(parents=True, exist_ok=True)
-        _save_trajectory_csvs([(traj, directory / f"path_{i}.csv")
-                               for i, traj in enumerate(ens)])
-    return ens
+    w = _workers(cfg.n_paths, cfg.base.n_steps)
+    columns = None
+    if w > 1:
+        # the record of no path: its layout, checked before any fork
+        empty = _integrate(cfg.base, [], cfg.n_save)
+        columns = _shared_columns(empty, cfg.n_paths)
+    children = {}
+    try:
+        for k in range(1, w):
+            pid = os.fork()
+            if pid == 0:
+                _child(lambda: _run_share(cfg, seeds, k, w, columns,
+                                          directory))
+            children[pid] = k
+        ens = _run_share(cfg, seeds, 0, w, columns, directory)
+    finally:
+        failed = []
+        for pid, k in children.items():
+            _, status = os.waitpid(pid, 0)
+            if os.waitstatus_to_exitcode(status) != 0:
+                failed += range(k, cfg.n_paths, w)
+    if failed:
+        names = [f"path {i}" if directory is None
+                 else str(directory / f"path_{i}.csv") for i in sorted(failed)]
+        raise OSError(f"an ensemble worker failed on {', '.join(names)}")
+    if columns is None:
+        return ens
+    return replace(empty, seeds=tuple(seeds), **columns)
 
 
 def _ensemble_stats(cfg: EnsembleConfig) -> EnsembleStats:
@@ -340,8 +382,9 @@ def convergence_study(cfg: EnsembleConfig, levels: int = 3) -> ConvergenceReport
     Temporal part: the paths run as one batch at the base dt, the
     reference, and as one batch at each coarser step dt*2^m on common
     noise, each coarse draw summing 2^m of the path's base-dt draws
-    (_integrate's substeps).  A level's error is the mean over the paths,
-    in path order, of ||u_coarse(T) - u_ref(T)||.  Spatial part: the
+    (_integrate's substeps).  A level's error is the mean, in path order,
+    of ||u_coarse(T) - u_ref(T)|| over the paths that completed at both
+    steps; a level where none did raises ParameterError.  Spatial part: the
     deterministic drift-only problem is run at n, 2n, 4n, ... and
     consecutive solutions compared at shared grid points.
     """
@@ -358,8 +401,14 @@ def convergence_study(cfg: EnsembleConfig, levels: int = 3) -> ConvergenceReport
         factor = 2 ** m
         coarse = _integrate(replace(base, dt=base.dt * factor), seeds, 2,
                             substeps=factor)
-        errs = [float(np.sqrt(l2_norm_sq(t.states[-1] - r.states[-1])))
-                for t, r in zip(coarse, refs)]
+        both = np.flatnonzero((refs.steps == base.n_steps)
+                              & (coarse.steps == coarse.config.n_steps))
+        if not both.size:
+            raise ParameterError(f"no path completed at dt and at "
+                                 f"{factor} dt")
+        errs = [float(np.sqrt(l2_norm_sq(coarse.states[p, -1]
+                                         - refs.states[p, -1])))
+                for p in both]
         temporal_errors.append(float(np.mean(errs)))
     temporal_exact = all(e < _ROUNDOFF for e in temporal_errors)
     if temporal_exact:

@@ -616,7 +616,8 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
         return Ensemble(cfg, seeds, save_idx * cfg.dt, saved, kept, steps,
                         sigma_hat, ends)
 
-    if stepper.blown_up(values) is not None:
+    # no path, or initial data past the cap: no path takes a step
+    if not n_paths or stepper.blown_up(values) is not None:
         steps[:], sigma_hat[:], ends[2] = 0, 0.0, 0.0
         return record()
 

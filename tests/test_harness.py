@@ -34,6 +34,8 @@ from critspde.sim import (
     NonlinearitySpec,
     SimConfig,
     TorusGrid,
+    _integrate,
+    l2_norm_sq,
     simulate_path,
 )
 
@@ -203,7 +205,7 @@ def test_survival_monotone_in_cap():
     assert lo.survival == 0.0 and hi.survival == 1.0
 
 
-# --- path CSV writers -----------------------------------------------------------------
+# --- forked workers -------------------------------------------------------------------
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="needs os.fork")
@@ -211,63 +213,97 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 
 def blowup_ensemble(outdir, n_paths):
     # experiment_global's h=2, scale=3 coefficient on the sublinear base:
-    # paths 0 and 2 blow up early, so their CSVs are shorter
+    # paths 0, 2, 8, 9 and 13 blow up early, so their CSVs are shorter
     base = sublinear_global()
     wired = replace(base.nonlinearity, g=lambda y: 3.0 * np.abs(y) ** 2)
     return EnsembleConfig(base=replace(base, nonlinearity=wired, t_end=0.25,
                                        seed=3),
-                          n_paths=n_paths, outdir=str(outdir))
+                          n_paths=n_paths,
+                          outdir=None if outdir is None else str(outdir))
 
 
-def force_writers(monkeypatch, w):
-    monkeypatch.setattr(harness, "_csv_writers",
-                        lambda n_files, n_values: w)
+def force_workers(monkeypatch, w):
+    monkeypatch.setattr(harness, "_workers", lambda n_paths, n_steps: w)
 
 
-@pytest.mark.parametrize("n_paths", [4, 5])
+RECORD_ARRAYS = ("times", "states", "kept", "steps", "sigma_hat", "stats")
+
+
+@pytest.mark.parametrize("n_paths", [4, 5, 14])
 def test_forked_writers_write_the_serial_bytes(n_paths, tmp_path,
                                                monkeypatch):
-    # 4 or 5 files split unevenly over 3 writers give the bytes of 1 writer
+    # 4, 5 or 14 paths split unevenly over 2 or 3 workers give the record
+    # and the files of 1; at 14 paths blown-up rows land in every worker
     counts = (1, 2, 3) if hasattr(os, "fork") else (1,)
-    written = []
+    cfg = blowup_ensemble(None, n_paths)
+    written, records = [], []
     for w in counts:
-        force_writers(monkeypatch, w)
-        trajs = run_ensemble(blowup_ensemble(tmp_path / f"w{w}", n_paths))
+        force_workers(monkeypatch, w)
+        records.append(run_ensemble(cfg))
+        trajs = run_ensemble(replace(cfg, outdir=str(tmp_path / f"w{w}")))
+        records.append(trajs)
         directory = tmp_path / f"w{w}" / "ensemble"
         written.append({f.name: f.read_bytes() for f in directory.iterdir()})
     assert [t.completed for t in trajs][:3] == [False, True, False]
     assert len({t.times.size for t in trajs}) > 1
-    assert sorted(written[0]) == [f"path_{i}.csv" for i in range(n_paths)]
+    if n_paths == 14:
+        assert np.flatnonzero(trajs.steps < trajs.config.n_steps).tolist() \
+            == [0, 2, 8, 9, 13]
+    assert sorted(written[0]) \
+        == sorted(f"path_{i}.csv" for i in range(n_paths))
     assert all(files == written[0] for files in written)
+    serial = records[0]
+    for ens in records:
+        assert ens.config == serial.config and ens.seeds == serial.seeds
+        for name in RECORD_ARRAYS:
+            got, want = getattr(ens, name), getattr(serial, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
 
 
-def test_writer_count_follows_the_output_size(tmp_path, monkeypatch):
+def test_worker_count_follows_the_work(tmp_path, monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    per_worker = harness._MIN_VALUES_PER_WORKER
-    assert harness._csv_writers(18, 18 * 2 * 65) == 1
-    assert harness._csv_writers(1, 100 * per_worker) == 1
-    assert harness._csv_writers(8, per_worker - 1) == 1
+    per_worker = harness._MIN_PATH_STEPS_PER_WORKER
+    assert harness._workers(1, 100 * per_worker) == 1
+    assert harness._workers(8, 125) == 1
+    assert harness._workers(16, 250) == 1  # criterion 11's ensembles
+    assert harness._workers(2, per_worker - 1) == 1
     if hasattr(os, "fork"):
-        assert harness._csv_writers(8, 8 * 257 * 129) == min(cpus, 8)
-        assert harness._csv_writers(8, 2 * per_worker) == min(cpus, 2)
+        # experiment_global's 18-path calls and the regularity ensemble
+        assert harness._workers(18, 1000) == min(cpus, 2)
+        assert harness._workers(8, 2000) == min(cpus, 2)
+        assert harness._workers(400, 1000) == min(cpus, 80)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert harness._workers(400, 1000) == 1
 
-    # an 18-path, two-snapshot ensemble forks nothing
+    # one CPU (as just patched, where fork exists), one path or a small
+    # ensemble forks nothing
     def no_fork():
-        raise AssertionError("forked for a small output")
+        raise AssertionError("forked for a run that stays serial")
 
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    run_ensemble(EnsembleConfig(base=small_noise_cfg(), n_paths=18,
-                                n_save=2, outdir=str(tmp_path)))
+    one_path = replace(heat(), dt=1.0 / (2 * per_worker))
+    runs = [(EnsembleConfig(base=small_noise_cfg(), n_paths=18, n_save=2,
+                            outdir=str(tmp_path)), 18),
+            (EnsembleConfig(base=one_path, n_paths=1, n_save=2), 1)]
+    if hasattr(os, "fork"):
+        runs.append((EnsembleConfig(base=small_noise_cfg(dt=1e-3),
+                                    n_paths=24, n_save=2), 24))
+    for cfg, n_paths in runs:
+        assert len(run_ensemble(cfg)) == n_paths
+    assert one_path.n_steps >= 2 * per_worker
     assert len(list((tmp_path / "ensemble").iterdir())) == 18
 
 
 @needs_fork
 def test_failed_child_writer_raises(tmp_path, monkeypatch, capfd):
-    # writer 1 of 3 takes paths 1 and 4; a directory squats on path 1
-    force_writers(monkeypatch, 3)
+    # worker 1 of 3 takes paths 1 and 4; a directory squats on path 1
+    force_workers(monkeypatch, 3)
     directory = tmp_path / "ensemble"
     (directory / "path_1.csv").mkdir(parents=True)
     with pytest.raises(OSError, match="path_1.csv, .*path_4.csv") as err:
@@ -280,8 +316,30 @@ def test_failed_child_writer_raises(tmp_path, monkeypatch, capfd):
 
 
 @needs_fork
+def test_failed_child_names_its_paths_without_outdir(monkeypatch, capfd):
+    # a map g that fails in every process but the caller: worker 2 of 3
+    # takes paths 2 and 5
+    caller = os.getpid()
+
+    def g(y):
+        if os.getpid() != caller:
+            raise FloatingPointError("failing in a worker")
+        return 1.0 + np.abs(y)
+
+    force_workers(monkeypatch, 3)
+    base = replace(sublinear_global(), t_end=0.01,
+                   nonlinearity=replace(sublinear_global().nonlinearity, g=g))
+    with pytest.raises(OSError, match=r"on path 1, path 2, path 4, path 5$"):
+        run_ensemble(EnsembleConfig(base=base, n_paths=6))
+    assert capfd.readouterr().err.count(
+        "FloatingPointError: failing in a worker") == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
 def test_failed_parent_share_raises_its_own_error(tmp_path, monkeypatch):
-    force_writers(monkeypatch, 3)
+    force_workers(monkeypatch, 3)
     directory = tmp_path / "ensemble"
     (directory / "path_0.csv").mkdir(parents=True)
     with pytest.raises(IsADirectoryError, match="path_0.csv"):
@@ -426,6 +484,38 @@ def test_convergence_spectral_spatial():
 def test_convergence_needs_levels():
     with pytest.raises(ParameterError):
         convergence_study(EnsembleConfig(base=heat(), n_paths=1), levels=2)
+
+
+def test_convergence_errors_skip_paths_that_blew_up():
+    # on this base paths 0, 2 and 13 blow up at dt and at 2 dt, and paths
+    # 3, 8 and 9 at one of the two, as at t_end 0.25; 0.256 is a whole
+    # number of 4 dt steps.  A level's error is the mean over the paths
+    # that completed at both of its steps
+    cfg = blowup_ensemble(None, 18)
+    base = replace(cfg.base, t_end=0.256)
+    seeds = [mix_seed(base.seed, i) for i in range(18)]
+    ref = _integrate(base, seeds, 2)
+    ref_blew_up = set(np.flatnonzero(ref.steps < base.n_steps).tolist())
+    report = convergence_study(replace(cfg, base=base), levels=3)
+    for m, factor in enumerate((2, 4)):
+        coarse = _integrate(replace(base, dt=factor * base.dt), seeds, 2,
+                            substeps=factor)
+        blew_up = set(np.flatnonzero(coarse.steps
+                                     < coarse.config.n_steps).tolist())
+        if factor == 2:
+            assert ref_blew_up & blew_up == {0, 2, 13}
+            assert ref_blew_up ^ blew_up == {3, 8, 9}
+        both = [p for p in range(18) if p not in ref_blew_up | blew_up]
+        errs = [float(np.sqrt(l2_norm_sq(coarse.states[p, -1]
+                                         - ref.states[p, -1])))
+                for p in both]
+        assert report.temporal_errors[m] == float(np.mean(errs))
+
+
+def test_convergence_with_no_completed_path_raises():
+    base = replace(heat(), u0=lambda x: 2.0 * np.cos(x), blowup_cap=1.0)
+    with pytest.raises(ParameterError, match="no path completed"):
+        convergence_study(EnsembleConfig(base=base, n_paths=1))
 
 
 # --- misc -------------------------------------------------------------------------------------

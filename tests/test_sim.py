@@ -643,6 +643,23 @@ def test_batch_width_invariance(flux, tmp_path):
                 (lone.status, lone.sigma_hat)
 
 
+@pytest.mark.parametrize("preset", [presets.heat, presets.linear_noise,
+                                    presets.sublinear_global],
+                         ids=["heat", "linear-noise", "sublinear-global"])
+def test_no_seed_gives_an_empty_record(preset):
+    # it died in blown_up's reduction over a (0, n) state
+    cfg = preset()
+    ens = sim._integrate(cfg, [], 3)
+    one = sim._integrate(cfg, [cfg.seed], 3)
+    assert len(ens) == 0 and ens[:] == [] and ens.seeds == ()
+    assert ens.times.tobytes() == one.times.tobytes()
+    assert ens.states.shape == (0,) + one.states.shape[1:]
+    assert ens.stats.shape == (4, 0)
+    assert ens.kept.shape == ens.steps.shape == ens.sigma_hat.shape == (0,)
+    for name in ("states", "kept", "steps", "sigma_hat", "stats"):
+        assert getattr(ens, name).dtype == getattr(one, name).dtype, name
+
+
 def test_blowup_sites_set_sigma_hat():
     # the same noise paths, stopped by a flux that is not finite past 0.5
     # (start of the step: sigma_hat = t, the state at t is kept) or by a cap
