@@ -233,8 +233,10 @@ RECORD_ARRAYS = ("times", "states", "kept", "steps", "sigma_hat", "stats")
 def test_forked_writers_write_the_serial_bytes(n_paths, tmp_path,
                                                monkeypatch):
     # 4, 5 or 14 paths split unevenly over 2 or 3 workers give the record
-    # and the files of 1; at 14 paths blown-up rows land in every worker
-    counts = (1, 2, 3) if hasattr(os, "fork") else (1,)
+    # and the files of 1; at 14 paths blown-up rows land in every worker.
+    # 8 workers outnumber the cores of a small host, and at 4 or 5 paths
+    # some of them get no path at all
+    counts = (1, 2, 3, 8) if hasattr(os, "fork") else (1,)
     cfg = blowup_ensemble(None, n_paths)
     written, records = [], []
     for w in counts:
