@@ -140,7 +140,7 @@ def _workers(n_paths: int, n_steps: int) -> int:
                       n_paths * n_steps // _MIN_PATH_STEPS_PER_WORKER))
 
 
-# the record's columns with a row per path
+# the record's columns that hold an entry per path
 _PATH_COLUMNS = ("states", "kept", "steps", "sigma_hat", "stats")
 
 
@@ -213,7 +213,8 @@ def run_ensemble(cfg: EnsembleConfig) -> Ensemble:
     w = _workers(cfg.n_paths, cfg.base.n_steps)
     columns = None
     if w > 1:
-        # the record of no path: its layout, checked before any fork
+        # the record of no path gives the columns' layout and the save
+        # times, and checks the config before anything forks
         empty = _integrate(cfg.base, [], cfg.n_save)
         columns = _shared_columns(empty, cfg.n_paths)
     children = {}
