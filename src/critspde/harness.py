@@ -96,9 +96,11 @@ def load_trajectory_csv(path: Path) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def write_summary(directory: Path, payload: dict) -> Path:
+    """summary.json as strict JSON: a NaN or an inf raises ValueError."""
     directory.mkdir(parents=True, exist_ok=True)
     out = directory / "summary.json"
-    out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    out.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                              allow_nan=False) + "\n")
     return out
 
 
@@ -327,6 +329,8 @@ def experiment_global(h: float, cfg: EnsembleConfig,
     """
     if not 1.0 <= h < 3.0:
         raise ParameterError("noise growth power must lie in [1, 3)")
+    if not math.isfinite(noise_scale):
+        raise ParameterError(f"noise scale must be finite, not {noise_scale}")
     wired = replace(cfg.base.nonlinearity,
                     g=lambda y: noise_scale * np.abs(y) ** h)
     run_cfg = replace(cfg, base=replace(cfg.base, nonlinearity=wired))
@@ -389,8 +393,7 @@ def convergence_study(cfg: EnsembleConfig, levels: int = 3) -> ConvergenceReport
     deterministic drift-only problem is run at n, 2n, 4n, ... and
     consecutive solutions compared at shared grid points.
     """
-    if levels < 3:
-        raise ParameterError("need at least three refinement levels")
+    levels = _integer(levels, "refinement levels", 3)
     base = cfg.base
 
     # a noise-free problem is one path

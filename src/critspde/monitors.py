@@ -19,17 +19,19 @@ import numpy as np
 from .exponents import CriticalityReport, ParameterError, Setting
 from .sim import (
     RNG_BLOCK,
+    TWO_PI,
     NoiseSpec,
     SpectralStepper,
     Trajectory,
+    _energy,
+    _irfft,
     _path_stream,
+    _rfft,
     dealiased,
     simulate_path,
     spectral_weights,
 )
 from .weights import PowerWeight, SampledFunction, TimeGrid, weighted_lp_norm
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def _rows(x: np.ndarray):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def hs_norm_G(u: np.ndarray, g, noise: NoiseSpec):
+def hs_norm_G(u: np.ndarray, g, noise: Optional[NoiseSpec]):
     """Hilbert-Schmidt norm of v -> g(u) * v over the truncated noise basis.
 
     Equals (sum_k sigma_k^2 ||g(u) e_k||_{L2}^2)^{1/2} for the sample vector
@@ -81,11 +83,11 @@ def hs_norm_G(u: np.ndarray, g, noise: NoiseSpec):
     """
     u = np.asarray(u, dtype=float)
     if g is None:
-        gu = np.zeros_like(u)
-    elif callable(g):
-        gu = np.asarray(g(u), dtype=float)
-    else:
-        gu = np.full_like(u, float(g))
+        return _rows(np.zeros(u.shape[:-1]))
+    if noise is None:
+        raise ParameterError("a noise coefficient g needs its NoiseSpec")
+    gu = np.asarray(g(u), dtype=float) if callable(g) \
+        else np.full_like(u, float(g))
     sigma = noise.amplitudes()
     density = sigma[0] ** 2 / TWO_PI + np.sum(sigma[1:] ** 2) / np.pi
     return _rows(np.sqrt(TWO_PI * density * np.mean(gu ** 2, axis=-1)))
@@ -100,16 +102,16 @@ def spatial_norm(values: np.ndarray, smoothness: float, q: float = 2.0):
     """
     if not 1.0 <= q < np.inf:  # a NaN fails too
         raise ParameterError(f"spatial norm needs 1 <= q < oo, not {q}")
+    if not -np.inf < smoothness < np.inf:
+        raise ParameterError(f"spatial norm needs a finite smoothness, "
+                             f"not {smoothness}")
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
-    u_hat = np.fft.rfft(values) / n
     k = np.arange(n // 2 + 1, dtype=float)
-    mult = (1.0 + k * k) ** (smoothness / 2.0)
+    m_hat = (1.0 + k * k) ** (smoothness / 2.0) * _rfft(values)
     if q == 2.0:
-        m_hat = mult * u_hat
-        mode_sq = m_hat.real ** 2 + m_hat.imag ** 2
-        return _rows(np.sqrt(TWO_PI * np.vecdot(mode_sq, spectral_weights(n))))
-    shifted = np.fft.irfft(mult * u_hat * n, n=n)
+        return _rows(np.sqrt(_energy(m_hat, spectral_weights(n))))
+    shifted = _irfft(m_hat, np.empty(values.shape))
     # keepdims: a one-state call takes the array root, as a block's rows do
     # (numpy's scalar power can round it differently)
     power = TWO_PI * np.mean(np.abs(shifted) ** q, axis=-1, keepdims=True)
@@ -123,7 +125,7 @@ def h_minus1_flux_norm(values: np.ndarray, f):
     if f is None:
         return _rows(np.zeros(values.shape[:-1]))
     fu = np.asarray(f(values), dtype=float)
-    f_hat = np.fft.rfft(fu) / n
+    f_hat = _rfft(fu)
     k = np.arange(n // 2 + 1, dtype=float)
     f_hat[..., ~dealiased(n)] = 0.0
     mode_sq = (k * k / (1.0 + k * k)) * (f_hat.real ** 2 + f_hat.imag ** 2)
@@ -247,9 +249,6 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     decay = 0.5 * (1.0 - np.exp(-2.0 * k2 * stepper.dt))
     w_decay = stepper.weights * decay
 
-    def energy(spec: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return TWO_PI * np.vecdot(spec.real ** 2 + spec.imag ** 2, weights)
-
     def pairing(spec: np.ndarray, other: np.ndarray) -> np.ndarray:
         return TWO_PI * np.vecdot((spec * np.conj(other)).real,
                                   stepper.weights)
@@ -260,7 +259,7 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     for i in range(0, steps, RNG_BLOCK):
         j = min(i + RNG_BLOCK, steps)
         values = replay.states[i:j]
-        before = np.fft.rfft(values, norm="forward")
+        before = _rfft(values)
         grids, _ = stepper.coefficients(values)
         dw = stepper.noise_increments(rng.standard_normal(
             (j - i, stepper.draws))) if stepper.draws else None
@@ -269,11 +268,11 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
             plus = before if f_hat is None else before + stepper.dt * f_hat
             if g_hat is not None:
                 plus = plus + g_hat
-            grad_inc = energy(plus, w_decay)
+            grad_inc = _energy(plus, w_decay)
         else:
             grad_inc = 0.5 * stepper.dt * (
-                energy(before, stepper.grad_weights)
-                + energy(after, stepper.grad_weights))
+                _energy(before, stepper.grad_weights)
+                + _energy(after, stepper.grad_weights))
         term_i = term_ii = term_iii = 0.0
         if nl.f is not None and not nl.f_x_independent:
             term_i = 2.0 * stepper.dt * pairing(before, f_hat)
@@ -281,8 +280,8 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
             hs = hs_norm_G(values, nl.g, cfg.noise)
             term_ii = stepper.dt * hs * hs
             term_iii = 2.0 * pairing(before, g_hat)
-        per_step[i:j] = (energy(after, stepper.weights)
-                         - energy(before, stepper.weights)) \
+        per_step[i:j] = (_energy(after, stepper.weights)
+                         - _energy(before, stepper.weights)) \
             + 2.0 * grad_inc - (term_i + term_ii + term_iii)
 
     times = np.arange(1, steps + 1) * stepper.dt
@@ -340,7 +339,7 @@ def hoelder_estimate(traj: Trajectory, t0: Optional[float] = None) -> HoelderFit
     t_end = float(times[-1])
     if t0 is None:
         t0 = 0.1 * t_end
-    if t0 <= 0.0 or t0 >= t_end:
+    if not 0.0 < t0 < t_end:  # a NaN fails too
         raise ParameterError("fit start must lie inside (0, T)")
     if np.any(np.diff(times) <= 0):
         raise ParameterError("save times must be strictly increasing")

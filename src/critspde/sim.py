@@ -224,34 +224,42 @@ def drift_pairing(values: np.ndarray, f: PointwiseMap) -> float:
     """
     values = np.asarray(values, dtype=float)
     n = values.size
-    u_hat = np.fft.rfft(values) / n
-    k = np.arange(n // 2 + 1)
-    d_hat = 1j * k * u_hat
+    d_hat = 1j * np.arange(n // 2 + 1) * _rfft(values)
     d_hat[-1] = 0.0
-    dudx = np.fft.irfft(d_hat * n, n=n)
+    dudx = _irfft(d_hat, np.empty(n))
     return TWO_PI * float(np.asarray(f(values), dtype=float) @ dudx) / n
 
 
 # --- stepping -------------------------------------------------------------
 
-# The gufuncs behind np.fft.rfft and np.fft.irfft with norm="forward",
-# called with the factors those pass (1/n forward, 1 back) along the last
-# axis, straight into the caller's out: numpy's Python wrapper around them
-# costs as much as a small transform.  rfft_n_even serves every TorusGrid,
-# whose n is even.
+# Every transform of the package goes through _rfft and _irfft: the
+# gufuncs behind np.fft.rfft and np.fft.irfft with norm="forward", called
+# with the factors those pass (1/n forward, 1 back) along the last axis,
+# straight into an out array, without numpy's Python wrapper, which costs
+# as much as a small transform.  For the power-of-two n of a TorusGrid the
+# 1/n is exact: the bits of rfft(v) / n and of irfft(x * n, n=n).
 _LAST_AXIS = [(-1,), (), (-1,)]
 
 
-def _rfft(grids: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.fft.rfft(grids, norm="forward"), written into out."""
-    return _pocketfft.rfft_n_even(grids, 1.0 / grids.shape[-1],
-                                  axes=_LAST_AXIS, out=out)
+def _rfft(grids: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """np.fft.rfft(grids, norm="forward"), written into out or a fresh
+    array."""
+    n = grids.shape[-1]
+    if out is None:
+        out = np.empty(grids.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    half = _pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even
+    return half(grids, 1.0 / n, axes=_LAST_AXIS, out=out)
 
 
 def _irfft(spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
     """np.fft.irfft(spectra, n=out.shape[-1], norm="forward"), written into
     out."""
     return _pocketfft.irfft(spectra, 1.0, axes=_LAST_AXIS, out=out)
+
+
+def _energy(spec: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """2 pi * sum_k weights_k |spec_k|^2 along the last axis, per row."""
+    return TWO_PI * np.vecdot(spec.real ** 2 + spec.imag ** 2, weights)
 
 
 class SpectralStepper:
@@ -262,12 +270,9 @@ class SpectralStepper:
     blow-up tests.  Every method acts along the last axis, so one call takes
     a single (n,) state or a (P, n) ensemble of them, row by row.  The time
     argument t of the public step methods is the step's start; the equation
-    is autonomous, so the maths does not read it.  Spectra are rfft/n; the
-    FFTs scale by 1/n with norm="forward", which for the power-of-two n of
-    a TorusGrid is exact and gives the bits of dividing by n by hand.  The
-    FFTs of a step go through _rfft and _irfft, numpy's own transforms
-    without its Python wrapper, into buffers that the kernel allocates once
-    and reuses; a step takes as many as it took through np.fft.
+    is autonomous, so the maths does not read it.  Spectra are rfft/n; a
+    step's FFTs go through _rfft and _irfft into buffers that the kernel
+    allocates once and reuses, as many as it took through np.fft.
 
     A step's grids are one (terms, ...) stack, f(u) then g(u), of the rows
     the config has: coefficients() fills it and update() takes it.  advance()
@@ -362,12 +367,9 @@ class SpectralStepper:
         fresh array; its g(u) row is multiplied by dw in place first."""
         if grids is None:
             return None, dw
-        if spectra is None:
-            spectra = np.empty(grids.shape[:-1] + (self.n // 2 + 1,),
-                               dtype=complex)
         if self.g_map is not None:
             np.multiply(grids[-1], dw, out=grids[-1])
-        _rfft(grids, spectra)
+        spectra = _rfft(grids, spectra)
         f_hat = None
         if self.f is not None:
             f_hat = spectra[0]
@@ -590,15 +592,10 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     stepper = SpectralStepper(cfg)
     values = initial_values(cfg)
     nh = n // 2 + 1
-    u_hat = _rfft(values, np.empty(nh, dtype=complex))
+    u_hat = _rfft(values)
+    # 2 pi (||u||^2, ||grad u||^2) of a spectrum: _energy over both weights
     norm_weights = np.stack([stepper.weights, stepper.grad_weights])
-
-    def norms(spec: np.ndarray) -> np.ndarray:
-        """2 pi (||u||^2, ||grad u||^2) of each spectrum on the last axis."""
-        return TWO_PI * np.vecdot(
-            (spec.real ** 2 + spec.imag ** 2)[..., None, :], norm_weights)
-
-    l2_0, head_0 = norms(u_hat).tolist()
+    l2_0, head_0 = _energy(u_hat[..., None, :], norm_weights).tolist()
     n_paths = len(seeds)
     save_idx = _save_indices(n_steps, n_save)
     save_pos = {int(s): i for i, s in enumerate(save_idx)}
@@ -661,7 +658,7 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
         nonlocal filled
         if not filled:
             return
-        nrm = norms(spec[:filled, :rows.size])
+        nrm = _energy(spec[:filled, :rows.size, None, :], norm_weights)
         terms = np.empty((filled + 1, rows.size))
         terms[0] = stats[1]
         terms[1] = stats[3]

@@ -406,6 +406,34 @@ def test_global_zero_scale_trivial():
     assert report.survival == 1.0
 
 
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "minus_inf"])
+def test_global_non_finite_noise_scale_is_a_parameter_error(
+        scale, tmp_path, monkeypatch):
+    # g(0) = scale * 0 is NaN: every path would stop at step 0 and the
+    # summary would record the scale as NaN or Infinity
+    def no_run(cfg):
+        raise AssertionError("a path ran")
+
+    monkeypatch.setattr(harness, "run_ensemble", no_run)
+    cfg = EnsembleConfig(base=small_noise_cfg(), n_paths=2,
+                         outdir=str(tmp_path))
+    with pytest.raises(ParameterError, match="noise scale must be finite"):
+        experiment_global(1.0, cfg, noise_scale=scale)
+    assert not (tmp_path / "ensemble").exists()
+
+
+@pytest.mark.parametrize("scale", [0.0, -2.0], ids=["zero", "negative"])
+def test_global_finite_scales_are_legal(scale, tmp_path):
+    base = replace(small_noise_cfg(dt=0.01, t_end=0.2), u0=np.cos)
+    report = experiment_global(1.0, EnsembleConfig(base=base, n_paths=3,
+                                                   outdir=str(tmp_path)),
+                               noise_scale=scale)
+    assert report.noise_scale == scale and report.survival == 1.0
+    summary = json.loads((tmp_path / "ensemble" / "summary.json").read_text())
+    assert summary["noise_scale"] == scale
+
+
 def test_global_exploratory_power():
     cfg = EnsembleConfig(base=small_noise_cfg(dt=2e-3, t_end=0.25), n_paths=4)
     report = experiment_global(2.5, cfg)
@@ -488,6 +516,14 @@ def test_convergence_needs_levels():
         convergence_study(EnsembleConfig(base=heat(), n_paths=1), levels=2)
 
 
+@pytest.mark.parametrize("levels", [3.0, "3"], ids=["float", "string"])
+def test_convergence_levels_must_be_an_integer(levels):
+    with pytest.raises(ParameterError,
+                       match="refinement levels must be an integer >= 3"):
+        convergence_study(EnsembleConfig(base=heat(), n_paths=1),
+                          levels=levels)
+
+
 def test_convergence_errors_skip_paths_that_blew_up():
     # on this base paths 0, 2 and 13 blow up at dt and at 2 dt, and paths
     # 3, 8 and 9 at one of the two, as at t_end 0.25; 0.256 is a whole
@@ -533,6 +569,12 @@ def test_write_summary_sorted(tmp_path):
     assert list(payload) == ["a", "b"]
     keys = out.read_text()
     assert keys.index('"a"') < keys.index('"b"')
+
+
+def test_write_summary_rejects_non_finite_values(tmp_path):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_summary(tmp_path / "run", {"a": 1.5, "b": {"c": float("nan")}})
+    assert not (tmp_path / "run" / "summary.json").exists()
 
 
 def test_run_ensemble_order_and_seeds():

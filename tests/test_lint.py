@@ -21,10 +21,10 @@ since Python 3.12 changed those private names.  No package module writes
 through an object's `__dict__` or `vars()`: on CPython 3.11 such a write
 materializes the instance dict, and every later attribute read of the
 object gets slower (a frozen dataclass stores a field with
-`object.__setattr__` instead).  No code of the stepping kernel
-(`SpectralStepper`, `_integrate`) calls `np.fft`: its transforms go
-through `sim._rfft` and `sim._irfft`, which call numpy's pocketfft
-gufuncs without the Python wrapper.  No package code builds a `Trajectory`
+`object.__setattr__` instead).  No package module calls `np.fft`: every
+transform, the kernel's and the monitors', goes through `sim._rfft` and
+`sim._irfft`, which call numpy's pocketfft gufuncs without the Python
+wrapper.  No package code builds a `Trajectory`
 or a `PathStats` outside `Ensemble.__getitem__`, the ensemble record's row
 view, so the layout of a path's columns is known in one place.
 """
@@ -283,15 +283,10 @@ def dict_writes(tree: ast.Module):
     return sorted(out)
 
 
-def kernel_numpy_fft_calls(tree: ast.Module):
-    """(line, call) of every np.fft (or numpy.fft) call in the class
-    SpectralStepper and in the function _integrate."""
+def numpy_fft_calls(tree: ast.Module):
+    """(line, call) of every np.fft (or numpy.fft) call in the module."""
     return sorted(
-        (node.lineno, _dotted(node.func))
-        for top in tree.body
-        if isinstance(top, (ast.ClassDef, ast.FunctionDef))
-        and top.name in ("SpectralStepper", "_integrate")
-        for node in ast.walk(top)
+        (node.lineno, _dotted(node.func)) for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and _dotted(node.func).split(".")[:2] in (["np", "fft"],
                                                   ["numpy", "fft"]))
@@ -501,28 +496,21 @@ def test_dict_write_is_reported():
         (6, "__dict__"), (7, "__dict__"), (8, "__dict__")]
 
 
-def test_kernel_calls_no_numpy_fft():
-    path = ROOT / "src" / "critspde" / "sim.py"
-    assert kernel_numpy_fft_calls(ast.parse(path.read_text())) == []
+def test_no_numpy_fft_calls():
+    calls = {path.name: numpy_fft_calls(ast.parse(path.read_text()))
+             for path in SOURCES}
+    assert {name: c for name, c in calls.items() if c} == {}
 
 
-def test_kernel_numpy_fft_call_is_reported():
+def test_numpy_fft_call_is_reported():
     tree = ast.parse("import numpy as np\n"
-                     "class SpectralStepper:\n"
+                     "def norm(values):\n"
+                     "    return np.fft.rfft(values) / 8\n"
+                     "class Stepper:\n"
                      "    def step(self, x):\n"
-                     "        return np.fft.rfft(x)\n"
-                     "def _integrate(values):\n"
-                     "    u_hat = np.fft.rfft(values) / 8\n"
-                     "    for i in range(3):\n"
-                     "        values = np.fft.irfft(u_hat)\n"
-                     "    def fold():\n"
-                     "        return numpy.fft.rfft(values)\n"
-                     "    return [np.fft.fft(v) for v in values]\n"
-                     "def other(x):\n"
-                     "    return np.fft.rfft(x)\n")
-    assert kernel_numpy_fft_calls(tree) == [
-        (4, "np.fft.rfft"), (6, "np.fft.rfft"), (8, "np.fft.irfft"),
-        (10, "numpy.fft.rfft"), (11, "np.fft.fft")]
+                     "        return numpy.fft.irfft(x, n=8)\n")
+    assert numpy_fft_calls(tree) == [(3, "np.fft.rfft"),
+                                     (6, "numpy.fft.irfft")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -37,8 +37,11 @@ from critspde.sim import (
     SimConfig,
     TorusGrid,
     Trajectory,
+    dealiased,
+    drift_pairing,
     l2_norm_sq,
     simulate_path,
+    spectral_weights,
 )
 
 H2 = SobolevScale(F(-1), F(1), F(2))
@@ -148,6 +151,84 @@ def test_norms_batch_invariance(name, n):
     batch = norm(block)
     assert batch.shape == (17,)
     assert np.array_equal(batch, rows)
+
+
+# The spellings the diagnostics used before they took the kernel's _rfft and
+# _irfft: the reference their bytes are checked against
+def np_fft_spatial_norm(values, smoothness, q):
+    n = values.shape[-1]
+    u_hat = np.fft.rfft(values) / n
+    k = np.arange(n // 2 + 1, dtype=float)
+    mult = (1.0 + k * k) ** (smoothness / 2.0)
+    if q == 2.0:
+        m_hat = mult * u_hat
+        mode_sq = m_hat.real ** 2 + m_hat.imag ** 2
+        return np.sqrt(2 * np.pi * np.vecdot(mode_sq, spectral_weights(n)))
+    shifted = np.fft.irfft(mult * u_hat * n, n=n)
+    power = 2 * np.pi * np.mean(np.abs(shifted) ** q, axis=-1, keepdims=True)
+    return (power ** (1.0 / q))[..., 0]
+
+
+def np_fft_flux_norm(values, f):
+    n = values.shape[-1]
+    f_hat = np.fft.rfft(f(values)) / n
+    k = np.arange(n // 2 + 1, dtype=float)
+    f_hat[..., ~dealiased(n)] = 0.0
+    mode_sq = (k * k / (1.0 + k * k)) * (f_hat.real ** 2 + f_hat.imag ** 2)
+    return np.sqrt(2 * np.pi * np.vecdot(mode_sq, spectral_weights(n)))
+
+
+def np_fft_drift_pairing(values, f):
+    n = values.size
+    d_hat = 1j * np.arange(n // 2 + 1) * (np.fft.rfft(values) / n)
+    d_hat[-1] = 0.0
+    dudx = np.fft.irfft(d_hat * n, n=n)
+    return 2 * np.pi * float(f(values) @ dudx) / n
+
+
+def same_bytes(a, b):
+    return np.asarray(a, dtype=float).tobytes() \
+        == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 64, 128])
+def test_diagnostic_spectra_match_numpy_fft(n):
+    # bit for bit, signed zeros included: rounded states hold exact zeros
+    rng = np.random.default_rng(n)
+    for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+        for rounded in (False, True):
+            block = scale * rng.standard_normal((5, n))
+            if rounded:
+                block = np.round(block)
+            for values in (block, block[2]):
+                for q, s in ((2.0, -1.0), (2.0, 1.0 / 3.0), (6.0, 0.25),
+                             (6.0, 1.5)):
+                    assert same_bytes(spatial_norm(values, s, q),
+                                      np_fft_spatial_norm(values, s, q))
+                for f in (presets.cubic_flux, np.sin):
+                    assert same_bytes(h_minus1_flux_norm(values, f),
+                                      np_fft_flux_norm(values, f))
+            for u in block:
+                for f in (presets.cubic_flux, np.sin):
+                    assert same_bytes(drift_pairing(u, f),
+                                      np_fft_drift_pairing(u, f))
+
+
+@pytest.mark.parametrize("n", [9, 48, 63])
+def test_diagnostic_spectra_take_any_grid_size(n):
+    # a TorusGrid's n is a power of two, but the norms take any state; an
+    # odd n needs pocketfft's odd-length rfft, and 1/n rounds, so only
+    # the values are compared
+    block = np.random.default_rng(n).standard_normal((4, n))
+    for q in (2.0, 6.0):
+        assert np.allclose(spatial_norm(block, 0.5, q),
+                           np_fft_spatial_norm(block, 0.5, q),
+                           rtol=1e-13, atol=0.0)
+    assert np.allclose(h_minus1_flux_norm(block, np.sin),
+                       np_fft_flux_norm(block, np.sin), rtol=1e-13, atol=0.0)
+    assert np.isclose(drift_pairing(block[0], np.sin),
+                      np_fft_drift_pairing(block[0], np.sin),
+                      rtol=1e-12, atol=1e-15)
 
 
 def test_flux_norm_linear_oracle():
@@ -507,6 +588,29 @@ def test_hoelder_window_validation():
         hoelder_estimate(traj, t0=0.0)
     with pytest.raises(ParameterError):
         hoelder_estimate(traj, t0=1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hoelder_estimate(simulate_path(
+        heat_cfg(grid=TorusGrid(128), dt=1.0 / 1024), n_save=257),
+        t0=np.nan), "fit start must lie inside"),
+    (lambda: spatial_norm(np.cos(GRID.x), np.nan), "finite smoothness"),
+    (lambda: spatial_norm(np.cos(GRID.x), np.inf, q=3.0),
+     "finite smoothness"),
+    (lambda: spatial_norm(np.cos(GRID.x), -np.inf), "finite smoothness"),
+    (lambda: hs_norm_G(np.cos(GRID.x), 1.0, None), "needs its NoiseSpec"),
+    (lambda: hs_norm_G(np.cos(GRID.x), np.abs, None), "needs its NoiseSpec"),
+], ids=["hoelder_nan_t0", "smoothness_nan", "smoothness_inf",
+        "smoothness_minus_inf", "hs_constant_g", "hs_map_g"])
+def test_monitor_inputs_are_checked(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+def test_hs_norm_without_g_needs_no_noise():
+    assert hs_norm_G(np.cos(GRID.x), None, None) == 0.0
+    assert np.array_equal(hs_norm_G(np.ones((3, 8)), None, None),
+                          np.zeros(3))
 
 
 # --- containers -----------------------------------------------------------------------
