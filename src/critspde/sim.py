@@ -243,7 +243,8 @@ _LAST_AXIS = [(-1,), (), (-1,)]
 
 def _rfft(grids: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """np.fft.rfft(grids, norm="forward"), written into out or a fresh
-    array."""
+    array.  rfft_n_even returns wrong values for an odd n, which a state
+    handed to the monitors may have."""
     n = grids.shape[-1]
     if out is None:
         out = np.empty(grids.shape[:-1] + (n // 2 + 1,), dtype=complex)
@@ -593,7 +594,6 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     values = initial_values(cfg)
     nh = n // 2 + 1
     u_hat = _rfft(values)
-    # 2 pi (||u||^2, ||grad u||^2) of a spectrum: _energy over both weights
     norm_weights = np.stack([stepper.weights, stepper.grad_weights])
     l2_0, head_0 = _energy(u_hat[..., None, :], norm_weights).tolist()
     n_paths = len(seeds)

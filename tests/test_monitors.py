@@ -75,6 +75,7 @@ def test_hs_norm_zero_and_constant():
     u = np.cos(GRID.x)
     assert hs_norm_G(u, 0.0, spec) == 0.0
     assert hs_norm_G(u, None, spec) == 0.0
+    assert hs_norm_G(u, None, None) == 0.0
     sig = spec.amplitudes()
     want = np.sqrt(sig[0] ** 2 + 2.0 * np.sum(sig[1:] ** 2))
     assert hs_norm_G(u, 1.0, spec) == pytest.approx(want, rel=1e-12)
@@ -605,12 +606,6 @@ def test_hoelder_window_validation():
 def test_monitor_inputs_are_checked(call, message):
     with pytest.raises(ParameterError, match=message):
         call()
-
-
-def test_hs_norm_without_g_needs_no_noise():
-    assert hs_norm_G(np.cos(GRID.x), None, None) == 0.0
-    assert np.array_equal(hs_norm_G(np.ones((3, 8)), None, None),
-                          np.zeros(3))
 
 
 # --- containers -----------------------------------------------------------------------
