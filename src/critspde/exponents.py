@@ -8,12 +8,13 @@ numerators and denominators of their Fraction inputs (denominators are
 positive, so a comparison is one cross-multiplication) and build each
 output once with the public `Fraction(num, den)`.  Each such form names in
 its docstring the Fraction formula it equals.  Outputs are exact whenever
-inputs are exact; float inputs are snapped to nearby rationals and flagged
-`inexact`.
+inputs are exact; a float snaps through `as_fraction` wherever it enters,
+and no record flags it, so a record built from floats equals the exact one.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -35,11 +36,11 @@ class GrowthWindowError(ParameterError):
 
 
 def as_fraction(x: Rational) -> Fraction:
-    """Coerce a number to an exact Fraction.
+    """Coerce a number to an exact Fraction: the calculus's one float rule.
 
-    ints and Fractions pass through exactly; floats snap to the nearest
-    rational with denominator <= 1e12 so that decimal literals like 0.2
-    mean 1/5.  Callers that care about exactness should pass Fractions.
+    Fractions and integers, numpy's too, pass through exactly; any other
+    real snaps to the nearest rational with denominator <= 1e12, so that
+    0.2 means 1/5, and nothing records the snap.  A bool is no number.
     """
     if isinstance(x, Fraction):
         return x
@@ -47,36 +48,23 @@ def as_fraction(x: Rational) -> Fraction:
         raise ParameterError(f"not a number: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    if isinstance(x, numbers.Real):
+        x = float(x)
         if not math.isfinite(x):
             raise ParameterError(f"non-finite value: {x!r}")
         return Fraction(x).limit_denominator(_COERCE_DENOM)
     raise ParameterError(f"not a number: {x!r}")
 
 
-def is_exact(x: Rational) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
-def _any_inexact(*xs: Rational) -> bool:
-    for x in xs:
-        if not is_exact(x):
-            return True
-    return False
-
-
-def _exact_fields(obj, names: tuple[str, ...], inexact: bool) -> list:
+def _snap_fields(obj, names: tuple[str, ...]) -> list:
     """The named fields of the frozen dataclass obj, each stored back as
-    as_fraction(field), in order; obj.inexact is stored as bool(obj.inexact),
-    or inexact, or whether any of the fields was inexact.  The constructors
-    take this path unless every field is a Fraction and the flag already
-    holds its value, when there is nothing to store."""
-    vals = [getattr(obj, name) for name in names]
-    inexact = inexact or _any_inexact(*vals)
-    vals = [as_fraction(v) for v in vals]
+    as_fraction(field), in order.  The constructors take this path unless
+    every field is already a Fraction, when there is nothing to store."""
+    vals = [as_fraction(getattr(obj, name)) for name in names]
     for name, v in zip(names, vals):
         object.__setattr__(obj, name, v)
-    object.__setattr__(obj, "inexact", bool(obj.inexact) or inexact)
     return vals
 
 
@@ -92,13 +80,12 @@ class SobolevScale:
     low: Fraction
     high: Fraction
     q: Fraction
-    inexact: bool = False
 
     def __post_init__(self) -> None:
         low, high, q = self.low, self.high, self.q
-        if not (type(self.inexact) is bool and isinstance(low, Fraction)
-                and isinstance(high, Fraction) and isinstance(q, Fraction)):
-            low, high, q = _exact_fields(self, ("low", "high", "q"), False)
+        if not (isinstance(low, Fraction) and isinstance(high, Fraction)
+                and isinstance(q, Fraction)):
+            low, high, q = _snap_fields(self, ("low", "high", "q"))
         ln, ld = low.numerator, low.denominator
         hn, hd = high.numerator, high.denominator
         if not hn * ld > ln * hd:
@@ -143,14 +130,11 @@ class Setting:
     scale: SobolevScale
     p: Fraction
     kappa: Fraction
-    inexact: bool = False
 
     def __post_init__(self) -> None:
-        scale_inexact, flag = self.scale.inexact, self.inexact
         p, kappa = self.p, self.kappa
-        if not (type(flag) is bool and (flag or not scale_inexact)
-                and isinstance(p, Fraction) and isinstance(kappa, Fraction)):
-            p, kappa = _exact_fields(self, ("p", "kappa"), scale_inexact)
+        if not (isinstance(p, Fraction) and isinstance(kappa, Fraction)):
+            p, kappa = _snap_fields(self, ("p", "kappa"))
         pn, pd = p.numerator, p.denominator
         kn, kd = kappa.numerator, kappa.denominator
         if pn < 2 * pd:
@@ -186,13 +170,12 @@ class GrowthTerm:
     rho: Fraction
     phi: Fraction
     beta: Fraction
-    inexact: bool = False
 
     def __post_init__(self) -> None:
         rho, phi, beta = self.rho, self.phi, self.beta
-        if not (type(self.inexact) is bool and isinstance(rho, Fraction)
-                and isinstance(phi, Fraction) and isinstance(beta, Fraction)):
-            rho, phi, beta = _exact_fields(self, ("rho", "phi", "beta"), False)
+        if not (isinstance(rho, Fraction) and isinstance(phi, Fraction)
+                and isinstance(beta, Fraction)):
+            rho, phi, beta = _snap_fields(self, ("rho", "phi", "beta"))
         if rho.numerator < 0:
             raise ParameterError("growth power rho must be >= 0")
         fn, fd = phi.numerator, phi.denominator
@@ -246,10 +229,6 @@ class GrowthSpec:
             yield "f", i, t
         for i, t in enumerate(self.g_terms):
             yield "g", i, t
-
-    @property
-    def inexact(self) -> bool:
-        return any(t.inexact for _, _, t in self.terms())
 
     @property
     def max_phi(self) -> Fraction:
@@ -335,7 +314,6 @@ class CriticalityReport:
     kappa_crit: Optional[Fraction] = None
     binding_terms: tuple[tuple[str, int], ...] = ()
     exponents: Optional[tuple[TermExponents, ...]] = None
-    inexact: bool = False
 
 
 def _subcriticality(
@@ -383,7 +361,6 @@ def _subcriticality(
         is_critical=all_sub and any(r.critical for r in rows),
         all_subcritical=all_sub,
         all_windows_ok=all(r.window_ok for r in rows),
-        inexact=g.inexact or s.inexact,
     ), tuple(offsets)
 
 
@@ -852,7 +829,6 @@ def full_report(g: GrowthSpec, s: Setting) -> CriticalityReport:
         kappa_crit=kappa,
         binding_terms=binding,
         exponents=exps,
-        inexact=base.inexact,
     )
 
 
@@ -937,7 +913,6 @@ def report_to_dict(rep: CriticalityReport) -> dict:
         "all_windows_ok": rep.all_windows_ok,
         "kappa_crit": _jsonable(rep.kappa_crit),
         "binding_terms": _jsonable(rep.binding_terms),
-        "inexact": rep.inexact,
         "terms": [
             {
                 "part": r.part,

@@ -175,6 +175,7 @@ def _run_share(cfg: EnsembleConfig, seeds: List[int], k: int, w: int,
             columns[name][rows] = getattr(ens, name)
         columns["stats"][:, rows] = ens.stats  # (4, P): a path per column
     if directory is not None:
+        directory.mkdir(parents=True, exist_ok=True)
         for i, traj in zip(range(k, len(seeds), w), ens):
             save_trajectory_csv(traj, directory / f"path_{i}.csv")
     return ens
@@ -211,7 +212,6 @@ def run_ensemble(cfg: EnsembleConfig) -> Ensemble:
     directory = None
     if cfg.outdir is not None:
         directory = Path(cfg.outdir) / cfg.experiment
-        directory.mkdir(parents=True, exist_ok=True)
     w = _workers(cfg.n_paths, cfg.base.n_steps)
     columns = None
     if w > 1:

@@ -169,6 +169,8 @@ def initial_values(cfg: SimConfig) -> np.ndarray:
         v = np.asarray(u0, dtype=float)
     if v.shape != (cfg.grid.n,):
         raise ParameterError("initial data must match the grid size")
+    if not np.isfinite(v).all():
+        raise ParameterError("initial data must be finite")
     return v
 
 

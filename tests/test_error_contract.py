@@ -115,7 +115,6 @@ def json_literal(data):
 CONTRACT = {
     # exponents
     "as_fraction": lambda d: E.as_fraction(q(d)),
-    "is_exact": lambda d: E.is_exact(q(d)),
     "SobolevScale": scale,
     "SobolevScale.smoothness_at": lambda d: scale(d).smoothness_at(q(d)),
     "Setting": setting,

@@ -3,6 +3,7 @@ import pickle
 from dataclasses import asdict, fields, replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
@@ -61,10 +62,35 @@ def test_as_fraction_rejects_junk():
         as_fraction(True)
 
 
-def test_inexact_flag_propagates():
-    s = Setting(SobolevScale(-1.0, 1, 2), 2, 0)
-    assert s.inexact
-    assert not L2_SETTING.inexact
+@pytest.mark.parametrize("x, exact", [
+    (np.int64(4), F(4)),
+    (np.uint8(3), F(3)),
+    (np.float32(0.5), F(1, 2)),
+    (np.float16(0.5), F(1, 2)),
+    (np.True_, None),
+], ids=["int64", "uint8", "float32", "float16", "bool_"])
+def test_as_fraction_takes_numpy_scalars(x, exact):
+    # numpy integers pass exactly and numpy floats snap as floats do; a
+    # numpy bool, like a Python one, is no number
+    if exact is None:
+        with pytest.raises(ParameterError, match="not a number"):
+            as_fraction(x)
+        return
+    out = as_fraction(x)
+    assert out == exact
+    assert type(out.numerator) is int and type(out.denominator) is int
+
+
+def test_float_built_records_equal_exact_ones():
+    # a float snaps through as_fraction and leaves no mark on the record
+    floats = Setting(SobolevScale(-1.0, 1, 2), 2.0, 0)
+    exact = Setting(SobolevScale(-1, 1, 2), 2, 0)
+    assert floats == exact
+    assert hash(floats) == hash(exact)
+    assert repr(floats) == repr(exact)
+    g = l2_growth()
+    assert full_report(g, floats) == full_report(g, exact)
+    assert GrowthTerm(1.5, 0.8, 0.75) == GrowthTerm(F(3, 2), F(4, 5), F(3, 4))
 
 
 # --- setting invariants -----------------------------------------------------
@@ -108,14 +134,13 @@ def test_threshold_weight_index_is_computed_on_first_read():
 
 
 def test_derived_values_are_not_fields():
-    assert [f.name for f in fields(SobolevScale)] == ["low", "high", "q", "inexact"]
-    assert [f.name for f in fields(Setting)] == ["scale", "p", "kappa", "inexact"]
-    assert [f.name for f in fields(GrowthTerm)] == ["rho", "phi", "beta", "inexact"]
+    assert [f.name for f in fields(SobolevScale)] == ["low", "high", "q"]
+    assert [f.name for f in fields(Setting)] == ["scale", "p", "kappa"]
+    assert [f.name for f in fields(GrowthTerm)] == ["rho", "phi", "beta"]
     assert asdict(DERIVED_SETTING) == {
-        "scale": {"low": -1, "high": 1, "q": 4, "inexact": False},
-        "p": 6, "kappa": 1, "inexact": False}
+        "scale": {"low": -1, "high": 1, "q": 4}, "p": 6, "kappa": 1}
     assert asdict(DERIVED_TERM) == {"rho": F(3, 2), "phi": F(4, 5),
-                                    "beta": F(3, 4), "inexact": False}
+                                    "beta": F(3, 4)}
 
 
 @pytest.mark.parametrize("obj, name", [(DERIVED_SCALE, "gap"),

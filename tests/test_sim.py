@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critspde import presets, sim
+from critspde import harness, presets, sim
 from critspde.exponents import ParameterError
-from critspde.harness import save_trajectory_csv
+from critspde.harness import EnsembleConfig, mc_run, save_trajectory_csv
 from critspde.sim import (
     NoiseSpec,
     NonlinearitySpec,
@@ -377,16 +377,25 @@ def test_blowup_cap_at_start():
     assert traj.times.shape == (1,)
 
 
-def test_blowup_at_start_reports_infinite_norms():
-    # an infinite value makes ||u||^2 infinite; the spectrum's norm is not
-    # a NaN from dividing an infinite coefficient by n
-    u0 = np.where(np.arange(64) == 3, np.inf, 1.0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        traj = simulate_path(heat_cfg(u0=u0))
-    assert traj.status == "blew_up" and traj.sigma_hat == 0.0
-    stats = traj.stats
-    assert (stats.initial_l2_sq, stats.sup_l2_sq, stats.final_l2_sq) == (
-        np.inf, np.inf, np.inf)
+def test_non_finite_initial_data_is_rejected(tmp_path, monkeypatch):
+    # initial data holding an infinity or a NaN is no blow-up but a bad
+    # config: it raises before any path runs, so an ensemble forks no
+    # worker and writes no file, whether it would split or not
+    def no_fork():
+        raise AssertionError("forked on rejected initial data")
+
+    monkeypatch.setattr(harness.os, "fork", no_fork)
+    for bad in (np.inf, -np.inf, np.nan):
+        cfg = heat_cfg(u0=np.where(np.arange(64) == 3, bad, 1.0))
+        with pytest.raises(ParameterError, match="initial data must be finite"):
+            simulate_path(cfg)
+        for w in (1, 3):
+            monkeypatch.setattr(harness, "_workers", lambda n_paths, n_steps: w)
+            with pytest.raises(ParameterError,
+                               match="initial data must be finite"):
+                mc_run(EnsembleConfig(base=cfg, n_paths=3,
+                                      outdir=str(tmp_path)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_blowup_cap_is_on_the_sup_norm():
