@@ -97,9 +97,9 @@ class SobolevScale:
 
     def smoothness_at(self, theta: Rational) -> Fraction:
         """low + theta*gap, which equals (1-theta)*low + theta*high; the
-        endpoints need no arithmetic, not even a coercion.  A bool is no
-        number here, as in as_fraction."""
-        if isinstance(theta, bool):
+        endpoints need no arithmetic, not even a coercion.  A bool, numpy's
+        too, is no number here, as in as_fraction."""
+        if isinstance(theta, bool) or not isinstance(theta, numbers.Number):
             raise ParameterError(f"not a number: {theta!r}")
         if theta == 0:
             return self.low

@@ -18,14 +18,11 @@ import numpy as np
 
 from .exponents import CriticalityReport, ParameterError, Setting
 from .sim import (
-    RNG_BLOCK,
     TWO_PI,
     NoiseSpec,
-    SpectralStepper,
     Trajectory,
     _energy,
     _irfft,
-    _path_stream,
     _rfft,
     dealiased,
     simulate_path,
@@ -77,9 +74,7 @@ def hs_norm_G(u: np.ndarray, g, noise: Optional[NoiseSpec]):
     """Hilbert-Schmidt norm of v -> g(u) * v over the truncated noise basis.
 
     Equals (sum_k sigma_k^2 ||g(u) e_k||_{L2}^2)^{1/2} for the sample vector
-    u.  The paired cos/sin basis makes sum_k sigma_k^2 e_k(x)^2 the constant
-    sigma_0^2/(2 pi) + sum_{k>=1} sigma_k^2/pi, so the norm is
-    (2 pi * density * mean g(u)^2)^{1/2}.
+    u, which is (2 pi * noise.hs_density() * mean g(u)^2)^{1/2}.
     """
     u = np.asarray(u, dtype=float)
     if g is None:
@@ -88,9 +83,8 @@ def hs_norm_G(u: np.ndarray, g, noise: Optional[NoiseSpec]):
         raise ParameterError("a noise coefficient g needs its NoiseSpec")
     gu = np.asarray(g(u), dtype=float) if callable(g) \
         else np.full_like(u, float(g))
-    sigma = noise.amplitudes()
-    density = sigma[0] ** 2 / TWO_PI + np.sum(sigma[1:] ** 2) / np.pi
-    return _rows(np.sqrt(TWO_PI * density * np.mean(gu ** 2, axis=-1)))
+    return _rows(np.sqrt(TWO_PI * noise.hs_density()
+                         * np.mean(gu ** 2, axis=-1)))
 
 
 def spatial_norm(values: np.ndarray, smoothness: float, q: float = 2.0):
@@ -216,25 +210,23 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     """Cumulative defect of the discrete L^2 energy identity.
 
     Replays the trajectory from its config (the path is deterministic given
-    the seed), keeping every state, checks each saved state against the
-    replay's bit for bit, and re-takes its steps from the kept states
-    RNG_BLOCK at a time, each block on the next RNG_BLOCK steps of draws
-    from the path's own stream, the draws the replay took.  Per step it
-    accumulates
+    the seed) in one kernel pass, which keeps every state and sums, once per
+    RNG block, each step's
 
         d||u||^2 + 2 ||grad u||^2 dt - (I + II + III)
 
     where I is the drift pairing (identically zero when f is declared
     x-independent), II the Ito correction dt * ||g(u)||_HS^2, and III the
-    realized martingale increment 2 <u, g(u) dW>.  For the pure heat flow the
-    residual is roundoff; with noise it is the (mean-zero) quadratic
-    variation mismatch, shrinking like sqrt(dt) at fixed horizon.  The
-    series ends at the last kept state, so a path that blew up has one
-    entry per step it kept.
+    realized martingale increment 2 <u, g(u) dW> (SpectralStepper.
+    energy_defects); it then checks each saved state against the replay's
+    bit for bit.  For the pure heat flow the residual is roundoff; with
+    noise it is the (mean-zero) quadratic variation mismatch, shrinking
+    like sqrt(dt) at fixed horizon.  The series ends at the last kept
+    state, so a path that blew up has one entry per step it kept.
     """
     cfg = traj.config
-    stepper = SpectralStepper(cfg)
-    replay = simulate_path(cfg)
+    per_step = np.empty(cfg.n_steps)
+    replay = simulate_path(cfg, ito_defect=per_step)
     # the path is bitwise deterministic, so each saved state, up to blow-up
     # too, is the replay's state at its step bit for bit
     saved_at = np.rint(traj.times / cfg.dt).astype(int)
@@ -243,49 +235,9 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
             or not np.array_equal(replay.times[saved_at], traj.times) \
             or not np.array_equal(replay.states[saved_at], traj.states):
         raise ParameterError("trajectory does not replay from its config")
-
-    nl = cfg.nonlinearity
-    k2 = stepper.k.astype(float) ** 2
-    decay = 0.5 * (1.0 - np.exp(-2.0 * k2 * stepper.dt))
-    w_decay = stepper.weights * decay
-
-    def pairing(spec: np.ndarray, other: np.ndarray) -> np.ndarray:
-        return TWO_PI * np.vecdot((spec * np.conj(other)).real,
-                                  stepper.weights)
-
     steps = replay.stats.steps_taken
-    per_step = np.empty(steps)
-    rng = _path_stream(cfg.seed)
-    for i in range(0, steps, RNG_BLOCK):
-        j = min(i + RNG_BLOCK, steps)
-        values = replay.states[i:j]
-        before = _rfft(values)
-        grids, _ = stepper.coefficients(values)
-        dw = stepper.noise_increments(rng.standard_normal(
-            (j - i, stepper.draws))) if stepper.draws else None
-        after, f_hat, g_hat = stepper.update(before, grids, dw)
-        if cfg.scheme == "exp_euler":
-            plus = before if f_hat is None else before + stepper.dt * f_hat
-            if g_hat is not None:
-                plus = plus + g_hat
-            grad_inc = _energy(plus, w_decay)
-        else:
-            grad_inc = 0.5 * stepper.dt * (
-                _energy(before, stepper.grad_weights)
-                + _energy(after, stepper.grad_weights))
-        term_i = term_ii = term_iii = 0.0
-        if nl.f is not None and not nl.f_x_independent:
-            term_i = 2.0 * stepper.dt * pairing(before, f_hat)
-        if g_hat is not None:
-            hs = hs_norm_G(values, nl.g, cfg.noise)
-            term_ii = stepper.dt * hs * hs
-            term_iii = 2.0 * pairing(before, g_hat)
-        per_step[i:j] = (_energy(after, stepper.weights)
-                         - _energy(before, stepper.weights)) \
-            + 2.0 * grad_inc - (term_i + term_ii + term_iii)
-
-    times = np.arange(1, steps + 1) * stepper.dt
-    return MonitorSeries(times, {"residual": np.cumsum(per_step)})
+    times = np.arange(1, steps + 1) * float(cfg.dt)
+    return MonitorSeries(times, {"residual": np.cumsum(per_step[:steps])})
 
 
 # --- empirical Hoelder exponents ---------------------------------------------

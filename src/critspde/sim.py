@@ -82,6 +82,13 @@ class NoiseSpec:
         k = np.arange(self.modes + 1, dtype=float)
         return (1.0 + k * k) ** (-float(self.lam) / 2.0)
 
+    def hs_density(self) -> float:
+        """sum_k sigma_k^2 e_k(x)^2, which the paired cos/sin basis makes
+        the constant sigma_0^2/(2 pi) + sum_{k>=1} sigma_k^2/pi: the
+        Hilbert-Schmidt norm of v -> g v is (2 pi density mean g^2)^{1/2}."""
+        sigma = self.amplitudes()
+        return float(sigma[0] ** 2 / TWO_PI + np.sum(sigma[1:] ** 2) / np.pi)
+
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
@@ -236,11 +243,11 @@ def drift_pairing(values: np.ndarray, f: PointwiseMap) -> float:
 
 # Every transform of the package goes through _rfft and _irfft: the
 # gufuncs behind np.fft.rfft and np.fft.irfft with norm="forward", called
-# with the factors those pass (1/n forward, 1 back) along the last axis,
-# straight into an out array, without numpy's Python wrapper, which costs
-# as much as a small transform.  For the power-of-two n of a TorusGrid the
-# 1/n is exact: the bits of rfft(v) / n and of irfft(x * n, n=n).
-_LAST_AXIS = [(-1,), (), (-1,)]
+# with the factors those pass (1/n forward, 1 back), straight into an out
+# array, without numpy's Python wrapper, which costs as much as a small
+# transform.  A gufunc's core axis is the last one, the axis np.fft passes.
+# For the power-of-two n of a TorusGrid the 1/n is exact: the bits of
+# rfft(v) / n and of irfft(x * n, n=n).
 
 
 def _rfft(grids: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -251,13 +258,13 @@ def _rfft(grids: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     if out is None:
         out = np.empty(grids.shape[:-1] + (n // 2 + 1,), dtype=complex)
     half = _pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even
-    return half(grids, 1.0 / n, axes=_LAST_AXIS, out=out)
+    return half(grids, 1.0 / n, out=out)
 
 
 def _irfft(spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
     """np.fft.irfft(spectra, n=out.shape[-1], norm="forward"), written into
     out."""
-    return _pocketfft.irfft(spectra, 1.0, axes=_LAST_AXIS, out=out)
+    return _pocketfft.irfft(spectra, 1.0, out=out)
 
 
 def _energy(spec: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -321,6 +328,15 @@ class SpectralStepper:
             self.amp0 = sigma[0] * self.sqrt_dt
             self.amp = sigma[1:] * self.sqrt_dt
         self.cap = float(cfg.blowup_cap)
+        # energy_defects' terms: the gradient weights of the exact linear
+        # flow (None under semi_implicit), whether the drift pairs with u,
+        # and the Ito correction's factor 2 pi * density of mean g(u)^2
+        self.decay_weights = None if cfg.scheme != "exp_euler" else \
+            self.weights * (0.5 * (1.0 - np.exp(-2.0 * k2 * self.dt)))
+        self.drift_pairs = self.f is not None \
+            and not cfg.nonlinearity.f_x_independent
+        self.hs_factor = TWO_PI * cfg.noise.hs_density() if self.draws \
+            else 0.0
 
     @property
     def reads_grid(self) -> bool:
@@ -465,6 +481,47 @@ class SpectralStepper:
         dw = None if self.draws == 0 else self.noise_increments(xi)
         return self.update(u_hat, grids, dw)
 
+    def energy_defects(self, norms: np.ndarray, before: np.ndarray,
+                       f_hat: Optional[np.ndarray],
+                       g_hat: Optional[np.ndarray], g_sq) -> np.ndarray:
+        """Per step and row, the defect of the discrete L^2 energy identity
+
+            d||u||^2 + 2 ||grad u||^2 dt - (I + II + III)
+
+        of steps stacked along the first axis.  before holds the steps'
+        start spectra, (steps, rows, n/2+1), and norms the L^2 and gradient
+        norms of those and of the last step's end, (steps+1, rows, 2), as
+        _energy gives them for weights and grad_weights; f_hat and g_hat
+        are the steps' drift and noise spectra as update() returns them,
+        and g_sq is the grid mean of g(u)^2 per step and row, or one float.
+        I is the drift pairing 2 dt <u, d/dx f(u)> (zero for an
+        x-independent f), II the Ito correction dt ||g(u)||_HS^2 and III
+        the realized martingale increment 2 <u, g(u) dW>.  The gradient
+        term is the exact linear flow's under exp_euler and the trapezoid
+        rule's under semi_implicit.
+        """
+        dt = self.dt
+        if self.decay_weights is not None:
+            plus = before if f_hat is None else before + dt * f_hat
+            if g_hat is not None:
+                plus = plus + g_hat
+            grad = _energy(plus, self.decay_weights)
+        else:
+            grad = 0.5 * dt * (norms[:-1, :, 1] + norms[1:, :, 1])
+        terms = 0.0
+        if self.drift_pairs:
+            terms = 2.0 * dt * self._pairing(before, f_hat)
+        if g_hat is not None:
+            terms = terms + dt * (self.hs_factor * g_sq) \
+                + 2.0 * self._pairing(before, g_hat)
+        return (norms[1:, :, 0] - norms[:-1, :, 0]) + 2.0 * grad - terms
+
+    def _pairing(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """2 pi * sum_k weights_k Re(a_k conj(b_k)) per row: <u, v> of the
+        states with rfft/n spectra a and b."""
+        return TWO_PI * np.vecdot(a.real * b.real + a.imag * b.imag,
+                                  self.weights)
+
 
 # --- whole-path integration -------------------------------------------------
 
@@ -535,6 +592,8 @@ RNG_BLOCK = 16
 
 
 def _save_indices(n_steps: int, n_save: Optional[int]) -> np.ndarray:
+    if n_save is not None:
+        n_save = _integer(n_save, "n_save")
     if n_save is None or n_save >= n_steps + 1:
         return np.arange(n_steps + 1)
     if n_save < 2:
@@ -556,7 +615,8 @@ def _path_stream(seed: int) -> np.random.Generator:
 
 
 def _integrate(cfg: SimConfig, seeds: Sequence[int],
-               n_save: Optional[int] = None, substeps: int = 1) -> Ensemble:
+               n_save: Optional[int] = None, substeps: int = 1,
+               ito_defect: Optional[np.ndarray] = None) -> Ensemble:
     """Step the paths of cfg, one per seed, as the rows of one (P, n) state,
     into one Ensemble record.  A seed that is no integer stops the run
     before it runs.
@@ -567,16 +627,16 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     matrix-vector product sums in another order).  So a row's bits do not
     depend on its neighbours or on P.  Every step is one stepper.update.
     The active rows' running stats are one (4, rows) array.  The accepted
-    spectra are kept and folded into it once per RNG_BLOCK steps and before
-    the active set shrinks: one vecdot gives their norms, and a cumsum along
-    the steps adds the dt * ||grad u||^2 terms in step order, the sums of
-    one step at a time.  A row that blows up, at the start of a step (f or
-    g not finite) or at the cap after it, leaves through drop(): it folds
-    the stats, records the row's ends and compacts the rows, the noise
-    table, the stats and the step's arrays.  The work arrays are allocated
-    once, at full width, and a step works in the leading rows of each:
-    update() writes each spectrum straight into its slot among the kept
-    ones.
+    spectra are kept and folded into it at the end of each RNG_BLOCK block
+    and before the active set shrinks: one vecdot gives their norms, and a
+    cumsum along the steps adds the dt * ||grad u||^2 terms in step order,
+    the sums of one step at a time.  A row that blows up, at the start of a
+    step (f or g not finite) or at the cap after it, leaves through drop():
+    it folds the stats, records the row's ends and compacts the rows, the
+    noise table, the stats and the step's arrays.  The work arrays are
+    allocated once, at full width, and a step works in the leading rows of
+    each: update() writes each spectrum straight into its slot among the
+    kept ones.
 
     With substeps s > 1 a row draws s steps of its stream for each step of
     its own and takes their sum divided by sqrt(s), still a unit draw, as
@@ -585,9 +645,22 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
 
     A config whose steps do not read the grid (no flux, g constant or
     absent) takes each RNG_BLOCK block in spectral space through update,
-    then one irfft and one cap check for the whole block.  If a row passes
-    the cap in it, the block is taken again one step at a time on the same
-    noise, which retires the row at its step as the other configs do.
+    then one irfft, one cap check and one save of the block's snapshots.
+    If a row passes the cap in it, the block is taken again one step at a
+    time on the same noise, which retires the row at its step as the other
+    configs do.
+
+    Given ito_defect, a (P, n_steps) float array, the run also writes into
+    its row p, for each step k path p takes, that step's defect of the
+    discrete L^2 energy identity (stepper.energy_defects) at [p, k], and
+    leaves the rest of the row as it is.  This costs one pass of the path:
+    each fold takes the defects of the steps it folds in one call, from
+    the fold's norms, the kept spectra (with the folded steps' start
+    spectrum in a slab before them), the noise table and, per step, the
+    drift and noise spectra update() wrote and the grid sum of g(u)^2.
+    The block's fold comes before the next block's draws overwrite the
+    table.  States and stats keep their bits; without ito_defect a step
+    pays one branch for it.
     """
     seeds = tuple(_integer(s, "seed") for s in seeds)
     n_steps = cfg.n_steps
@@ -600,7 +673,7 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     l2_0, head_0 = _energy(u_hat[..., None, :], norm_weights).tolist()
     n_paths = len(seeds)
     save_idx = _save_indices(n_steps, n_save)
-    save_pos = {int(s): i for i, s in enumerate(save_idx)}
+    save_pos = dict(zip(save_idx.tolist(), range(save_idx.size)))
     saved = np.empty((n_paths, save_idx.size, n))
     saved[:, 0] = values
     # the record's columns; ends holds each path's stats, as PathStats
@@ -638,29 +711,64 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     # order, sup ||u||^2, grad (the sum of the dt * ||grad u||^2 terms of
     # the folded states but the last) and final ||u||^2, then head, the last
     # folded state's ||grad u||^2.  spec[j] holds the rows' j-th spectrum
-    # accepted since the fold, one contiguous slab per step
+    # accepted since the fold, one contiguous slab per step, and the slab of
+    # spec_all before it the last folded one, where each block starts: no
+    # step writes the slab it starts from
     stats = np.repeat([[l2_0], [0.0], [l2_0], [head_0]], n_paths, 1)
     values = np.repeat(values[None], n_paths, axis=0)
-    u_hat = np.repeat(u_hat[None], n_paths, axis=0)
-    spec = np.empty((RNG_BLOCK, n_paths, nh), dtype=complex)
+    spec_all = np.empty((RNG_BLOCK + 1, n_paths, nh), dtype=complex)
+    spec = spec_all[1:]
+    spec_all[0] = u_hat
+    u_hat = spec_all[0]
     # a step's grid stack (f(u), g(u) dW), its spectra, and its new state
     stack = np.empty((stepper.terms, n_paths, n))
     stack_hat = np.empty((stepper.terms, n_paths, nh), dtype=complex)
     states = np.empty((n_paths, n))
-    # the states of a block of a config that does not read the grid, and
-    # the spectrum it starts from, which its fallback steps start from too
+    # the states of a block of a config that does not read the grid; its
+    # b-th block saves its snapshots save_idx[edges[b]:edges[b + 1]]
     if not stepper.reads_grid:
         block_states = np.empty((RNG_BLOCK, n_paths, n))
-        block_start = np.empty((n_paths, nh), dtype=complex)
+        edges = save_idx.searchsorted(
+            np.arange(1, n_steps + RNG_BLOCK + 1, RNG_BLOCK)).tolist()
+    # for the defects: each unfolded step's spectra, in its spec slot, and
+    # for a map g its grid sum of g(u)^2; a constant g's mean is g^2
+    hats = g_sq = None
+    if ito_defect is not None:
+        if stepper.terms:
+            hats = np.empty((RNG_BLOCK,) + stack_hat.shape, dtype=complex)
+        if stepper.g_map is not None:
+            g_sq = np.empty((RNG_BLOCK, n_paths))
     filled = 0
     rows = np.arange(n_paths)  # path index of each active row
     lead, lead_hat, after = stack, stack_hat, states  # active rows' views
 
-    def fold() -> None:
+    def defects(taken: int) -> np.ndarray:
+        """(filled, rows) defects of the unfolded steps, the last of them
+        step taken - 1, and their norms."""
+        r = rows.size
+        norms = _energy(spec_all[:filled + 1, :r, None, :], norm_weights)
+        f_hat = g_hat = mean_sq = None
+        if stepper.f is not None:
+            f_hat = hats[:filled, 0, :r]
+        if stepper.g_map is not None:
+            g_hat, mean_sq = hats[:filled, -1, :r], g_sq[:filled, :r] / n
+        elif table is not None:
+            col = taken - start
+            g_hat = table[:, col - filled:col].swapaxes(0, 1)
+            mean_sq = stepper.g_const ** 2
+        found = stepper.energy_defects(norms, spec_all[:filled, :r], f_hat,
+                                       g_hat, mean_sq)
+        return found, norms[1:]
+
+    def fold(taken: int) -> None:
         nonlocal filled
         if not filled:
             return
-        nrm = _energy(spec[:filled, :rows.size, None, :], norm_weights)
+        if ito_defect is None:
+            nrm = _energy(spec[:filled, :rows.size, None, :], norm_weights)
+        else:
+            found, nrm = defects(taken)
+            ito_defect[rows, taken - filled:taken] = found.T
         terms = np.empty((filled + 1, rows.size))
         terms[0] = stats[1]
         terms[1] = stats[3]
@@ -669,14 +777,17 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
         np.maximum(stats[0], nrm[:, :, 0].max(axis=0), out=stats[0])
         stats[1] = np.cumsum(terms, axis=0)[-1]
         stats[2:] = nrm[-1].T
+        spec_all[0, :rows.size] = spec_all[filled, :rows.size]
         filled = 0
 
     def drop(dead: np.ndarray, t_dead: float, i: int, *arrays):
         """Retire the rows in dead at t_dead after i steps; returns arrays
         without those rows, as fresh arrays."""
         nonlocal rows, table, stats, lead, lead_hat, after
+        # a step taken at the cap sits in slot held, unfolded
+        held = filled
         # the last kept state is the last folded one: its term ends grad
-        fold()
+        fold(i)
         gone = rows[dead]
         steps[gone], sigma_hat[gone] = i, t_dead
         ends[1:, gone] = stats[:3, dead]
@@ -686,7 +797,17 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
         table = None if table is None else table[keep]
         lead, lead_hat = stack[:, :rows.size], stack_hat[:, :rows.size]
         after = states[:rows.size]
-        return [a[keep] for a in arrays]
+        # arrays first: one of them may be the slab spec_all[0]
+        rest = [a[keep] for a in arrays]
+        # the kept rows' last folded spectrum, and for the defects the
+        # spectra of a step taken at the cap, moved to slot 0, where that
+        # step is folded next
+        spec_all[0, :rows.size] = spec_all[0, :keep.size][keep]
+        if hats is not None:
+            hats[0, :, :rows.size] = hats[held, :, :keep.size][:, keep]
+        if g_sq is not None:
+            g_sq[0, :rows.size] = g_sq[held, :keep.size][keep]
+        return rest
 
     for start in range(0, n_steps, RNG_BLOCK):
         m = min(RNG_BLOCK, n_steps - start)
@@ -703,12 +824,9 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
                                              noise[:rows.size, :m],
                                              noise_hat[:rows.size, :m])
         if not stepper.reads_grid:
-            # a drop in an earlier block may have left spectra unfolded
-            fold()
-            # u_hat may be a slab of spec, which the block overwrites; a
-            # fallback to single steps starts from this copy
-            np.copyto(block_start[:rows.size], u_hat)
-            u_hat = prev = block_start[:rows.size]
+            # the block starts from spec_all[0], as a fallback to single
+            # steps does
+            prev = u_hat
             block = spec[:m, :rows.size]
             for j in range(m):
                 dw = None if table is None else table[:, j]
@@ -717,9 +835,13 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
             if stepper.blown_up(blk) is None:
                 # a step of this config never reads values
                 u_hat, values, filled = prev, blk[-1], m
-                for j in range(m):
-                    if start + j + 1 in save_pos:
-                        saved[rows, save_pos[start + j + 1]] = blk[j]
+                # the block's snapshots, in one assignment
+                lo, hi = edges[start // RNG_BLOCK:start // RNG_BLOCK + 2]
+                if hi > lo:
+                    saved[rows, lo:hi] = \
+                        blk[save_idx[lo:hi] - (start + 1)].swapaxes(0, 1)
+                fold(start + m)
+                u_hat = spec_all[0, :rows.size]
                 continue
         for i in range(start, start + m):
             grids, ok = stepper.coefficients(values, lead)
@@ -730,8 +852,14 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
                 # a row's maps are pointwise: evaluated on the rows kept
                 grids, _ = stepper.coefficients(values, lead)
             dw = None if table is None else table[:, i - start]
+            spectra = lead_hat
+            if ito_defect is not None and grids is not None:
+                spectra = hats[filled, :, :rows.size]
+                if g_sq is not None:
+                    np.vecdot(grids[-1], grids[-1],
+                              out=g_sq[filled, :rows.size])
             u_hat = stepper.update(u_hat, grids, dw,
-                                   spec[filled, :rows.size], lead_hat)[0]
+                                   spec[filled, :rows.size], spectra)[0]
             values = _irfft(u_hat, after)
             bad = stepper.blown_up(values)
             if bad is not None:
@@ -741,21 +869,25 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
                     break
                 spec[filled, :rows.size] = u_hat
             filled += 1
-            if filled == RNG_BLOCK:
-                fold()
             if (i + 1) in save_pos:
                 saved[rows, save_pos[i + 1]] = values
         if not rows.size:
             break
+        fold(start + m)
+        u_hat = spec_all[0, :rows.size]
 
-    fold()
     ends[1:, rows] = stats[:3]
     return record()
 
 
-def simulate_path(cfg: SimConfig, n_save: Optional[int] = None) -> Trajectory:
+def simulate_path(cfg: SimConfig, n_save: Optional[int] = None, *,
+                  ito_defect: Optional[np.ndarray] = None) -> Trajectory:
     """Integrate one path; deterministic given cfg.seed.
 
-    Blow-up is a terminal status, not an exception.
+    Blow-up is a terminal status, not an exception.  Given ito_defect, an
+    array of cfg.n_steps floats, the run also writes each step's defect of
+    the discrete L^2 energy identity into it, for the steps the path takes
+    (see _integrate).
     """
-    return _integrate(cfg, [cfg.seed], n_save)[0]
+    return _integrate(cfg, [cfg.seed], n_save, ito_defect=None
+                      if ito_defect is None else ito_defect[None])[0]

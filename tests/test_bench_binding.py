@@ -66,3 +66,22 @@ def test_traced_counters_see_a_plan(monkeypatch):
             bootstrap.full_chain_1d(variant, **kwargs)
         assert tracer.counters["bootstrap.plans"] == 1
         assert tracer.counters["bootstrap.embeds"] == embeds_calls
+
+
+def test_traced_ito_residual_counts_its_replay(monkeypatch):
+    # the residual replays its path through the simulate_path the monitors
+    # module binds, which a traced run rebinds: the counter sees each step
+    layers = bench_module("layers", monkeypatch)
+    tracing = bench_module("tracing", monkeypatch)
+    from dataclasses import replace
+
+    from critspde import monitors, presets, sim
+
+    traj = sim.simulate_path(replace(presets.linear_noise(), t_end=0.04),
+                             n_save=5)
+    tracer = tracing.Tracer()
+    layers.install_hooks(tracer)
+    with tracer.installed(0):
+        series = monitors.ito_energy_residual(traj)
+    assert traj.stats.steps_taken == series.times.size == 40
+    assert tracer.counters["monitors.ito_steps_replayed"] == 40

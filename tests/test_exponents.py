@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from dataclasses import asdict, fields, replace
 from fractions import Fraction as F
 
@@ -720,12 +721,13 @@ def test_property_smoothness_at_interpolates(low, width, theta):
     assert scale.smoothness_at(theta) == (1 - theta) * scale.low + theta * scale.high
 
 
-@pytest.mark.parametrize("theta", [True, False])
+@pytest.mark.parametrize("theta", [True, False, np.True_, np.False_])
 def test_smoothness_at_rejects_bools(theta):
     # True == 1 and False == 0, yet a bool is no number to as_fraction, and
     # the endpoint fast path must not return high or low for one
     scale = SobolevScale(-1, 1, 2)
-    with pytest.raises(ParameterError, match=f"^not a number: {theta}$"):
+    with pytest.raises(ParameterError,
+                       match=f"^not a number: {re.escape(repr(theta))}$"):
         scale.smoothness_at(theta)
     assert scale.smoothness_at(0) is scale.low
     assert scale.smoothness_at(1) is scale.high

@@ -31,12 +31,18 @@ from critspde.monitors import (
     x_space_norm,
 )
 from critspde.sim import (
+    RNG_BLOCK,
+    TWO_PI,
     NoiseSpec,
     NonlinearitySpec,
     PathStats,
     SimConfig,
+    SpectralStepper,
     TorusGrid,
     Trajectory,
+    _energy,
+    _path_stream,
+    _rfft,
     dealiased,
     drift_pairing,
     l2_norm_sq,
@@ -463,12 +469,79 @@ def test_ito_residual_pinned_branches(branch):
                        rtol=0.0, atol=1e-12)
 
 
+def blown_up_cfg():
+    """A sublinear-global path whose state after step 43 passes the cap."""
+    base = presets.sublinear_global()
+    wired = replace(base.nonlinearity, g=lambda y: 3.0 * np.abs(y) ** 2)
+    return replace(base, nonlinearity=wired, t_end=0.25, seed=mix_seed(3, 2))
+
+
+def two_pass_residual(cfg):
+    """The residual of cfg's path in two passes: a replay that keeps every
+    state, then the steps taken again from the kept states RNG_BLOCK at a
+    time, each block on the next RNG_BLOCK steps of draws from the path's
+    own stream, the draws the replay took."""
+    stepper = SpectralStepper(cfg)
+    replay = simulate_path(cfg)
+    nl = cfg.nonlinearity
+    k2 = stepper.k.astype(float) ** 2
+    decay = 0.5 * (1.0 - np.exp(-2.0 * k2 * stepper.dt))
+    w_decay = stepper.weights * decay
+
+    def pairing(spec, other):
+        return TWO_PI * np.vecdot((spec * np.conj(other)).real,
+                                  stepper.weights)
+
+    steps = replay.stats.steps_taken
+    per_step = np.empty(steps)
+    rng = _path_stream(cfg.seed)
+    for i in range(0, steps, RNG_BLOCK):
+        j = min(i + RNG_BLOCK, steps)
+        values = replay.states[i:j]
+        before = _rfft(values)
+        grids, _ = stepper.coefficients(values)
+        dw = stepper.noise_increments(rng.standard_normal(
+            (j - i, stepper.draws))) if stepper.draws else None
+        after, f_hat, g_hat = stepper.update(before, grids, dw)
+        if cfg.scheme == "exp_euler":
+            plus = before if f_hat is None else before + stepper.dt * f_hat
+            if g_hat is not None:
+                plus = plus + g_hat
+            grad_inc = _energy(plus, w_decay)
+        else:
+            grad_inc = 0.5 * stepper.dt * (
+                _energy(before, stepper.grad_weights)
+                + _energy(after, stepper.grad_weights))
+        term_i = term_ii = term_iii = 0.0
+        if nl.f is not None and not nl.f_x_independent:
+            term_i = 2.0 * stepper.dt * pairing(before, f_hat)
+        if g_hat is not None:
+            hs = hs_norm_G(values, nl.g, cfg.noise)
+            term_ii = stepper.dt * hs * hs
+            term_iii = 2.0 * pairing(before, g_hat)
+        per_step[i:j] = (_energy(after, stepper.weights)
+                         - _energy(before, stepper.weights)) \
+            + 2.0 * grad_inc - (term_i + term_ii + term_iii)
+    return np.cumsum(per_step)
+
+
+@pytest.mark.parametrize("branch", sorted(PINNED_RESIDUALS) + ["blown_up"])
+def test_ito_residual_matches_two_pass_oracle(branch):
+    # the kernel's one pass takes each step's terms from its own spectra,
+    # the oracle from the saved states' transforms: roundoff apart, on both
+    # schemes and on a path that blew up
+    cfg = blown_up_cfg() if branch == "blown_up" else branch_cfg(branch)
+    series = ito_energy_residual(simulate_path(cfg, n_save=2))
+    want = two_pass_residual(cfg)
+    assert series.values["residual"].shape == want.shape
+    assert np.allclose(series.values["residual"], want, rtol=0.0,
+                       atol=1e-12)
+
+
 def test_ito_residual_stops_at_last_kept_state():
     # this path's state after step 43 passes the cap and is dropped; the
     # series ends at the last kept state, one entry per kept step
-    base = presets.sublinear_global()
-    wired = replace(base.nonlinearity, g=lambda y: 3.0 * np.abs(y) ** 2)
-    cfg = replace(base, nonlinearity=wired, t_end=0.25, seed=mix_seed(3, 2))
+    cfg = blown_up_cfg()
     traj = simulate_path(cfg)
     assert traj.status == "blew_up"
     series = ito_energy_residual(traj)
@@ -489,13 +562,7 @@ def test_ito_residual_rejects_foreign_states():
 def test_ito_replay_is_compared_bit_for_bit(blown_up):
     # the replay is bitwise the trajectory at every saved step, so one ulp
     # in a middle snapshot is a foreign state, on a path that blew up too
-    if blown_up:
-        base = presets.sublinear_global()
-        wired = replace(base.nonlinearity, g=lambda y: 3.0 * np.abs(y) ** 2)
-        cfg = replace(base, nonlinearity=wired, t_end=0.25,
-                      seed=mix_seed(3, 2))
-    else:
-        cfg = branch_cfg("callable_g")
+    cfg = blown_up_cfg() if blown_up else branch_cfg("callable_g")
     traj = simulate_path(cfg)
     assert traj.completed != blown_up and traj.times.size >= 5
     ito_energy_residual(traj)

@@ -456,6 +456,10 @@ def test_save_schedule():
     assert traj.states.shape == (5, 64)
     with pytest.raises(ParameterError):
         simulate_path(heat_cfg(dt=0.05), n_save=1)
+    # 2.5 died in numpy with a TypeError, and True ran as 1
+    for n_save in (2.5, True):
+        with pytest.raises(ParameterError, match="n_save must be an integer"):
+            simulate_path(heat_cfg(dt=0.05), n_save=n_save)
 
 
 def test_save_indices_match_unique():
@@ -1103,6 +1107,33 @@ def test_record_rows_are_lone_paths(make):
             assert np.isnan(ens.states[p, ens.kept[p]:]).all()
         assert same_path(ens[-1], lone[width - 1])
         assert all(map(same_path, ens[1::3], lone[1:width:3]))
+
+
+@pytest.mark.parametrize(
+    "make", [mixed_sites, lambda: replace(mixed_sites(),
+                                          scheme="semi_implicit"),
+             grid_free_capped],
+    ids=["start_and_cap", "semi_implicit", "grid_free_cap"])
+def test_ito_defects_leave_paths_and_rows_alone(make):
+    # with the Ito defects on, every path keeps its bits, and a row's
+    # defects are its lone run's bit for bit among 17 rows that blow up at
+    # the start of a step and at the cap; entries past a row's steps stay
+    cfg = make()
+    seeds = [row[0] for row in MIXED_SITES]
+    seeds = (seeds + [s for s in range(300) if s not in seeds])[:17]
+    plain = sim._integrate(cfg, seeds)
+    found = np.full((17, cfg.n_steps), np.nan)
+    ens = sim._integrate(cfg, seeds, ito_defect=found)
+    assert {t.status for t in plain} == {"completed", "blew_up"}
+    for p, seed in enumerate(seeds):
+        assert same_path(ens[p], plain[p])
+        lone = np.full(cfg.n_steps, np.nan)
+        assert same_path(simulate_path(replace(cfg, seed=seed),
+                                       ito_defect=lone), plain[p])
+        assert found[p].tobytes() == lone.tobytes()
+        taken = int(plain.steps[p])
+        assert np.isfinite(lone[:taken]).all()
+        assert np.isnan(lone[taken:]).all()
 
 
 def test_record_holds_python_seeds_and_checks_them_first():
