@@ -742,34 +742,30 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     rows = np.arange(n_paths)  # path index of each active row
     lead, lead_hat, after = stack, stack_hat, states  # active rows' views
 
-    def defects(taken: int) -> np.ndarray:
-        """(filled, rows) defects of the unfolded steps, the last of them
-        step taken - 1, and their norms."""
-        r = rows.size
-        norms = _energy(spec_all[:filled + 1, :r, None, :], norm_weights)
-        f_hat = g_hat = mean_sq = None
-        if stepper.f is not None:
-            f_hat = hats[:filled, 0, :r]
-        if stepper.g_map is not None:
-            g_hat, mean_sq = hats[:filled, -1, :r], g_sq[:filled, :r] / n
-        elif table is not None:
-            col = taken - start
-            g_hat = table[:, col - filled:col].swapaxes(0, 1)
-            mean_sq = stepper.g_const ** 2
-        found = stepper.energy_defects(norms, spec_all[:filled, :r], f_hat,
-                                       g_hat, mean_sq)
-        return found, norms[1:]
-
     def fold(taken: int) -> None:
+        """Fold the spectra accepted since the last fold, of the steps
+        before step taken, into the stats, and take their defects."""
         nonlocal filled
         if not filled:
             return
+        r = rows.size
         if ito_defect is None:
-            nrm = _energy(spec[:filled, :rows.size, None, :], norm_weights)
+            nrm = _energy(spec[:filled, :r, None, :], norm_weights)
         else:
-            found, nrm = defects(taken)
-            ito_defect[rows, taken - filled:taken] = found.T
-        terms = np.empty((filled + 1, rows.size))
+            # the folded steps' start spectra are spec_all[:filled]
+            norms = _energy(spec_all[:filled + 1, :r, None, :], norm_weights)
+            nrm = norms[1:]
+            f_hat = None if stepper.f is None else hats[:filled, 0, :r]
+            g_hat = mean_sq = None
+            if stepper.g_map is not None:
+                g_hat, mean_sq = hats[:filled, -1, :r], g_sq[:filled, :r] / n
+            elif table is not None:
+                col = taken - start
+                g_hat = table[:, col - filled:col].swapaxes(0, 1)
+                mean_sq = stepper.g_const ** 2
+            ito_defect[rows, taken - filled:taken] = stepper.energy_defects(
+                norms, spec_all[:filled, :r], f_hat, g_hat, mean_sq).T
+        terms = np.empty((filled + 1, r))
         terms[0] = stats[1]
         terms[1] = stats[3]
         terms[2:] = nrm[:-1, :, 1]
@@ -777,7 +773,7 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
         np.maximum(stats[0], nrm[:, :, 0].max(axis=0), out=stats[0])
         stats[1] = np.cumsum(terms, axis=0)[-1]
         stats[2:] = nrm[-1].T
-        spec_all[0, :rows.size] = spec_all[filled, :rows.size]
+        spec_all[0, :r] = spec_all[filled, :r]
         filled = 0
 
     def drop(dead: np.ndarray, t_dead: float, i: int, *arrays):
