@@ -83,11 +83,25 @@ class EnsembleStats:
 # --- persistence ------------------------------------------------------------
 
 
+# rows a CSV chunk formats at once: the file's text is never held whole
+_CSV_CHUNK_ROWS = 32
+
+
 def save_trajectory_csv(traj: Trajectory, path: Path) -> None:
+    """One header line "t,x0,...", then a row per saved time: the time and
+    the state, each value as "%.17g" (17 significant digits, which reads
+    back bit for bit), comma-separated.  The bytes are np.savetxt's with
+    that format, but rows are formatted a chunk of 32 at a time by one %
+    operation, not one row per call."""
     arr = np.column_stack([traj.times, traj.states])
     header = "t," + ",".join(f"x{j}" for j in range(traj.states.shape[1]))
-    np.savetxt(path, arr, fmt="%.17g", delimiter=",", header=header,
-               comments="")
+    row_fmt = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+    with open(path, "w", encoding="latin-1") as out:
+        out.write(header + "\n")
+        for start in range(0, arr.shape[0], _CSV_CHUNK_ROWS):
+            chunk = arr[start:start + _CSV_CHUNK_ROWS]
+            out.write((row_fmt * chunk.shape[0])
+                      % tuple(chunk.ravel().tolist()))
 
 
 def load_trajectory_csv(path: Path) -> Tuple[np.ndarray, np.ndarray]:

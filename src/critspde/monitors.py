@@ -258,21 +258,37 @@ def _loglog_slope(lags: np.ndarray, vals: np.ndarray) -> Tuple[float, float]:
     return float(slope), r2
 
 
+def _check_positive(stats: List[float], steps: List[int], what: str) -> None:
+    """A log-log fit needs every increment statistic positive: a path that
+    is constant in time or in space has no increments to fit."""
+    for step, stat in zip(steps, stats):
+        if not stat > 0.0:
+            raise ParameterError(
+                f"no Hoelder fit: the increment statistic at {what} {step} "
+                f"is {stat!r}, not positive (is the path constant?)")
+
+
 def _row_medians(a: np.ndarray) -> np.ndarray:
     """np.median(a, axis=1) of a 2-d float array with at least one column,
-    with its bits and its NaN for a row that holds one, computed as numpy
-    does: a partition at the middle index (or the two middle indices, whose
-    mean is (a + b)/2) and at the last, where a NaN sorts.  np.median
-    itself imports numpy.ma on its first call."""
+    with its bits and its NaN for a row that holds one; a is left as it was.
+
+    Each row is sorted once (np.sort returns a copy), and the median is
+    read as numpy reads it from its partition: the middle value, or the
+    mean (a + b)/2 of the two middle values, and the last value where it
+    is a NaN, which sorts last.  An order statistic's value does not
+    depend on the method that finds it, so the bits are np.median's on
+    the fit's rows |du|, which hold no -0.0; a row holding zeros of both
+    signs could give a zero median of either sign.  numpy sorts with SIMD
+    but partitions at several indices by introselect, some 6x slower on
+    a (223, 128) lag block, and np.median imports numpy.ma on first use."""
     n = a.shape[1]
     half = n // 2
-    part = np.partition(a, [half - 1, half, -1] if n % 2 == 0 else [half, -1],
-                        axis=1)
+    ordered = np.sort(a, axis=1)
     if n % 2:
-        med = part[:, half].copy()
+        med = ordered[:, half].copy()
     else:
-        med = (part[:, half - 1] + part[:, half]) / 2.0
-    last = part[:, -1]
+        med = (ordered[:, half - 1] + ordered[:, half]) / 2.0
+    last = ordered[:, -1]
     np.copyto(med, last, where=np.isnan(last))
     return med
 
@@ -283,7 +299,9 @@ def hoelder_estimate(traj: Trajectory, t0: Optional[float] = None) -> HoelderFit
     Time: median over x of |u(t+lag) - u(t)|, averaged over t >= t0, fitted
     log-log against dyadic lags.  Space: the analogous statistic for dyadic
     circular grid shifts.  Exponents are clipped to [0, 1]; the early window
-    (0, t0) is excluded because smoothing needs positive time to act.
+    (0, t0) is excluded because smoothing needs positive time to act.  A
+    statistic of 0, as on a path constant in time or in space, has no
+    logarithm: it raises a ParameterError naming its lag or shift.
     """
     times = traj.times
     if times.size < 8:
@@ -313,6 +331,7 @@ def hoelder_estimate(traj: Trajectory, t0: Optional[float] = None) -> HoelderFit
         diffs = np.abs(block[m:] - block[:-m])
         d_time.append(float(np.mean(_row_medians(diffs))))
         lag_dt.append(float(np.mean(block_times[m:] - block_times[:-m])))
+    _check_positive(d_time, lags, "time lag")
     slope_t, r2_t = _loglog_slope(np.array(lag_dt), np.array(d_time))
 
     n = traj.states.shape[1]
@@ -328,6 +347,7 @@ def hoelder_estimate(traj: Trajectory, t0: Optional[float] = None) -> HoelderFit
     for h in shifts:
         diffs = np.abs(np.roll(sub, -h, axis=1) - sub)
         d_space.append(float(np.mean(_row_medians(diffs))))
+    _check_positive(d_space, shifts, "space shift")
     slope_x, r2_x = _loglog_slope(
         TWO_PI * np.array(shifts) / n, np.array(d_space))
 

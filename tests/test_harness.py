@@ -197,6 +197,46 @@ def test_trajectory_csv_round_trip(tmp_path):
             == traj.states.view(np.uint64).tolist()
 
 
+# an edge of every kind the %.17g format meets: signed zero, subnormals,
+# 17 significant digits, the switch to an exponent, the largest double,
+# NaN and both infinities
+CSV_EDGE_VALUES = [-0.0, 5e-324, 1e-320, 0.1, 1e16, 1e17,
+                   1.7976931348623157e308, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 32, 33, 257, "edge_values"])
+def test_trajectory_csv_has_savetxt_bytes(tmp_path, rows):
+    # np.savetxt, which the writer formatted rows with one at a time, is
+    # the oracle; the writer formats 32 rows at once, so 32 and 33 rows sit
+    # at a chunk's edge
+    base = simulate_path(small_noise_cfg(dt=0.01, t_end=0.1), n_save=2)
+    if rows == "edge_values":
+        edge = np.array(CSV_EDGE_VALUES)
+        states = np.stack([edge, -edge, edge[::-1]])
+        times = np.array([0.0, 0.1, 1.0 / 3.0])
+    else:
+        rng = np.random.default_rng(rows)
+        states = rng.standard_normal((rows, 64)) \
+            * 10.0 ** rng.integers(-8, 8, (rows, 64))
+        times = np.arange(rows) / 3.0
+    traj = replace(base, times=times, states=states)
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(traj, path)
+    oracle = tmp_path / "oracle.csv"
+    np.savetxt(oracle, np.column_stack([times, states]), fmt="%.17g",
+               delimiter=",", comments="",
+               header="t," + ",".join(f"x{j}" for j in range(states.shape[1])))
+    assert path.read_bytes() == oracle.read_bytes()
+    read_times, read_states = load_trajectory_csv(path)
+    assert read_times.view(np.uint64).tolist() \
+        == times.view(np.uint64).tolist()
+    finite = np.isfinite(states)
+    assert read_states[finite].view(np.uint64).tolist() \
+        == states[finite].view(np.uint64).tolist()
+    assert np.array_equal(read_states[~finite], states[~finite],
+                          equal_nan=True)
+
+
 def test_survival_monotone_in_cap():
     base = replace(heat(), u0=lambda x: 2.0 * np.cos(x))
     lo = mc_run(EnsembleConfig(base=replace(base, blowup_cap=1.0), n_paths=3))

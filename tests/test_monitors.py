@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -601,16 +602,40 @@ def test_hoelder_stochastic_bands_loose():
 
 
 def test_row_medians_match_numpy():
-    # the fit's row medians are np.median's bits, odd and even widths, with
-    # a NaN row giving NaN and an inf sorting as a number
+    # the fit's row medians are np.median's bits, odd and even widths (128
+    # is the regularity grid's), with a NaN row giving NaN, an inf sorting
+    # as a number and an all-zero row giving 0; the argument is left alone
     rng = np.random.default_rng(11)
-    for cols in (1, 2, 7, 8, 129):
+    for cols in (1, 2, 7, 8, 128, 129):
         a = np.abs(rng.standard_normal((6, cols)))
         a[1, 0] = np.nan
         a[2, -1] = np.inf
         a[3, :] = np.round(a[3], 1)
         a[4, :] = np.inf
+        a[5, :] = 0.0
+        before = a.tobytes()
         assert _row_medians(a).tobytes() == np.median(a, axis=1).tobytes()
+        assert a.tobytes() == before
+
+
+@pytest.mark.parametrize("cfg, where", [
+    (heat_cfg(grid=TorusGrid(128), dt=1.0 / 1024, u0=None), "time lag 1"),
+    (replace(presets.heat(), grid=TorusGrid(128), dt=1.0 / 1024, u0=1.0),
+     "time lag 1"),
+    # the noise's one mode is the constant: the path moves in time only
+    (SimConfig(grid=TorusGrid(128), nonlinearity=NonlinearitySpec(g=1.0),
+               noise=NoiseSpec(modes=0), t_end=1.0, dt=1.0 / 1024, u0=None),
+     "space shift 1"),
+], ids=["zero_data", "heat_u0_one", "constant_in_space"])
+def test_hoelder_rejects_a_constant_path(cfg, where):
+    # a zero increment statistic took log(0) with two RuntimeWarnings, and
+    # the NaN slope failed as "fitted exponents must lie in [0, 1]"
+    traj = simulate_path(cfg, n_save=257)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError,
+                           match=f"increment statistic at {where} is 0.0"):
+            hoelder_estimate(traj)
 
 
 def test_hoelder_fit_imports_no_numpy_ma():
