@@ -197,21 +197,17 @@ def test_trajectory_csv_round_trip(tmp_path):
             == traj.states.view(np.uint64).tolist()
 
 
-# an edge of every kind the %.17g format meets: signed zero, subnormals,
-# 17 significant digits, the switch to an exponent, the largest double,
-# NaN and both infinities
-CSV_EDGE_VALUES = [-0.0, 5e-324, 1e-320, 0.1, 1e16, 1e17,
-                   1.7976931348623157e308, np.nan, np.inf, -np.inf]
-
-
 @pytest.mark.parametrize("rows", [1, 2, 32, 33, 257, "edge_values"])
 def test_trajectory_csv_has_savetxt_bytes(tmp_path, rows):
-    # np.savetxt, which the writer formatted rows with one at a time, is
-    # the oracle; the writer formats 32 rows at once, so 32 and 33 rows sit
-    # at a chunk's edge
+    # np.savetxt, one row per call, is the oracle; the writer formats 32
+    # rows at once, so 32 and 33 rows sit at a chunk's edge
     base = simulate_path(small_noise_cfg(dt=0.01, t_end=0.1), n_save=2)
     if rows == "edge_values":
-        edge = np.array(CSV_EDGE_VALUES)
+        # every edge the %.17g format meets: signed zero, subnormals, 17
+        # significant digits, the switch to an exponent, the largest
+        # double, NaN and both infinities
+        edge = np.array([-0.0, 5e-324, 1e-320, 0.1, 1e16, 1e17,
+                         1.7976931348623157e308, np.nan, np.inf, -np.inf])
         states = np.stack([edge, -edge, edge[::-1]])
         times = np.array([0.0, 0.1, 1.0 / 3.0])
     else:
