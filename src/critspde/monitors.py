@@ -24,6 +24,7 @@ from .sim import (
     _energy,
     _irfft,
     _rfft,
+    _save_indices,
     dealiased,
     simulate_path,
     spectral_weights,
@@ -185,21 +186,25 @@ def x_space_norm(traj: Trajectory, report: CriticalityReport,
     Each growth term contributes two entries: a higher-smoothness one at its
     trace exponent and a lower-smoothness one at the interpolated exponent.
     Values are weighted time norms (weight exponent kappa, default
-    unweighted) of spatial Bessel norms of the saved snapshots.
+    unweighted) of spatial Bessel norms of the saved snapshots.  Entries
+    with the same (smoothness, space_q, time_exponent), as the critical
+    case's trace and interpolated slots are, share one computed value.
     """
     grid = _window_grid(traj, window)
     states = _window_states(traj, grid)
     w = PowerWeight(float(kappa), offset=grid.a)
     out: List[XNormValue] = []
+    values: Dict[Tuple[float, float, float], float] = {}
     for term in report.exponents:
         for slot, entry in zip(("trace", "interp"), term.x_entries):
-            series = spatial_norm(states, float(entry.smoothness),
-                                  float(entry.space_q))
-            p_time = float(entry.time_exponent)
-            val = weighted_lp_norm(SampledFunction(grid, series), p_time, w)
-            out.append(XNormValue(term.part, term.index, slot, p_time,
-                                  float(entry.smoothness),
-                                  float(entry.space_q), float(val)))
+            key = (float(entry.smoothness), float(entry.space_q),
+                   float(entry.time_exponent))
+            if key not in values:
+                series = spatial_norm(states, key[0], key[1])
+                values[key] = float(weighted_lp_norm(
+                    SampledFunction(grid, series), key[2], w))
+            out.append(XNormValue(term.part, term.index, slot, key[2],
+                                  key[0], key[1], values[key]))
     return out
 
 
@@ -210,8 +215,8 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     """Cumulative defect of the discrete L^2 energy identity.
 
     Replays the trajectory from its config (the path is deterministic given
-    the seed) in one kernel pass, which keeps every state and sums, once per
-    RNG block, each step's
+    the seed) in one kernel pass, which sums, once per RNG block, each
+    step's
 
         d||u||^2 + 2 ||grad u||^2 dt - (I + II + III)
 
@@ -219,19 +224,30 @@ def ito_energy_residual(traj: Trajectory) -> MonitorSeries:
     x-independent), II the Ito correction dt * ||g(u)||_HS^2, and III the
     realized martingale increment 2 <u, g(u) dW> (SpectralStepper.
     energy_defects); it then checks each saved state against the replay's
-    bit for bit.  For the pure heat flow the residual is roundoff; with
-    noise it is the (mean-zero) quadratic variation mismatch, shrinking
-    like sqrt(dt) at fixed horizon.  The series ends at the last kept
-    state, so a path that blew up has one entry per step it kept.
+    bit for bit.  A completed path whose save times are the kernel's
+    schedule of its snapshot count is replayed at that schedule and
+    compared row for row; any other (a blown-up path, or save times of
+    another schedule) is replayed keeping every state.  For the pure heat
+    flow the residual is roundoff; with noise it is the (mean-zero)
+    quadratic variation mismatch, shrinking like sqrt(dt) at fixed
+    horizon.  The series ends at the last kept state, so a path that blew
+    up has one entry per step it kept.
     """
     cfg = traj.config
     per_step = np.empty(cfg.n_steps)
-    replay = simulate_path(cfg, ito_defect=per_step)
+    n_save = traj.times.size
+    if not (traj.completed and n_save >= 2 and np.array_equal(
+            _save_indices(cfg.n_steps, n_save) * cfg.dt, traj.times)):
+        n_save = None
+    replay = simulate_path(cfg, n_save, ito_defect=per_step)
     # the path is bitwise deterministic, so each saved state, up to blow-up
     # too, is the replay's state at its step bit for bit
-    saved_at = np.rint(traj.times / cfg.dt).astype(int)
-    if replay.status != traj.status or replay.sigma_hat != traj.sigma_hat \
-            or (saved_at.size and saved_at.max() >= replay.times.size) \
+    saved_at, fits = slice(None), True
+    if n_save is None:
+        saved_at = np.rint(traj.times / cfg.dt).astype(int)
+        fits = not saved_at.size or saved_at.max() < replay.times.size
+    if not fits or replay.status != traj.status \
+            or replay.sigma_hat != traj.sigma_hat \
             or not np.array_equal(replay.times[saved_at], traj.times) \
             or not np.array_equal(replay.states[saved_at], traj.states):
         raise ParameterError("trajectory does not replay from its config")

@@ -581,14 +581,31 @@ class Ensemble:
                           replace(cfg, seed=self.seeds[p]))
 
 
-# Steps of Gaussian draws a path takes from its stream at a time, turned
-# into noise increments together, so the tables hold P x RNG_BLOCK steps
-# where whole paths' would hold P x n_steps.  At 16 an 18-path ensemble
-# peaks at the memory of one path at a time (64 added 3 MB); blocks of 8 to
-# 64 steps run about as fast.  It is also how many accepted spectra the
-# kernel keeps before it folds them into the path stats, and how many steps
-# a config that does not read the grid takes per irfft and cap check.
+# The shortest block: steps of Gaussian draws a path takes from its stream
+# at a time, turned into noise increments together, so the tables hold
+# P x B steps where whole paths' would hold P x n_steps.  It is also how
+# many accepted spectra the kernel keeps before it folds them into the path
+# stats, and how many steps a config that does not read the grid takes per
+# irfft and cap check.  A run of P rows takes blocks of B = _block_steps(P)
+# steps, the least RNG_BLOCK * 2^j with B * P >= _BLOCK_ROW_STEPS: the
+# costs paid once per block (the noise table's ufunc calls, a fold, the
+# defects' operations) are then spread over at least 128 row-steps.  At 8
+# rows or more that is 16: an 18-path ensemble peaks at the memory of one
+# path at a time (64 added 3 MB), and a 9-row sublinear-global run takes
+# about as long at any block of 16 to 128 steps.  On one row, 128-step
+# blocks take a regularity path x0.65 and its Ito call x0.62 of their time
+# at 16 (in-process medians on a 2-CPU Xeon VM).
 RNG_BLOCK = 16
+_BLOCK_ROW_STEPS = 128
+
+
+def _block_steps(rows: int) -> int:
+    """Steps per block of a run of rows paths: the least RNG_BLOCK * 2^j
+    with that times rows at least _BLOCK_ROW_STEPS."""
+    steps = RNG_BLOCK
+    while steps * max(rows, 1) < _BLOCK_ROW_STEPS:
+        steps *= 2
+    return steps
 
 
 def _save_indices(n_steps: int, n_save: Optional[int]) -> np.ndarray:
@@ -621,22 +638,24 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     into one Ensemble record.  A seed that is no integer stops the run
     before it runs.
 
-    Each row draws from its own PCG64(seed) stream, RNG_BLOCK steps at a
-    time, which consumes the stream as one draw per step would.  Each
-    reduction over a row is that row's own dot product (np.vecdot; a
-    matrix-vector product sums in another order).  So a row's bits do not
-    depend on its neighbours or on P.  Every step is one stepper.update.
-    The active rows' running stats are one (4, rows) array.  The accepted
-    spectra are kept and folded into it at the end of each RNG_BLOCK block
-    and before the active set shrinks: one vecdot gives their norms, and a
-    cumsum along the steps adds the dt * ||grad u||^2 terms in step order,
-    the sums of one step at a time.  A row that blows up, at the start of a
-    step (f or g not finite) or at the cap after it, leaves through drop():
-    it folds the stats, records the row's ends and compacts the rows, the
-    noise table, the stats and the step's arrays.  The work arrays are
-    allocated once, at full width, and a step works in the leading rows of
-    each: update() writes each spectrum straight into its slot among the
-    kept ones.
+    The run takes blocks of B = _block_steps(P) steps, chosen once from
+    the batch width: 128 at one row, 64 at 2-3, 32 at 4-7 and RNG_BLOCK =
+    16 at 8 or more.  Each row draws from its own PCG64(seed) stream, B
+    steps at a time, which consumes the stream as one draw per step would.
+    Each reduction over a row is that row's own dot product (np.vecdot; a
+    matrix-vector product sums in another order), and a block only groups
+    a row's own steps.  So a row's bits do not depend on its neighbours,
+    on P or on B.  Every step is one stepper.update.  The active rows'
+    running stats are one (4, rows) array.  The accepted spectra are kept
+    and folded into it at the end of each block and before the active set
+    shrinks: one vecdot gives their norms, and a cumsum along the steps
+    adds the dt * ||grad u||^2 terms in step order, the sums of one step
+    at a time.  A row that blows up, at the start of a step (f or g not
+    finite) or at the cap after it, leaves through drop(): it folds the
+    stats, records the row's ends and compacts the rows, the noise table,
+    the stats and the step's arrays.  The work arrays are allocated once,
+    at full width, and a step works in the leading rows of each: update()
+    writes each spectrum straight into its slot among the kept ones.
 
     With substeps s > 1 a row draws s steps of its stream for each step of
     its own and takes their sum divided by sqrt(s), still a unit draw, as
@@ -644,7 +663,7 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     sees, its common noise.
 
     A config whose steps do not read the grid (no flux, g constant or
-    absent) takes each RNG_BLOCK block in spectral space through update,
+    absent) takes each block in spectral space through update,
     then one irfft, one cap check and one save of the block's snapshots.
     If a row passes the cap in it, the block is taken again one step at a
     time on the same noise, which retires the row at its step as the other
@@ -693,18 +712,19 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
         steps[:], sigma_hat[:], ends[2] = 0, 0.0, 0.0
         return record()
 
+    block_len = _block_steps(n_paths)
     # draws holds the current block's unit draws and table their noise,
     # one (rows, steps, .) slab each: the noise's spectrum, and for a map g
     # the field on the grid too.  fine takes the stream's draws of a block,
     # substeps to a step, and is draws itself at one substep
     table = None
     if stepper.draws:
-        draws = np.empty((n_paths, RNG_BLOCK, stepper.draws))
+        draws = np.empty((n_paths, block_len, stepper.draws))
         fine = draws if substeps == 1 else \
-            np.empty((n_paths, RNG_BLOCK * substeps, stepper.draws))
-        noise_hat = np.empty((n_paths, RNG_BLOCK, nh), dtype=complex)
+            np.empty((n_paths, block_len * substeps, stepper.draws))
+        noise_hat = np.empty((n_paths, block_len, nh), dtype=complex)
         noise = noise_hat if stepper.g_map is None \
-            else np.empty((n_paths, RNG_BLOCK, n))
+            else np.empty((n_paths, block_len, n))
         rngs = [_path_stream(s) for s in seeds]
 
     # per active row: state, spectrum and stats.  stats holds, in PathStats'
@@ -716,7 +736,7 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     # step writes the slab it starts from
     stats = np.repeat([[l2_0], [0.0], [l2_0], [head_0]], n_paths, 1)
     values = np.repeat(values[None], n_paths, axis=0)
-    spec_all = np.empty((RNG_BLOCK + 1, n_paths, nh), dtype=complex)
+    spec_all = np.empty((block_len + 1, n_paths, nh), dtype=complex)
     spec = spec_all[1:]
     spec_all[0] = u_hat
     u_hat = spec_all[0]
@@ -727,17 +747,17 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     # the states of a block of a config that does not read the grid; its
     # b-th block saves its snapshots save_idx[edges[b]:edges[b + 1]]
     if not stepper.reads_grid:
-        block_states = np.empty((RNG_BLOCK, n_paths, n))
+        block_states = np.empty((block_len, n_paths, n))
         edges = save_idx.searchsorted(
-            np.arange(1, n_steps + RNG_BLOCK + 1, RNG_BLOCK)).tolist()
+            np.arange(1, n_steps + block_len + 1, block_len)).tolist()
     # for the defects: each unfolded step's spectra, in its spec slot, and
     # for a map g its grid sum of g(u)^2; a constant g's mean is g^2
     hats = g_sq = None
     if ito_defect is not None:
         if stepper.terms:
-            hats = np.empty((RNG_BLOCK,) + stack_hat.shape, dtype=complex)
+            hats = np.empty((block_len,) + stack_hat.shape, dtype=complex)
         if stepper.g_map is not None:
-            g_sq = np.empty((RNG_BLOCK, n_paths))
+            g_sq = np.empty((block_len, n_paths))
     filled = 0
     rows = np.arange(n_paths)  # path index of each active row
     lead, lead_hat, after = stack, stack_hat, states  # active rows' views
@@ -805,8 +825,8 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
             g_sq[0, :rows.size] = g_sq[held, :keep.size][keep]
         return rest
 
-    for start in range(0, n_steps, RNG_BLOCK):
-        m = min(RNG_BLOCK, n_steps - start)
+    for start in range(0, n_steps, block_len):
+        m = min(block_len, n_steps - start)
         if stepper.draws:
             for r, p in enumerate(rows):
                 rngs[p].standard_normal(out=fine[r, :m * substeps])
@@ -832,7 +852,7 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
                 # a step of this config never reads values
                 u_hat, values, filled = prev, blk[-1], m
                 # the block's snapshots, in one assignment
-                lo, hi = edges[start // RNG_BLOCK:start // RNG_BLOCK + 2]
+                lo, hi = edges[start // block_len:start // block_len + 2]
                 if hi > lo:
                     saved[rows, lo:hi] = \
                         blk[save_idx[lo:hi] - (start + 1)].swapaxes(0, 1)

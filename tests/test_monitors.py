@@ -12,6 +12,8 @@ import pytest
 import critspde
 from critspde import presets
 from critspde.exponents import (
+    GrowthSpec,
+    GrowthTerm,
     ParameterError,
     Setting,
     SobolevScale,
@@ -22,6 +24,7 @@ from critspde.harness import mix_seed
 from critspde.monitors import (
     HoelderFit,
     MonitorSeries,
+    XNormValue,
     _row_medians,
     blowup_functional,
     h_minus1_flux_norm,
@@ -50,6 +53,7 @@ from critspde.sim import (
     simulate_path,
     spectral_weights,
 )
+from critspde.weights import PowerWeight, SampledFunction, weighted_lp_norm
 
 H2 = SobolevScale(F(-1), F(1), F(2))
 L2_SETTING = Setting(H2, F(2), F(0))
@@ -321,6 +325,58 @@ def test_x_space_norm_monotone_in_endpoint():
     assert all(x.value <= y.value + 1e-12 for x, y in zip(a, b))
 
 
+def uncached_x_norms(traj, report, window, kappa):
+    """x_space_norm's entries, each computed on its own."""
+    grid = critspde.monitors._window_grid(traj, window)
+    states = critspde.monitors._window_states(traj, grid)
+    w = PowerWeight(float(kappa), offset=grid.a)
+    out = []
+    for term in report.exponents:
+        for slot, entry in zip(("trace", "interp"), term.x_entries):
+            s, q = float(entry.smoothness), float(entry.space_q)
+            p_time = float(entry.time_exponent)
+            series = spatial_norm(states, s, q)
+            val = weighted_lp_norm(SampledFunction(grid, series), p_time, w)
+            out.append(XNormValue(term.part, term.index, slot, p_time, s, q,
+                                  float(val)))
+    return out
+
+
+def subcritical_report():
+    # f0 and g0 share both entries, g1 has its own: 4 distinct of 6
+    return full_report(GrowthSpec(
+        f_terms=(GrowthTerm(F(1), F(3, 4), F(5, 8)),),
+        g_terms=(GrowthTerm(F(1), F(3, 4), F(5, 8)),
+                 GrowthTerm(F(1), F(2, 3), F(7, 12)))), L2_SETTING)
+
+
+@pytest.mark.parametrize("report, distinct", [(l2_report, 1),
+                                              (subcritical_report, 4)],
+                         ids=["l2_eps", "subcritical"])
+@pytest.mark.parametrize("kappa", [0.0, 0.25])
+def test_x_space_norm_takes_each_distinct_entry_once(report, distinct, kappa,
+                                                     monkeypatch):
+    # the benchmark's report has four equal entries; a report whose
+    # entries differ takes each distinct one once, and the list equals
+    # the one computed entry by entry
+    traj = simulate_path(additive_cfg(dt=1e-3, seed=7), n_save=201)
+    rep = report()
+    want = uncached_x_norms(traj, rep, (0.1, 1.0), kappa)
+    assert len({(v.smoothness, v.space_q, v.time_exponent)
+                for v in want}) == distinct
+    calls = []
+    norm = critspde.monitors.spatial_norm
+
+    def counted(*args):
+        calls.append(args[1:])
+        return norm(*args)
+
+    monkeypatch.setattr(critspde.monitors, "spatial_norm", counted)
+    got = x_space_norm(traj, rep, (0.1, 1.0), kappa)
+    assert got == want and len(calls) == distinct
+    assert [v.value for v in got] == [v.value for v in want]
+
+
 # --- growth-vs-continuation ratio --------------------------------------------------
 
 def test_functional_ratio_bounded_and_grid_stable():
@@ -567,6 +623,42 @@ def test_ito_replay_is_compared_bit_for_bit(blown_up):
     traj = simulate_path(cfg)
     assert traj.completed != blown_up and traj.times.size >= 5
     ito_energy_residual(traj)
+    states = traj.states.copy()
+    mid = states.shape[0] // 2
+    states[mid, 3] = np.nextafter(states[mid, 3], np.inf)
+    with pytest.raises(ParameterError, match="does not replay"):
+        ito_energy_residual(replace(traj, states=states))
+
+
+@pytest.mark.parametrize("case", ["schedule", "prefix", "blown_up"])
+def test_ito_replay_at_the_save_schedule(case, monkeypatch):
+    # a completed path saved on the kernel's schedule of 257 snapshots is
+    # replayed at that schedule and compared row for row; its first 200
+    # snapshots, or a path that blew up, are replayed keeping every
+    # state.  Either way the residual is the every-state replay's, and one
+    # ulp in a middle snapshot is a foreign state
+    if case == "blown_up":
+        cfg = blown_up_cfg()
+    else:
+        cfg = replace(presets.regularity_ensemble(seed=5).base, t_end=0.5)
+    traj = simulate_path(cfg, n_save=257)
+    assert traj.completed == (case != "blown_up") and traj.times.size >= 5
+    if case == "prefix":
+        traj = replace(traj, times=traj.times[:200], states=traj.states[:200])
+    per_step = np.empty(cfg.n_steps)
+    steps = simulate_path(cfg, ito_defect=per_step).stats.steps_taken
+    want = np.cumsum(per_step[:steps])
+    replays = []
+    replay = critspde.monitors.simulate_path
+
+    def recorded(cfg, n_save=None, **kw):
+        replays.append(n_save)
+        return replay(cfg, n_save, **kw)
+
+    monkeypatch.setattr(critspde.monitors, "simulate_path", recorded)
+    series = ito_energy_residual(traj)
+    assert replays == [257 if case == "schedule" else None]
+    assert series.values["residual"].tobytes() == want.tobytes()
     states = traj.states.copy()
     mid = states.shape[0] // 2
     states[mid, 3] = np.nextafter(states[mid, 3], np.inf)

@@ -553,19 +553,28 @@ def test_update_bytes_pinned():
                              "4747ad7c23c03e0de2ecb8122803d3c6")
 
 
-@pytest.mark.parametrize("name, rfft, irfft", [
-    ("sublinear-global", lambda s: 1 + s, lambda s: s + -(-s // 16)),
-    ("linear-noise", lambda s: 1, lambda s: -(-s // 16)),
-    ("cubic-conservative", lambda s: 1 + s, lambda s: s),
-    ("heat", lambda s: 1, lambda s: -(-s // 16)),
-], ids=["sublinear-global", "linear-noise", "cubic-conservative", "heat"])
-def test_fft_calls_per_step(name, rfft, irfft, monkeypatch):
-    # per step: one rfft takes f(u) and g(u) dW together and one irfft
-    # gives the new state; a map g adds one irfft per block of 16 steps;
-    # without a flux and with g constant or absent a step reads no grid,
-    # and one irfft gives the states of a whole block of 16 steps.  The
-    # kernel's transforms go through sim's helpers, all but the initial
-    # state's rfft, which goes through np.fft
+# (rfft, irfft) calls of a run of s steps in blocks of b steps
+FFT_CALLS = {
+    "sublinear-global": (lambda s, b: 1 + s, lambda s, b: s + -(-s // b)),
+    "linear-noise": (lambda s, b: 1, lambda s, b: -(-s // b)),
+    "cubic-conservative": (lambda s, b: 1 + s, lambda s, b: s),
+    "heat": (lambda s, b: 1, lambda s, b: -(-s // b)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, width", [(name, 1) for name in FFT_CALLS]
+    + [(name, 8) for name in FFT_CALLS],
+    ids=list(FFT_CALLS) + [f"{name}-8-rows" for name in FFT_CALLS])
+def test_fft_calls_per_step(name, width, monkeypatch):
+    # per step of the batch: one rfft takes f(u) and g(u) dW together and
+    # one irfft gives the new state; a map g adds one irfft per block of b
+    # steps; without a flux and with g constant or absent a step reads no
+    # grid, and one irfft gives the states of a whole block.  A lone row
+    # takes blocks of _block_steps(1) steps, 8 rows blocks of 16; 200 steps
+    # end in a short block either way.  The kernel's transforms go through
+    # sim's helpers, all but the initial state's rfft, which goes through
+    # np.fft
     calls = {"rfft": 0, "irfft": 0}
 
     def counted(fn, kind):
@@ -579,10 +588,22 @@ def test_fft_calls_per_step(name, rfft, irfft, monkeypatch):
             fn = getattr(module, prefix + kind)
             monkeypatch.setattr(module, prefix + kind, counted(fn, kind))
     cfg = presets.SIM_PRESETS[name]()
-    steps = 40
-    traj = simulate_path(replace(cfg, t_end=steps * cfg.dt), n_save=2)
-    assert traj.completed and traj.stats.steps_taken == steps
-    assert calls == {"rfft": rfft(steps), "irfft": irfft(steps)}
+    steps = 200
+    block = sim._block_steps(width)
+    assert block == (sim.RNG_BLOCK if width == 8 else sim._block_steps(1))
+    assert steps % block and steps > block
+    ens = sim._integrate(replace(cfg, t_end=steps * cfg.dt),
+                         range(cfg.seed, cfg.seed + width), 2)
+    assert ens.steps.tolist() == [steps] * width
+    rfft, irfft = FFT_CALLS[name]
+    assert calls == {"rfft": rfft(steps, block), "irfft": irfft(steps, block)}
+
+
+def test_block_steps_follow_the_batch_width():
+    # the least 16 * 2^j steps with at least 128 row-steps per block
+    got = {rows: sim._block_steps(rows) for rows in (1, 2, 3, 4, 7, 8, 200)}
+    assert got == {1: 128, 2: 64, 3: 64, 4: 32, 7: 32, 8: 16, 200: 16}
+    assert sim.RNG_BLOCK == 16
 
 
 def every_other_row(buffer_of):
@@ -756,22 +777,25 @@ EDGE_AT_CAP = [
 ]
 
 
-@pytest.mark.parametrize("site", ["flux", "cap"])
-def test_path_stats_at_block_edges(site):
-    # rows blow up at steps 15, 16, 17, 31 and 32, on both sides of the
-    # 16-step blocks in which the kernel folds its stats, by a flux that is
-    # not finite past 0.6 (start of the step) or by a cap of 0.6 (end of
-    # the step); two rows complete the 40 steps
+def edge_config(site):
+    """(config, pinned rows): rows leave by a flux that is not finite past
+    0.6 (start of the step) or by a cap of 0.6 (end of the step)."""
     base = dict(grid=TorusGrid(32), noise=NoiseSpec(lam=0.75, modes=5),
                 t_end=0.4, dt=0.01, u0=None)
     if site == "flux":
-        cfg = SimConfig(nonlinearity=NonlinearitySpec(
-            f=edge_flux, g=presets.one_plus_abs), **base)
-        want = EDGE_AT_FLUX
-    else:
-        cfg = SimConfig(nonlinearity=NonlinearitySpec(
-            f=half_cubic, g=presets.one_plus_abs), blowup_cap=0.6, **base)
-        want = EDGE_AT_CAP
+        return SimConfig(nonlinearity=NonlinearitySpec(
+            f=edge_flux, g=presets.one_plus_abs), **base), EDGE_AT_FLUX
+    return SimConfig(nonlinearity=NonlinearitySpec(
+        f=half_cubic, g=presets.one_plus_abs), blowup_cap=0.6, **base), \
+        EDGE_AT_CAP
+
+
+@pytest.mark.parametrize("site", ["flux", "cap"])
+def test_path_stats_at_block_edges(site):
+    # rows blow up at steps 15, 16, 17, 31 and 32, on both sides of the
+    # 16-step blocks in which the kernel folds its stats, at the start or
+    # at the end of the step; two rows complete the 40 steps
+    cfg, want = edge_config(site)
     trajs = sim._integrate(cfg, EDGE_SEEDS)
     assert {15, 16, 17, 31, 32} <= {t.stats.steps_taken for t in trajs}
     for traj, (seed, steps, sigma_hat, sup, grad, final) in zip(trajs, want):
@@ -786,6 +810,30 @@ def test_path_stats_at_block_edges(site):
         assert (traj.status, traj.sigma_hat) == (lone.status, lone.sigma_hat)
         assert np.array_equal(traj.times, lone.times)
         assert np.array_equal(traj.states, lone.states)
+
+
+@pytest.mark.parametrize("site", ["flux", "cap"])
+def test_block_length_keeps_rows_bytes(site):
+    # batches of 1, 2, 4 and 8 rows take blocks of 128, 64, 32 and 16
+    # steps, so the 40 steps are one block, one block, 32 + 8 and 16 + 16
+    # + 8, with rows leaving on both sides of each edge: every row has its
+    # pinned stats and the states and times of the 9-row run at every width
+    cfg, want = edge_config(site)
+    ref = sim._integrate(cfg, EDGE_SEEDS)
+    for width, block in ((1, 128), (2, 64), (4, 32), (8, 16)):
+        assert sim._block_steps(width) == block
+        got = []
+        for lo in range(0, len(EDGE_SEEDS), width):
+            got += sim._integrate(cfg, EDGE_SEEDS[lo:lo + width])[:]
+        for traj, lone, row in zip(got, ref, want):
+            st = traj.stats
+            assert (traj.config.seed, st.steps_taken, traj.sigma_hat,
+                    st.sup_l2_sq, st.grad_integral, st.final_l2_sq) == row
+            assert st == lone.stats
+            assert (traj.status, traj.sigma_hat) == \
+                (lone.status, lone.sigma_hat)
+            assert traj.times.tobytes() == lone.times.tobytes()
+            assert traj.states.tobytes() == lone.states.tobytes()
 
 
 def edge_noise(y):
