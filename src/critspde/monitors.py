@@ -197,14 +197,14 @@ def x_space_norm(traj: Trajectory, report: CriticalityReport,
     values: Dict[Tuple[float, float, float], float] = {}
     for term in report.exponents:
         for slot, entry in zip(("trace", "interp"), term.x_entries):
-            key = (float(entry.smoothness), float(entry.space_q),
-                   float(entry.time_exponent))
-            if key not in values:
-                series = spatial_norm(states, key[0], key[1])
-                values[key] = float(weighted_lp_norm(
-                    SampledFunction(grid, series), key[2], w))
-            out.append(XNormValue(term.part, term.index, slot, key[2],
-                                  key[0], key[1], values[key]))
+            s, q = float(entry.smoothness), float(entry.space_q)
+            p_time = float(entry.time_exponent)
+            if (s, q, p_time) not in values:
+                series = spatial_norm(states, s, q)
+                values[s, q, p_time] = float(weighted_lp_norm(
+                    SampledFunction(grid, series), p_time, w))
+            out.append(XNormValue(term.part, term.index, slot, p_time, s, q,
+                                  values[s, q, p_time]))
     return out
 
 

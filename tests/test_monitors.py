@@ -350,9 +350,21 @@ def subcritical_report():
                  GrowthTerm(F(1), F(2, 3), F(7, 12)))), L2_SETTING)
 
 
+def mixed_report():
+    # entries that differ in one of time exponent, q or smoothness only
+    rep = l2_report()
+    f, g = rep.exponents
+    base = f.x_entries[0]
+    entries = [replace(base, time_exponent=F(4)), replace(base, space_q=F(3)),
+               replace(base, smoothness=F(1, 4)), base]
+    return replace(rep, exponents=(replace(f, x_entries=tuple(entries[:2])),
+                                   replace(g, x_entries=tuple(entries[2:]))))
+
+
 @pytest.mark.parametrize("report, distinct", [(l2_report, 1),
-                                              (subcritical_report, 4)],
-                         ids=["l2_eps", "subcritical"])
+                                              (subcritical_report, 4),
+                                              (mixed_report, 4)],
+                         ids=["l2_eps", "subcritical", "mixed"])
 @pytest.mark.parametrize("kappa", [0.0, 0.25])
 def test_x_space_norm_takes_each_distinct_entry_once(report, distinct, kappa,
                                                      monkeypatch):
@@ -449,10 +461,10 @@ def test_ito_residual_rms_scales_like_sqrt_dt():
 
 
 # Reference series of the one-step-at-a-time residual; the block pass
-# differs by roundoff only.  Each path runs 24 steps, so the pass crosses an
-# RNG_BLOCK boundary.  The additive series, whose replay steps a block at a
-# time, was recorded with the block pass and a kernel stepping one step at a
-# time.
+# differs by roundoff only.  Each path runs 24 steps: one block of a lone
+# replay, and a 16-step block and a short one among 8 rows.  The additive
+# series, whose replay steps a block at a time, was recorded with the block
+# pass and a kernel stepping one step at a time.
 PINNED_RESIDUALS = {
     "additive": [
         0.004581477049440008, 0.011913970810507615, -0.0013175873614304223,
@@ -520,10 +532,18 @@ def branch_cfg(branch):
 
 @pytest.mark.parametrize("branch", sorted(PINNED_RESIDUALS))
 def test_ito_residual_pinned_branches(branch):
-    series = ito_energy_residual(simulate_path(branch_cfg(branch)))
+    cfg = branch_cfg(branch)
+    series = ito_energy_residual(simulate_path(cfg))
     assert np.allclose(series.times, np.arange(1, 25) / 48)
     assert np.allclose(series.values["residual"], PINNED_RESIDUALS[branch],
                        rtol=0.0, atol=1e-12)
+    # among 8 rows the fold at the 16-step block edge splits the steps:
+    # row 0's defects are the lone replay's bit for bit
+    found = np.empty((8, cfg.n_steps))
+    critspde.sim._integrate(cfg, range(cfg.seed, cfg.seed + 8),
+                            ito_defect=found)
+    assert np.cumsum(found[0]).tobytes() == \
+        series.values["residual"].tobytes()
 
 
 def blown_up_cfg():

@@ -816,8 +816,9 @@ def test_path_stats_at_block_edges(site):
 def test_block_length_keeps_rows_bytes(site):
     # batches of 1, 2, 4 and 8 rows take blocks of 128, 64, 32 and 16
     # steps, so the 40 steps are one block, one block, 32 + 8 and 16 + 16
-    # + 8, with rows leaving on both sides of each edge: every row has its
-    # pinned stats and the states and times of the 9-row run at every width
+    # + 8, with rows leaving on both sides of each edge (the 9 seeds split
+    # into batches of the width and one of the rows left): every row has
+    # its pinned stats and the states and times of the 9-row run
     cfg, want = edge_config(site)
     ref = sim._integrate(cfg, EDGE_SEEDS)
     for width, block in ((1, 128), (2, 64), (4, 32), (8, 16)):
@@ -874,9 +875,10 @@ def digest(states):
     return hashlib.sha256(states.tobytes()).hexdigest()[:16]
 
 
-# a constant g steps in spectral space a block of 16 steps at a time; the cap
-# of 0.6 trips rows at steps 15, 16, 17, 31, 32 and 37 (in the short last
-# block of 8 steps) and two rows complete the 40 steps.  (seed, status,
+# a constant g steps in spectral space a block at a time: 16 steps among 17
+# or 200 rows, all 40 steps for a lone row.  The cap of 0.6 trips rows at
+# steps 15, 16, 17, 31, 32 and 37 (in the last 16-step block, which is 8
+# steps short) and two rows complete the 40 steps.  (seed, status,
 # steps_taken, sigma_hat, sup_l2_sq, grad_integral, final_l2_sq, digest of
 # the states), recorded with a kernel that takes one step at a time
 GRID_FREE_CAP = [
