@@ -584,8 +584,8 @@ class Ensemble:
 # The shortest block: steps of Gaussian draws a path takes from its stream
 # at a time, turned into noise increments together, so the tables hold
 # P x B steps where whole paths' would hold P x n_steps.  It is also how
-# many accepted spectra the kernel keeps before it folds them into the path
-# stats, and how many steps a config that does not read the grid takes per
+# many accepted steps the kernel keeps, spectra and states, until a fold,
+# and how many steps a config that does not read the grid takes per
 # irfft and cap check.  A run of P rows takes blocks of B = _block_steps(P)
 # steps, the least RNG_BLOCK * 2^j with B * P >= _BLOCK_ROW_STEPS: the
 # costs paid once per block (the noise table's ufunc calls, a fold, the
@@ -646,16 +646,16 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     matrix-vector product sums in another order), and a block only groups
     a row's own steps.  So a row's bits do not depend on its neighbours,
     on P or on B.  Every step is one stepper.update.  The active rows'
-    running stats are one (4, rows) array.  The accepted spectra are kept
-    and folded into it at the end of each block and before the active set
-    shrinks: one vecdot gives their norms, and a cumsum along the steps
-    adds the dt * ||grad u||^2 terms in step order, the sums of one step
-    at a time.  A row that blows up, at the start of a step (f or g not
-    finite) or at the cap after it, leaves through drop(): it folds the
-    stats, records the row's ends and compacts the rows, the noise table,
-    the stats and the step's arrays.  The work arrays are allocated once,
-    at full width, and a step works in the leading rows of each: update()
-    writes each spectrum straight into its slot among the kept ones.
+    running stats are one (4, rows) array.  A step's spectrum and state go
+    straight into their slots among the kept ones, which a fold takes at
+    the end of each block and before the active set shrinks: one vecdot
+    gives their norms, a cumsum along the steps adds the dt * ||grad u||^2
+    terms in step order, the sums of one step at a time, and one assignment
+    saves the states save_idx names.  A row that blows up, at the start of
+    a step (f or g not finite) or at the cap after it, leaves through
+    drop(): it folds, records the row's ends and compacts the rows, the
+    noise table, the stats and the step's arrays.  The work arrays are
+    allocated once, at full width, and a step works in their leading rows.
 
     With substeps s > 1 a row draws s steps of its stream for each step of
     its own and takes their sum divided by sqrt(s), still a unit draw, as
@@ -663,11 +663,11 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     sees, its common noise.
 
     A config whose steps do not read the grid (no flux, g constant or
-    absent) takes each block in spectral space through update,
-    then one irfft, one cap check and one save of the block's snapshots.
-    If a row passes the cap in it, the block is taken again one step at a
-    time on the same noise, which retires the row at its step as the other
-    configs do.
+    absent) takes each block in spectral space through update, then one
+    irfft into the kept states and one cap check, and ends it in a fold,
+    as every block ends.  If a row passes the cap in it, the block is taken
+    again one step at a time on the same noise, which retires the row at
+    its step as the other configs do.
 
     Given ito_defect, a (P, n_steps) float array, the run also writes into
     its row p, for each step k path p takes, that step's defect of the
@@ -692,7 +692,6 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     l2_0, head_0 = _energy(u_hat[..., None, :], norm_weights).tolist()
     n_paths = len(seeds)
     save_idx = _save_indices(n_steps, n_save)
-    save_pos = dict(zip(save_idx.tolist(), range(save_idx.size)))
     saved = np.empty((n_paths, save_idx.size, n))
     saved[:, 0] = values
     # the record's columns; ends holds each path's stats, as PathStats
@@ -740,16 +739,11 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     spec = spec_all[1:]
     spec_all[0] = u_hat
     u_hat = spec_all[0]
-    # a step's grid stack (f(u), g(u) dW), its spectra, and its new state
+    # a step's grid stack (f(u), g(u) dW) and its spectra; block_states[j]
+    # holds the state of the step in spec[j], until the fold saves it
     stack = np.empty((stepper.terms, n_paths, n))
     stack_hat = np.empty((stepper.terms, n_paths, nh), dtype=complex)
-    states = np.empty((n_paths, n))
-    # the states of a block of a config that does not read the grid; its
-    # b-th block saves its snapshots save_idx[edges[b]:edges[b + 1]]
-    if not stepper.reads_grid:
-        block_states = np.empty((block_len, n_paths, n))
-        edges = save_idx.searchsorted(
-            np.arange(1, n_steps + block_len + 1, block_len)).tolist()
+    block_states = np.empty((block_len, n_paths, n))
     # for the defects: each unfolded step's spectra, in its spec slot, and
     # for a map g its grid sum of g(u)^2; a constant g's mean is g^2
     hats = g_sq = None
@@ -760,15 +754,22 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
             g_sq = np.empty((block_len, n_paths))
     filled = 0
     rows = np.arange(n_paths)  # path index of each active row
-    lead, lead_hat, after = stack, stack_hat, states  # active rows' views
+    lead, lead_hat = stack, stack_hat  # active rows' views
 
     def fold(taken: int) -> None:
         """Fold the spectra accepted since the last fold, of the steps
-        before step taken, into the stats, and take their defects."""
+        before step taken, into the stats, save their states and take
+        their defects."""
         nonlocal filled
         if not filled:
             return
         r = rows.size
+        # the folded steps' states first .. taken, where save_idx picks them
+        first = taken - filled + 1
+        lo, hi = save_idx.searchsorted((first, taken + 1))
+        if hi > lo:
+            saved[rows, lo:hi] = \
+                block_states[save_idx[lo:hi] - first, :r].swapaxes(0, 1)
         if ito_defect is None:
             nrm = _energy(spec[:filled, :r, None, :], norm_weights)
         else:
@@ -799,7 +800,7 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
     def drop(dead: np.ndarray, t_dead: float, i: int, *arrays):
         """Retire the rows in dead at t_dead after i steps; returns arrays
         without those rows, as fresh arrays."""
-        nonlocal rows, table, stats, lead, lead_hat, after
+        nonlocal rows, table, stats, lead, lead_hat
         # a step taken at the cap sits in slot held, unfolded
         held = filled
         # the last kept state is the last folded one: its term ends grad
@@ -812,7 +813,6 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
         rows, stats = rows[keep], stats[:, keep]
         table = None if table is None else table[keep]
         lead, lead_hat = stack[:, :rows.size], stack_hat[:, :rows.size]
-        after = states[:rows.size]
         # arrays first: one of them may be the slab spec_all[0]
         rest = [a[keep] for a in arrays]
         # the kept rows' last folded spectrum, and for the defects the
@@ -848,18 +848,10 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
                 dw = None if table is None else table[:, j]
                 prev = stepper.update(prev, None, dw, block[j])[0]
             blk = _irfft(block, block_states[:m, :rows.size])
+            # m accepted steps, and no single step below: none reads values
             if stepper.blown_up(blk) is None:
-                # a step of this config never reads values
-                u_hat, values, filled = prev, blk[-1], m
-                # the block's snapshots, in one assignment
-                lo, hi = edges[start // block_len:start // block_len + 2]
-                if hi > lo:
-                    saved[rows, lo:hi] = \
-                        blk[save_idx[lo:hi] - (start + 1)].swapaxes(0, 1)
-                fold(start + m)
-                u_hat = spec_all[0, :rows.size]
-                continue
-        for i in range(start, start + m):
+                filled = m
+        for i in range(start + filled, start + m):
             grids, ok = stepper.coefficients(values, lead)
             if ok is not None:
                 u_hat, values = drop(~ok, i * cfg.dt, i, u_hat, values)
@@ -876,7 +868,7 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
                               out=g_sq[filled, :rows.size])
             u_hat = stepper.update(u_hat, grids, dw,
                                    spec[filled, :rows.size], spectra)[0]
-            values = _irfft(u_hat, after)
+            values = _irfft(u_hat, block_states[filled, :rows.size])
             bad = stepper.blown_up(values)
             if bad is not None:
                 u_hat, values = drop(bad, (i + 1) * cfg.dt, i,
@@ -884,9 +876,8 @@ def _integrate(cfg: SimConfig, seeds: Sequence[int],
                 if not rows.size:
                     break
                 spec[filled, :rows.size] = u_hat
+                block_states[filled, :rows.size] = values
             filled += 1
-            if (i + 1) in save_pos:
-                saved[rows, save_pos[i + 1]] = values
         if not rows.size:
             break
         fold(start + m)

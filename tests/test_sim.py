@@ -812,20 +812,46 @@ def test_path_stats_at_block_edges(site):
         assert np.array_equal(traj.states, lone.states)
 
 
-@pytest.mark.parametrize("site", ["flux", "cap"])
-def test_block_length_keeps_rows_bytes(site):
+def sparse_saves(*cases, saves=(None, 6, 14)):
+    """Parameters (case, n_save) of a 40-step run: each (id, case) at every
+    state, under its own id, and at the other saves.  6 saves land on the
+    block edges 16 and 32, and 14 on steps 15, 31 and 37, where rows blow
+    up."""
+    return [pytest.param(case, n_save, id=name if n_save is None
+                         else f"{name}-n_save{n_save}")
+            for name, case in cases for n_save in saves]
+
+
+def assert_saves_of_every_state(ens, every, n_save):
+    """Each row of ens is every's row, a run that saved every state, at
+    the save steps of n_save up to its kept ones, and NaN after them."""
+    save_idx = sim._save_indices(40, n_save)
+    assert ens.times.tobytes() == every.times[save_idx].tobytes()
+    assert ens.kept.tolist() == \
+        save_idx.searchsorted(every.steps, side="right").tolist()
+    for p, kept in enumerate(ens.kept):
+        assert ens.states[p, :kept].tobytes() == \
+            every.states[p, save_idx[:kept]].tobytes()
+        assert np.isnan(ens.states[p, kept:]).all()
+
+
+@pytest.mark.parametrize("site, n_save",
+                         sparse_saves(("flux", "flux"), ("cap", "cap")))
+def test_block_length_keeps_rows_bytes(site, n_save):
     # batches of 1, 2, 4 and 8 rows take blocks of 128, 64, 32 and 16
     # steps, so the 40 steps are one block, one block, 32 + 8 and 16 + 16
     # + 8, with rows leaving on both sides of each edge (the 9 seeds split
     # into batches of the width and one of the rows left): every row has
-    # its pinned stats and the states and times of the 9-row run
+    # its pinned stats and the states and times of the 9-row run, which
+    # are those of the run that saves every state at the save steps
     cfg, want = edge_config(site)
-    ref = sim._integrate(cfg, EDGE_SEEDS)
+    ref = sim._integrate(cfg, EDGE_SEEDS, n_save)
+    assert_saves_of_every_state(ref, sim._integrate(cfg, EDGE_SEEDS), n_save)
     for width, block in ((1, 128), (2, 64), (4, 32), (8, 16)):
         assert sim._block_steps(width) == block
         got = []
         for lo in range(0, len(EDGE_SEEDS), width):
-            got += sim._integrate(cfg, EDGE_SEEDS[lo:lo + width])[:]
+            got += sim._integrate(cfg, EDGE_SEEDS[lo:lo + width], n_save)[:]
         for traj, lone, row in zip(got, ref, want):
             st = traj.stats
             assert (traj.config.seed, st.steps_taken, traj.sigma_hat,
@@ -1126,17 +1152,20 @@ def same_path(a, b):
             and a.states.tobytes() == b.states.tobytes())
 
 
-@pytest.mark.parametrize("make", [mixed_sites, grid_free_capped, stillborn],
-                         ids=["start_and_cap", "grid_free_cap", "initial"])
-def test_record_rows_are_lone_paths(make):
+@pytest.mark.parametrize("make, n_save", sparse_saves(
+    ("start_and_cap", mixed_sites), ("grid_free_cap", grid_free_capped),
+    ("initial", stillborn)))
+def test_record_rows_are_lone_paths(make, n_save):
     # blow-ups at the start of a step and at the cap (reads_grid), at the
     # cap inside a block taken again step by step (grid_free), and in the
     # initial state: row p of a record of width 1, 17 or 200 is its seed's
-    # lone run, and its states past the kept ones are NaN
+    # lone run at n_save, and its states past the kept ones are NaN; the
+    # kept ones are those of the record that saves every state
     cfg = make()
     seeds = [row[0] for row in MIXED_SITES]
     seeds += [s for s in range(300) if s not in seeds][:200 - len(seeds)]
-    lone = [simulate_path(replace(cfg, seed=s)) for s in seeds]
+    lone = [simulate_path(replace(cfg, seed=s), n_save) for s in seeds]
+    size = sim._save_indices(cfg.n_steps, n_save).size
     sites = {"completed" if t.completed else
              "initial" if t.stats.steps_taken == 0 and t.sigma_hat == 0.0
              else "start" if t.sigma_hat == t.stats.steps_taken * cfg.dt
@@ -1145,9 +1174,9 @@ def test_record_rows_are_lone_paths(make):
                      "grid_free_capped": {"completed", "cap"},
                      "stillborn": {"initial"}}[make.__name__]
     for width in (1, 17, 200):
-        ens = sim._integrate(cfg, seeds[:width])
+        ens = sim._integrate(cfg, seeds[:width], n_save)
         assert len(ens) == width and ens.seeds == tuple(seeds[:width])
-        assert ens.states.shape == (width, cfg.n_steps + 1, 32)
+        assert ens.states.shape == (width, size, 32)
         assert ens.stats.shape == (4, width)
         assert ens.kept.tolist() == [t.times.size for t in lone[:width]]
         assert ens.steps.tolist() == \
@@ -1157,28 +1186,34 @@ def test_record_rows_are_lone_paths(make):
             assert np.isnan(ens.states[p, ens.kept[p]:]).all()
         assert same_path(ens[-1], lone[width - 1])
         assert all(map(same_path, ens[1::3], lone[1:width:3]))
+        assert_saves_of_every_state(ens, sim._integrate(cfg, seeds[:width]),
+                                    n_save)
 
 
-@pytest.mark.parametrize(
-    "make", [mixed_sites, lambda: replace(mixed_sites(),
-                                          scheme="semi_implicit"),
-             grid_free_capped],
-    ids=["start_and_cap", "semi_implicit", "grid_free_cap"])
-def test_ito_defects_leave_paths_and_rows_alone(make):
+@pytest.mark.parametrize("make, n_save", sparse_saves(
+    ("start_and_cap", mixed_sites),
+    ("semi_implicit", lambda: replace(mixed_sites(), scheme="semi_implicit")),
+    ("grid_free_cap", grid_free_capped), saves=(None, 14)))
+def test_ito_defects_leave_paths_and_rows_alone(make, n_save):
     # with the Ito defects on, every path keeps its bits, and a row's
     # defects are its lone run's bit for bit among 17 rows that blow up at
-    # the start of a step and at the cap; entries past a row's steps stay
+    # the start of a step and at the cap; entries past a row's steps stay.
+    # The fold saves and takes the defects together: at 14 saves the
+    # defects are those of the run that saves every state
     cfg = make()
     seeds = [row[0] for row in MIXED_SITES]
     seeds = (seeds + [s for s in range(300) if s not in seeds])[:17]
-    plain = sim._integrate(cfg, seeds)
+    plain = sim._integrate(cfg, seeds, n_save)
     found = np.full((17, cfg.n_steps), np.nan)
-    ens = sim._integrate(cfg, seeds, ito_defect=found)
+    ens = sim._integrate(cfg, seeds, n_save, ito_defect=found)
     assert {t.status for t in plain} == {"completed", "blew_up"}
+    every = np.full((17, cfg.n_steps), np.nan)
+    sim._integrate(cfg, seeds, ito_defect=every)
+    assert found.tobytes() == every.tobytes()
     for p, seed in enumerate(seeds):
         assert same_path(ens[p], plain[p])
         lone = np.full(cfg.n_steps, np.nan)
-        assert same_path(simulate_path(replace(cfg, seed=seed),
+        assert same_path(simulate_path(replace(cfg, seed=seed), n_save,
                                        ito_defect=lone), plain[p])
         assert found[p].tobytes() == lone.tobytes()
         taken = int(plain.steps[p])
